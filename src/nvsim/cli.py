@@ -1,8 +1,7 @@
 """Config-driven command line: `simulate run|validate|fieldmap <config>`.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure
-(non-convergent primary fit, calibration bracket failure,
-non-integrable spectrum).
+(non-convergent primary fit, calibration bracket failure).
 """
 
 from __future__ import annotations
@@ -41,7 +40,10 @@ class NumericalFailure(RuntimeError):
 def build_bath(cfg: RunConfig) -> OUBath:
     if cfg.bath_b_rad_s > 0:
         return OUBath(cfg.bath_b_rad_s, cfg.bath_tau_c_s)
-    return calibrate_bath(cfg.t2_echo_target_s, cfg.bath_tau_c_s)
+    try:
+        return calibrate_bath(cfg.t2_echo_target_s, cfg.bath_tau_c_s)
+    except ValueError as exc:
+        raise NumericalFailure(f"bath calibration: {exc}") from exc
 
 
 def build_readout(cfg: RunConfig) -> ReadoutModel:
@@ -277,7 +279,10 @@ def cmd_run(args) -> int:
     t0 = time.time()
     try:
         outputs = run_experiment(cfg, out)
-    except (NumericalFailure, ValueError) as exc:
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     extra = {"version": __version__, "wall_time_s": f"{time.time() - t0:.3f}", **outputs}

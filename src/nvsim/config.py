@@ -109,6 +109,15 @@ _NONNEGATIVE = {
 _MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
             "n_freq", "m_min", "m_max", "m_points", "blocks_per_point"}
 
+# pi pulses of each coherence-sweep family: fixed, or per repeat
+_PI_FIXED = {"fid": 0, "echo": 1}
+_PI_PER_REPEAT = {"cpmg": 1, "xy4": 4, "xy8": 8, "xy16": 16}
+_SWEEPS = (*_PI_FIXED, *_PI_PER_REPEAT)
+
+# (key, minimum) for the number of points each experiment's fit needs
+_FIT_POINTS = {"rabi": ("n_points", 8), "ac_sense": ("n_amplitudes", 6), "resolution": ("n_amplitudes", 6)}
+_FIT_POINTS.update({family: ("n_points", 6) for family in _SWEEPS})
+
 
 def _parse_value(key: str, raw: str):
     typ = _FIELD_TYPES[key]
@@ -175,6 +184,15 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 't_min_s': must be < t_max_s")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("key 'm_min': must be <= m_max")
+    key, least = _FIT_POINTS.get(cfg.experiment, (None, 0))
+    if key and getattr(cfg, key) < least:
+        raise ConfigError(f"key '{key}': the {cfg.experiment} fit needs >= {least} points")
+    if cfg.experiment == "ac_sense" and cfg.shots < 2:
+        raise ConfigError("key 'shots': ac_sense needs >= 2 shots to estimate delta_s")
+    if cfg.experiment == "odmr" and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
+        raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
+    if cfg.finite_pulses and cfg.experiment in _SWEEPS:
+        _check_sweep_pulse_overlap(cfg)
 
     warnings = []
     if cfg.experiment == "ac_sense" and cfg.tau_s > 0:
@@ -197,6 +215,24 @@ def validate_config(cfg: RunConfig) -> list[str]:
             "pulses overlap significant dephasing"
         )
     return warnings
+
+
+def _check_sweep_pulse_overlap(cfg: RunConfig) -> None:
+    """Reject finite pulses that overlap at the sweep's shortest point.
+
+    Timing is center to center and the pi/2 pulses last pi_time_s / 2, so
+    the edge delay tau/2 must hold 3/4 pi_time_s (a pi/2 and a pi half),
+    with tau = t_min_s / n_pi; the interior delays tau then hold the
+    pi_time_s of two pi halves.  FID must hold its two pi/2 halves.
+    """
+    n_pi = _PI_FIXED.get(cfg.experiment, _PI_PER_REPEAT.get(cfg.experiment, 0) * cfg.n_repeats)
+    need = 1.5 * cfg.pi_time_s * n_pi if n_pi else 0.5 * cfg.pi_time_s
+    if cfg.t_min_s < need:
+        raise ConfigError(
+            f"key 'pi_time_s': finite pulses overlap at t_min_s = {cfg.t_min_s:g} s "
+            f"({n_pi} pi pulses, tau = {cfg.t_min_s / max(n_pi, 1):g} s); "
+            f"t_min_s must be >= {need:g} s for pi_time_s = {cfg.pi_time_s:g} s"
+        )
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -12,11 +12,18 @@ Two evolution paths share the noise model:
   c = x + iy as c -> e^(i theta) c and c -> e^(2 i phi) conj(c); folding
   the whole train gives c_final = e^(i Xi) c0 with
   Xi = theta_pattern + pi*(n mod 2) + sum_k (-1)^(n-k) theta_k.
+  Xi is offset + m delta + phi_ac + phi_OU, linear in the spin's static
+  detuning and in its OU path, and phi_OU = sum_k (-1)^(n-k) int_k x(t) dt
+  is a fixed linear functional of a Gaussian process.  It is therefore
+  exactly N(0, 2 chi) with chi = noise.ou_chi_exact of the same toggling
+  function, so one standard normal per spin samples it without error.
   The branch populations follow in closed form.
 
 * finite rectangular pulses: piecewise-constant fields are exact
   rotations, composed per spin with the pulse axis tilted by the
   instantaneous detuning and the angle scaled by Omega_i (1 + eps_i).
+  The detuning needs the OU value at every pulse, so each spin carries
+  its trajectory, advanced by the exact joint step noise.ou_step.
 
 Noise is drawn in fixed-size spin blocks, each from its own
 counter-based substream keyed on (seed, block index), so results are
@@ -33,8 +40,15 @@ import numpy as np
 
 from .constants import GAMMA_E
 from .fields import FieldMap, rabi_from_b_vectors
-from .noise import NO_AMPLITUDE_ERROR, AmplitudeErrorModel, OUBath, QuasiStaticSpread
-from .sequences import Delay, Pulse, PulseSequence, pulse_times
+from .noise import (
+    NO_AMPLITUDE_ERROR,
+    AmplitudeErrorModel,
+    OUBath,
+    QuasiStaticSpread,
+    ou_chi_exact,
+    ou_step,
+)
+from .sequences import Delay, PulseSequence, pi_pulse_phases, pulse_times
 
 SPIN_BLOCK = 2048
 
@@ -148,46 +162,6 @@ def sample_ensemble(
     return EnsembleSample(positions, omega, delta, eps, seed)
 
 
-class _OUStream:
-    """Stateful exact OU sampler for one block of spins.
-
-    advance(L) returns the exact per-spin integral of the process over the
-    next L seconds and moves the internal state forward; value() is the
-    current process value.  b = 0 degenerates to zeros.
-    """
-
-    def __init__(self, bath: OUBath, n: int, rng: np.random.Generator):
-        self.bath = bath
-        self.rng = rng
-        self.x = rng.normal(0.0, bath.b, size=n) if bath.b > 0 else np.zeros(n)
-
-    def value(self) -> np.ndarray:
-        return self.x
-
-    def advance(self, L: float) -> np.ndarray:
-        if L == 0.0 or self.bath.b == 0.0:
-            return np.zeros_like(self.x)
-        b, tau = self.bath.b, self.bath.tau_c
-        h = L / tau
-        mu = math.exp(-h)
-        one_minus_mu = -math.expm1(-h)
-        v11 = b * b * (-math.expm1(-2.0 * h))
-        v12 = b * b * tau * one_minus_mu**2
-        if h < 0.01:
-            g2 = (2.0 / 3.0) * h**3 - 0.5 * h**4 + (7.0 / 30.0) * h**5
-        else:
-            g2 = 2.0 * h - 3.0 + 4.0 * mu - mu * mu
-        v22 = b * b * tau * tau * g2
-        a11 = math.sqrt(v11)
-        a21 = v12 / a11
-        a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
-        z1 = self.rng.standard_normal(len(self.x))
-        z2 = self.rng.standard_normal(len(self.x))
-        integral = tau * one_minus_mu * self.x + a21 * z1 + a22 * z2
-        self.x = mu * self.x + a11 * z1
-        return integral
-
-
 def _blocks(n: int):
     return [(i, min(i + SPIN_BLOCK, n)) for i in range(0, n, SPIN_BLOCK)]
 
@@ -202,21 +176,43 @@ def _map_blocks(fn, n: int, threads: int):
 
 
 def _sequence_phase_terms(seq: PulseSequence):
-    """Segment bounds, toggling signs, and the pulse-pattern phase offset."""
+    """Segment bounds, toggling signs and pattern phase of the pi-train."""
     times, total_t = pulse_times(seq)
     n = len(times)
     bounds = np.concatenate(([0.0], times, [total_t]))
     signs = (-1.0) ** (n - np.arange(n + 1))
-    phases = np.array(
-        [e.phase for e in seq.elements if isinstance(e, Pulse) and abs(e.angle - math.pi) < 1e-12]
-    )
-    pattern = 2.0 * np.sum(phases * (-1.0) ** (n - np.arange(1, n + 1))) if n else 0.0
-    offset = pattern + math.pi * (n % 2)
-    return bounds, signs, offset, total_t
+    pattern = 2.0 * np.sum(pi_pulse_phases(seq) * signs[1:])
+    return bounds, signs, pattern
 
 
 def _readout_angle(seq: PulseSequence, sign: int) -> float:
     return seq.readout_phase + (math.pi if sign > 0 else 0.0)
+
+
+def _mean_cos_ideal(seq, ensemble, bath, b_ac, shift, *, key, noise_seed, threads) -> float:
+    """Ensemble mean of cos(Xi - shift) under ideal pi pulses.
+
+    Xi = pattern + m delta_i + phi_ac + sigma z_i with sigma = sqrt(2 chi)
+    and one standard normal z_i per spin from the (seed, key, noise_seed,
+    block) substream.
+    """
+    bounds, signs, pattern = _sequence_phase_terms(seq)
+    static_coeff = float(np.sum(signs * np.diff(bounds)))
+    phi_ac = 0.0
+    if b_ac is not None:
+        phi_ac = GAMMA_E * b_ac.amplitude_t * sum(
+            s * b_ac.phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs)
+        )
+    sigma = math.sqrt(2.0 * ou_chi_exact(bounds[1:-1], bounds[-1], bath))
+    base = pattern + phi_ac - shift
+    n = ensemble.n_spins
+
+    def block(bi, lo, hi):
+        z = _rng_for(ensemble.seed, key, noise_seed, bi).standard_normal(hi - lo)
+        xi = base + static_coeff * ensemble.delta_static[lo:hi] + sigma * z
+        return float(np.sum(np.cos(xi)))
+
+    return sum(_map_blocks(block, n, threads)) / n
 
 
 def run_two_branch(
@@ -232,36 +228,20 @@ def run_two_branch(
     """Ensemble-averaged ms=0 populations for the two readout branches.
 
     Each spin carries its own static detuning, amplitude error, and a
-    fresh OU trajectory keyed on (ensemble.seed, noise_seed, block).
-    pulse_width = None uses ideal pulses; a finite width renders the
-    sequence with rectangular pulses, delays center-to-center.
+    fresh OU phase (ideal pulses) or trajectory (finite pulses) keyed on
+    (ensemble.seed, noise_seed, block).  pulse_width = None uses ideal
+    pulses; a finite width renders the sequence with rectangular pulses,
+    delays center-to-center.
     """
     if pulse_width is not None:
         return _run_two_branch_finite(
             seq, ensemble, bath, b_ac, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
-    bounds, signs, offset, total_t = _sequence_phase_terms(seq)
-    seg_len = np.diff(bounds)
-    static_coeff = float(np.sum(signs * seg_len))
-    phi_ac = 0.0
-    if b_ac is not None:
-        phi_ac = GAMMA_E * b_ac.amplitude_t * sum(
-            s * b_ac.phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs)
-        )
-    beta_plus = _readout_angle(seq, +1)
-    n = ensemble.n_spins
-
-    def block(bi, lo, hi):
-        rng = _rng_for(ensemble.seed, 0xB0, noise_seed, bi)
-        stream = _OUStream(bath, hi - lo, rng)
-        phi_ou = np.zeros(hi - lo)
-        for k, s in enumerate(signs):
-            phi_ou += s * stream.advance(seg_len[k])
-        xi = offset + static_coeff * ensemble.delta_static[lo:hi] + phi_ac + phi_ou
-        return float(np.sum(np.cos(xi - beta_plus)))
-
-    total = sum(_map_blocks(block, n, threads))
-    m = total / n
+    # Xi also carries pi * (n mod 2) from the pi/2 pulses
+    shift = _readout_angle(seq, +1) - math.pi * (seq.n_pi_pulses % 2)
+    m = _mean_cos_ideal(
+        seq, ensemble, bath, b_ac, shift, key=0xB0, noise_seed=noise_seed, threads=threads
+    )
     # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
     return (1.0 - m) / 2.0, (1.0 + m) / 2.0
 
@@ -334,6 +314,25 @@ def _apply_rect_pulse(v, omega_eff, delta, phase, width):
     v[:, 2] = v[:, 2] * c + cz * s + kz * kdotv * omc
 
 
+def _evolve_finite(v, ops, omega_eff, delta_s, bath, rng, b_ac=None) -> np.ndarray:
+    """Apply rendered ops to the Bloch vectors v in place along one fresh OU
+    trajectory per spin; returns the OU values at the end."""
+    x = rng.normal(0.0, bath.b, size=len(v)) if bath.b > 0 else np.zeros(len(v))
+    for op in ops:
+        if op[0] == "free":
+            _, L, t0 = op
+            integral, x = ou_step(x, L, bath, rng)
+            phase = delta_s * L + integral
+            if b_ac is not None:
+                phase = phase + GAMMA_E * b_ac.amplitude_t * b_ac.phase_integral(t0, t0 + L)
+            _rotate_z_inplace(v, phase)
+        else:
+            _, phase, _angle, width, _t0 = op
+            _apply_rect_pulse(v, omega_eff, delta_s + x, phase, width)
+            x = ou_step(x, width, bath, rng)[1]
+    return x
+
+
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
     ops = _render_finite(seq.elements, pulse_width)
     # interior ops exclude the final readout pulse, applied per branch
@@ -343,29 +342,15 @@ def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width
 
     def block(bi, lo, hi):
         rng = _rng_for(ensemble.seed, 0xB0, noise_seed, bi)
-        stream = _OUStream(bath, hi - lo, rng)
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
         v = np.zeros((hi - lo, 3))
         v[:, 2] = 1.0
-        for op in interior:
-            if op[0] == "free":
-                _, L, t0 = op
-                phase = delta_s * L + stream.advance(L)
-                if b_ac is not None:
-                    phase = phase + GAMMA_E * b_ac.amplitude_t * b_ac.phase_integral(t0, t0 + L)
-                _rotate_z_inplace(v, phase)
-            else:
-                _, phase, _angle, width, _t0 = op
-                delta_now = delta_s + stream.value()
-                _apply_rect_pulse(v, omega_eff, delta_now, phase, width)
-                stream.advance(width)
+        x = _evolve_finite(v, interior, omega_eff, delta_s, bath, rng, b_ac)
         sums = []
         for sign in (+1, -1):
             vb = v.copy()
-            beta = _readout_angle(seq, sign)
-            delta_now = delta_s + stream.value()
-            _apply_rect_pulse(vb, omega_eff, delta_now, beta, final[3])
+            _apply_rect_pulse(vb, omega_eff, delta_s + x, _readout_angle(seq, sign), final[3])
             sums.append(float(np.sum((1.0 + vb[:, 2]) / 2.0)))
         return sums
 
@@ -373,11 +358,6 @@ def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width
     tot_p = sum(p[0] for p in parts)
     tot_m = sum(p[1] for p in parts)
     return tot_p / n, tot_m / n
-
-
-def normalized_branch_signal(p0_plus: float, p0_minus: float) -> float:
-    """Noise-free normalized two-branch signal, +1 for a perfect revival."""
-    return p0_plus - p0_minus
 
 
 def equatorial_survival(
@@ -397,60 +377,27 @@ def equatorial_survival(
     ensemble mean of v_final . v0: the surviving projection on the
     prepared axis.  Used for pulse-error robustness comparisons.
     """
-    train = tuple(
-        e for e in seq.elements if isinstance(e, Delay) or abs(e.angle - math.pi) < 1e-12
+    train = PulseSequence(
+        tuple(e for e in seq.elements if isinstance(e, Delay) or abs(e.angle - math.pi) < 1e-12),
+        seq.label,
     )
-    v0 = np.array([math.cos(initial_phase), math.sin(initial_phase), 0.0])
     n = ensemble.n_spins
 
     if pulse_width is None:
-        t = 0.0
-        bounds = [0.0]
-        phases = []
-        for e in train:
-            if isinstance(e, Delay):
-                t += e.tau
-            else:
-                phases.append(e.phase)
-                bounds.append(t)
-        bounds.append(t)
-        seg_len = np.diff(np.array(bounds))
-        n_pi = len(phases)
-        signs = (-1.0) ** (n_pi - np.arange(n_pi + 1))
-        pattern = 2.0 * float(np.sum(np.array(phases) * (-1.0) ** (n_pi - np.arange(1, n_pi + 1))))
-        static_coeff = float(np.sum(signs * seg_len))
+        # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
+        shift = 2.0 * initial_phase * (train.n_pi_pulses % 2)
+        return _mean_cos_ideal(
+            train, ensemble, bath, None, shift, key=0xE0, noise_seed=noise_seed, threads=threads
+        )
 
-        def block(bi, lo, hi):
-            rng = _rng_for(ensemble.seed, 0xE0, noise_seed, bi)
-            stream = _OUStream(bath, hi - lo, rng)
-            phi = np.zeros(hi - lo)
-            for k, s in enumerate(signs):
-                phi += s * stream.advance(seg_len[k])
-            phi = phi + ensemble.delta_static[lo:hi] * static_coeff
-            # c_final = e^(i(pattern + phi)) * conj^parity(c0)
-            c0 = complex(v0[0], v0[1])
-            c0 = np.conjugate(c0) if n_pi % 2 else c0
-            cf = np.exp(1j * (pattern + phi)) * c0
-            return float(np.sum(cf.real * v0[0] + cf.imag * v0[1]))
-
-        return sum(_map_blocks(block, n, threads)) / n
-
-    ops = _render_finite(train, pulse_width)
+    ops = _render_finite(train.elements, pulse_width)
+    v0 = np.array([math.cos(initial_phase), math.sin(initial_phase), 0.0])
 
     def block(bi, lo, hi):
         rng = _rng_for(ensemble.seed, 0xE0, noise_seed, bi)
-        stream = _OUStream(bath, hi - lo, rng)
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
-        delta_s = ensemble.delta_static[lo:hi]
         v = np.tile(v0, (hi - lo, 1))
-        for op in ops:
-            if op[0] == "free":
-                _, L, t0 = op
-                _rotate_z_inplace(v, delta_s * L + stream.advance(L))
-            else:
-                _, phase, _angle, width, _t0 = op
-                _apply_rect_pulse(v, omega_eff, delta_s + stream.value(), phase, width)
-                stream.advance(width)
+        _evolve_finite(v, ops, omega_eff, ensemble.delta_static[lo:hi], bath, rng)
         return float(np.sum(v @ v0))
 
     return sum(_map_blocks(block, n, threads)) / n

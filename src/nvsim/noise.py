@@ -121,13 +121,35 @@ def sample_ou_path(bath: OUBath, duration: float, dt: float, rng: np.random.Gene
     return x
 
 
-def _integral_var_coeff(h):
-    """g(h) = 2h - 3 + 4 e^-h - e^-2h, series-protected for small h."""
-    h = np.asarray(h, dtype=float)
-    small = h < 0.01
-    exact = 2.0 * h - 3.0 + 4.0 * np.exp(-h) - np.exp(-2.0 * h)
-    series = (2.0 / 3.0) * h**3 - 0.5 * h**4 + (7.0 / 30.0) * h**5
-    return np.where(small, series, exact)
+def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
+    """One exact joint update of the OU value and its integral over L seconds.
+
+    Given the values x at the start, returns (integral over [t, t + L],
+    values at t + L).  The pair is Gaussian with known covariance
+    (Gillespie, Phys. Rev. E 54, 2084 (1996)); its Cholesky factor takes
+    two standard normals per path, z1 then z2.  L = 0 or b = 0 draws
+    nothing.
+    """
+    if L == 0.0 or bath.b == 0.0:
+        return np.zeros_like(x), x
+    b, tau = bath.b, bath.tau_c
+    h = L / tau
+    mu = math.exp(-h)
+    one_minus_mu = -math.expm1(-h)
+    v11 = b * b * (-math.expm1(-2.0 * h))
+    v12 = b * b * tau * one_minus_mu**2
+    # g2 = 2h - 3 + 4 e^-h - e^-2h, series-protected for small h
+    if h < 0.01:
+        g2 = (2.0 / 3.0) * h**3 - 0.5 * h**4 + (7.0 / 30.0) * h**5
+    else:
+        g2 = 2.0 * h - 3.0 + 4.0 * mu - mu * mu
+    v22 = b * b * tau * tau * g2
+    a11 = math.sqrt(v11)
+    a21 = v12 / a11
+    a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
+    z1 = rng.standard_normal(len(x))
+    z2 = rng.standard_normal(len(x))
+    return tau * one_minus_mu * x + a21 * z1 + a22 * z2, mu * x + a11 * z1
 
 
 def sample_ou_segment_integrals(
@@ -136,34 +158,15 @@ def sample_ou_segment_integrals(
     """Exactly sample the integral of an OU path over consecutive segments.
 
     `bounds` are the m+1 segment boundaries (s); returns an (n_paths, m)
-    array of integral values (rad).  The joint update of the process
-    value and its running integral over each segment is Gaussian with
-    known covariance, so arbitrarily long segments are sampled without
-    discretization error.  Starts from the stationary distribution.
+    array of integral values (rad), one `ou_step` per segment, so
+    arbitrarily long segments are sampled without discretization error.
+    Starts from the stationary distribution.
     """
     bounds = np.asarray(bounds, dtype=float)
-    m = len(bounds) - 1
-    out = np.empty((n_paths, m))
-    if bath.b == 0.0:
-        out[:] = 0.0
-        return out
-    b, tau = bath.b, bath.tau_c
-    x = rng.normal(0.0, b, size=n_paths)
-    for k in range(m):
-        L = bounds[k + 1] - bounds[k]
-        h = L / tau
-        mu = math.exp(-h)
-        one_minus_mu = -math.expm1(-h)
-        v11 = b * b * (-math.expm1(-2.0 * h))
-        v12 = b * b * tau * one_minus_mu**2
-        v22 = b * b * tau * tau * float(_integral_var_coeff(h))
-        a11 = math.sqrt(v11)
-        a21 = v12 / a11
-        a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
-        z1 = rng.standard_normal(n_paths)
-        z2 = rng.standard_normal(n_paths)
-        out[:, k] = tau * one_minus_mu * x + a21 * z1 + a22 * z2
-        x = mu * x + a11 * z1
+    out = np.empty((n_paths, len(bounds) - 1))
+    x = rng.normal(0.0, bath.b, size=n_paths) if bath.b > 0 else np.zeros(n_paths)
+    for k, L in enumerate(np.diff(bounds)):
+        out[:, k], x = ou_step(x, float(L), bath, rng)
     return out
 
 
@@ -183,30 +186,36 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
     """Exact decoherence exponent for an ideal pi-pulse train under OU noise.
 
     Time-domain double integral of the autocovariance against the
-    toggling sign function, evaluated segment-by-segment in closed form.
-    Independent of the frequency-domain route in filters.coherence_analytic.
+    toggling sign y_i = (-1)^i of segment i = [a_i, e_i], in closed form
+    and O(m).  With h_i = (e_i - a_i)/tau_c and g_i = 1 - e^(-h_i):
+
+        chi = b^2 tau_c^2 sum_i [ h_i - 1 + e^(-h_i) + y_i g_i R_i ],
+        R_i = sum_{j<i} y_j g_j e^(-(a_i - e_j)/tau_c),
+        R_(i+1) = e^(-h_i) R_i + y_i g_i,
+
+    so the cross terms are a running sum that only decays.  g_i uses
+    expm1 and the diagonal a series for h < 0.01, so no term loses digits
+    to cancellation.  Independent of the frequency-domain route in
+    filters.coherence_analytic.
     """
-    bounds = np.concatenate(([0.0], np.asarray(pi_times, dtype=float), [total_t]))
-    if np.any(np.diff(bounds) < 0):
+    seg = np.diff(np.concatenate(([0.0], np.asarray(pi_times, dtype=float), [total_t])))
+    if np.any(seg < 0):
         raise ValueError("pulse times must lie within [0, total_t] in order")
-    a = bounds[:-1]
-    e = bounds[1:]
-    m = len(a)
-    y = (-1.0) ** np.arange(m)
     tau = bath.tau_c
-    # diagonal terms
-    h = (e - a) / tau
-    var = np.sum(2.0 * tau * tau * (h - 1.0 + np.exp(-h)))
-    # cross terms: segments are ordered, j < i disjoint
-    for i in range(1, m):
-        I = tau * tau * (
-            np.exp(-(a[i] - e[:i]) / tau)
-            - np.exp(-(a[i] - a[:i]) / tau)
-            - np.exp(-(e[i] - e[:i]) / tau)
-            + np.exp(-(e[i] - a[:i]) / tau)
-        )
-        var += 2.0 * y[i] * np.sum(y[:i] * I)
-    return 0.5 * bath.b**2 * var
+    acc = 0.0
+    r = 0.0
+    y = 1.0
+    for L in seg.tolist():
+        h = L / tau
+        g = -math.expm1(-h)
+        if h < 0.01:
+            diag = h * h * (0.5 - h * (1.0 / 6.0 - h * (1.0 / 24.0 - h * (1.0 / 120.0 - h / 720.0))))
+        else:
+            diag = h + math.expm1(-h)
+        acc += diag + y * g * r
+        r = math.exp(-h) * r + y * g
+        y = -y
+    return bath.b**2 * tau * tau * acc
 
 
 def calibrate_bath(target_t2: float, tau_c: float, seq_family: str = "echo") -> OUBath:

@@ -209,6 +209,42 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "fit did not converge" in capsys.readouterr().err
 
 
+OVERLAP_CFG = "experiment = xy16\nn_repeats = 16\nfinite_pulses = true\nt_min_s = 0.5e-6\n"
+
+
+def test_validate_rejects_finite_pulse_overlap_in_sweep(tmp_path, capsys):
+    # XY16-16 at t_min_s = 0.5 us spaces its 256 pi pulses 2 ns apart vs a 48 ns pi time
+    rc = run_cli("validate", write_cfg(tmp_path, OVERLAP_CFG))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pi_time_s" in err and "t_min_s" in err
+
+
+def test_run_rejects_finite_pulse_overlap_in_sweep(tmp_path, capsys):
+    rc = run_cli("run", write_cfg(tmp_path, OVERLAP_CFG), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "pi_time_s" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("experiment = echo\nn_points = 5\n", "n_points"),
+        ("experiment = rabi\nn_points = 7\n", "n_points"),
+        ("experiment = ac_sense\nn_amplitudes = 5\n", "n_amplitudes"),
+        ("experiment = ac_sense\nshots = 1\n", "shots"),
+        ("experiment = odmr\nn_freq = 20\n", "n_freq"),
+    ],
+)
+def test_validate_rejects_too_few_points_to_fit(tmp_path, capsys, text, key):
+    # caught before the run, so `run` never reaches the fit with them
+    rc = run_cli("validate", write_cfg(tmp_path, text))
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_run_ac_sense_pipeline_with_shot_dump(tmp_path):
     path = write_cfg(
         tmp_path,

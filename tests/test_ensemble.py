@@ -171,6 +171,17 @@ def test_thread_count_invariance():
     assert r1 == r4  # bit-identical
 
 
+@pytest.mark.parametrize("pulse_width", [None, 48e-9], ids=["ideal", "finite"])
+def test_equatorial_survival_thread_count_invariance(pulse_width):
+    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
+    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
+    seq = build_xy16(1, 1e-6)
+    s1 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=1)
+    s4 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=4)
+    assert s1 == s4  # bit-identical
+    assert 0.0 < s1 < 1.0
+
+
 def test_noise_seed_changes_trajectories():
     nm = NoiseModel(QuasiStaticSpread(0.0), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 2048, 4, rabi_angular_freq=OMEGA)

@@ -1,10 +1,13 @@
 """Noise models: OU sampling exactness, closed forms, bath calibration."""
 
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
 from nvsim.noise import (
     AmplitudeErrorModel,
     OUBath,
@@ -17,6 +20,7 @@ from nvsim.noise import (
     sample_ou_segment_integrals,
     sigma_from_t2star,
 )
+from nvsim.sequences import build_cpmg, build_hahn_echo, build_xy16, pulse_times
 
 BATH = OUBath(4.77e5, 10e-6)
 
@@ -123,6 +127,78 @@ def test_ou_chi_exact_matches_fid_closed_form():
     for T in (1e-6, 9e-6):
         got = ou_chi_exact(np.array([]), T, BATH)
         assert got == pytest.approx(float(chi_fid_ou(T, BATH)), rel=1e-10)
+
+
+def test_segment_integral_sampler_zero_length_segment():
+    rng = np.random.default_rng(6)
+    I = sample_ou_segment_integrals(BATH, np.array([0.0, 1e-6, 1e-6, 2e-6]), 1000, rng)
+    assert np.all(I[:, 1] == 0.0) and np.all(np.isfinite(I))
+
+
+def _chi_decimal(times, total_t, bath) -> float:
+    """50-digit reference: the O(m^2) double sum of exponentials.
+
+    Pair j < i contributes y_i y_j tau^2 (e^-a_i - e^-e_i)(e^e_j - e^a_j) in
+    units of tau, from per-bound exponentials; a segment's own term is
+    tau^2 (h - 1 + e^-h).
+    """
+    getcontext().prec = 50
+    bounds = [Decimal(0)] + [Decimal(float(t)) for t in times] + [Decimal(float(total_t))]
+    tau = Decimal(bath.tau_c)
+    up = [(t / tau).exp() for t in bounds]
+    down = [(-t / tau).exp() for t in bounds]
+    acc = Decimal(0)
+    for i in range(len(bounds) - 1):
+        h = (bounds[i + 1] - bounds[i]) / tau
+        acc += h - 1 + (-h).exp()
+        cross = sum(((-1) ** j * (up[j + 1] - up[j]) for j in range(i)), Decimal(0))
+        acc += (-1) ** i * (down[i] - down[i + 1]) * cross
+    return float(Decimal(bath.b) ** 2 * tau * tau * acc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_hahn_echo,
+        lambda T: build_cpmg(64, T / 64),
+        *[(lambda n: lambda T: build_xy16(n, T / (16 * n)))(n) for n in (1, 4, 15, 16)],
+    ],
+    ids=["echo", "cpmg64", "xy16-1", "xy16-4", "xy16-15", "xy16-16"],
+)
+def test_ou_chi_exact_matches_50_digit_reference(build):
+    # Short trains of many pulses cancel their cross terms almost exactly
+    # (XY16-15 at 100 ns: chi ~ 3e-11); the oracle must keep its digits there.
+    bath = calibrate_bath(9e-6, 10e-6)
+    for T in (100e-9, 1e-6, 10e-6, 100e-6, 2e-3):
+        times, total = pulse_times(build(T))
+        assert ou_chi_exact(times, total, bath) == pytest.approx(_chi_decimal(times, total, bath), rel=1e-9)
+
+
+@pytest.mark.parametrize("build", [build_hahn_echo, lambda T: build_xy16(4, T / 64)], ids=["echo", "xy16-4"])
+def test_trajectory_sampler_agrees_with_one_draw_engine(build):
+    # The ideal-pulse engine draws phi_OU ~ N(0, 2 chi) once per spin; the
+    # finite-pulse path steps trajectories segment by segment.  Both must
+    # give the same phase law at T ~ T2 (chi = 1).
+    bath = calibrate_bath(9e-6, 10e-6)
+    t2 = brentq(lambda T: ou_chi_exact(*pulse_times(build(T)), bath) - 1.0, 1e-6, 1e-3, rtol=1e-12)
+    seq = build(t2)
+    times, total = pulse_times(seq)
+    bounds = np.concatenate(([0.0], times, [total]))
+    signs = (-1.0) ** np.arange(len(bounds) - 1)
+    chi = ou_chi_exact(times, total, bath)
+    n = 200_000
+    rng = np.random.default_rng(11)
+    phi = np.concatenate(
+        [sample_ou_segment_integrals(bath, bounds, n // 4, rng) @ signs for _ in range(4)]
+    )
+    assert phi.var() == pytest.approx(2.0 * chi, rel=0.02)
+
+    model = NoiseModel(QuasiStaticSpread(0.0), bath)
+    ens = sample_ensemble(DetectionVolume(), None, model, n, 12, rabi_angular_freq=math.pi / 48e-9)
+    p_plus, p_minus = run_two_branch(seq, ens, bath, noise_seed=13)
+    w = math.exp(-chi)
+    se = math.sqrt(2.0 * ((1.0 + w**4) / 2.0 - w * w) / n)
+    assert abs(np.cos(phi).mean() - (p_plus - p_minus)) <= 5.0 * se
 
 
 def test_calibrate_bath_round_trip():
