@@ -9,7 +9,9 @@ Conventions, locked by golden tests in tests/test_bloch.py:
   pi/2 pulse about x takes +z to -y, and free evolution takes +x
   towards +y for positive detuning.
 
-All operations are pure functions on immutable value types.
+All operations are pure functions on immutable value types, except
+rotate_drive, the exact constant-drive kernel that the ensemble engine
+applies in place to (n, 3) arrays of Bloch vectors.
 """
 
 from __future__ import annotations
@@ -71,29 +73,41 @@ class DriveParams:
             raise ValueError("duration must be >= 0")
 
 
-def rotate_vectors(vecs: np.ndarray, axes: np.ndarray, angles) -> np.ndarray:
-    """Rodrigues rotation of (..., 3) vectors about unit axes by angles.
+def rotate_drive(v: np.ndarray, omega, delta, phase: float, duration: float) -> None:
+    """Exact constant-drive rotation of (n, 3) Bloch vectors, in place.
 
-    Right-handed: consistent with dv/dt = n x v for n = angle/dt * axis.
-    Broadcasts over leading dimensions; used by the ensemble engine.
+    Rodrigues rotation about n = (omega cos(phase), omega sin(phase), delta)
+    by |n| duration, the solution of dv/dt = n x v.  omega and delta are
+    scalars or per-vector (n,) arrays; a zero axis leaves v unchanged.
     """
-    vecs = np.asarray(vecs, dtype=float)
-    axes = np.asarray(axes, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    c = np.cos(angles)[..., None]
-    s = np.sin(angles)[..., None]
-    kdotv = np.sum(axes * vecs, axis=-1, keepdims=True)
-    return vecs * c + np.cross(axes, vecs) * s + axes * kdotv * (1.0 - c)
+    ax = omega * math.cos(phase)
+    ay = omega * math.sin(phase)
+    norm = np.sqrt(ax * ax + ay * ay + delta * delta)
+    ang = norm * duration
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kx = np.where(norm > 0, ax / norm, 0.0)
+        ky = np.where(norm > 0, ay / norm, 0.0)
+        kz = np.where(norm > 0, delta / norm, 0.0)
+    c = np.cos(ang)
+    s = np.sin(ang)
+    kdotv = kx * v[:, 0] + ky * v[:, 1] + kz * v[:, 2]
+    cx = ky * v[:, 2] - kz * v[:, 1]
+    cy = kz * v[:, 0] - kx * v[:, 2]
+    cz = kx * v[:, 1] - ky * v[:, 0]
+    omc = 1.0 - c
+    v[:, 0] = v[:, 0] * c + cx * s + kx * kdotv * omc
+    v[:, 1] = v[:, 1] * c + cy * s + ky * kdotv * omc
+    v[:, 2] = v[:, 2] * c + cz * s + kz * kdotv * omc
 
 
 def rotate_ideal(state: BlochState, phase: float, angle: float) -> BlochState:
     """Instantaneous rotation by `angle` about the equatorial axis at `phase`.
 
-    Closed form; preserves the norm exactly.
+    Closed form: rotate_drive with omega = angle over unit time.
     """
-    axis = np.array([math.cos(phase), math.sin(phase), 0.0])
-    v = rotate_vectors(state.as_array(), axis, angle)
-    return BlochState.from_array(v)
+    v = state.as_array()[None, :]
+    rotate_drive(v, angle, 0.0, phase, 1.0)
+    return BlochState.from_array(v[0])
 
 
 def evolve_free(state: BlochState, tau: float, detuning: float) -> BlochState:

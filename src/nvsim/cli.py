@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, format_manifest, parse_config, validate_config
+from .config import ConfigError, RunConfig, config_items, format_manifest, parse_config, validate_config
 from .ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from .experiments import (
     run_ac_magnetometry,
@@ -31,6 +31,7 @@ from .experiments import (
 from .fields import ResonatorSpec, compute_field_map
 from .noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath, sigma_from_t2star
 from .readout import ReadoutModel, simulate_shot_stream
+from .sequences import SWEEP_FAMILIES, build_xy16
 
 
 class NumericalFailure(RuntimeError):
@@ -62,7 +63,7 @@ def build_readout(cfg: RunConfig) -> ReadoutModel:
 
 def build_resonator_spec(cfg: RunConfig) -> ResonatorSpec:
     return ResonatorSpec(
-        kind=cfg.resonator if cfg.resonator != "uniform" else "cwr",
+        kind=cfg.resonator,
         f0_hz=cfg.f0_hz,
         q_factor=cfg.q_factor,
         drive_power_w=cfg.drive_power_w,
@@ -104,174 +105,152 @@ def build_ensemble(cfg: RunConfig):
     return ens, noise_model
 
 
-def _pulse_width(cfg: RunConfig):
-    return cfg.pi_time_s if cfg.finite_pulses else None
+# Each runner writes its outputs into `out`, records them in `outputs`
+# (manifest entries, in order) and returns (primary fit, its name) or None.
+
+def _output(out: Path, outputs: dict[str, str], name: str) -> Path:
+    path = out / name
+    outputs[f"output_{name.split('.')[0]}"] = str(path)
+    return path
+
+
+def _write_fit(out, outputs, fit, extra, fit_name):
+    write_fit_csv(_output(out, outputs, "fit.csv"), fit, extra)
+    return fit, fit_name
+
+
+def _write_fieldmap(cfg: RunConfig, path: Path) -> None:
+    path.write_text(compute_field_map(build_resonator_spec(cfg)).to_csv())
+
+
+def _run_fieldmap(cfg, out, outputs):
+    _write_fieldmap(cfg, _output(out, outputs, "fieldmap.csv"))
+
+
+def _run_odmr(cfg, out, outputs):
+    freqs = np.linspace(cfg.f_min_hz, cfg.f_max_hz, cfg.n_freq)
+    res = run_odmr(
+        freqs,
+        cfg.bias_field_t,
+        cfg.odmr_linewidth_hz,
+        contrast_aligned=cfg.contrast,
+        contrast_misaligned=cfg.odmr_contrast_misaligned,
+        v0_v=cfg.v0_v,
+    )
+    write_curve_csv(_output(out, outputs, "curve.csv"), ["freq_hz", "signal_v"], [res.freqs_hz, res.signal])
+    return _write_fit(out, outputs, res.fit, {"fitted_dip_hz": res.fitted_dip_hz}, "ODMR dip fit")
+
+
+def _run_rabi(cfg, out, outputs):
+    ens, _ = build_ensemble(cfg)
+    durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
+    res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None,
+                   shots=cfg.shots if cfg.shots > 1 else 0, seed=cfg.seed + 1)
+    write_curve_csv(_output(out, outputs, "curve.csv"), ["duration_s", "population"], [res.durations_s, res.population])
+    return _write_fit(out, outputs, res.fit, {"t_pi_s": res.t_pi_s}, "Rabi damped-sine fit")
+
+
+def _run_coherence(cfg, out, outputs):
+    ens, noise_model = build_ensemble(cfg)
+    t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
+    res = run_coherence(
+        cfg.experiment,
+        cfg.n_repeats,
+        t_sweep,
+        ens,
+        noise_model.bath,
+        pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
+        noise_seed=cfg.seed + 2,
+        threads=cfg.threads,
+    )
+    write_curve_csv(_output(out, outputs, "curve.csv"), ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
+    extra = {"t2_s": res.t2_s, "stretch_p": res.stretch_p, "censored": float(res.censored)}
+    return _write_fit(out, outputs, res.fit, extra, "coherence fit")
+
+
+def _ac_sweep(cfg: RunConfig):
+    """XY16 AC-magnetometry sweep shared by ac_sense and resolution."""
+    ens, noise_model = build_ensemble(cfg)
+    tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
+    seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
+    amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
+    return run_ac_magnetometry(
+        seq,
+        cfg.f_ac_hz,
+        amplitudes,
+        ens,
+        noise_model.bath,
+        build_readout(cfg),
+        max(cfg.shots, 2),
+        cfg.t_seq_s,
+        ac_phase=cfg.ac_phase_rad,
+        noise_seed=cfg.seed + 3,
+        shot_seed=cfg.seed + 4,
+        threads=cfg.threads,
+    )
+
+
+def _run_ac_sense(cfg, out, outputs):
+    res = _ac_sweep(cfg)
+    write_curve_csv(
+        _output(out, outputs, "curve.csv"),
+        ["b_ac_t", "signal_v", "signal_std_v", "signal_norm"],
+        [res.amplitudes_t, res.signal_mean_v, res.signal_std_v, res.signal_norm],
+    )
+    fit = _write_fit(out, outputs, res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t}, "AC sine fit")
+    write_sensitivity_csv(_output(out, outputs, "report.csv"), res.report)
+    if cfg.dump_shots:
+        rng = np.random.default_rng(cfg.seed + 5)
+        stream = simulate_shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng)
+        write_shots_csv(_output(out, outputs, "shots.csv"), stream)
+    return fit
+
+
+def _run_resolution(cfg, out, outputs):
+    ac = _ac_sweep(cfg)
+    m_list = np.unique(
+        np.round(np.geomspace(cfg.m_min, cfg.m_max, cfg.m_points)).astype(int)
+    )
+    res = run_resolution(
+        build_readout(cfg),
+        ac.max_slope_v_per_t,
+        cfg.t_seq_s,
+        m_list,
+        blocks_per_point=cfg.blocks_per_point,
+        seed=cfg.seed + 6,
+    )
+    write_curve_csv(
+        _output(out, outputs, "resolution.csv"),
+        ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t"],
+        [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t],
+    )
+    write_sensitivity_csv(_output(out, outputs, "report.csv"), ac.report)
+    outputs["loglog_slope"] = repr(res.loglog_slope)
+
+
+_RUNNERS = {
+    "odmr": _run_odmr,
+    "rabi": _run_rabi,
+    **{family: _run_coherence for family in SWEEP_FAMILIES},
+    "ac_sense": _run_ac_sense,
+    "resolution": _run_resolution,
+    "fieldmap": _run_fieldmap,
+}
 
 
 def run_experiment(cfg: RunConfig, out: Path) -> dict[str, str]:
-    """Dispatch one experiment; returns manifest entries for the outputs."""
+    """Dispatch one experiment; returns manifest entries for the outputs.
+
+    fit.csv is written before a non-converged primary fit raises.
+    """
     outputs: dict[str, str] = {}
-
-    def curve_path(name="curve.csv"):
-        p = out / name
-        outputs[f"output_{name.split('.')[0]}"] = str(p)
-        return p
-
-    if cfg.experiment == "fieldmap":
-        spec = build_resonator_spec(cfg)
-        fmap = compute_field_map(spec)
-        path = curve_path("fieldmap.csv")
-        path.write_text(fmap.to_csv())
-        return outputs
-
-    if cfg.experiment == "odmr":
-        freqs = np.linspace(cfg.f_min_hz, cfg.f_max_hz, cfg.n_freq)
-        res = run_odmr(
-            freqs,
-            cfg.bias_field_t,
-            cfg.odmr_linewidth_hz,
-            contrast_aligned=cfg.contrast,
-            contrast_misaligned=cfg.odmr_contrast_misaligned,
-            v0_v=cfg.v0_v,
-        )
-        write_curve_csv(curve_path(), ["freq_hz", "signal_v"], [res.freqs_hz, res.signal])
-        write_fit_csv(out / "fit.csv", res.fit, {"fitted_dip_hz": res.fitted_dip_hz})
-        outputs["output_fit"] = str(out / "fit.csv")
-        if not res.fit.converged:
-            raise NumericalFailure("ODMR dip fit did not converge")
-        return outputs
-
-    ens, noise_model = build_ensemble(cfg)
-
-    if cfg.experiment == "rabi":
-        durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
-        res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None,
-                       shots=cfg.shots if cfg.shots > 1 else 0, seed=cfg.seed + 1)
-        write_curve_csv(curve_path(), ["duration_s", "population"], [res.durations_s, res.population])
-        write_fit_csv(out / "fit.csv", res.fit, {"t_pi_s": res.t_pi_s})
-        outputs["output_fit"] = str(out / "fit.csv")
-        if not res.fit.converged:
-            raise NumericalFailure("Rabi damped-sine fit did not converge")
-        return outputs
-
-    if cfg.experiment in ("fid", "echo", "cpmg", "xy4", "xy8", "xy16"):
-        t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
-        res = run_coherence(
-            cfg.experiment,
-            cfg.n_repeats,
-            t_sweep,
-            ens,
-            noise_model.bath,
-            pulse_width=_pulse_width(cfg),
-            noise_seed=cfg.seed + 2,
-            threads=cfg.threads,
-        )
-        write_curve_csv(curve_path(), ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
-        write_fit_csv(
-            out / "fit.csv",
-            res.fit,
-            {"t2_s": res.t2_s, "stretch_p": res.stretch_p, "censored": float(res.censored)},
-        )
-        outputs["output_fit"] = str(out / "fit.csv")
-        if not res.fit.converged:
-            raise NumericalFailure("coherence fit did not converge")
-        return outputs
-
-    if cfg.experiment == "ac_sense":
-        from .sequences import build_xy16
-
-        tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
-        seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
-        amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
-        res = run_ac_magnetometry(
-            seq,
-            cfg.f_ac_hz,
-            amplitudes,
-            ens,
-            noise_model.bath,
-            build_readout(cfg),
-            cfg.shots,
-            cfg.t_seq_s,
-            ac_phase=cfg.ac_phase_rad,
-            noise_seed=cfg.seed + 3,
-            shot_seed=cfg.seed + 4,
-            threads=cfg.threads,
-        )
-        write_curve_csv(
-            curve_path(),
-            ["b_ac_t", "signal_v", "signal_std_v", "signal_norm"],
-            [res.amplitudes_t, res.signal_mean_v, res.signal_std_v, res.signal_norm],
-        )
-        write_fit_csv(out / "fit.csv", res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t})
-        write_sensitivity_csv(out / "report.csv", res.report)
-        outputs["output_fit"] = str(out / "fit.csv")
-        outputs["output_report"] = str(out / "report.csv")
-        if cfg.dump_shots:
-            rng = np.random.default_rng(cfg.seed + 5)
-            stream = simulate_shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng)
-            write_shots_csv(out / "shots.csv", stream)
-            outputs["output_shots"] = str(out / "shots.csv")
-        if not res.fit.converged:
-            raise NumericalFailure("AC sine fit did not converge")
-        return outputs
-
-    if cfg.experiment == "resolution":
-        from .sequences import build_xy16
-
-        tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
-        seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
-        amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
-        ac = run_ac_magnetometry(
-            seq,
-            cfg.f_ac_hz,
-            amplitudes,
-            ens,
-            noise_model.bath,
-            build_readout(cfg),
-            max(cfg.shots, 2),
-            cfg.t_seq_s,
-            ac_phase=cfg.ac_phase_rad,
-            noise_seed=cfg.seed + 3,
-            shot_seed=cfg.seed + 4,
-            threads=cfg.threads,
-        )
-        m_list = np.unique(
-            np.round(np.geomspace(cfg.m_min, cfg.m_max, cfg.m_points)).astype(int)
-        )
-        res = run_resolution(
-            build_readout(cfg),
-            ac.max_slope_v_per_t,
-            cfg.t_seq_s,
-            m_list,
-            blocks_per_point=cfg.blocks_per_point,
-            seed=cfg.seed + 6,
-        )
-        write_curve_csv(
-            curve_path("resolution.csv"),
-            ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t"],
-            [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t],
-        )
-        write_sensitivity_csv(out / "report.csv", ac.report)
-        outputs["output_report"] = str(out / "report.csv")
-        outputs["loglog_slope"] = repr(res.loglog_slope)
-        return outputs
-
-    raise ConfigError(f"key 'experiment': unhandled kind {cfg.experiment!r}")
+    checked = _RUNNERS[cfg.experiment](cfg, out, outputs)
+    if checked is not None and not checked[0].converged:
+        raise NumericalFailure(f"{checked[1]} did not converge")
+    return outputs
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.out is not None:
-            cfg.out_dir = args.out
-        warnings = validate_config(cfg)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_run(cfg: RunConfig, warnings: list[str]) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     out = Path(cfg.out_dir)
@@ -291,40 +270,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        warnings = validate_config(cfg)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_validate(cfg: RunConfig, warnings: list[str]) -> int:
     for w in warnings:
         print(f"warning: {w}")
     print("ok")
     print("resolved configuration:")
-    from .config import config_items
-
     for k, v in config_items(cfg):
         print(f"  {k} = {v}")
     return 0
 
 
-def cmd_fieldmap(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if cfg.resonator == "uniform":
-            raise ConfigError("key 'resonator': fieldmap requires cwr, ring, or wire")
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_fieldmap(cfg: RunConfig, warnings: list[str]) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmap = compute_field_map(build_resonator_spec(cfg))
-    (out / "fieldmap.csv").write_text(fmap.to_csv())
+    _write_fieldmap(cfg, out / "fieldmap.csv")
     print(f"wrote {out}/fieldmap.csv")
     return 0
+
+
+# config keys a command may override: its flags, and `fieldmap`'s experiment
+_OVERRIDES = ("seed", "threads", "out_dir", "experiment")
 
 
 def main(argv=None) -> int:
@@ -334,7 +299,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the experiment described by the config")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", dest="out_dir", default=None)
     p_run.add_argument("--threads", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -344,11 +309,20 @@ def main(argv=None) -> int:
 
     p_map = sub.add_parser("fieldmap", help="export the resonator field map CSV")
     p_map.add_argument("config")
-    p_map.add_argument("--out", default=None)
-    p_map.set_defaults(func=cmd_fieldmap)
+    p_map.add_argument("--out", dest="out_dir", default=None)
+    p_map.set_defaults(func=cmd_fieldmap, experiment="fieldmap")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = parse_config(args.config)
+        for key in _OVERRIDES:
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
+        warnings = validate_config(cfg)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(cfg, warnings)
 
 
 if __name__ == "__main__":

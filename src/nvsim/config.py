@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, fields
 
 from .noise import MAX_TAU_C_RATIO
+from .sequences import SWEEP_FAMILIES
 
-EXPERIMENTS = ("odmr", "rabi", "fid", "echo", "cpmg", "xy4", "xy8", "xy16", "ac_sense", "resolution", "fieldmap")
+EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "fieldmap")
 RESONATORS = ("uniform", "cwr", "ring", "wire")
 
 
@@ -109,14 +110,9 @@ _NONNEGATIVE = {
 _MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
             "n_freq", "m_min", "m_max", "m_points", "blocks_per_point"}
 
-# pi pulses of each coherence-sweep family: fixed, or per repeat
-_PI_FIXED = {"fid": 0, "echo": 1}
-_PI_PER_REPEAT = {"cpmg": 1, "xy4": 4, "xy8": 8, "xy16": 16}
-_SWEEPS = (*_PI_FIXED, *_PI_PER_REPEAT)
-
 # (key, minimum) for the number of points each experiment's fit needs
 _FIT_POINTS = {"rabi": ("n_points", 8), "ac_sense": ("n_amplitudes", 6), "resolution": ("n_amplitudes", 6)}
-_FIT_POINTS.update({family: ("n_points", 6) for family in _SWEEPS})
+_FIT_POINTS.update({family: ("n_points", 6) for family in SWEEP_FAMILIES})
 
 
 def _parse_value(key: str, raw: str):
@@ -191,7 +187,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 'shots': ac_sense needs >= 2 shots to estimate delta_s")
     if cfg.experiment == "odmr" and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
         raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
-    if cfg.finite_pulses and cfg.experiment in _SWEEPS:
+    if cfg.experiment == "fieldmap" and cfg.resonator == "uniform":
+        raise ConfigError("key 'resonator': fieldmap requires cwr, ring, or wire")
+    if cfg.finite_pulses and cfg.experiment in SWEEP_FAMILIES:
         _check_sweep_pulse_overlap(cfg)
 
     warnings = []
@@ -225,7 +223,7 @@ def _check_sweep_pulse_overlap(cfg: RunConfig) -> None:
     with tau = t_min_s / n_pi; the interior delays tau then hold the
     pi_time_s of two pi halves.  FID must hold its two pi/2 halves.
     """
-    n_pi = _PI_FIXED.get(cfg.experiment, _PI_PER_REPEAT.get(cfg.experiment, 0) * cfg.n_repeats)
+    n_pi = SWEEP_FAMILIES[cfg.experiment][1](cfg.n_repeats)
     need = 1.5 * cfg.pi_time_s * n_pi if n_pi else 0.5 * cfg.pi_time_s
     if cfg.t_min_s < need:
         raise ConfigError(

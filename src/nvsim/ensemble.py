@@ -20,8 +20,9 @@ Two evolution paths share the noise model:
   The branch populations follow in closed form.
 
 * finite rectangular pulses: piecewise-constant fields are exact
-  rotations, composed per spin with the pulse axis tilted by the
-  instantaneous detuning and the angle scaled by Omega_i (1 + eps_i).
+  rotations (bloch.rotate_drive), composed per spin with the pulse axis
+  tilted by the instantaneous detuning and the angle scaled by
+  Omega_i (1 + eps_i).
   The detuning needs the OU value at every pulse, so each spin carries
   its trajectory, advanced by the exact joint step noise.ou_step.
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import rabi_population, rotate_drive
 from .constants import GAMMA_E
 from .fields import FieldMap, rabi_from_b_vectors
 from .noise import (
@@ -292,28 +294,6 @@ def _rotate_z_inplace(v: np.ndarray, ang: np.ndarray):
     v[:, 0] = x
 
 
-def _apply_rect_pulse(v, omega_eff, delta, phase, width):
-    """Exact rotation for a rectangular pulse: axis (W cos, W sin, Delta)."""
-    ax = omega_eff * math.cos(phase)
-    ay = omega_eff * math.sin(phase)
-    norm = np.sqrt(ax * ax + ay * ay + delta * delta)
-    ang = norm * width
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kx = np.where(norm > 0, ax / norm, 0.0)
-        ky = np.where(norm > 0, ay / norm, 0.0)
-        kz = np.where(norm > 0, delta / norm, 0.0)
-    c = np.cos(ang)
-    s = np.sin(ang)
-    kdotv = kx * v[:, 0] + ky * v[:, 1] + kz * v[:, 2]
-    cx = ky * v[:, 2] - kz * v[:, 1]
-    cy = kz * v[:, 0] - kx * v[:, 2]
-    cz = kx * v[:, 1] - ky * v[:, 0]
-    omc = 1.0 - c
-    v[:, 0] = v[:, 0] * c + cx * s + kx * kdotv * omc
-    v[:, 1] = v[:, 1] * c + cy * s + ky * kdotv * omc
-    v[:, 2] = v[:, 2] * c + cz * s + kz * kdotv * omc
-
-
 def _evolve_finite(v, ops, omega_eff, delta_s, bath, rng, b_ac=None) -> np.ndarray:
     """Apply rendered ops to the Bloch vectors v in place along one fresh OU
     trajectory per spin; returns the OU values at the end."""
@@ -328,7 +308,7 @@ def _evolve_finite(v, ops, omega_eff, delta_s, bath, rng, b_ac=None) -> np.ndarr
             _rotate_z_inplace(v, phase)
         else:
             _, phase, _angle, width, _t0 = op
-            _apply_rect_pulse(v, omega_eff, delta_s + x, phase, width)
+            rotate_drive(v, omega_eff, delta_s + x, phase, width)
             x = ou_step(x, width, bath, rng)[1]
     return x
 
@@ -350,7 +330,7 @@ def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width
         sums = []
         for sign in (+1, -1):
             vb = v.copy()
-            _apply_rect_pulse(vb, omega_eff, delta_s + x, _readout_angle(seq, sign), final[3])
+            rotate_drive(vb, omega_eff, delta_s + x, _readout_angle(seq, sign), final[3])
             sums.append(float(np.sum((1.0 + vb[:, 2]) / 2.0)))
         return sums
 
@@ -405,8 +385,6 @@ def equatorial_survival(
 
 def ensemble_rabi_curve(ensemble: EnsembleSample, durations) -> np.ndarray:
     """Ensemble-averaged ms=0 population vs resonant drive duration."""
-    from .bloch import rabi_population
-
     durations = np.asarray(durations, dtype=float)
     omega_eff = ensemble.omega * (1.0 + ensemble.epsilon)
     pop = rabi_population(

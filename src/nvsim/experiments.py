@@ -37,28 +37,17 @@ from .readout import (
     readout_shot_std,
     simulate_shot_stream,
 )
-from .sequences import PulseSequence, build_cpmg, build_fid, build_hahn_echo, build_xy4, build_xy8, build_xy16, pulse_times
+from .sequences import SWEEP_FAMILIES, PulseSequence, pulse_times
 
 DEFAULT_AC_PHASE = math.pi / 2.0
-
-SEQUENCE_FAMILIES = ("fid", "echo", "cpmg", "xy4", "xy8", "xy16")
 
 
 def make_coherence_builder(family: str, n_repeats: int = 1, readout_phase: float = 0.0):
     """(builder, pi_count) for a total-free-time parametrized sequence."""
-    if family == "fid":
-        return (lambda T: build_fid(T, readout_phase=readout_phase)), 0
-    if family == "echo":
-        return (lambda T: build_hahn_echo(T, readout_phase=readout_phase)), 1
-    if family == "cpmg":
-        n = n_repeats
-        return (lambda T: build_cpmg(n, T / n, readout_phase=readout_phase)), n
-    if family in ("xy4", "xy8", "xy16"):
-        per = {"xy4": 4, "xy8": 8, "xy16": 16}[family]
-        build = {"xy4": build_xy4, "xy8": build_xy8, "xy16": build_xy16}[family]
-        n = per * n_repeats
-        return (lambda T: build(n_repeats, T / n, readout_phase=readout_phase)), n
-    raise ValueError(f"unknown sequence family {family!r}")
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown sequence family {family!r}")
+    build, pi_count = SWEEP_FAMILIES[family]
+    return (lambda T: build(n_repeats, T, readout_phase)), pi_count(n_repeats)
 
 
 # ---------------------------------------------------------------- ODMR
@@ -145,7 +134,7 @@ def run_rabi(
         meas = np.empty_like(pop)
         for i, p in enumerate(pop):
             w = simulate_shot_stream(p, p, readout, shots, rng)
-            meas[i] = 1.0 + float(np.mean(w["s1"] - w["r1"])) / (readout.v0_v * readout.contrast)
+            meas[i] = 1.0 + float(np.mean(process_single_branch(w))) / (readout.v0_v * readout.contrast)
         pop = meas
     fit = fit_damped_sine(durations, pop)
     f = float(fit.params[2])

@@ -111,19 +111,18 @@ def field_of_strip(width: float, current: float, point) -> np.ndarray:
     """(Bx, Bz) of an infinitesimally thin strip of uniform surface current.
 
     Strip spans |x| <= width/2 at z = 0, current +I along +y; the wire
-    solution integrated across the width in closed form.
+    solution integrated across the width in closed form.  point = (x, z)
+    with x and z scalars or broadcastable arrays; returns shape (2, ...).
+    Off the strip in its own plane Bx vanishes, as both arctangents agree.
     """
-    x, z = float(point[0]), float(point[1])
+    x = np.asarray(point[0], dtype=float)
+    z = np.asarray(point[1], dtype=float)
     a = width / 2.0
-    if z == 0.0 and abs(x) <= a:
+    if np.any((z == 0.0) & (np.abs(x) <= a)):
         raise ValueError("query point on the conductor")
     K = MU_0 * current / (2.0 * math.pi * width)
-    if z == 0.0:
-        # in-plane but off strip: Bx vanishes by symmetry
-        bx = 0.0
-    else:
-        bx = K * (math.atan2(x + a, z) - math.atan2(x - a, z))
-    bz = -0.5 * K * math.log(((x + a) ** 2 + z * z) / ((x - a) ** 2 + z * z))
+    bx = K * (np.arctan2(x + a, z) - np.arctan2(x - a, z))
+    bz = -0.5 * K * np.log(((x + a) ** 2 + z * z) / ((x - a) ** 2 + z * z))
     return np.array([bx, bz])
 
 
@@ -158,22 +157,9 @@ def _cwr_field_2d(spec: ResonatorSpec, current: float, x, z):
     bz = np.zeros_like(bx)
     offset = w / 2.0 + g + wg / 2.0
     for x0, I, ww in ((0.0, current, w), (offset, -current / 2.0, wg), (-offset, -current / 2.0, wg)):
-        sx, sz = _strip_field_grid(ww, I, x - x0, z)
+        sx, sz = field_of_strip(ww, I, (x - x0, z))
         bx += sx
         bz += sz
-    return bx, bz
-
-
-def _strip_field_grid(width, current, x, z):
-    """Vectorized thin-strip field; singular on-conductor points -> nan."""
-    a = width / 2.0
-    K = MU_0 * current / (2.0 * math.pi * width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bx = K * (np.arctan2(x + a, z) - np.arctan2(x - a, z))
-        bz = -0.5 * K * np.log(((x + a) ** 2 + z * z) / ((x - a) ** 2 + z * z))
-    on = (np.abs(z) == 0.0) & (np.abs(x) <= a)
-    bx = np.where(on, np.nan, bx)
-    bz = np.where(on, np.nan, bz)
     return bx, bz
 
 
@@ -246,7 +232,8 @@ class FieldMap:
                 bu = self.b_u[i, j]
                 bv = self.b_v[i, j]
                 babs = math.hypot(bu, bv)
-                buf.write(f"{uu!r},0.0,{vv!r},{bu!r},0.0,{bv!r},{babs!r}\n")
+                row = (uu, 0.0, vv, bu, 0.0, bv, babs)
+                buf.write(",".join(repr(float(c)) for c in row) + "\n")
         return buf.getvalue()
 
 
@@ -288,25 +275,12 @@ def compute_field_map(
     return FieldMap(spec.kind, u, v, bu, bv)
 
 
-def rabi_map(field_map: FieldMap, nv_axis, gamma_e: float = GAMMA_E):
-    """Local Rabi angular frequency per sqrt(W): Omega = gamma |B1_perp| / 2.
+def rabi_from_b_vectors(b_vectors: np.ndarray, nv_axis, gamma_e: float = GAMMA_E) -> np.ndarray:
+    """Local Rabi angular frequency Omega = gamma |B1_perp| / 2 for (n, 3) fields.
 
     The factor 1/2 is the rotating-wave reduction of a linearly polarized
-    drive.  Returns an array shaped like the map grid; components along
-    the ring azimuth vanish on the u-v plane so the in-plane vector is
-    the full transverse field for all three geometries.
+    drive.
     """
-    axis = np.asarray(nv_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    # in-plane field vector (u, 0, v) in the cross-section frame
-    bx, by, bz = field_map.b_u, np.zeros_like(field_map.b_u), field_map.b_v
-    bpar = bx * axis[0] + by * axis[1] + bz * axis[2]
-    bperp2 = bx * bx + by * by + bz * bz - bpar * bpar
-    return gamma_e * np.sqrt(np.maximum(bperp2, 0.0)) / 2.0
-
-
-def rabi_from_b_vectors(b_vectors: np.ndarray, nv_axis, gamma_e: float = GAMMA_E) -> np.ndarray:
-    """Omega for explicit field vectors (n, 3); same convention as rabi_map."""
     axis = np.asarray(nv_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     b = np.asarray(b_vectors, dtype=float)

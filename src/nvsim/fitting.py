@@ -30,12 +30,6 @@ class CurveFitResult:
     converged: bool
     param_names: tuple = ()
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.param_names, (float(p) for p in self.params)))
-
-    def stderr_dict(self) -> dict[str, float]:
-        return dict(zip(self.param_names, (float(s) for s in self.stderr)))
-
 
 def _finish(res, n_pts: int, names, rms_bound: float | None = None) -> CurveFitResult:
     rms = math.sqrt(2.0 * res.cost / n_pts) if n_pts else 0.0

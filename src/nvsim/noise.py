@@ -55,9 +55,6 @@ class OUBath:
         """Two-sided power spectral density, rad^2/s^2 per (rad/s)."""
         return 2.0 * self.b**2 * self.tau_c / (1.0 + (np.asarray(omega) * self.tau_c) ** 2)
 
-    def autocov(self, t):
-        return self.b**2 * np.exp(-np.abs(np.asarray(t)) / self.tau_c)
-
 
 @dataclass(frozen=True)
 class AmplitudeErrorModel:
@@ -95,30 +92,6 @@ def sigma_from_t2star(t2_star: float) -> float:
     if t2_star <= 0:
         raise ValueError("t2_star must be > 0")
     return math.sqrt(2.0) / t2_star
-
-
-def sample_ou_path(bath: OUBath, duration: float, dt: float, rng: np.random.Generator):
-    """Sample one OU trajectory on a uniform grid with the exact update.
-
-    x_{k+1} = x_k e^(-dt/tau_c) + b sqrt(1 - e^(-2 dt/tau_c)) xi_k,
-    x_0 ~ N(0, b^2).  Requires dt <= tau_c/10 and dt <= duration.
-    Returns the values at times 0, dt, ..., n*dt covering `duration`.
-    """
-    if dt > bath.tau_c / 10.0:
-        raise ValueError(f"dt = {dt} too coarse: must be <= tau_c/10 = {bath.tau_c / 10.0}")
-    if dt > duration:
-        raise ValueError("dt must be <= duration")
-    n = int(math.ceil(duration / dt - 1e-12)) + 1
-    if bath.b == 0.0:
-        return np.zeros(n)
-    mu = math.exp(-dt / bath.tau_c)
-    s = bath.b * math.sqrt(-math.expm1(-2.0 * dt / bath.tau_c))
-    x = np.empty(n)
-    x[0] = rng.normal(0.0, bath.b)
-    xi = rng.standard_normal(n - 1)
-    for k in range(n - 1):
-        x[k + 1] = mu * x[k] + s * xi[k]
-    return x
 
 
 def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
@@ -218,7 +191,7 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
     return bath.b**2 * tau * tau * acc
 
 
-def calibrate_bath(target_t2: float, tau_c: float, seq_family: str = "echo") -> OUBath:
+def calibrate_bath(target_t2: float, tau_c: float) -> OUBath:
     """Find the OU coupling b such that the echo coherence hits 1/e at target_t2.
 
     Uses bracketed root finding on the closed-form echo exponent (which is
@@ -228,8 +201,6 @@ def calibrate_bath(target_t2: float, tau_c: float, seq_family: str = "echo") -> 
     """
     if target_t2 <= 0:
         raise ValueError("target_t2 must be > 0")
-    if seq_family != "echo":
-        raise ValueError(f"calibration is defined for the echo family, got {seq_family!r}")
     if tau_c > MAX_TAU_C_RATIO * target_t2:
         raise ValueError(
             f"tau_c = {tau_c} exceeds {MAX_TAU_C_RATIO} * target_t2: "

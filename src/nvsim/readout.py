@@ -53,50 +53,6 @@ class ReadoutModel:
         return self.shot_noise_v * math.sqrt(self.s_window_s / self.r_window_s)
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    """The four integrated window voltages of one shot."""
-
-    s1: float
-    r1: float
-    s2: float
-    r2: float
-
-    def __post_init__(self):
-        for v in (self.s1, self.r1, self.s2, self.r2):
-            if not math.isfinite(v):
-                raise ValueError("window voltages must be finite")
-
-
-def _window_means(p0: float, model: ReadoutModel, lam: float) -> tuple[float, float]:
-    base = model.v0_v * (1.0 + lam)
-    return base * (1.0 - model.contrast * (1.0 - p0)), base
-
-
-def simulate_windows(
-    p0_plus: float, p0_minus: float, model: ReadoutModel, rng: np.random.Generator
-) -> WindowRecord:
-    """One shot: branch +1 fills (S1, R1), branch -1 fills (S2, R2)."""
-    for p in (p0_plus, p0_minus):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError("populations must lie in [0, 1]")
-    lam_shot = model.laser_fluct_rel * rng.standard_normal() if model.laser_fluct_rel else 0.0
-    lams = lam_shot + (
-        model.laser_fluct_fast_rel * rng.standard_normal(2)
-        if model.laser_fluct_fast_rel
-        else np.zeros(2)
-    )
-    s1, r1 = _window_means(p0_plus, model, lams[0])
-    s2, r2 = _window_means(p0_minus, model, lams[1])
-    noise = rng.standard_normal(4)
-    return WindowRecord(
-        s1 + model.shot_noise_v * noise[0],
-        r1 + model.r_noise_v * noise[1],
-        s2 + model.shot_noise_v * noise[2],
-        r2 + model.r_noise_v * noise[3],
-    )
-
-
 def simulate_shot_stream(
     p0_plus: float,
     p0_minus: float,
@@ -110,6 +66,9 @@ def simulate_shot_stream(
     per shot plus an optional random walk with per-shot step
     laser_drift_step_rel.
     """
+    for p in (p0_plus, p0_minus):
+        if not (0.0 <= p <= 1.0):
+            raise ValueError("populations must lie in [0, 1]")
     lam_shot = model.laser_fluct_rel * rng.standard_normal(n_shots)
     if model.laser_drift_step_rel:
         lam_shot = lam_shot + np.cumsum(model.laser_drift_step_rel * rng.standard_normal(n_shots))
@@ -124,37 +83,14 @@ def simulate_shot_stream(
     return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
 
 
-def process_two_branch(w) -> float | np.ndarray:
-    """Two-branch difference of reference-subtracted windows.
-
-    Accepts a WindowRecord or a dict of window arrays.
-    """
-    if isinstance(w, WindowRecord):
-        return (w.s1 - w.r1) - (w.s2 - w.r2)
+def process_two_branch(w) -> np.ndarray:
+    """Two-branch difference of reference-subtracted windows."""
     return (w["s1"] - w["r1"]) - (w["s2"] - w["r2"])
 
 
-def process_no_reference(w) -> float | np.ndarray:
-    """Branch subtraction only (A/B comparison: reference windows unused)."""
-    if isinstance(w, WindowRecord):
-        return w.s1 - w.s2
-    return w["s1"] - w["s2"]
-
-
-def process_single_branch(w) -> float | np.ndarray:
+def process_single_branch(w) -> np.ndarray:
     """Reference-subtracted single branch (A/B comparison: no branch pair)."""
-    if isinstance(w, WindowRecord):
-        return w.s1 - w.r1
     return w["s1"] - w["r1"]
-
-
-def normalized_signal(raw_s: float | np.ndarray, model: ReadoutModel):
-    """Scale the processed output to the coherence-response units.
-
-    S_norm = raw / (v0 C); a perfect noiseless revival gives +1 and the
-    AC quadrature gives W sin(phi).
-    """
-    return raw_s / (model.v0_v * model.contrast)
 
 
 def expected_two_branch_mean(p0_plus: float, p0_minus: float, model: ReadoutModel) -> float:

@@ -160,6 +160,18 @@ def build_xy16(n_repeats: int, tau: float, readout_sign: int = +1, readout_phase
     return _build_xy(XY16_PHASES, n_repeats, tau, f"xy16-{n_repeats}", readout_sign, readout_phase)
 
 
+# Coherence-sweep families, parametrized by the total free time T:
+# family -> (build(n_repeats, T, readout_phase), pi-pulse count for n_repeats)
+SWEEP_FAMILIES = {
+    "fid": (lambda n, T, ph: build_fid(T, readout_phase=ph), lambda n: 0),
+    "echo": (lambda n, T, ph: build_hahn_echo(T, readout_phase=ph), lambda n: 1),
+    "cpmg": (lambda n, T, ph: build_cpmg(n, T / n, readout_phase=ph), lambda n: n),
+    "xy4": (lambda n, T, ph: build_xy4(n, T / (4 * n), readout_phase=ph), lambda n: 4 * n),
+    "xy8": (lambda n, T, ph: build_xy8(n, T / (8 * n), readout_phase=ph), lambda n: 8 * n),
+    "xy16": (lambda n, T, ph: build_xy16(n, T / (16 * n), readout_phase=ph), lambda n: 16 * n),
+}
+
+
 def pulse_times(seq: PulseSequence):
     """Center times of all pi pulses plus the total free-evolution duration.
 

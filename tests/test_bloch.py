@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim.bloch import (
@@ -15,6 +15,7 @@ from nvsim.bloch import (
     evolve_free,
     population_ms0,
     rabi_population,
+    rotate_drive,
     rotate_ideal,
 )
 
@@ -110,6 +111,40 @@ def test_driven_agrees_with_ideal_rotation():
         got = evolve_driven(BRIGHT, drv).as_array()
         want = rotate_ideal(BRIGHT, phase, math.pi).as_array()
         assert np.linalg.norm(got - want) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    unit_states(),
+    st.floats(0.0, 5e7),
+    phases,
+    st.floats(-5e7, 5e7),
+    st.floats(1e-9, 2e-7),
+)
+def test_rotate_drive_matches_rk4(s, omega, phase, delta, duration):
+    # the engine's exact constant-drive kernel against the RK4 integrator
+    v = s.as_array()[None, :]
+    rotate_drive(v, omega, delta, phase, duration)
+    drv = DriveParams(omega, phase, delta, duration)
+    want = evolve_driven(s, drv, dt=duration / 400).as_array()
+    assert np.linalg.norm(v[0] - want) < 1e-6
+
+
+def test_rotate_drive_per_vector_parameters():
+    # per-spin omega and delta arrays act row by row, like scalar calls
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(5, 3))
+    omega = rng.uniform(0.0, 3e7, 5)
+    delta = np.array([0.0, -2e7, 1e6, 0.0, 4e7])
+    omega[3] = 0.0  # zero axis
+    v0 = v.copy()
+    want = v.copy()
+    for i in range(5):
+        row = want[i : i + 1]
+        rotate_drive(row, omega[i], delta[i], 0.7, 48e-9)
+    rotate_drive(v, omega, delta, 0.7, 48e-9)
+    assert np.array_equal(v, want)
+    assert np.array_equal(v[3], v0[3])
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 2.0])

@@ -196,6 +196,42 @@ def test_fieldmap_requires_geometry(tmp_path, capsys):
     assert run_cli("fieldmap", path) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "fieldmap"])
+def test_fieldmap_uniform_rejected_by_every_command(tmp_path, capsys, command):
+    path = write_cfg(tmp_path, "experiment = fieldmap\n")  # default resonator = uniform
+    assert run_cli(command, path) == 2
+    assert "key 'resonator': fieldmap requires cwr, ring, or wire" in capsys.readouterr().err
+
+
+def test_fieldmap_command_needs_geometry_for_any_experiment(tmp_path, capsys):
+    path = write_cfg(tmp_path, "experiment = echo\n")
+    assert run_cli("fieldmap", path, "--out", str(tmp_path / "fm")) == 2
+    assert "fieldmap requires" in capsys.readouterr().err
+    path = write_cfg(tmp_path, "experiment = echo\nresonator = wire\n")
+    assert run_cli("fieldmap", path, "--out", str(tmp_path / "fm")) == 0
+
+
+def test_fieldmap_run_and_command_write_identical_csv(tmp_path):
+    cfg = str(CONFIG_DIR / "fieldmap_cwr.cfg")
+    assert run_cli("run", cfg, "--out", str(tmp_path / "run")) == 0
+    assert run_cli("fieldmap", cfg, "--out", str(tmp_path / "cmd")) == 0
+    csv_run = tmp_path / "run" / "fieldmap.csv"
+    assert filecmp.cmp(csv_run, tmp_path / "cmd" / "fieldmap.csv", shallow=False)
+    rows = csv_run.read_text().splitlines()
+    assert rows[0] == "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Babs_T"
+    for row in rows[1:]:
+        [float(f) for f in row.split(",")]
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    assert f"output_fieldmap={csv_run}" in manifest
+
+
+def test_runner_table_covers_every_experiment():
+    import nvsim.cli as cli_mod
+    from nvsim.config import EXPERIMENTS
+
+    assert sorted(cli_mod._RUNNERS) == sorted(EXPERIMENTS)
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import nvsim.cli as cli_mod
 

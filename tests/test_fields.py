@@ -16,7 +16,6 @@ from nvsim.fields import (
     field_of_wire,
     peak_current_per_sqrt_watt,
     rabi_from_b_vectors,
-    rabi_map,
     resonance_enhancement,
     wire_field_2d,
 )
@@ -129,6 +128,19 @@ def test_strip_center_field_parallel_to_plane():
     assert b[0] != 0.0
 
 
+def test_strip_vectorized_matches_pointwise():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-3e-3, 3e-3, (4, 5))
+    z = rng.uniform(0.05e-3, 3e-3, (4, 5))
+    grid = field_of_strip(1e-3, 1.0, (x, z))
+    assert grid.shape == (2, 4, 5)
+    for i in range(4):
+        for j in range(5):
+            assert np.array_equal(grid[:, i, j], field_of_strip(1e-3, 1.0, (x[i, j], z[i, j])))
+    with pytest.raises(ValueError):
+        field_of_strip(1e-3, 1.0, (np.array([2e-3, 0.3e-3]), np.array([0.0, 0.0])))
+
+
 def test_strip_vs_quadrature_oracle_random_points():
     rng = np.random.default_rng(42)
     w = 1e-3
@@ -228,11 +240,12 @@ def test_rabi_for_perpendicular_074mT():
 def test_rabi_scales_sqrt_power():
     spec = ResonatorSpec("cwr")
     m1 = compute_field_map(spec, n_u=41, n_v=11)
-    om1 = rabi_map(m1, (0, 0, 1))
+    b1 = np.column_stack([m1.b_u.ravel(), np.zeros(m1.b_u.size), m1.b_v.ravel()])
+    om1 = rabi_from_b_vectors(b1, (0, 0, 1))
     # doubling power multiplies B by sqrt(2) hence Omega by sqrt(2)
     assert np.allclose(
-        rabi_from_b_vectors(np.column_stack([m1.b_u.ravel(), np.zeros(m1.b_u.size), m1.b_v.ravel()]) * math.sqrt(2.0), (0, 0, 1)),
-        math.sqrt(2.0) * om1.ravel(),
+        rabi_from_b_vectors(b1 * math.sqrt(2.0), (0, 0, 1)),
+        math.sqrt(2.0) * om1,
         rtol=1e-12,
         equal_nan=True,
     )
@@ -322,6 +335,17 @@ def test_map_csv_export(maps):
     lines = text.strip().split("\n")
     assert lines[0] == "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Babs_T"
     assert len(lines) == 1 + maps["wire"].b_u.size
+
+
+def test_map_csv_fields_are_plain_floats(maps):
+    # every field parses with float() and round-trips the grid exactly
+    for m in maps.values():
+        rows = m.to_csv().strip().split("\n")[1:]
+        table = np.array([[float(f) for f in row.split(",")] for row in rows])
+        assert np.array_equal(table[:, 0], np.repeat(m.u, len(m.v)))
+        assert np.array_equal(table[:, 2], np.tile(m.v, len(m.u)))
+        assert np.array_equal(table[:, 3], m.b_u.ravel(), equal_nan=True)
+        assert np.array_equal(table[:, 5], m.b_v.ravel(), equal_nan=True)
 
 
 def test_spec_validation():

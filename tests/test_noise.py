@@ -16,7 +16,7 @@ from nvsim.noise import (
     chi_echo_ou,
     chi_fid_ou,
     ou_chi_exact,
-    sample_ou_path,
+    ou_step,
     sample_ou_segment_integrals,
     sigma_from_t2star,
 )
@@ -45,30 +45,14 @@ def test_quasistatic_gaussian_fid_one_over_e():
     assert w == pytest.approx(math.exp(-1.0), rel=0.02)
 
 
-def test_ou_path_zero_coupling():
-    rng = np.random.default_rng(0)
-    path = sample_ou_path(OUBath(0.0, 1e-6), 1e-5, 1e-7, rng)
-    assert np.all(path == 0.0)
-
-
-def test_ou_path_rejects_coarse_dt():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_ou_path(BATH, 1e-5, BATH.tau_c, rng)
-    with pytest.raises(ValueError):
-        sample_ou_path(BATH, 1e-8, 1e-7, rng)
-
-
 def test_ou_path_stationary_variance():
     rng = np.random.default_rng(1)
     n_paths, k = 100000, 12
     dt = BATH.tau_c / 20
-    # vectorized: k exact updates of n_paths states
-    mu = math.exp(-dt / BATH.tau_c)
-    s = BATH.b * math.sqrt(1 - mu * mu)
+    # k exact ou_step updates of n_paths stationary states
     x = rng.normal(0.0, BATH.b, n_paths)
     for _ in range(k):
-        x = mu * x + s * rng.standard_normal(n_paths)
+        x = ou_step(x, dt, BATH, rng)[1]
     assert np.var(x) == pytest.approx(BATH.b**2, rel=0.03)
 
 
@@ -78,11 +62,9 @@ def test_ou_path_lag_tauc_autocorrelation():
     dt = BATH.tau_c / 10
     steps = 10  # lag = tau_c
     x0 = rng.normal(0.0, BATH.b, n_paths)
-    mu = math.exp(-dt / BATH.tau_c)
-    s = BATH.b * math.sqrt(1 - mu * mu)
-    x = x0.copy()
+    x = x0
     for _ in range(steps):
-        x = mu * x + s * rng.standard_normal(n_paths)
+        x = ou_step(x, dt, BATH, rng)[1]
     cov = np.mean(x0 * x)
     assert cov == pytest.approx(BATH.b**2 / math.e, rel=0.05)
 
@@ -215,11 +197,6 @@ def test_calibrate_bath_monotonic_in_target():
 def test_calibrate_bath_rejects_quasistatic_tau_c():
     with pytest.raises(ValueError):
         calibrate_bath(9e-6, 100e-3)
-
-
-def test_calibrate_bath_rejects_bad_family():
-    with pytest.raises(ValueError):
-        calibrate_bath(9e-6, 10e-6, seq_family="cpmg")
 
 
 def test_psd_convention():

@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 
 from nvsim.readout import (
     ReadoutModel,
-    WindowRecord,
     expected_two_branch_mean,
-    normalized_signal,
     process_two_branch,
-    process_no_reference,
     process_single_branch,
     simulate_shot_stream,
-    simulate_windows,
 )
 
 volts = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -24,53 +20,59 @@ volts = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 QUIET = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=0.0)
 
 
+def windows(s1, r1, s2, r2):
+    return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
+
+
 def test_two_branch_trivial_values():
-    assert process_two_branch(WindowRecord(5.0, 5.0, 3.0, 3.0)) == 0.0
+    assert process_two_branch(windows(5.0, 5.0, 3.0, 3.0)) == 0.0
 
 
 @given(volts, volts, volts, volts, volts)
 def test_two_branch_affine_invariance(s1, r1, s2, r2, c):
-    base = process_two_branch(WindowRecord(s1, r1, s2, r2))
-    shifted = process_two_branch(WindowRecord(s1 + c, r1 + c, s2 + c, r2 + c))
+    base = process_two_branch(windows(s1, r1, s2, r2))
+    shifted = process_two_branch(windows(s1 + c, r1 + c, s2 + c, r2 + c))
     scale = max(abs(s1), abs(r1), abs(s2), abs(r2), abs(c), 1.0)
     assert abs(shifted - base) < 1e-12 * scale
 
 
 @given(volts, volts, volts, volts, volts)
 def test_within_branch_drift_cancels(s1, r1, s2, r2, d):
-    base = process_two_branch(WindowRecord(s1, r1, s2, r2))
-    drifted = process_two_branch(WindowRecord(s1 + d, r1 + d, s2, r2))
+    base = process_two_branch(windows(s1, r1, s2, r2))
+    drifted = process_two_branch(windows(s1 + d, r1 + d, s2, r2))
     scale = max(abs(s1), abs(r1), abs(s2), abs(r2), abs(d), 1.0)
     assert abs(drifted - base) < 1e-12 * scale
 
 
 def test_window_means_and_contrast():
     rng = np.random.default_rng(0)
-    w = simulate_windows(1.0, 0.0, QUIET, rng)
-    assert w.s1 == pytest.approx(QUIET.v0_v)          # bright branch: no dip
-    assert w.r1 == pytest.approx(QUIET.v0_v)
-    assert w.s2 == pytest.approx(QUIET.v0_v * (1 - QUIET.contrast))
-    assert process_two_branch(w) == pytest.approx(expected_two_branch_mean(1.0, 0.0, QUIET))
+    w = simulate_shot_stream(1.0, 0.0, QUIET, 1, rng)
+    assert w["s1"][0] == pytest.approx(QUIET.v0_v)          # bright branch: no dip
+    assert w["r1"][0] == pytest.approx(QUIET.v0_v)
+    assert w["s2"][0] == pytest.approx(QUIET.v0_v * (1 - QUIET.contrast))
+    assert process_two_branch(w)[0] == pytest.approx(expected_two_branch_mean(1.0, 0.0, QUIET))
 
 
 def test_contrast_zero_limit_is_all_reference():
     # C -> 0: S windows equal R windows up to shot noise
     m = ReadoutModel(v0_v=0.5, contrast=1e-12, shot_noise_v=0.0)
     rng = np.random.default_rng(1)
-    w = simulate_windows(0.3, 0.9, m, rng)
-    assert process_two_branch(w) == pytest.approx(0.0, abs=1e-11)
+    w = simulate_shot_stream(0.3, 0.9, m, 1, rng)
+    assert process_two_branch(w)[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_equal_populations_give_zero():
     rng = np.random.default_rng(2)
-    w = simulate_windows(0.5, 0.5, QUIET, rng)
-    assert process_two_branch(w) == pytest.approx(0.0, abs=1e-15)
+    w = simulate_shot_stream(0.5, 0.5, QUIET, 1, rng)
+    assert process_two_branch(w)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_population_bounds_validated():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
-        simulate_windows(1.2, 0.5, QUIET, rng)
+        simulate_shot_stream(1.2, 0.5, QUIET, 1, rng)
+    with pytest.raises(ValueError):
+        simulate_shot_stream(0.5, -0.1, QUIET, 1, rng)
 
 
 def test_one_percent_laser_shift_is_second_order():
@@ -83,7 +85,7 @@ def test_one_percent_laser_shift_is_second_order():
     r1 = m.v0_v * (1 + lam)
     s2 = m.v0_v * (1 + lam) * (1 - m.contrast * (1 - p_minus))
     r2 = m.v0_v * (1 + lam)
-    shifted = process_two_branch(WindowRecord(s1, r1, s2, r2))
+    shifted = process_two_branch(windows(s1, r1, s2, r2))
     assert abs(shifted - base) / m.v0_v < 1e-4
 
 
@@ -98,7 +100,8 @@ def test_common_mode_rejection_quantified_ab():
     p_plus, p_minus = 0.55, 0.45
     stream = simulate_shot_stream(p_plus, p_minus, m, 40000, rng)
     leak_full = np.std(process_two_branch(stream) - expected_two_branch_mean(p_plus, p_minus, m))
-    leak_noref = np.std(process_no_reference(stream) - np.mean(process_no_reference(stream)))
+    no_ref = stream["s1"] - stream["s2"]  # branch subtraction only, reference windows unused
+    leak_noref = np.std(no_ref - np.mean(no_ref))
     assert leak_full / m.v0_v < 2e-4
     assert leak_noref > 50 * leak_full
 
@@ -109,12 +112,12 @@ def test_branch_subtraction_rejects_mw_drift():
     m = QUIET
     p_plus, p_minus, drift = 0.6, 0.4, 0.01
     rng = np.random.default_rng(5)
-    w = simulate_windows(p_plus + drift, p_minus + drift, m, rng)
-    w0 = simulate_windows(p_plus, p_minus, m, rng)
-    assert process_two_branch(w) == pytest.approx(process_two_branch(w0), abs=1e-15)
-    leak_single = abs(process_single_branch(w) - process_single_branch(w0))
+    w = simulate_shot_stream(p_plus + drift, p_minus + drift, m, 1, rng)
+    w0 = simulate_shot_stream(p_plus, p_minus, m, 1, rng)
+    assert process_two_branch(w)[0] == pytest.approx(process_two_branch(w0)[0], abs=1e-15)
+    leak_single = abs(process_single_branch(w)[0] - process_single_branch(w0)[0])
     assert leak_single == pytest.approx(m.v0_v * m.contrast * drift, rel=1e-9)
-    assert leak_single > 50 * abs(process_two_branch(w) - process_two_branch(w0))
+    assert leak_single > 50 * abs(process_two_branch(w)[0] - process_two_branch(w0)[0])
 
 
 def test_slow_shot_common_laser_cancels_at_balance():
@@ -159,18 +162,15 @@ def test_averaging_scales_as_inverse_sqrt_shots():
 
 
 def test_normalized_signal_scale():
+    # S_norm = S / (v0 C): a perfect revival gives +1, the AC quadrature sin(phi)
     m = QUIET
-    assert normalized_signal(expected_two_branch_mean(1.0, 0.0, m), m) == pytest.approx(1.0)
-    assert normalized_signal(0.0, m) == 0.0
+    scale = m.v0_v * m.contrast
+    assert expected_two_branch_mean(1.0, 0.0, m) / scale == pytest.approx(1.0)
+    assert expected_two_branch_mean(0.5, 0.5, m) == 0.0
     # small-angle linearity: S_norm ~ W phi within 1% for phi < 0.14
     for phi in (0.05, 0.1, 0.14):
-        s = normalized_signal(expected_two_branch_mean((1 + math.sin(phi)) / 2, (1 - math.sin(phi)) / 2, m), m)
+        s = expected_two_branch_mean((1 + math.sin(phi)) / 2, (1 - math.sin(phi)) / 2, m) / scale
         assert s == pytest.approx(phi, rel=0.01)
-
-
-def test_window_record_finite_validation():
-    with pytest.raises(ValueError):
-        WindowRecord(math.nan, 0.0, 0.0, 0.0)
 
 
 def test_readout_model_validation():
