@@ -189,7 +189,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
     if cfg.experiment == "fieldmap" and cfg.resonator == "uniform":
         raise ConfigError("key 'resonator': fieldmap requires cwr, ring, or wire")
-    if cfg.finite_pulses and cfg.experiment in SWEEP_FAMILIES:
+    if cfg.finite_pulses:
+        if cfg.experiment not in SWEEP_FAMILIES:
+            raise ConfigError(
+                f"key 'finite_pulses': only the coherence sweeps {tuple(SWEEP_FAMILIES)} "
+                f"model finite pulses, not {cfg.experiment!r}"
+            )
         _check_sweep_pulse_overlap(cfg)
 
     warnings = []
@@ -200,8 +205,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 f"tau_s = {cfg.tau_s:g} s does not match 1/(2 f_ac_hz) = {ideal:g} s; "
                 "the AC field will not be synchronized"
             )
-    if cfg.finite_pulses and cfg.tau_s > 0 and cfg.pi_time_s >= cfg.tau_s:
-        raise ConfigError("key 'pi_time_s': finite pulses overlap (pi_time_s >= tau_s)")
     if cfg.bath_tau_c_s > MAX_TAU_C_RATIO * cfg.t2_echo_target_s and cfg.bath_b_rad_s == 0.0:
         raise ConfigError(
             f"key 'bath_tau_c_s': exceeds {MAX_TAU_C_RATIO:g} * t2_echo_target_s; "

@@ -264,6 +264,17 @@ def test_run_rejects_finite_pulse_overlap_in_sweep(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_finite_pulses_rejected_outside_sweeps(tmp_path, capsys, command, experiment):
+    # these experiments run ideal pulses only; the key must not be silently ignored
+    path = write_cfg(tmp_path, f"experiment = {experiment}\nfinite_pulses = true\n")
+    rc = run_cli(command, path, "--out", str(tmp_path / "out")) if command == "run" else run_cli(command, path)
+    assert rc == 2
+    assert "'finite_pulses'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from nvsim.experiments import make_coherence_builder
 from nvsim.filters import chi_from_spectrum, coherence_analytic, filter_weight, toggling_moment
 from nvsim.noise import OUBath, calibrate_bath, chi_echo_ou, chi_fid_ou, ou_chi_exact
 from nvsim.sequences import build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
@@ -130,9 +134,54 @@ def test_nonintegrable_spectrum_rejected():
     seq = build_hahn_echo(2e-6)
     times, total = pulse_times(seq)
     with pytest.raises(ValueError):
-        chi_from_spectrum(times, total, lambda w: 1e-12 * (1.0 + w * w), max_blocks=60)
+        chi_from_spectrum(times, total, lambda w: 1e-12 * (1.0 + w * w))
+
+
+def test_spectrum_infinite_at_zero_rejected():
+    # Under 1/f noise chi diverges for free induction, whose F/w^2 is T^2 at
+    # w = 0, but not for an echo, whose F/w^2 vanishes there.
+    def one_over_f(w):
+        with np.errstate(divide="ignore"):
+            return 1e8 / np.abs(w)
+
+    with pytest.raises(ValueError):
+        chi_from_spectrum([], 2e-6, one_over_f)
+    assert 0.0 < chi_from_spectrum([1e-6], 2e-6, one_over_f) < np.inf
 
 
 def test_raw_times_require_total():
     with pytest.raises(ValueError):
         coherence_analytic(np.array([1e-6]), BATH)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+    log_t_over_tau_c=st.floats(math.log(0.01), math.log(100.0)),
+    log_chi=st.floats(math.log(1e-3), math.log(10.0)),
+)
+def test_chi_meets_rtol_on_random_trains(n, seed, log_t_over_tau_c, log_chi):
+    # Random ordered train of n pulses in (0, T); the OU coupling is set so
+    # the exact exponent is chi.  The frequency route must meet its rtol.
+    T = 100e-6
+    times = np.sort(np.random.default_rng(seed).uniform(0.0, T, n))
+    tau_c = T / math.exp(log_t_over_tau_c)
+    b = math.sqrt(math.exp(log_chi) / ou_chi_exact(times, T, OUBath(1.0, tau_c)))
+    bath = OUBath(b, tau_c)
+    exact = ou_chi_exact(times, T, bath)
+    assert abs(chi_from_spectrum(times, T, bath.psd, rtol=1e-6) - exact) <= 1e-6 * exact
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-8])
+def test_chi_meets_rtol_on_acceptance_6_points(rtol):
+    # echo and XY16-{1,4,16} at 0.15, 1.075 and 2 T2; XY16-16 at 2 T2 (256
+    # pulses) once missed rtol 1e-6 by 300x.
+    for family, n_rep in (("echo", 1), ("xy16", 1), ("xy16", 4), ("xy16", 16)):
+        builder, _ = make_coherence_builder(family, n_rep)
+        t2 = brentq(lambda T: ou_chi_exact(*pulse_times(builder(T)), BATH) - 1.0, 1e-7, 5e-3, rtol=1e-9)
+        for factor in (0.15, 1.075, 2.0):
+            times, total = pulse_times(builder(factor * t2))
+            exact = ou_chi_exact(times, total, BATH)
+            chi = chi_from_spectrum(times, total, BATH.psd, rtol=rtol)
+            assert abs(chi - exact) <= rtol * exact, f"{family}-{n_rep} at {factor} T2"
