@@ -21,13 +21,22 @@ Two evolution paths share the noise model:
 
 * finite rectangular pulses: piecewise-constant fields are exact
   rotations (bloch.rotate_drive), composed per spin with the pulse axis
-  tilted by the instantaneous detuning and the angle scaled by
-  Omega_i (1 + eps_i).
-  The detuning needs the OU value at every pulse, so each spin carries
-  its trajectory, advanced by the exact joint step noise.ou_step.
+  tilted by the detuning at the pulse's start and the angle scaled by
+  Omega_i (1 + eps_i).  Each pulse is paired with the free interval
+  after it: the detuning needs only the OU value at the pulse's start,
+  and one exact draw pair from noise.ou_transition(width, L) gives the
+  OU integral over the gap (the free-precession phase) and the value at
+  its end, so a spin takes 1 + 2 normals per pulse+gap step
+  (1 + 2 * 65 for XY16-4, whose readout pulse has no gap).  The
+  state is a (3, n) array, one contiguous row per Bloch component, and
+  the free precession rotates its x and y rows in place.
 
 Noise is drawn in fixed-size spin blocks, each from its own
-counter-based substream keyed on (seed, block index), so results are
+counter-based substream keyed on (seed, key, noise_seed, block).
+Contiguous runs of whole blocks, at most RUN_BLOCKS each and at least
+one per thread, are each evolved as one array on min(threads, runs)
+threads; each block draws into its own slice of its run, and
+per-block partial sums are added in block order, so results are
 bit-identical for any worker-thread count.
 """
 
@@ -48,11 +57,13 @@ from .noise import (
     OUBath,
     QuasiStaticSpread,
     ou_chi_exact,
-    ou_step,
+    ou_transition,
 )
 from .sequences import Delay, PulseSequence, pi_pulse_phases, pulse_times
 
 SPIN_BLOCK = 2048
+# blocks evolved as one array: bounds a run's memory and keeps its arrays in cache
+RUN_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -164,17 +175,50 @@ def sample_ensemble(
     return EnsembleSample(positions, omega, delta, eps, seed)
 
 
-def _blocks(n: int):
-    return [(i, min(i + SPIN_BLOCK, n)) for i in range(0, n, SPIN_BLOCK)]
+class _BlockRun:
+    """A contiguous run of whole spin blocks [lo, hi), evolved as one array.
+
+    Each block draws from its own (seed, key, noise_seed, block) substream
+    into its slice, so a spin's draws do not depend on how blocks are
+    grouped into runs.
+    """
+
+    def __init__(self, blocks, seed: int, key: int, noise_seed: int):
+        self.lo, self.hi = blocks[0][1], blocks[-1][2]
+        self._streams = [
+            (_rng_for(seed, key, noise_seed, bi), slice(lo - self.lo, hi - self.lo))
+            for bi, lo, hi in blocks
+        ]
+
+    def normals(self, out: np.ndarray) -> np.ndarray:
+        """Fill out with one standard normal per spin, block by block."""
+        for rng, s in self._streams:
+            rng.standard_normal(out=out[s])
+        return out
+
+    def block_sums(self, values: np.ndarray) -> list[float]:
+        return [float(np.sum(values[s])) for _, s in self._streams]
 
 
-def _map_blocks(fn, n: int, threads: int):
-    """Run fn(block_index, lo, hi) over spin blocks; ordered, thread-safe."""
-    blocks = _blocks(n)
-    if threads <= 1 or len(blocks) == 1:
-        return [fn(i, lo, hi) for i, (lo, hi) in enumerate(blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda args: fn(args[0], *args[1]), enumerate(blocks)))
+def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads: int) -> list:
+    """Run fn(run) on contiguous runs of whole SPIN_BLOCK blocks, at most
+    RUN_BLOCKS each and at least one per thread, with min(threads, runs)
+    threads; fn returns one result per block of its run.  Returns every
+    block's result in block order, so sums over them are bit-identical for
+    any thread count.
+    """
+    n = ensemble.n_spins
+    blocks = [(i, lo, min(lo + SPIN_BLOCK, n)) for i, lo in enumerate(range(0, n, SPIN_BLOCK))]
+    k = min(len(blocks), max(threads, -(-len(blocks) // RUN_BLOCKS)))
+    runs = [
+        _BlockRun(blocks[g * len(blocks) // k : (g + 1) * len(blocks) // k], ensemble.seed, key, noise_seed)
+        for g in range(k)
+    ]
+    workers = min(threads, k)
+    if workers <= 1:
+        return [r for run in runs for r in fn(run)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [r for part in pool.map(fn, runs) for r in part]
 
 
 def _sequence_phase_terms(seq: PulseSequence):
@@ -207,14 +251,13 @@ def _mean_cos_ideal(seq, ensemble, bath, b_ac, shift, *, key, noise_seed, thread
         )
     sigma = math.sqrt(2.0 * ou_chi_exact(bounds[1:-1], bounds[-1], bath))
     base = pattern + phi_ac - shift
-    n = ensemble.n_spins
 
-    def block(bi, lo, hi):
-        z = _rng_for(ensemble.seed, key, noise_seed, bi).standard_normal(hi - lo)
-        xi = base + static_coeff * ensemble.delta_static[lo:hi] + sigma * z
-        return float(np.sum(np.cos(xi)))
+    def run(blocks: _BlockRun):
+        z = blocks.normals(np.empty(blocks.hi - blocks.lo))
+        xi = base + static_coeff * ensemble.delta_static[blocks.lo : blocks.hi] + sigma * z
+        return blocks.block_sums(np.cos(xi))
 
-    return sum(_map_blocks(block, n, threads)) / n
+    return sum(_map_blocks(run, ensemble, key, noise_seed, threads)) / ensemble.n_spins
 
 
 def run_two_branch(
@@ -249,95 +292,114 @@ def run_two_branch(
 
 
 def _render_finite(elements, pulse_width: float):
-    """Timeline of ('pulse', phase, nominal_angle, width, t0) and
-    ('free', L, t0) operations with pulses centered on their ideal instants.
+    """Pulse+gap steps of the train rendered with rectangular pulses
+    centered on their ideal instants.
 
-    A pulse of nominal angle theta lasts theta/pi * pulse_width, so the
-    pi/2 pulses are half-width.  Delays are shortened by the half-widths
-    of the adjacent pulses (center-to-center timing); raises if
-    neighboring pulses would overlap.
+    Returns (steps, last): each step is (pulse, L, t0), a pulse (phase,
+    width), or None for a gap before the first pulse, followed by the free
+    interval [t0, t0 + L]; last is the final pulse when no delay follows
+    it, else None.  A pulse of nominal angle theta lasts
+    theta/pi * pulse_width, so the pi/2 pulses are half-width.  Delays are
+    shortened by the half-widths of the adjacent pulses (center-to-center
+    timing); raises if neighboring pulses would overlap.
     """
-    ops = []
+    steps = []
     t = 0.0
     pending_gap = 0.0
     seen_delay = False
-    prev_half = None
+    pulse = None
     for e in elements:
         if isinstance(e, Delay):
             pending_gap += e.tau
             seen_delay = True
             continue
         width = e.angle / math.pi * pulse_width
-        if prev_half is not None or seen_delay:
-            gap = pending_gap - (prev_half or 0.0) - width / 2.0
+        if pulse is not None or seen_delay:
+            gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0) - width / 2.0
             if gap < -1e-15:
                 raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-            ops.append(("free", max(gap, 0.0), t))
+            steps.append((pulse, max(gap, 0.0), t))
             t += max(gap, 0.0)
         pending_gap = 0.0
         seen_delay = False
-        ops.append(("pulse", e.phase, e.angle, width, t))
+        pulse = (e.phase, width)
         t += width
-        prev_half = width / 2.0
     if seen_delay:
-        gap = pending_gap - (prev_half or 0.0)
+        gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0)
         if gap < -1e-15:
             raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-        ops.append(("free", max(gap, 0.0), t))
-    return ops
+        steps.append((pulse, max(gap, 0.0), t))
+        pulse = None
+    return steps, pulse
 
 
-def _rotate_z_inplace(v: np.ndarray, ang: np.ndarray):
-    c, s = np.cos(ang), np.sin(ang)
-    x = v[:, 0] * c - v[:, 1] * s
-    v[:, 1] = v[:, 0] * s + v[:, 1] * c
-    v[:, 0] = x
+def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=None) -> np.ndarray:
+    """Apply the pulse+gap steps to the (3, n) Bloch vectors v in place,
+    along one fresh OU trajectory per spin; returns the OU values at the end.
 
-
-def _evolve_finite(v, ops, omega_eff, delta_s, bath, rng, b_ac=None) -> np.ndarray:
-    """Apply rendered ops to the Bloch vectors v in place along one fresh OU
-    trajectory per spin; returns the OU values at the end."""
-    x = rng.normal(0.0, bath.b, size=len(v)) if bath.b > 0 else np.zeros(len(v))
-    for op in ops:
-        if op[0] == "free":
-            _, L, t0 = op
-            integral, x = ou_step(x, L, bath, rng)
-            phase = delta_s * L + integral
-            if b_ac is not None:
-                phase = phase + GAMMA_E * b_ac.amplitude_t * b_ac.phase_integral(t0, t0 + L)
-            _rotate_z_inplace(v, phase)
-        else:
-            _, phase, _angle, width, _t0 = op
-            rotate_drive(v, omega_eff, delta_s + x, phase, width)
-            x = ou_step(x, width, bath, rng)[1]
+    A pulse rotates with the detuning frozen at its start; one exact
+    noise.ou_transition draw pair per step then gives the OU integral over
+    the gap and the value at its end, the pulse being the transition's lead.
+    """
+    n = v.shape[1]
+    vx, vy, _ = v
+    work = np.empty((9, n))  # rotate_drive scratch, reused by the free precession
+    t, f, p = work[:3]
+    z1, z2, delta = np.empty((3, n))
+    x = np.zeros(n)
+    noisy = bath.b > 0
+    if noisy:
+        x = blocks.normals(x) * bath.b
+    for pulse, L, t0 in steps:
+        lead = 0.0
+        if pulse is not None:
+            phase, lead = pulse
+            np.add(delta_s, x, out=delta)
+            rotate_drive(v, omega_eff, delta, phase, lead, work)
+        # free precession about z by phi = delta_s L + OU integral + AC phase:
+        # with t = tan(phi / 2) and f = 2 / (1 + t^2), cos = f - 1, sin = f t
+        np.multiply(delta_s, L, out=t)
+        if noisy:
+            integral, x = ou_transition(lead, L, bath).apply(x, blocks.normals(z1), blocks.normals(z2))
+            t += integral
+        if b_ac is not None:
+            t += GAMMA_E * b_ac.amplitude_t * b_ac.phase_integral(t0, t0 + L)
+        t *= 0.5
+        np.tan(t, out=t)
+        np.multiply(t, t, out=f)
+        f += 1.0
+        np.divide(2.0, f, out=f)
+        t *= f
+        f -= 1.0
+        np.multiply(vy, t, out=p)
+        t *= vx
+        vx *= f
+        vx -= p
+        vy *= f
+        vy += t
     return x
 
 
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
-    ops = _render_finite(seq.elements, pulse_width)
-    # interior ops exclude the final readout pulse, applied per branch
-    interior, final = ops[:-1], ops[-1]
-    assert final[0] == "pulse"
-    n = ensemble.n_spins
+    steps, final = _render_finite(seq.elements, pulse_width)
 
-    def block(bi, lo, hi):
-        rng = _rng_for(ensemble.seed, 0xB0, noise_seed, bi)
+    def run(blocks: _BlockRun):
+        lo, hi = blocks.lo, blocks.hi
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
-        v = np.zeros((hi - lo, 3))
-        v[:, 2] = 1.0
-        x = _evolve_finite(v, interior, omega_eff, delta_s, bath, rng, b_ac)
+        v = np.zeros((3, hi - lo))
+        v[2] = 1.0
+        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks, b_ac)
         sums = []
-        for sign in (+1, -1):
+        for sign in (+1, -1):  # the final readout pulse, per branch
             vb = v.copy()
-            rotate_drive(vb, omega_eff, delta_s + x, _readout_angle(seq, sign), final[3])
-            sums.append(float(np.sum((1.0 + vb[:, 2]) / 2.0)))
-        return sums
+            rotate_drive(vb, omega_eff, delta, _readout_angle(seq, sign), final[1])
+            sums.append(blocks.block_sums((1.0 + vb[2]) / 2.0))
+        return list(zip(*sums))
 
-    parts = _map_blocks(block, n, threads)
-    tot_p = sum(p[0] for p in parts)
-    tot_m = sum(p[1] for p in parts)
-    return tot_p / n, tot_m / n
+    parts = _map_blocks(run, ensemble, 0xB0, noise_seed, threads)
+    n = ensemble.n_spins
+    return sum(p for p, _ in parts) / n, sum(m for _, m in parts) / n
 
 
 def equatorial_survival(
@@ -370,17 +432,18 @@ def equatorial_survival(
             train, ensemble, bath, None, shift, key=0xE0, noise_seed=noise_seed, threads=threads
         )
 
-    ops = _render_finite(train.elements, pulse_width)
-    v0 = np.array([math.cos(initial_phase), math.sin(initial_phase), 0.0])
+    steps, _ = _render_finite(train.elements, pulse_width)
+    ca, sa = math.cos(initial_phase), math.sin(initial_phase)
 
-    def block(bi, lo, hi):
-        rng = _rng_for(ensemble.seed, 0xE0, noise_seed, bi)
+    def run(blocks: _BlockRun):
+        lo, hi = blocks.lo, blocks.hi
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
-        v = np.tile(v0, (hi - lo, 1))
-        _evolve_finite(v, ops, omega_eff, ensemble.delta_static[lo:hi], bath, rng)
-        return float(np.sum(v @ v0))
+        v = np.zeros((3, hi - lo))
+        v[0], v[1] = ca, sa
+        _evolve_finite(v, steps, omega_eff, ensemble.delta_static[lo:hi], bath, blocks)
+        return blocks.block_sums(v[0] * ca + v[1] * sa)
 
-    return sum(_map_blocks(block, n, threads)) / n
+    return sum(_map_blocks(run, ensemble, 0xE0, noise_seed, threads)) / n
 
 
 def ensemble_rabi_curve(ensemble: EnsembleSample, durations) -> np.ndarray:

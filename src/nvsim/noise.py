@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -94,35 +95,68 @@ def sigma_from_t2star(t2_star: float) -> float:
     return math.sqrt(2.0) / t2_star
 
 
-def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
-    """One exact joint update of the OU value and its integral over L seconds.
+class OUTransition(NamedTuple):
+    """Gaussian law of (integral over an interval, value at its end) given
+    the value x at the start: with independent standard normals z1, z2,
 
-    Given the values x at the start, returns (integral over [t, t + L],
-    values at t + L).  The pair is Gaussian with known covariance
-    (Gillespie, Phys. Rev. E 54, 2084 (1996)); its Cholesky factor takes
-    two standard normals per path, z1 then z2.  L = 0 or b = 0 draws
-    nothing.
+        integral = int_x x + a21 z1 + a22 z2,    end = end_x x + a11 z1.
     """
-    if L == 0.0 or bath.b == 0.0:
-        return np.zeros_like(x), x
+
+    int_x: float
+    end_x: float
+    a11: float
+    a21: float
+    a22: float
+
+    def apply(self, x, z1, z2):
+        """(integrals, end values) for start values x and normals z1, z2."""
+        return self.int_x * x + self.a21 * z1 + self.a22 * z2, self.end_x * x + self.a11 * z1
+
+
+def ou_transition(lead: float, L: float, bath: OUBath) -> OUTransition:
+    """Exact joint law of the OU integral over L seconds and the value at
+    its end, reached after `lead` unintegrated seconds from the start value.
+
+    Over L alone (lead = 0) the pair is Gaussian with the covariance of
+    Gillespie, Phys. Rev. E 54, 2084 (1996), factored by Cholesky.  The
+    lead scales both means by e^(-lead/tau_c) and adds the variance
+    b^2 (1 - e^(-2 lead/tau_c)) of the value it hands on, along
+    g = (tau_c (1 - mu), mu) with mu = e^(-L/tau_c).  With lead = 0 that
+    term is exactly zero, so the coefficients are those of L alone.
+    """
     b, tau = bath.b, bath.tau_c
     h = L / tau
     mu = math.exp(-h)
     one_minus_mu = -math.expm1(-h)
-    v11 = b * b * (-math.expm1(-2.0 * h))
-    v12 = b * b * tau * one_minus_mu**2
     # g2 = 2h - 3 + 4 e^-h - e^-2h, series-protected for small h
     if h < 0.01:
         g2 = (2.0 / 3.0) * h**3 - 0.5 * h**4 + (7.0 / 30.0) * h**5
     else:
         g2 = 2.0 * h - 3.0 + 4.0 * mu - mu * mu
-    v22 = b * b * tau * tau * g2
+    g_int = tau * one_minus_mu
+    c = b * b * -math.expm1(-2.0 * lead / tau)
+    v11 = b * b * (-math.expm1(-2.0 * h)) + c * mu * mu
+    v12 = b * b * tau * one_minus_mu**2 + c * g_int * mu
+    v22 = b * b * tau * tau * g2 + c * g_int * g_int
     a11 = math.sqrt(v11)
-    a21 = v12 / a11
+    a21 = v12 / a11 if a11 > 0.0 else 0.0
     a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
+    lead_mu = math.exp(-lead / tau)
+    return OUTransition(g_int * lead_mu, mu * lead_mu, a11, a21, a22)
+
+
+def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
+    """One exact joint update of the OU value and its integral over L seconds.
+
+    Given the values x at the start, returns (integral over [t, t + L],
+    values at t + L), drawn from ou_transition(0.0, L, bath) with two
+    standard normals per path, z1 then z2.  L = 0 or b = 0 draws nothing.
+    """
+    if L == 0.0 or bath.b == 0.0:
+        return np.zeros_like(x), x
     z1 = rng.standard_normal(len(x))
     z2 = rng.standard_normal(len(x))
-    return tau * one_minus_mu * x + a21 * z1 + a22 * z2, mu * x + a11 * z1
+    return ou_transition(0.0, L, bath).apply(x, z1, z2)
 
 
 def sample_ou_segment_integrals(

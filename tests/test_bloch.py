@@ -123,28 +123,32 @@ def test_driven_agrees_with_ideal_rotation():
 )
 def test_rotate_drive_matches_rk4(s, omega, phase, delta, duration):
     # the engine's exact constant-drive kernel against the RK4 integrator
-    v = s.as_array()[None, :]
+    v = s.as_array()[:, None]
     rotate_drive(v, omega, delta, phase, duration)
     drv = DriveParams(omega, phase, delta, duration)
     want = evolve_driven(s, drv, dt=duration / 400).as_array()
-    assert np.linalg.norm(v[0] - want) < 1e-6
+    assert np.linalg.norm(v[:, 0] - want) < 1e-6
 
 
 def test_rotate_drive_per_vector_parameters():
-    # per-spin omega and delta arrays act row by row, like scalar calls
+    # per-spin omega and delta arrays act column by column, like scalar calls
     rng = np.random.default_rng(3)
-    v = rng.normal(size=(5, 3))
+    v = rng.normal(size=(3, 5))
     omega = rng.uniform(0.0, 3e7, 5)
     delta = np.array([0.0, -2e7, 1e6, 0.0, 4e7])
     omega[3] = 0.0  # zero axis
     v0 = v.copy()
     want = v.copy()
     for i in range(5):
-        row = want[i : i + 1]
-        rotate_drive(row, omega[i], delta[i], 0.7, 48e-9)
+        col = want[:, i : i + 1]
+        rotate_drive(col, omega[i], delta[i], 0.7, 48e-9)
     rotate_drive(v, omega, delta, 0.7, 48e-9)
     assert np.array_equal(v, want)
-    assert np.array_equal(v[3], v0[3])
+    assert np.array_equal(v[:, 3], v0[:, 3])
+    # three separate component arrays, through a caller's scratch array
+    comps = tuple(v0.copy())
+    rotate_drive(comps, omega, delta, 0.7, 48e-9, work=np.empty((9, 5)))
+    assert np.array_equal(np.array(comps), want)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 2.0])

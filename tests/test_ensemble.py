@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nvsim.bloch import BRIGHT, evolve_free, population_ms0, rotate_ideal
+from nvsim import ensemble
+from nvsim.bloch import BRIGHT, DriveParams, evolve_driven, evolve_free, population_ms0, rotate_ideal
 from nvsim.constants import GAMMA_E
 from nvsim.ensemble import (
     ACField,
@@ -19,8 +20,15 @@ from nvsim.ensemble import (
     sample_ensemble,
 )
 from nvsim.fields import ResonatorSpec, compute_field_map
-from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, sigma_from_t2star
-from nvsim.sequences import Delay, build_cpmg, build_fid, build_hahn_echo, build_xy16
+from nvsim.noise import (
+    AmplitudeErrorModel,
+    OUBath,
+    QuasiStaticSpread,
+    calibrate_bath,
+    ou_chi_exact,
+    sigma_from_t2star,
+)
+from nvsim.sequences import Delay, build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
 
 QUIET = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 10e-6))
 VOL = DetectionVolume(quoted_volume_m3=1.4e-12)
@@ -171,6 +179,27 @@ def test_thread_count_invariance():
     assert r1 == r4  # bit-identical
 
 
+def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
+    # 6000 spins = 3 blocks, the last one partial
+    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
+    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
+    seq = build_xy16(1, 1e-6)
+    workers = []
+
+    class RecordingPool(ensemble.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+    runs = [
+        run_two_branch(seq, ens, nm.bath, noise_seed=5, pulse_width=48e-9, threads=t)
+        for t in (1, 2, 3, 4)
+    ]
+    assert all(r == runs[0] for r in runs)  # bit-identical
+    assert workers == [2, 3, 3]  # never more threads than blocks
+
+
 @pytest.mark.parametrize("pulse_width", [None, 48e-9], ids=["ideal", "finite"])
 def test_equatorial_survival_thread_count_invariance(pulse_width):
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
@@ -197,6 +226,48 @@ def test_finite_pulses_match_ideal_on_resonance():
     p_plus, p_minus = run_two_branch(seq, ens, QUIET.bath, pulse_width=48e-9)
     assert p_plus == pytest.approx(1.0, abs=1e-9)
     assert p_minus == pytest.approx(0.0, abs=1e-9)
+
+
+def test_finite_pulses_match_ideal_under_ou_noise():
+    # XY16-4 at chi ~ 1 from the OU bath alone: the pulse+gap transitions of
+    # the finite engine against the one-draw ideal engine
+    bath = calibrate_bath(9e-6, 10e-6)
+    seq = build_xy16(4, 2e-6)
+    times, total_t = pulse_times(seq)
+    chi = ou_chi_exact(times, total_t, bath)
+    assert 0.9 < chi < 1.1
+    n = 20000
+    nm = NoiseModel(QuasiStaticSpread(0.0), bath)
+    ens = sample_ensemble(VOL, None, nm, n, 9, rabi_angular_freq=math.pi / 1e-9)
+    finite = run_two_branch(seq, ens, bath, pulse_width=1e-9, noise_seed=3)
+    ideal = run_two_branch(seq, ens, bath, noise_seed=3)
+    # per spin the ideal p+ is (1 - cos xi)/2 with xi ~ N(mu, 2 chi), mu = 0 mod pi
+    var = ((1.0 + math.exp(-4.0 * chi)) / 2.0 - math.exp(-2.0 * chi)) / 4.0
+    se = math.sqrt(2.0 * var / n)  # of the difference of two independent means
+    assert ideal[0] - ideal[1] == pytest.approx(math.exp(-chi), abs=5 * 2 * math.sqrt(var / n))
+    for got, want in zip(finite, ideal):
+        assert abs(got - want) < 5 * se
+
+
+def test_finite_engine_matches_rk4_composition_with_static_detuning():
+    # one noiseless spin: rectangular pulses centered on their ideal
+    # instants, integrated by RK4, and exact free precession in between
+    width = 48e-9
+    for seq in (build_fid(0.8e-6), build_hahn_echo(1.6e-6), build_xy16(1, 0.4e-6), build_cpmg(3, 0.5e-6)):
+        for d, eps in ((2 * math.pi * 1.3e6, 0.0), (-2 * math.pi * 0.7e6, 0.03)):
+            ens = EnsembleSample(np.zeros((1, 3)), np.array([OMEGA]), np.array([d]), np.array([eps]), 0)
+            got, _ = run_two_branch(seq, ens, OUBath(0.0, 1e-5), pulse_width=width)
+            s, pending, prev_half = BRIGHT, 0.0, 0.0
+            for e in seq.elements:
+                if isinstance(e, Delay):
+                    pending += e.tau
+                    continue
+                w = e.angle / math.pi * width
+                if pending:
+                    s = evolve_free(s, pending - prev_half - w / 2, d)
+                s = evolve_driven(s, DriveParams(OMEGA * (1 + eps), e.phase, d, w))
+                pending, prev_half = 0.0, w / 2
+            assert got == pytest.approx(population_ms0(s), abs=1e-7)
 
 
 def test_finite_pulse_overlap_rejected():

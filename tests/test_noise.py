@@ -1,5 +1,6 @@
 """Noise models: OU sampling exactness, closed forms, bath calibration."""
 
+import hashlib
 import math
 from decimal import Decimal, getcontext
 
@@ -17,6 +18,7 @@ from nvsim.noise import (
     chi_fid_ou,
     ou_chi_exact,
     ou_step,
+    ou_transition,
     sample_ou_segment_integrals,
     sigma_from_t2star,
 )
@@ -115,6 +117,65 @@ def test_segment_integral_sampler_zero_length_segment():
     rng = np.random.default_rng(6)
     I = sample_ou_segment_integrals(BATH, np.array([0.0, 1e-6, 1e-6, 2e-6]), 1000, rng)
     assert np.all(I[:, 1] == 0.0) and np.all(np.isfinite(I))
+
+
+def _gillespie_step_coefficients(L, bath):
+    """Reference: the single-interval OU step written out term by term, the
+    Cholesky factor of Gillespie's covariance of (value at the end, integral)."""
+    b, tau = bath.b, bath.tau_c
+    h = L / tau
+    mu = math.exp(-h)
+    one_minus_mu = -math.expm1(-h)
+    v11 = b * b * (-math.expm1(-2.0 * h))
+    v12 = b * b * tau * one_minus_mu**2
+    if h < 0.01:
+        g2 = (2.0 / 3.0) * h**3 - 0.5 * h**4 + (7.0 / 30.0) * h**5
+    else:
+        g2 = 2.0 * h - 3.0 + 4.0 * mu - mu * mu
+    v22 = b * b * tau * tau * g2
+    a11 = math.sqrt(v11)
+    a21 = v12 / a11
+    a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
+    return tau * one_minus_mu, mu, a11, a21, a22
+
+
+def _law(tr):
+    """Mean coefficients and covariance of (integral, end value) from a transition."""
+    cov = np.array([[tr.a21**2 + tr.a22**2, tr.a21 * tr.a11], [tr.a21 * tr.a11, tr.a11**2]])
+    return np.array([tr.int_x, tr.end_x]), cov
+
+
+H_GRID = [1e-4, 3e-3, 0.01, 0.2, 1.0, 10.0]
+
+
+@pytest.mark.parametrize("h_lead", H_GRID)
+@pytest.mark.parametrize("h", H_GRID)
+def test_ou_transition_composes_two_steps(h_lead, h):
+    # lead then L as two single-interval laws: the lead's end value, with
+    # mean end_x x and variance a11^2, is the start of the integrated L
+    lead_law = ou_transition(0.0, h_lead * BATH.tau_c, BATH)
+    step = ou_transition(0.0, h * BATH.tau_c, BATH)
+    mean_step, cov_step = _law(step)
+    want_mean = mean_step * lead_law.end_x
+    want_cov = cov_step + lead_law.a11**2 * np.outer(mean_step, mean_step)
+    mean, cov = _law(ou_transition(h_lead * BATH.tau_c, h * BATH.tau_c, BATH))
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert cov.ravel() == pytest.approx(want_cov.ravel(), rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-4, 0.005, 0.00999, 0.01, 0.3, 1.0, 4.0, 30.0])
+def test_ou_transition_without_lead_is_the_single_step(h):
+    got = tuple(ou_transition(0.0, h * BATH.tau_c, BATH))
+    assert got == _gillespie_step_coefficients(h * BATH.tau_c, BATH)  # bit-equal
+
+
+def test_segment_integral_sampler_bytes_frozen():
+    # the stepper's draw order and arithmetic, pinned at a fixed seed
+    bounds = np.array([0.0, 1e-9, 2e-6, 2.05e-6, 30e-6, 130e-6])
+    rng = np.random.Generator(np.random.Philox(7))
+    out = sample_ou_segment_integrals(OUBath(3e5, 10e-6), bounds, 64, rng)
+    digest = hashlib.sha256(out.tobytes()).hexdigest()
+    assert digest == "d139401cf00b2bc9f959073f60c932c546132832b0f5e9d50e44d4c3db10b7d6"
 
 
 def _chi_decimal(times, total_t, bath) -> float:
