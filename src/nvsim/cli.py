@@ -221,8 +221,8 @@ def _run_resolution(cfg, out, outputs):
     )
     write_curve_csv(
         _output(out, outputs, "resolution.csv"),
-        ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t"],
-        [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t],
+        ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t", "min_field_stderr_t"],
+        [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t, res.min_field_stderr_t],
     )
     write_sensitivity_csv(_output(out, outputs, "report.csv"), ac.report)
     outputs["loglog_slope"] = repr(res.loglog_slope)

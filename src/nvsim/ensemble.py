@@ -90,6 +90,14 @@ class ACField:
             return math.sin(self.phase_rad) * (t1 - t0)
         return (math.cos(w * t0 + self.phase_rad) - math.cos(w * t1 + self.phase_rad)) / w
 
+    def phase_integrals(self, bounds: np.ndarray) -> np.ndarray:
+        """phase_integral over each interval [bounds[k], bounds[k + 1]], as one array."""
+        w = 2.0 * math.pi * self.freq_hz
+        if w == 0.0:
+            return math.sin(self.phase_rad) * np.diff(bounds)
+        c = np.cos(w * bounds + self.phase_rad)
+        return (c[:-1] - c[1:]) / w
+
 
 @dataclass(frozen=True)
 class DetectionVolume:
@@ -246,9 +254,7 @@ def _mean_cos_ideal(seq, ensemble, bath, b_ac, shift, *, key, noise_seed, thread
     static_coeff = float(np.sum(signs * np.diff(bounds)))
     phi_ac = 0.0
     if b_ac is not None:
-        phi_ac = GAMMA_E * b_ac.amplitude_t * sum(
-            s * b_ac.phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs)
-        )
+        phi_ac = GAMMA_E * b_ac.amplitude_t * float(signs @ b_ac.phase_integrals(bounds))
     sigma = math.sqrt(2.0 * ou_chi_exact(bounds[1:-1], bounds[-1], bath))
     base = pattern + phi_ac - shift
 

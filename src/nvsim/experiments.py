@@ -30,13 +30,7 @@ from .fitting import (
     fit_stretched_exp,
 )
 from .noise import OUBath
-from .readout import (
-    ReadoutModel,
-    process_two_branch,
-    process_single_branch,
-    readout_shot_std,
-    simulate_shot_stream,
-)
+from .readout import ReadoutModel, process_two_branch, processed_shot_stream, readout_shot_std
 from .sequences import SWEEP_FAMILIES, PulseSequence, pulse_times
 
 DEFAULT_AC_PHASE = math.pi / 2.0
@@ -133,8 +127,8 @@ def run_rabi(
         rng = np.random.default_rng(seed)
         meas = np.empty_like(pop)
         for i, p in enumerate(pop):
-            w = simulate_shot_stream(p, p, readout, shots, rng)
-            meas[i] = 1.0 + float(np.mean(process_single_branch(w))) / (readout.v0_v * readout.contrast)
+            vals = processed_shot_stream(p, p, readout, shots, rng, "single_branch")
+            meas[i] = 1.0 + float(np.mean(vals)) / (readout.v0_v * readout.contrast)
         pop = meas
     fit = fit_damped_sine(durations, pop)
     f = float(fit.params[2])
@@ -280,13 +274,7 @@ def run_ac_magnetometry(
         p_plus, p_minus = run_two_branch(
             seq, ensemble, bath, ac, noise_seed=noise_seed + 104729 * i, threads=threads
         )
-        stream = simulate_shot_stream(p_plus, p_minus, readout, shots, rng)
-        if processing == "two_branch":
-            vals = process_two_branch(stream)
-        elif processing == "single_branch":
-            vals = process_single_branch(stream)
-        else:
-            raise ValueError(f"unknown processing mode {processing!r}")
+        vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)
         mean_v[i] = float(np.mean(vals))
         std_v[i] = float(np.std(vals, ddof=1))
         norm[i] = p_plus - p_minus
@@ -314,6 +302,7 @@ class ResolutionResult:
     min_field_t: np.ndarray
     ideal_min_field_t: np.ndarray
     loglog_slope: float
+    min_field_stderr_t: np.ndarray  # standard error of min_field_t from its k block means
 
 
 def resolution_vs_time(single_shot_std: float, max_slope: float, t_seq: float, n_avg) -> tuple[np.ndarray, np.ndarray]:
@@ -341,21 +330,21 @@ def run_resolution(
 
     For each averaging count M the std of non-overlapping M-shot block
     means estimates the averaged-signal noise; at least blocks_per_point
-    blocks are simulated for the largest M.
+    blocks are simulated for the largest M.  A std from k Gaussian block
+    means has relative standard error 1/sqrt(2 (k - 1)).
     """
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     total = int(n_avg[-1]) * blocks_per_point
     rng = np.random.default_rng(seed)
-    stream = simulate_shot_stream(p0_plus, p0_minus, readout, total, rng)
-    s = np.asarray(process_two_branch(stream))
+    s = processed_shot_stream(p0_plus, p0_minus, readout, total, rng)
     min_field = np.empty(len(n_avg))
+    k = total // n_avg
     for i, m in enumerate(n_avg):
-        k = total // int(m)
-        means = s[: k * int(m)].reshape(k, int(m)).mean(axis=1)
+        means = s[: k[i] * int(m)].reshape(k[i], int(m)).mean(axis=1)
         min_field[i] = float(np.std(means, ddof=1)) / max_slope
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
-    return ResolutionResult(n_avg, elapsed, min_field, ideal, slope)
+    return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))
 
 
 # ---------------------------------------------------------------- robustness

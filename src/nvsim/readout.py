@@ -15,6 +15,18 @@ whole shot (laser_fluct_rel) and an optional fast component drawn per
 laser pulse (laser_fluct_fast_rel); an optional random-walk drift knob
 models 1/f-like wander across shots.  Shot noise enters as independent
 Gaussian noise per window with std scaling as 1/sqrt(window width).
+
+Every window is affine in the stream's standard normals: window w of
+branch b is m_w (1 + lam_b) + sigma_w z_w with lam_b = fl z0 + walk +
+ff z_b, m_w the window mean at lam = 0 and walk the running sum of
+drift steps.  So any fixed combination of the four windows (a row of
+weights over s1, r1, s2, r2) is folded into one array as the normals
+arrive, never holding the windows themselves.  The draw order is fixed:
+n_shots normals each for the slow laser z0, the drift steps (only when
+laser_drift_step_rel is set), the fast laser of branch 1 and of branch
+2, then the noise of s1, r1, s2 and r2.  Each block is drawn in
+SHOT_CHUNK pieces from the one generator, which yields the same normals
+as a single call, so the working set beyond the output is one chunk.
 """
 
 from __future__ import annotations
@@ -53,6 +65,55 @@ class ReadoutModel:
         return self.shot_noise_v * math.sqrt(self.s_window_s / self.r_window_s)
 
 
+SHOT_CHUNK = 2**16  # shots drawn per generator call; the results do not depend on it
+
+WINDOWS = ("s1", "r1", "s2", "r2")
+
+# weights over WINDOWS of each processed output
+PROCESSING_ROWS = {
+    "two_branch": (1.0, -1.0, -1.0, 1.0),
+    "single_branch": (1.0, -1.0, 0.0, 0.0),
+}
+
+
+def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
+    """(k, n_shots) array of rows @ (s1, r1, s2, r2), folded draw by draw."""
+    for p in (p0_plus, p0_minus):
+        if not (0.0 <= p <= 1.0):
+            raise ValueError("populations must lie in [0, 1]")
+    rows = np.asarray(rows, dtype=float)
+    v0, c = model.v0_v, model.contrast
+    weighted = rows * np.array([v0 * (1.0 - c * (1.0 - p0_plus)), v0, v0 * (1.0 - c * (1.0 - p0_minus)), v0])
+    branch = weighted[:, 0::2] + weighted[:, 1::2]  # coefficient of lam_b, per row and branch
+    common = branch[:, 0] + branch[:, 1]  # noise-free output, also the coefficient of the slow laser
+    noise = rows * np.array([model.shot_noise_v, model.r_noise_v, model.shot_noise_v, model.r_noise_v])
+    # (coefficient per row, is the drift walk) for each block of n_shots normals, in draw order
+    blocks = [(model.laser_fluct_rel * common, False)]
+    if model.laser_drift_step_rel:
+        blocks.append((common, True))
+    blocks += [(model.laser_fluct_fast_rel * branch[:, 0], False), (model.laser_fluct_fast_rel * branch[:, 1], False)]
+    blocks += [(noise[:, w], False) for w in range(4)]
+
+    acc = np.zeros((len(rows), n_shots))
+    z = np.empty(min(SHOT_CHUNK, n_shots))
+    for coeff, walk in blocks:
+        carry = 0.0
+        for lo in range(0, n_shots, SHOT_CHUNK):
+            zc = z[: min(SHOT_CHUNK, n_shots - lo)]
+            rng.standard_normal(out=zc)
+            if not coeff.any():
+                continue  # drawn all the same, to keep the order
+            if walk:
+                # the carry joins the chunk's first step, so the walk is summed in one order
+                zc *= model.laser_drift_step_rel
+                zc[0] += carry
+                np.cumsum(zc, out=zc)
+                carry = zc[-1]
+            acc[:, lo : lo + len(zc)] += coeff[:, None] * zc
+    acc += common[:, None]
+    return acc
+
+
 def simulate_shot_stream(
     p0_plus: float,
     p0_minus: float,
@@ -66,21 +127,26 @@ def simulate_shot_stream(
     per shot plus an optional random walk with per-shot step
     laser_drift_step_rel.
     """
-    for p in (p0_plus, p0_minus):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError("populations must lie in [0, 1]")
-    lam_shot = model.laser_fluct_rel * rng.standard_normal(n_shots)
-    if model.laser_drift_step_rel:
-        lam_shot = lam_shot + np.cumsum(model.laser_drift_step_rel * rng.standard_normal(n_shots))
-    lam1 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
-    lam2 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
-    base1 = model.v0_v * (1.0 + lam1)
-    base2 = model.v0_v * (1.0 + lam2)
-    s1 = base1 * (1.0 - model.contrast * (1.0 - p0_plus)) + model.shot_noise_v * rng.standard_normal(n_shots)
-    r1 = base1 + model.r_noise_v * rng.standard_normal(n_shots)
-    s2 = base2 * (1.0 - model.contrast * (1.0 - p0_minus)) + model.shot_noise_v * rng.standard_normal(n_shots)
-    r2 = base2 + model.r_noise_v * rng.standard_normal(n_shots)
-    return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
+    return dict(zip(WINDOWS, _fold(p0_plus, p0_minus, model, n_shots, rng, np.eye(4))))
+
+
+def processed_shot_stream(
+    p0_plus: float,
+    p0_minus: float,
+    model: ReadoutModel,
+    n_shots: int,
+    rng: np.random.Generator,
+    processing: str = "two_branch",
+) -> np.ndarray:
+    """Per-shot processed output, "two_branch" or "single_branch".
+
+    Consumes the same normals as simulate_shot_stream and equals its
+    windows combined by process_two_branch or process_single_branch up
+    to rounding, in one n_shots array.
+    """
+    if processing not in PROCESSING_ROWS:
+        raise ValueError(f"unknown processing mode {processing!r}")
+    return _fold(p0_plus, p0_minus, model, n_shots, rng, [PROCESSING_ROWS[processing]])[0]
 
 
 def process_two_branch(w) -> np.ndarray:

@@ -323,7 +323,7 @@ def test_run_resolution_pipeline(tmp_path):
     rc = run_cli("run", path, "--out", str(tmp_path / "res"))
     assert rc == 0
     lines = (tmp_path / "res" / "resolution.csv").read_text().splitlines()
-    assert lines[0] == "n_avg,elapsed_s,min_field_t,ideal_min_field_t"
+    assert lines[0] == "n_avg,elapsed_s,min_field_t,ideal_min_field_t,min_field_stderr_t"
     manifest = (tmp_path / "res" / "manifest.txt").read_text()
     assert "loglog_slope=" in manifest
 

@@ -159,6 +159,21 @@ def test_ac_phase_closed_form():
     assert p_plus - p_minus == pytest.approx(math.sin(phi), rel=1e-6)
 
 
+@pytest.mark.parametrize("freq_hz", [0.0, 362e3, 1.3e6])
+@pytest.mark.parametrize("n_rep", [1, 15])
+def test_phase_integrals_match_scalar_sum(freq_hz, n_rep):
+    # the ideal engine's one-expression phi_ac against a term-by-term sum of phase_integral
+    seq = build_xy16(n_rep, 1.0 / (2 * 362e3), readout_phase=math.pi / 2)
+    bounds, signs, _ = ensemble._sequence_phase_terms(seq)
+    ac = ACField(3e-9, freq_hz, 0.7)
+    scalar = sum(s * ac.phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs))
+    ints = ac.phase_integrals(bounds)
+    assert ints.shape == (len(bounds) - 1,)
+    assert ints == pytest.approx([ac.phase_integral(a, b) for a, b in zip(bounds[:-1], bounds[1:])], rel=1e-12, abs=1e-22)
+    scale = float(np.sum(np.abs(np.diff(bounds))))
+    assert float(signs @ ints) == pytest.approx(scalar, abs=1e-12 * scale)
+
+
 def test_ac_simulated_phase_matches_oracle_within_1pc():
     ens = quiet_ensemble()
     for n_rep, tau, b0 in ((1, 1e-6, 2e-9), (2, 1.5e-6, 1e-9)):

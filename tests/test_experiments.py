@@ -2,6 +2,7 @@
 AC response, sensitivity arithmetic, resolution curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,26 @@ def test_run_resolution_measured_slope():
     assert res.loglog_slope == pytest.approx(-0.5, abs=0.05)
     # measured matches the analytic shot-noise prediction
     assert np.allclose(res.min_field_t, res.ideal_min_field_t, rtol=0.25)
+
+
+def test_run_resolution_stderr_column():
+    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
+    res = run_resolution(m, 110000.0, 1.47e-3, [10, 100, 1000], blocks_per_point=20, seed=3)
+    k = np.array([2000, 200, 20])
+    assert res.min_field_stderr_t == pytest.approx(res.min_field_t / np.sqrt(2.0 * (k - 1)), rel=1e-15)
+
+
+def test_run_resolution_memory_is_one_stream():
+    # acceptance-7 arguments: 2 M shots; the processed stream is the only n-shot array held
+    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
+    n_shots = 100000 * 20
+    tracemalloc.start()
+    try:
+        run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000, 100000], blocks_per_point=20, seed=71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_shots + 4 * 2**20
 
 
 def test_readout_shot_std_matches_quadrature_sum():

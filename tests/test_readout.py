@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvsim import readout
 from nvsim.readout import (
+    SHOT_CHUNK,
     ReadoutModel,
     expected_two_branch_mean,
     process_two_branch,
     process_single_branch,
+    processed_shot_stream,
     simulate_shot_stream,
 )
 
@@ -189,3 +192,82 @@ def test_laser_drift_random_walk_wanders_raw_windows_not_output():
     # ... while the processed output stays at the shot-noise floor
     expected = math.sqrt(2 * m.shot_noise_v**2 + 2 * m.r_noise_v**2)
     assert np.std(process_two_branch(stream)) == pytest.approx(expected, rel=0.05)
+
+# ---------------------------------------------------------------- the fold against the window formulas
+
+
+def reference_windows(p0_plus, p0_minus, model, n_shots, rng):
+    """The window model written out array by array, drawing whole blocks in the stream's order."""
+    lam_shot = model.laser_fluct_rel * rng.standard_normal(n_shots)
+    if model.laser_drift_step_rel:
+        lam_shot = lam_shot + np.cumsum(model.laser_drift_step_rel * rng.standard_normal(n_shots))
+    lam1 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
+    lam2 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
+    base1 = model.v0_v * (1.0 + lam1)
+    base2 = model.v0_v * (1.0 + lam2)
+    s1 = base1 * (1.0 - model.contrast * (1.0 - p0_plus)) + model.shot_noise_v * rng.standard_normal(n_shots)
+    r1 = base1 + model.r_noise_v * rng.standard_normal(n_shots)
+    s2 = base2 * (1.0 - model.contrast * (1.0 - p0_minus)) + model.shot_noise_v * rng.standard_normal(n_shots)
+    r2 = base2 + model.r_noise_v * rng.standard_normal(n_shots)
+    return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def readout_models(draw):
+    v0 = draw(st.floats(0.01, 10.0))
+    return ReadoutModel(
+        v0_v=v0,
+        contrast=draw(st.floats(1e-3, 0.999)),
+        shot_noise_v=v0 * draw(st.floats(0.0, 1e-2)),
+        laser_fluct_rel=draw(st.floats(0.0, 0.1)),
+        laser_fluct_fast_rel=draw(st.floats(0.0, 0.1)),
+        laser_drift_step_rel=draw(st.sampled_from([0.0, 1e-5, 1e-3])),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    unit,
+    unit,
+    readout_models(),
+    st.sampled_from([1, SHOT_CHUNK - 1, SHOT_CHUNK + 1, 3 * SHOT_CHUNK + 7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
+    ref = reference_windows(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
+    w = simulate_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
+    for name in ("s1", "r1", "s2", "r2"):
+        assert w[name].shape == (n_shots,)
+        assert np.max(np.abs(w[name] - ref[name])) <= 1e-13 * m.v0_v
+    for processing, combine in (("two_branch", process_two_branch), ("single_branch", process_single_branch)):
+        vals = processed_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), processing)
+        assert vals.shape == (n_shots,)
+        assert np.max(np.abs(vals - combine(ref))) <= 4e-15 * m.v0_v
+
+
+def test_fold_leaves_generator_where_the_window_formulas_do():
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=1e-4)
+    rng_ref, rng = np.random.default_rng(11), np.random.default_rng(11)
+    reference_windows(0.4, 0.6, m, 1000, rng_ref)
+    processed_shot_stream(0.4, 0.6, m, 1000, rng)
+    assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+def test_unknown_processing_mode_rejected():
+    with pytest.raises(ValueError, match="processing"):
+        processed_shot_stream(0.5, 0.5, QUIET, 10, np.random.default_rng(0), "three_branch")
+
+
+@pytest.mark.parametrize("processing", ["two_branch", "single_branch"])
+def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, processing):
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=1e-3)
+    n = 3 * 2**16 + 7
+    streams = []
+    for chunk in (1000, 4096, 2**16):
+        monkeypatch.setattr(readout, "SHOT_CHUNK", chunk)
+        streams.append(processed_shot_stream(0.3, 0.6, m, n, np.random.default_rng(12), processing))
+    for other in streams[1:]:
+        assert np.array_equal(other, streams[0])
