@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every shipped experiment config through the CLI into out/."""
+"""Run every shipped experiment config through the CLI.
+
+Outputs go where each config's out_dir says, or with --out DIR into
+DIR/<config name>/ (DIR/resolution/ for resolution.cfg).
+"""
 
 import argparse
 import subprocess
@@ -23,6 +27,7 @@ def main():
     ap.add_argument("--configs", default=None, help="configs directory (default: repo configs/)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--out", default=None, help="write each config's outputs into OUT/<config name>/")
     args = ap.parse_args()
 
     cfg_dir = Path(args.configs) if args.configs else Path(__file__).resolve().parent.parent / "configs"
@@ -33,6 +38,8 @@ def main():
             cmd += ["--seed", str(args.seed)]
         if args.threads is not None:
             cmd += ["--threads", str(args.threads)]
+        if args.out is not None:
+            cmd += ["--out", str(Path(args.out) / Path(name).stem)]
         print(f">>> {name}")
         rc = subprocess.call(cmd)
         if rc != 0:

@@ -127,25 +127,29 @@ def field_of_strip(width: float, current: float, point) -> np.ndarray:
 
 
 def field_of_ring(radius: float, current: float, point, wire_radius: float = 0.0) -> np.ndarray:
-    """(Bx, By, Bz) of a circular loop in the z=0 plane via elliptic integrals."""
-    x, y, z = (float(c) for c in point)
-    rho = math.hypot(x, y)
-    d_to_wire = math.hypot(rho - radius, z)
-    if d_to_wire <= wire_radius or d_to_wire == 0.0:
-        raise ValueError("query point on the conductor")
+    """(Bx, By, Bz) of a circular loop in the z=0 plane via elliptic integrals.
+
+    point = (x, y, z) with x, y and z scalars or broadcastable arrays;
+    returns shape (3, ...).  On the axis the loop's closed form is used.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
     a = radius
-    if rho < 1e-12 * a:
-        bz = MU_0 * current * a * a / (2.0 * (a * a + z * z) ** 1.5)
-        return np.array([0.0, 0.0, bz])
-    denom = (a + rho) ** 2 + z * z
-    m = 4.0 * a * rho / denom
-    Km = float(ellipk(m))
-    Em = float(ellipe(m))
-    pref = MU_0 * current / (2.0 * math.pi * math.sqrt(denom))
-    sub = (a - rho) ** 2 + z * z
-    bz = pref * (Km + Em * (a * a - rho * rho - z * z) / sub)
-    brho = pref * (z / rho) * (-Km + Em * (a * a + rho * rho + z * z) / sub)
-    return np.array([brho * x / rho, brho * y / rho, bz])
+    rho = np.hypot(x, y)
+    d_to_wire = np.hypot(rho - a, z)
+    if np.any((d_to_wire <= wire_radius) | (d_to_wire == 0.0)):
+        raise ValueError("query point on the conductor")
+    axis = rho < 1e-12 * a
+    r = np.where(axis, 0.5 * a, rho)  # any off-axis radius: the axis points take the closed form below
+    denom = (a + r) ** 2 + z * z
+    m = 4.0 * a * r / denom
+    Km = ellipk(m)
+    Em = ellipe(m)
+    pref = MU_0 * current / (2.0 * math.pi * np.sqrt(denom))
+    sub = (a - r) ** 2 + z * z
+    bz_axis = MU_0 * current * a * a / (2.0 * (a * a + z * z) ** 1.5)
+    bz = np.where(axis, bz_axis, pref * (Km + Em * (a * a - r * r - z * z) / sub))
+    brho = np.where(axis, 0.0, pref * (z / r) * (-Km + Em * (a * a + r * r + z * z) / sub))
+    return np.array([brho * x / r, brho * y / r, bz])
 
 
 def _cwr_field_2d(spec: ResonatorSpec, current: float, x, z):
@@ -265,13 +269,7 @@ def compute_field_map(
         bu = np.where(inside, np.nan, bu)
         bv = np.where(inside, np.nan, bv)
     else:
-        bu = np.empty_like(uu)
-        bv = np.empty_like(uu)
-        for i in range(uu.shape[0]):
-            for j in range(uu.shape[1]):
-                bvec = field_of_ring(spec.ring_radius_m, ipk, (uu[i, j], 0.0, vv[i, j]))
-                bu[i, j] = bvec[0]
-                bv[i, j] = bvec[2]
+        bu, _, bv = field_of_ring(spec.ring_radius_m, ipk, (uu, 0.0, vv))
     return FieldMap(spec.kind, u, v, bu, bv)
 
 

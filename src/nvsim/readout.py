@@ -16,17 +16,21 @@ laser pulse (laser_fluct_fast_rel); an optional random-walk drift knob
 models 1/f-like wander across shots.  Shot noise enters as independent
 Gaussian noise per window with std scaling as 1/sqrt(window width).
 
-Every window is affine in the stream's standard normals: window w of
-branch b is m_w (1 + lam_b) + sigma_w z_w with lam_b = fl z0 + walk +
-ff z_b, m_w the window mean at lam = 0 and walk the running sum of
-drift steps.  So any fixed combination of the four windows (a row of
-weights over s1, r1, s2, r2) is folded into one array as the normals
-arrive, never holding the windows themselves.  The draw order is fixed:
-n_shots normals each for the slow laser z0, the drift steps (only when
-laser_drift_step_rel is set), the fast laser of branch 1 and of branch
-2, then the noise of s1, r1, s2 and r2.  Each block is drawn in
-SHOT_CHUNK pieces from the one generator, which yields the same normals
-as a single call, so the working set beyond the output is one chunk.
+Every window is affine in standard normals: window w of branch b is
+m_w (1 + lam_b) + sigma_w z_w with lam_b = fl z0 + walk + ff z_b, m_w the
+window mean at lam = 0 and walk the running sum of drift steps.  Outside
+the walk, the seven normals of a shot (z0, z1, z2 and the four z_w) are
+i.i.d. across shots, so k fixed combinations of the windows (rows of
+weights over s1, r1, s2, r2) are, per shot, exactly mean + R^T w with
+w ~ N(0, I_k), R being the triangular QR factor of A^T for the k x 7
+coefficient matrix A: A A^T = R^T R, also when A is rank-deficient.  A
+stream therefore draws k normals per shot, not 7.  The draw order is
+fixed: first the n_shots drift steps (only when laser_drift_step_rel is
+set), then the k normals of each shot, shot after shot.  Both are drawn
+in SHOT_CHUNK pieces from the one generator, which yields the same
+normals as a single call; the drift walk carries its running sum into
+each chunk's first step, so the bits do not depend on the chunk size and
+the working set beyond the output is one chunk.
 """
 
 from __future__ import annotations
@@ -76,8 +80,13 @@ PROCESSING_ROWS = {
 }
 
 
-def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
-    """(k, n_shots) array of rows @ (s1, r1, s2, r2), folded draw by draw."""
+def shot_law(p0_plus, p0_minus, model: ReadoutModel, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, factor) of rows @ (s1, r1, s2, r2) for one shot, drift walk aside.
+
+    The k outputs are mean + factor @ w with w ~ N(0, I_k), so their
+    covariance is factor @ factor.T; the drift walk adds mean times the
+    running sum of the drift steps.
+    """
     for p in (p0_plus, p0_minus):
         if not (0.0 <= p <= 1.0):
             raise ValueError("populations must lie in [0, 1]")
@@ -85,33 +94,40 @@ def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.G
     v0, c = model.v0_v, model.contrast
     weighted = rows * np.array([v0 * (1.0 - c * (1.0 - p0_plus)), v0, v0 * (1.0 - c * (1.0 - p0_minus)), v0])
     branch = weighted[:, 0::2] + weighted[:, 1::2]  # coefficient of lam_b, per row and branch
-    common = branch[:, 0] + branch[:, 1]  # noise-free output, also the coefficient of the slow laser
+    mean = branch[:, 0] + branch[:, 1]  # noise-free output, also the coefficient of the slow laser
     noise = rows * np.array([model.shot_noise_v, model.r_noise_v, model.shot_noise_v, model.r_noise_v])
-    # (coefficient per row, is the drift walk) for each block of n_shots normals, in draw order
-    blocks = [(model.laser_fluct_rel * common, False)]
-    if model.laser_drift_step_rel:
-        blocks.append((common, True))
-    blocks += [(model.laser_fluct_fast_rel * branch[:, 0], False), (model.laser_fluct_fast_rel * branch[:, 1], False)]
-    blocks += [(noise[:, w], False) for w in range(4)]
+    # coefficient of each i.i.d. normal of a shot, per row: slow laser, fast laser per branch, window noise
+    ff = model.laser_fluct_fast_rel
+    coeff = np.column_stack([model.laser_fluct_rel * mean, ff * branch[:, 0], ff * branch[:, 1], noise])
+    return mean, np.linalg.qr(coeff.T, mode="r").T
 
-    acc = np.zeros((len(rows), n_shots))
-    z = np.empty(min(SHOT_CHUNK, n_shots))
-    for coeff, walk in blocks:
+
+def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
+    """(k, n_shots) array of rows @ (s1, r1, s2, r2), drawn from the shot law in chunks."""
+    mean, factor = shot_law(p0_plus, p0_minus, model, rows)
+    out = np.empty((len(mean), n_shots))
+    out[:] = mean[:, None]
+    if model.laser_drift_step_rel:
+        steps = np.empty(min(SHOT_CHUNK, n_shots))
         carry = 0.0
         for lo in range(0, n_shots, SHOT_CHUNK):
-            zc = z[: min(SHOT_CHUNK, n_shots - lo)]
-            rng.standard_normal(out=zc)
-            if not coeff.any():
-                continue  # drawn all the same, to keep the order
-            if walk:
-                # the carry joins the chunk's first step, so the walk is summed in one order
-                zc *= model.laser_drift_step_rel
-                zc[0] += carry
-                np.cumsum(zc, out=zc)
-                carry = zc[-1]
-            acc[:, lo : lo + len(zc)] += coeff[:, None] * zc
-    acc += common[:, None]
-    return acc
+            walk = steps[: min(SHOT_CHUNK, n_shots - lo)]
+            rng.standard_normal(out=walk)
+            # the carry joins the chunk's first step, so the walk is summed in one order
+            walk *= model.laser_drift_step_rel
+            walk[0] += carry
+            np.cumsum(walk, out=walk)
+            carry = walk[-1]
+            out[:, lo : lo + len(walk)] += mean[:, None] * walk
+    w = np.empty((min(SHOT_CHUNK, n_shots), len(mean)))
+    for lo in range(0, n_shots, SHOT_CHUNK):
+        wc = w[: min(SHOT_CHUNK, n_shots - lo)]
+        rng.standard_normal(out=wc)  # shot-major: the k normals of one shot are adjacent
+        block = out[:, lo : lo + len(wc)]
+        # elementwise, not a matmul, so each shot's sum is rounded the same in any chunk
+        for j in range(len(mean)):
+            block += factor[:, j, None] * wc[:, j]
+    return out
 
 
 def simulate_shot_stream(
@@ -123,9 +139,9 @@ def simulate_shot_stream(
 ) -> dict[str, np.ndarray]:
     """Vectorized window records for n_shots identical-population shots.
 
-    Returns arrays s1, r1, s2, r2.  The slow laser component is one draw
-    per shot plus an optional random walk with per-shot step
-    laser_drift_step_rel.
+    Returns arrays s1, r1, s2, r2, drawn from their exact joint law with
+    four normals per shot, plus the optional random walk with per-shot
+    step laser_drift_step_rel.
     """
     return dict(zip(WINDOWS, _fold(p0_plus, p0_minus, model, n_shots, rng, np.eye(4))))
 
@@ -140,9 +156,9 @@ def processed_shot_stream(
 ) -> np.ndarray:
     """Per-shot processed output, "two_branch" or "single_branch".
 
-    Consumes the same normals as simulate_shot_stream and equals its
-    windows combined by process_two_branch or process_single_branch up
-    to rounding, in one n_shots array.
+    Has the law of simulate_shot_stream's windows combined by
+    process_two_branch or process_single_branch, but draws one normal
+    per shot instead of four, into one n_shots array.
     """
     if processing not in PROCESSING_ROWS:
         raise ValueError(f"unknown processing mode {processing!r}")

@@ -188,6 +188,26 @@ def test_ring_vs_quadrature_oracle_random_points():
         checked += 1
 
 
+def test_ring_points_array_equals_pointwise_calls():
+    R = 2e-3
+    rng = np.random.default_rng(8)
+    pts = rng.uniform([-4e-3, -4e-3, -3e-3], [4e-3, 4e-3, 3e-3], size=(40, 3))
+    # the center, two more axis points, and one in the loop's plane
+    pts[:4] = [[0.0, 0.0, 0.0], [1e-16, 0.0, 1e-3], [0.0, -1e-17, -2e-3], [3e-3, 0.0, 0.0]]
+    grid = pts.T.reshape(3, 8, 5)
+    b = field_of_ring(R, 0.7, grid)
+    assert b.shape == (3, 8, 5)
+    for i in range(8):
+        for j in range(5):
+            one = field_of_ring(R, 0.7, grid[:, i, j])
+            np.testing.assert_allclose(b[:, i, j], one, rtol=1e-14, atol=0.0)
+    # broadcasting a scalar coordinate, as the field map does
+    flat = field_of_ring(R, 0.7, (grid[0], 0.0, grid[2]))
+    np.testing.assert_array_equal(flat, field_of_ring(R, 0.7, (grid[0], np.zeros((8, 5)), grid[2])))
+    with pytest.raises(ValueError, match="conductor"):
+        field_of_ring(R, 0.7, (np.array([1e-3, R]), 0.0, np.array([1e-3, 0.0])))
+
+
 def test_ring_near_wire_universality():
     # close to the conductor every thin loop looks straight: 1/d law
     # (curvature corrections scale as (d/R) ln(R/d))

@@ -196,20 +196,35 @@ def test_laser_drift_random_walk_wanders_raw_windows_not_output():
 # ---------------------------------------------------------------- the fold against the window formulas
 
 
-def reference_windows(p0_plus, p0_minus, model, n_shots, rng):
-    """The window model written out array by array, drawing whole blocks in the stream's order."""
-    lam_shot = model.laser_fluct_rel * rng.standard_normal(n_shots)
-    if model.laser_drift_step_rel:
-        lam_shot = lam_shot + np.cumsum(model.laser_drift_step_rel * rng.standard_normal(n_shots))
-    lam1 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
-    lam2 = lam_shot + model.laser_fluct_fast_rel * rng.standard_normal(n_shots)
-    base1 = model.v0_v * (1.0 + lam1)
-    base2 = model.v0_v * (1.0 + lam2)
-    s1 = base1 * (1.0 - model.contrast * (1.0 - p0_plus)) + model.shot_noise_v * rng.standard_normal(n_shots)
-    r1 = base1 + model.r_noise_v * rng.standard_normal(n_shots)
-    s2 = base2 * (1.0 - model.contrast * (1.0 - p0_minus)) + model.shot_noise_v * rng.standard_normal(n_shots)
-    r2 = base2 + model.r_noise_v * rng.standard_normal(n_shots)
-    return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
+def window_law(p0_plus, p0_minus, model):
+    """Mean and covariance of (s1, r1, s2, r2) per shot, written out from the window formulas.
+
+    s_b = m_s (1 + lam_b) + sigma_s z, r_b = v0 (1 + lam_b) + sigma_r z' with
+    lam_b = fl z0 + ff z_b: windows of one branch share fl^2 + ff^2, of two
+    branches fl^2, and each window adds its own noise variance.  The drift
+    walk is left out: it is not i.i.d. across shots.
+    """
+    v0, c = model.v0_v, model.contrast
+    mean = np.array([v0 * (1.0 - c * (1.0 - p0_plus)), v0, v0 * (1.0 - c * (1.0 - p0_minus)), v0])
+    branch = np.array([0, 0, 1, 1])
+    lam_cov = model.laser_fluct_rel**2 + model.laser_fluct_fast_rel**2 * (branch[:, None] == branch[None, :])
+    noise_var = np.array([model.shot_noise_v, model.r_noise_v, model.shot_noise_v, model.r_noise_v]) ** 2
+    return mean, np.outer(mean, mean) * lam_cov + np.diag(noise_var)
+
+
+ROW_SETS = {
+    "windows": np.eye(4),
+    "two_branch": np.array([readout.PROCESSING_ROWS["two_branch"]]),
+    "single_branch": np.array([readout.PROCESSING_ROWS["single_branch"]]),
+}
+
+
+def documented_stream(p_plus, p_minus, m, n_shots, rng, rows):
+    """The stream rebuilt from the documented draw layout: drift steps first, then k normals per shot."""
+    mean, factor = readout.shot_law(p_plus, p_minus, m, rows)
+    walk = np.cumsum(m.laser_drift_step_rel * rng.standard_normal(n_shots)) if m.laser_drift_step_rel else 0.0
+    w = rng.standard_normal((n_shots, len(mean)))
+    return mean[:, None] * (1.0 + walk) + factor @ w.T
 
 
 unit = st.floats(0.0, 1.0)
@@ -237,23 +252,64 @@ def readout_models(draw):
     st.integers(0, 2**32 - 1),
 )
 def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
-    ref = reference_windows(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
-    w = simulate_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
-    for name in ("s1", "r1", "s2", "r2"):
-        assert w[name].shape == (n_shots,)
-        assert np.max(np.abs(w[name] - ref[name])) <= 1e-13 * m.v0_v
-    for processing, combine in (("two_branch", process_two_branch), ("single_branch", process_single_branch)):
-        vals = processed_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), processing)
-        assert vals.shape == (n_shots,)
-        assert np.max(np.abs(vals - combine(ref))) <= 4e-15 * m.v0_v
+    win_mean, win_cov = window_law(p_plus, p_minus, m)
+    abs_cov = np.abs(win_cov)
+    for name, rows in ROW_SETS.items():
+        mean, factor = readout.shot_law(p_plus, p_minus, m, rows)
+        # rel 1e-12 of the same sums over absolute values, the scale rounding is bound to
+        assert np.all(np.abs(mean - rows @ win_mean) <= 1e-12 * (np.abs(rows) @ win_mean)), name
+        scale = np.sqrt(np.diag(np.abs(rows) @ abs_cov @ np.abs(rows).T))
+        err = np.abs(factor @ factor.T - rows @ win_cov @ rows.T)
+        assert np.all(err <= 1e-12 * np.outer(scale, scale)), name
+        # and the stream is that law, drawn in the documented layout
+        expect = documented_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), rows)
+        if name == "windows":
+            w = simulate_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
+            got, tol = np.array([w[k] for k in readout.WINDOWS]), 1e-13
+        else:
+            got = processed_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), name)[None, :]
+            tol = 4e-15
+        assert got.shape == expect.shape == (len(rows), n_shots)
+        assert np.max(np.abs(got - expect)) <= tol * m.v0_v, name
 
 
-def test_fold_leaves_generator_where_the_window_formulas_do():
-    m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=1e-4)
-    rng_ref, rng = np.random.default_rng(11), np.random.default_rng(11)
-    reference_windows(0.4, 0.6, m, 1000, rng_ref)
-    processed_shot_stream(0.4, 0.6, m, 1000, rng)
-    assert rng.standard_normal() == rng_ref.standard_normal()
+def test_stream_moments_match_the_window_law():
+    """2e5 shots: the window covariance, means and processed stds lie within 5 standard errors of the law."""
+    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=1e-4, laser_fluct_fast_rel=6e-5)
+    n = 200_000
+    p_plus, p_minus = 0.8, 0.3
+    mean, cov = window_law(p_plus, p_minus, m)
+    w = simulate_shot_stream(p_plus, p_minus, m, n, np.random.default_rng(13))
+    x = np.array([w[k] for k in readout.WINDOWS])
+    var = np.diag(cov)
+    assert np.all(np.abs(x.mean(axis=1) - mean) <= 5.0 * np.sqrt(var / n))
+    # a Gaussian sample covariance entry has variance (S_aa S_bb + S_ab^2) / n
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / n)
+    assert np.all(np.abs(np.cov(x) - cov) <= 5.0 * cov_se)
+    for seed, processing in enumerate(("two_branch", "single_branch")):
+        row = np.array(readout.PROCESSING_ROWS[processing])
+        sigma = math.sqrt(row @ cov @ row)
+        vals = processed_shot_stream(p_plus, p_minus, m, n, np.random.default_rng(seed), processing)
+        assert abs(np.std(vals, ddof=1) - sigma) <= 5.0 * sigma / math.sqrt(2.0 * n)
+
+
+def test_fold_advances_generator_by_k_plus_drift_normals_per_shot():
+    n = SHOT_CHUNK + 1000
+    for drift in (0.0, 1e-4):
+        m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=drift)
+        for k, stream in ((4, simulate_shot_stream), (1, processed_shot_stream)):
+            rng_ref, rng = np.random.default_rng(11), np.random.default_rng(11)
+            rng_ref.standard_normal((k + (drift > 0)) * n)
+            stream(0.4, 0.6, m, n, rng)
+            assert rng.standard_normal() == rng_ref.standard_normal(), (k, drift)
+
+
+def test_zero_noise_law_is_rank_deficient_and_exact():
+    # no laser, no shot noise: the factor is zero and every shot is the mean
+    mean, factor = readout.shot_law(0.2, 0.9, QUIET, np.eye(4))
+    assert not factor.any()
+    w = simulate_shot_stream(0.2, 0.9, QUIET, 5, np.random.default_rng(14))
+    assert all(np.array_equal(w[k], np.full(5, mu)) for k, mu in zip(readout.WINDOWS, mean))
 
 
 def test_unknown_processing_mode_rejected():
@@ -261,13 +317,20 @@ def test_unknown_processing_mode_rejected():
         processed_shot_stream(0.5, 0.5, QUIET, 10, np.random.default_rng(0), "three_branch")
 
 
-@pytest.mark.parametrize("processing", ["two_branch", "single_branch"])
-def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, processing):
+STREAMS = {
+    "two_branch": lambda m, n, rng: processed_shot_stream(0.3, 0.6, m, n, rng, "two_branch"),
+    "single_branch": lambda m, n, rng: processed_shot_stream(0.3, 0.6, m, n, rng, "single_branch"),
+    "windows": lambda m, n, rng: np.array(list(simulate_shot_stream(0.3, 0.6, m, n, rng).values())),
+}
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, stream):
     m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=1e-3)
     n = 3 * 2**16 + 7
     streams = []
     for chunk in (1000, 4096, 2**16):
         monkeypatch.setattr(readout, "SHOT_CHUNK", chunk)
-        streams.append(processed_shot_stream(0.3, 0.6, m, n, np.random.default_rng(12), processing))
+        streams.append(STREAMS[stream](m, n, np.random.default_rng(12)))
     for other in streams[1:]:
         assert np.array_equal(other, streams[0])
