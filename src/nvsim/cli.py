@@ -1,7 +1,7 @@
 """Config-driven command line: `simulate run|validate|fieldmap <config>`.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure
-(non-convergent primary fit, calibration bracket failure).
+(non-convergent primary fit, bath calibration failure).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .noise import MAX_TAU_C_RATIO
-from .sequences import SWEEP_FAMILIES
+from .sequences import SWEEP_FAMILIES, render_finite
 
 EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "fieldmap")
 RESONATORS = ("uniform", "cwr", "ring", "wire")
@@ -195,7 +195,15 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 f"key 'finite_pulses': only the coherence sweeps {tuple(SWEEP_FAMILIES)} "
                 f"model finite pulses, not {cfg.experiment!r}"
             )
-        _check_sweep_pulse_overlap(cfg)
+        # the gaps grow with T, so the sweep's shortest point decides
+        seq = SWEEP_FAMILIES[cfg.experiment](cfg.n_repeats, cfg.t_min_s, 0.0)
+        try:
+            render_finite(seq.elements, cfg.pi_time_s)
+        except ValueError as exc:
+            raise ConfigError(
+                f"key 'pi_time_s': {cfg.pi_time_s:g} s pulses at t_min_s = {cfg.t_min_s:g} s "
+                f"({seq.n_pi_pulses} pi pulses): {exc}"
+            ) from None
 
     warnings = []
     if cfg.experiment == "ac_sense" and cfg.tau_s > 0:
@@ -216,24 +224,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             "pulses overlap significant dephasing"
         )
     return warnings
-
-
-def _check_sweep_pulse_overlap(cfg: RunConfig) -> None:
-    """Reject finite pulses that overlap at the sweep's shortest point.
-
-    Timing is center to center and the pi/2 pulses last pi_time_s / 2, so
-    the edge delay tau/2 must hold 3/4 pi_time_s (a pi/2 and a pi half),
-    with tau = t_min_s / n_pi; the interior delays tau then hold the
-    pi_time_s of two pi halves.  FID must hold its two pi/2 halves.
-    """
-    n_pi = SWEEP_FAMILIES[cfg.experiment][1](cfg.n_repeats)
-    need = 1.5 * cfg.pi_time_s * n_pi if n_pi else 0.5 * cfg.pi_time_s
-    if cfg.t_min_s < need:
-        raise ConfigError(
-            f"key 'pi_time_s': finite pulses overlap at t_min_s = {cfg.t_min_s:g} s "
-            f"({n_pi} pi pulses, tau = {cfg.t_min_s / max(n_pi, 1):g} s); "
-            f"t_min_s must be >= {need:g} s for pi_time_s = {cfg.pi_time_s:g} s"
-        )
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -11,25 +11,28 @@ Two evolution paths share the noise model:
   an ideal pi pulse at phase phi acts on the equatorial coherence
   c = x + iy as c -> e^(i theta) c and c -> e^(2 i phi) conj(c); folding
   the whole train gives c_final = e^(i Xi) c0 with
-  Xi = theta_pattern + pi*(n mod 2) + sum_k (-1)^(n-k) theta_k.
+  Xi = theta_pattern + pi*(n mod 2) + (-1)^n sum_k y_k theta_k, with the
+  toggling signs y_k of sequences.toggling_segments and theta_pattern =
+  2 (-1)^n sum_k y_k phi_k over the pi pulses of sequences.pi_train.
   Xi is offset + m delta + phi_ac + phi_OU, linear in the spin's static
-  detuning and in its OU path, and phi_OU = sum_k (-1)^(n-k) int_k x(t) dt
+  detuning and in its OU path, and phi_OU = (-1)^n sum_k y_k int_k x(t) dt
   is a fixed linear functional of a Gaussian process.  It is therefore
   exactly N(0, 2 chi) with chi = noise.ou_chi_exact of the same toggling
   function, so one standard normal per spin samples it without error.
   The branch populations follow in closed form.
 
-* finite rectangular pulses: piecewise-constant fields are exact
-  rotations (bloch.rotate_drive), composed per spin with the pulse axis
-  tilted by the detuning at the pulse's start and the angle scaled by
-  Omega_i (1 + eps_i).  Each pulse is paired with the free interval
-  after it: the detuning needs only the OU value at the pulse's start,
-  and one exact draw pair from noise.ou_transition(width, L) gives the
-  OU integral over the gap (the free-precession phase) and the value at
-  its end, so a spin takes 1 + 2 normals per pulse+gap step
-  (1 + 2 * 65 for XY16-4, whose readout pulse has no gap).  The
-  state is a (3, n) array, one contiguous row per Bloch component, and
-  the free precession rotates its x and y rows in place.
+* finite rectangular pulses (rendered by sequences.render_finite):
+  piecewise-constant fields are exact rotations (bloch.rotate_drive),
+  composed per spin with the pulse axis tilted by the detuning at the
+  pulse's start and the angle scaled by Omega_i (1 + eps_i).  Each pulse
+  is paired with the free interval after it: the detuning needs only the
+  OU value at the pulse's start, and one exact draw pair from
+  noise.ou_transition(width, L) gives the OU integral over the gap (the
+  free-precession phase) and the value at its end, so a spin takes
+  1 + 2 normals per pulse+gap step (1 + 2 * 65 for XY16-4, whose readout
+  pulse has no gap).  The state is a (3, n) array, one contiguous row per
+  Bloch component, and the free precession rotates its x and y rows in
+  place.
 
 Noise is drawn in fixed-size spin blocks, each from its own
 counter-based substream keyed on (seed, key, noise_seed, block).
@@ -59,7 +62,7 @@ from .noise import (
     ou_chi_exact,
     ou_transition,
 )
-from .sequences import Delay, PulseSequence, pi_pulse_phases, pulse_times
+from .sequences import PiTrain, PulseSequence, pi_train, render_finite, toggling_segments
 
 SPIN_BLOCK = 2048
 # blocks evolved as one array: bounds a run's memory and keeps its arrays in cache
@@ -83,20 +86,12 @@ class ACField:
     freq_hz: float
     phase_rad: float = 0.0
 
-    def phase_integral(self, t0: float, t1: float) -> float:
-        """Integral of sin(2 pi f t + phase) over [t0, t1]."""
+    def phase_integrals(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Integral of sin(2 pi f t + phase) over each interval [t0[k], t1[k]]."""
         w = 2.0 * math.pi * self.freq_hz
         if w == 0.0:
             return math.sin(self.phase_rad) * (t1 - t0)
-        return (math.cos(w * t0 + self.phase_rad) - math.cos(w * t1 + self.phase_rad)) / w
-
-    def phase_integrals(self, bounds: np.ndarray) -> np.ndarray:
-        """phase_integral over each interval [bounds[k], bounds[k + 1]], as one array."""
-        w = 2.0 * math.pi * self.freq_hz
-        if w == 0.0:
-            return math.sin(self.phase_rad) * np.diff(bounds)
-        c = np.cos(w * bounds + self.phase_rad)
-        return (c[:-1] - c[1:]) / w
+        return (np.cos(w * t0 + self.phase_rad) - np.cos(w * t1 + self.phase_rad)) / w
 
 
 @dataclass(frozen=True)
@@ -229,33 +224,25 @@ def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads
         return [r for part in pool.map(fn, runs) for r in part]
 
 
-def _sequence_phase_terms(seq: PulseSequence):
-    """Segment bounds, toggling signs and pattern phase of the pi-train."""
-    times, total_t = pulse_times(seq)
-    n = len(times)
-    bounds = np.concatenate(([0.0], times, [total_t]))
-    signs = (-1.0) ** (n - np.arange(n + 1))
-    pattern = 2.0 * np.sum(pi_pulse_phases(seq) * signs[1:])
-    return bounds, signs, pattern
-
-
 def _readout_angle(seq: PulseSequence, sign: int) -> float:
     return seq.readout_phase + (math.pi if sign > 0 else 0.0)
 
 
-def _mean_cos_ideal(seq, ensemble, bath, b_ac, shift, *, key, noise_seed, threads) -> float:
-    """Ensemble mean of cos(Xi - shift) under ideal pi pulses.
+def _mean_cos_ideal(train: PiTrain, ensemble, bath, b_ac, shift, *, key, noise_seed, threads) -> float:
+    """Ensemble mean of cos(Xi - shift) under the ideal pi train.
 
     Xi = pattern + m delta_i + phi_ac + sigma z_i with sigma = sqrt(2 chi)
     and one standard normal z_i per spin from the (seed, key, noise_seed,
     block) substream.
     """
-    bounds, signs, pattern = _sequence_phase_terms(seq)
+    bounds, signs = toggling_segments(train.times, train.total_t)
+    signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
+    pattern = 2.0 * np.sum(train.phases * signs[1:])
     static_coeff = float(np.sum(signs * np.diff(bounds)))
     phi_ac = 0.0
     if b_ac is not None:
-        phi_ac = GAMMA_E * b_ac.amplitude_t * float(signs @ b_ac.phase_integrals(bounds))
-    sigma = math.sqrt(2.0 * ou_chi_exact(bounds[1:-1], bounds[-1], bath))
+        phi_ac = GAMMA_E * b_ac.amplitude_t * float(signs @ b_ac.phase_integrals(bounds[:-1], bounds[1:]))
+    sigma = math.sqrt(2.0 * ou_chi_exact(train.times, train.total_t, bath))
     base = pattern + phi_ac - shift
 
     def run(blocks: _BlockRun):
@@ -288,55 +275,14 @@ def run_two_branch(
         return _run_two_branch_finite(
             seq, ensemble, bath, b_ac, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
+    train = pi_train(seq)
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
-    shift = _readout_angle(seq, +1) - math.pi * (seq.n_pi_pulses % 2)
+    shift = _readout_angle(seq, +1) - math.pi * (len(train.times) % 2)
     m = _mean_cos_ideal(
-        seq, ensemble, bath, b_ac, shift, key=0xB0, noise_seed=noise_seed, threads=threads
+        train, ensemble, bath, b_ac, shift, key=0xB0, noise_seed=noise_seed, threads=threads
     )
     # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
     return (1.0 - m) / 2.0, (1.0 + m) / 2.0
-
-
-def _render_finite(elements, pulse_width: float):
-    """Pulse+gap steps of the train rendered with rectangular pulses
-    centered on their ideal instants.
-
-    Returns (steps, last): each step is (pulse, L, t0), a pulse (phase,
-    width), or None for a gap before the first pulse, followed by the free
-    interval [t0, t0 + L]; last is the final pulse when no delay follows
-    it, else None.  A pulse of nominal angle theta lasts
-    theta/pi * pulse_width, so the pi/2 pulses are half-width.  Delays are
-    shortened by the half-widths of the adjacent pulses (center-to-center
-    timing); raises if neighboring pulses would overlap.
-    """
-    steps = []
-    t = 0.0
-    pending_gap = 0.0
-    seen_delay = False
-    pulse = None
-    for e in elements:
-        if isinstance(e, Delay):
-            pending_gap += e.tau
-            seen_delay = True
-            continue
-        width = e.angle / math.pi * pulse_width
-        if pulse is not None or seen_delay:
-            gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0) - width / 2.0
-            if gap < -1e-15:
-                raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-            steps.append((pulse, max(gap, 0.0), t))
-            t += max(gap, 0.0)
-        pending_gap = 0.0
-        seen_delay = False
-        pulse = (e.phase, width)
-        t += width
-    if seen_delay:
-        gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0)
-        if gap < -1e-15:
-            raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-        steps.append((pulse, max(gap, 0.0), t))
-        pulse = None
-    return steps, pulse
 
 
 def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=None) -> np.ndarray:
@@ -356,7 +302,11 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
     noisy = bath.b > 0
     if noisy:
         x = blocks.normals(x) * bath.b
-    for pulse, L, t0 in steps:
+    if b_ac is not None:
+        starts = np.array([t0 for _, _, t0 in steps])
+        ends = starts + np.array([L for _, L, _ in steps])
+        phi_ac = GAMMA_E * b_ac.amplitude_t * b_ac.phase_integrals(starts, ends)
+    for k, (pulse, L, _) in enumerate(steps):
         lead = 0.0
         if pulse is not None:
             phase, lead = pulse
@@ -369,7 +319,7 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
             integral, x = ou_transition(lead, L, bath).apply(x, blocks.normals(z1), blocks.normals(z2))
             t += integral
         if b_ac is not None:
-            t += GAMMA_E * b_ac.amplitude_t * b_ac.phase_integral(t0, t0 + L)
+            t += phi_ac[k]
         t *= 0.5
         np.tan(t, out=t)
         np.multiply(t, t, out=f)
@@ -387,7 +337,7 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
 
 
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
-    steps, final = _render_finite(seq.elements, pulse_width)
+    steps, final = render_finite(seq.elements, pulse_width)
 
     def run(blocks: _BlockRun):
         lo, hi = blocks.lo, blocks.hi
@@ -423,22 +373,21 @@ def equatorial_survival(
     Prepares v0 = (cos a, sin a, 0), runs the interior pi pulses and
     delays of `seq` (the pi/2 pulses are skipped), and returns the
     ensemble mean of v_final . v0: the surviving projection on the
-    prepared axis.  Used for pulse-error robustness comparisons.
+    prepared axis.  Used for pulse-error robustness comparisons.  Raises
+    ValueError where sequences.pi_train does.
     """
-    train = PulseSequence(
-        tuple(e for e in seq.elements if isinstance(e, Delay) or abs(e.angle - math.pi) < 1e-12),
-        seq.label,
-    )
+    train = pi_train(seq)
     n = ensemble.n_spins
 
     if pulse_width is None:
         # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
-        shift = 2.0 * initial_phase * (train.n_pi_pulses % 2)
+        shift = 2.0 * initial_phase * (len(train.times) % 2)
         return _mean_cos_ideal(
             train, ensemble, bath, None, shift, key=0xE0, noise_seed=noise_seed, threads=threads
         )
 
-    steps, _ = _render_finite(train.elements, pulse_width)
+    # pi_train has checked that everything between the pi/2 pulses is the train
+    steps, _ = render_finite(seq.elements[1:-1], pulse_width)
     ca, sa = math.cos(initial_phase), math.sin(initial_phase)
 
     def run(blocks: _BlockRun):

@@ -40,8 +40,9 @@ def make_coherence_builder(family: str, n_repeats: int = 1, readout_phase: float
     """(builder, pi_count) for a total-free-time parametrized sequence."""
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown sequence family {family!r}")
-    build, pi_count = SWEEP_FAMILIES[family]
-    return (lambda T: build(n_repeats, T, readout_phase)), pi_count(n_repeats)
+    build = SWEEP_FAMILIES[family]
+    builder = lambda T: build(n_repeats, T, readout_phase)
+    return builder, builder(1.0).n_pi_pulses  # the count does not depend on T
 
 
 # ---------------------------------------------------------------- ODMR

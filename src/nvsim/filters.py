@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .noise import OUBath
-from .sequences import PulseSequence, pulse_times
+from .sequences import PulseSequence, pulse_times, toggling_segments
 
 _ROWS, _COLS = 128, 8  # a block is _COLS runs of _ROWS grid nodes, one _ROWS x (n + 2) phase table
 _NODES = _ROWS * _COLS
@@ -60,14 +60,12 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def _toggling_coefficients(pi_times, total_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge times (0, t_1, ..., t_n, T) and weights c with F(w) = |sum c_k e^(iwt_k)|^2."""
-    t = np.asarray(pi_times, dtype=float)
-    if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= total_t):
+    """Edge times (0, t_1, ..., t_n, T) and weights c with F(w) = |sum c_k e^(iwt_k)|^2,
+    the steps of the toggling sign (zero outside [0, T]) at the edges."""
+    edges, y = toggling_segments(pi_times, total_t)
+    if y.size > 1 and np.any(np.diff(edges) <= 0):
         raise ValueError("pulse times must be strictly increasing within (0, total_t)")
-    n = t.size
-    edges = np.concatenate(([0.0], t, [total_t]))
-    c = np.concatenate(([1.0], 2.0 * (-1.0) ** np.arange(1, n + 1), [(-1.0) ** (n + 1)]))
-    return edges, c
+    return edges, np.diff(np.concatenate(([0.0], y, [0.0])))
 
 
 def filter_weight(pi_times, total_t: float, omega) -> np.ndarray | float:
@@ -88,9 +86,8 @@ def toggling_moment(pi_times, total_t: float) -> float:
     Zero for balanced sequences (echo, CPMG, XY*), T for free induction;
     multiplies static detunings in the accumulated phase.
     """
-    bounds = np.concatenate(([0.0], np.asarray(pi_times, dtype=float), [total_t]))
-    seg = np.diff(bounds)
-    return float(np.sum(seg * (-1.0) ** np.arange(len(seg))))
+    bounds, y = toggling_segments(pi_times, total_t)
+    return float(np.sum(np.diff(bounds) * y))
 
 
 def _abel_sum(edges: np.ndarray, c: np.ndarray, period: float) -> float:

@@ -31,7 +31,7 @@ class CurveFitResult:
     param_names: tuple = ()
 
 
-def _finish(res, n_pts: int, names, rms_bound: float | None = None) -> CurveFitResult:
+def _finish(res, n_pts: int, names) -> CurveFitResult:
     rms = math.sqrt(2.0 * res.cost / n_pts) if n_pts else 0.0
     m = len(res.x)
     # covariance from J^T J, guarded against rank deficiency
@@ -42,19 +42,14 @@ def _finish(res, n_pts: int, names, rms_bound: float | None = None) -> CurveFitR
         stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         pass
-    converged = bool(res.success)
-    if rms_bound is not None:
-        converged = converged and rms <= rms_bound
-    return CurveFitResult(res.x, stderr, rms, converged, tuple(names))
+    return CurveFitResult(res.x, stderr, rms, bool(res.success), tuple(names))
 
 
-def _solve(resid, x0, names, n_pts, bounds=None, rms_bound=None) -> CurveFitResult:
-    kwargs = dict(xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL, max_nfev=MAX_NFEV)
-    if bounds is not None:
-        res = least_squares(resid, x0, bounds=bounds, **kwargs)
-    else:
-        res = least_squares(resid, x0, **kwargs)
-    return _finish(res, n_pts, names, rms_bound)
+def _solve(resid, x0, names, n_pts, bounds=(-np.inf, np.inf)) -> CurveFitResult:
+    res = least_squares(
+        resid, x0, bounds=bounds, xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL, max_nfev=MAX_NFEV
+    )
+    return _finish(res, n_pts, names)
 
 
 def lorentzian_dip(x, x0, fwhm, depth, baseline):
@@ -62,7 +57,7 @@ def lorentzian_dip(x, x0, fwhm, depth, baseline):
     return baseline - depth * hw * hw / ((x - x0) ** 2 + hw * hw)
 
 
-def fit_lorentzian(x, y, rms_bound: float | None = None) -> CurveFitResult:
+def fit_lorentzian(x, y) -> CurveFitResult:
     """Fit a single Lorentzian dip.
 
     Seeds: x0 at the minimum sample, baseline from the edge samples,
@@ -86,14 +81,14 @@ def fit_lorentzian(x, y, rms_bound: float | None = None) -> CurveFitResult:
     def resid(p):
         return lorentzian_dip(x, *p) - y
 
-    return _solve(resid, [x[i0], fwhm, depth, baseline], ("x0", "fwhm", "depth", "baseline"), len(x), rms_bound=rms_bound)
+    return _solve(resid, [x[i0], fwhm, depth, baseline], ("x0", "fwhm", "depth", "baseline"), len(x))
 
 
 def damped_sine(t, a, tau_d, f, c):
     return a * np.exp(-t / tau_d) * np.cos(2.0 * math.pi * f * t) + c
 
 
-def fit_damped_sine(t, y, rms_bound: float | None = None) -> CurveFitResult:
+def fit_damped_sine(t, y) -> CurveFitResult:
     """Fit a * exp(-t/tau_d) cos(2 pi f t) + c; frequency seeded from the
     discrete Fourier peak of the mean-subtracted data."""
     t = np.asarray(t, dtype=float)
@@ -114,7 +109,6 @@ def fit_damped_sine(t, y, rms_bound: float | None = None) -> CurveFitResult:
         ("a", "tau_d", "f", "c"),
         len(t),
         bounds=([0.0, 1e-3 * span, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf]),
-        rms_bound=rms_bound,
     )
 
 
@@ -136,7 +130,7 @@ def stretched_exp(t, a, t2, p):
     return out
 
 
-def fit_stretched_exp(t, y, rms_bound: float | None = None) -> CurveFitResult:
+def fit_stretched_exp(t, y) -> CurveFitResult:
     """Fit a exp(-(t/t2)^p) with p in [0.5, 3].
 
     Seeds from a log-log linear regression of -ln(y/a0) on ln t using the
@@ -170,7 +164,6 @@ def fit_stretched_exp(t, y, rms_bound: float | None = None) -> CurveFitResult:
         ("a", "t2", "p"),
         len(t),
         bounds=([0.0, t[t > 0].min() / 100.0, 0.5], [np.inf, t[-1] * 1e3, 3.0]),
-        rms_bound=rms_bound,
     )
 
 
@@ -178,7 +171,7 @@ def sine_through_origin(x, a, k):
     return a * np.sin(k * x)
 
 
-def fit_sine(x, y, with_offset: bool = False, rms_bound: float | None = None) -> CurveFitResult:
+def fit_sine(x, y, with_offset: bool = False) -> CurveFitResult:
     """Fit a sin(k x) (optionally + c), seeded from the Fourier peak over
     the sweep, falling back to a quarter-period guess for short sweeps."""
     x = np.asarray(x, dtype=float)
@@ -202,9 +195,9 @@ def fit_sine(x, y, with_offset: bool = False, rms_bound: float | None = None) ->
         def resid(p):
             return p[0] * np.sin(p[1] * x) + p[2] - y
 
-        return _solve(resid, [a0, k0, float(np.mean(y))], ("a", "k", "c"), len(x), rms_bound=rms_bound)
+        return _solve(resid, [a0, k0, float(np.mean(y))], ("a", "k", "c"), len(x))
 
     def resid(p):
         return sine_through_origin(x, *p) - y
 
-    return _solve(resid, [a0, k0], ("a", "k"), len(x), rms_bound=rms_bound)
+    return _solve(resid, [a0, k0], ("a", "k"), len(x))

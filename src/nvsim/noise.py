@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .sequences import toggling_segments
 
 # Above this ratio the echo response to the bath is effectively
 # quasi-static and a finite calibration target cannot plausibly be
@@ -205,14 +206,11 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
     to cancellation.  Independent of the frequency-domain route in
     filters.coherence_analytic.
     """
-    seg = np.diff(np.concatenate(([0.0], np.asarray(pi_times, dtype=float), [total_t])))
-    if np.any(seg < 0):
-        raise ValueError("pulse times must lie within [0, total_t] in order")
+    bounds, signs = toggling_segments(pi_times, total_t)
     tau = bath.tau_c
     acc = 0.0
     r = 0.0
-    y = 1.0
-    for L in seg.tolist():
+    for L, y in zip(np.diff(bounds).tolist(), signs.tolist()):
         h = L / tau
         g = -math.expm1(-h)
         if h < 0.01:
@@ -221,17 +219,17 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
             diag = h + math.expm1(-h)
         acc += diag + y * g * r
         r = math.exp(-h) * r + y * g
-        y = -y
     return bath.b**2 * tau * tau * acc
 
 
 def calibrate_bath(target_t2: float, tau_c: float) -> OUBath:
-    """Find the OU coupling b such that the echo coherence hits 1/e at target_t2.
+    """The OU coupling b at which the echo coherence hits 1/e at target_t2.
 
-    Uses bracketed root finding on the closed-form echo exponent (which is
-    exactly quadratic in b, so the bracket is certain).  tau_c above
+    The echo exponent is exactly b^2 chi_1 with chi_1 = ou_chi_exact at
+    b = 1, so b = 1/sqrt(chi_1) in closed form.  tau_c above
     MAX_TAU_C_RATIO * target_t2 is rejected: in that regime the bath is
-    quasi-static and the echo barely decays at the target time.
+    quasi-static and the echo barely decays at the target time.  Raises
+    ValueError if chi_1 is not finite and positive.
     """
     if target_t2 <= 0:
         raise ValueError("target_t2 must be > 0")
@@ -240,11 +238,7 @@ def calibrate_bath(target_t2: float, tau_c: float) -> OUBath:
             f"tau_c = {tau_c} exceeds {MAX_TAU_C_RATIO} * target_t2: "
             "quasi-static bath, echo calibration is ill-conditioned"
         )
-    chi_unit = float(chi_echo_ou(target_t2, OUBath(1.0, tau_c)))
-    b0 = 1.0 / math.sqrt(chi_unit)
-    f = lambda b: float(chi_echo_ou(target_t2, OUBath(b, tau_c))) - 1.0
-    lo, hi = 0.5 * b0, 2.0 * b0
-    if not (f(lo) < 0 < f(hi)):
-        raise ValueError("calibration bracket failure")
-    b = brentq(f, lo, hi, rtol=1e-9)
-    return OUBath(float(b), tau_c)
+    chi_unit = ou_chi_exact([target_t2 / 2.0], target_t2, OUBath(1.0, tau_c))
+    if not (math.isfinite(chi_unit) and chi_unit > 0.0):
+        raise ValueError(f"echo exponent at b = 1 is {chi_unit!r}, not finite and positive")
+    return OUBath(1.0 / math.sqrt(chi_unit), tau_c)

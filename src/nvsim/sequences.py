@@ -12,12 +12,17 @@ With readout_phase = 0 the +1 branch of a noiseless sequence returns
 the bright state (p0 = 1); readout_phase = pi/2 selects the quadrature
 used for AC sensing, where the branch difference is odd in the
 accumulated phase.
+
+Only this module reads a sequence's timing: pi_train parses it into the
+ideal-pulse view, toggling_segments gives segment bounds and toggling
+signs, and render_finite renders finite pulses by the one overlap rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +71,7 @@ class PulseSequence:
 
     @property
     def n_pi_pulses(self) -> int:
-        return sum(
-            1 for e in self.elements if isinstance(e, Pulse) and abs(e.angle - math.pi) < 1e-12
-        )
+        return len(pi_train(self).times)
 
     @property
     def total_free_time(self) -> float:
@@ -161,38 +164,107 @@ def build_xy16(n_repeats: int, tau: float, readout_sign: int = +1, readout_phase
 
 
 # Coherence-sweep families, parametrized by the total free time T:
-# family -> (build(n_repeats, T, readout_phase), pi-pulse count for n_repeats)
+# family -> build(n_repeats, T, readout_phase)
 SWEEP_FAMILIES = {
-    "fid": (lambda n, T, ph: build_fid(T, readout_phase=ph), lambda n: 0),
-    "echo": (lambda n, T, ph: build_hahn_echo(T, readout_phase=ph), lambda n: 1),
-    "cpmg": (lambda n, T, ph: build_cpmg(n, T / n, readout_phase=ph), lambda n: n),
-    "xy4": (lambda n, T, ph: build_xy4(n, T / (4 * n), readout_phase=ph), lambda n: 4 * n),
-    "xy8": (lambda n, T, ph: build_xy8(n, T / (8 * n), readout_phase=ph), lambda n: 8 * n),
-    "xy16": (lambda n, T, ph: build_xy16(n, T / (16 * n), readout_phase=ph), lambda n: 16 * n),
+    "fid": lambda n, T, ph: build_fid(T, readout_phase=ph),
+    "echo": lambda n, T, ph: build_hahn_echo(T, readout_phase=ph),
+    "cpmg": lambda n, T, ph: build_cpmg(n, T / n, readout_phase=ph),
+    "xy4": lambda n, T, ph: build_xy4(n, T / (4 * n), readout_phase=ph),
+    "xy8": lambda n, T, ph: build_xy8(n, T / (8 * n), readout_phase=ph),
+    "xy16": lambda n, T, ph: build_xy16(n, T / (16 * n), readout_phase=ph),
 }
 
 
-def pulse_times(seq: PulseSequence):
-    """Center times of all pi pulses plus the total free-evolution duration.
+class PiTrain(NamedTuple):
+    """Ideal-pulse view of a sequence: pi-pulse center times and phases, total free time."""
 
-    Pulses are placed at the instant reached by the accumulated delays
-    (instantaneous rendering; with finite widths these are center times).
+    times: np.ndarray
+    phases: np.ndarray
+    total_t: float
+
+
+def pi_train(seq: PulseSequence) -> PiTrain:
+    """Parse seq into its pi pulses, each at the instant the delays reach.
+
+    The ideal view reads the first pulse as the (pi/2)_x preparation, the
+    last as the readout pulse of seq's readout branch, and every pulse in
+    between as an instantaneous pi toggle.  Raises ValueError for any pulse
+    it would drop or misread, and for pi times not strictly increasing.
     """
+    elems = seq.elements
+    ends = (Pulse(PH_X, math.pi / 2.0), _final_pulse(seq.readout_sign, seq.readout_phase))
+    if len(elems) < 2 or (elems[0], elems[-1]) != ends:
+        raise ValueError(f"{seq.label}: the ideal-pulse view needs (pi/2)_x first and the readout pulse last")
     t = 0.0
-    centers = []
-    for e in seq.elements:
+    times, phases = [], []
+    for e in elems[1:-1]:
         if isinstance(e, Delay):
             t += e.tau
         elif abs(e.angle - math.pi) < 1e-12:
-            centers.append(t)
-    times = np.array(centers)
-    if len(times) > 1 and not np.all(np.diff(times) > 0):
+            times.append(t)
+            phases.append(e.phase)
+        else:
+            raise ValueError(f"{seq.label}: interior pulse {e} is not a pi pulse")
+    if np.any(np.diff(times) <= 0):
         raise ValueError("pi-pulse times are not strictly increasing")
-    return times, t
+    return PiTrain(np.array(times), np.array(phases), t)
 
 
-def pi_pulse_phases(seq: PulseSequence) -> np.ndarray:
-    """Phases of the interior pi pulses, in order."""
-    return np.array(
-        [e.phase for e in seq.elements if isinstance(e, Pulse) and abs(e.angle - math.pi) < 1e-12]
-    )
+def pulse_times(seq: PulseSequence):
+    """Center times of all pi pulses plus the total free-evolution duration."""
+    train = pi_train(seq)
+    return train.times, train.total_t
+
+
+def toggling_segments(pi_times, total_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment bounds (0, t_1, ..., t_n, T) and toggling signs y_k = (-1)^k of
+    the segments [bounds[k], bounds[k + 1]] (Cywinski et al., PRB 77, 174509
+    (2008)).  Raises ValueError unless the times lie in [0, total_t] in order.
+    """
+    bounds = np.concatenate(([0.0], np.asarray(pi_times, dtype=float), [total_t]))
+    if np.any(np.diff(bounds) < 0):
+        raise ValueError("pulse times must lie within [0, total_t] in order")
+    return bounds, (-1.0) ** np.arange(bounds.size - 1)
+
+
+def render_finite(elements, pulse_width: float):
+    """Pulse+gap steps of the train rendered with rectangular pulses
+    centered on their ideal instants.
+
+    Returns (steps, last): each step is (pulse, L, t0), a pulse (phase,
+    width), or None for a gap before the first pulse, followed by the free
+    interval [t0, t0 + L]; last is the final pulse when no delay follows
+    it, else None.  A pulse of nominal angle theta lasts
+    theta/pi * pulse_width, so the pi/2 pulses are half-width.  Delays are
+    shortened by the half-widths of the adjacent pulses (center-to-center
+    timing); raises ValueError if neighboring pulses would overlap: the one
+    overlap rule, also for config validation.
+    """
+    steps = []
+    t = 0.0
+    pending_gap = 0.0
+    seen_delay = False
+    pulse = None
+    for e in elements:
+        if isinstance(e, Delay):
+            pending_gap += e.tau
+            seen_delay = True
+            continue
+        width = e.angle / math.pi * pulse_width
+        if pulse is not None or seen_delay:
+            gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0) - width / 2.0
+            if gap < -1e-15:
+                raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
+            steps.append((pulse, max(gap, 0.0), t))
+            t += max(gap, 0.0)
+        pending_gap = 0.0
+        seen_delay = False
+        pulse = (e.phase, width)
+        t += width
+    if seen_delay:
+        gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0)
+        if gap < -1e-15:
+            raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
+        steps.append((pulse, max(gap, 0.0), t))
+        pulse = None
+    return steps, pulse

@@ -264,6 +264,34 @@ def test_run_rejects_finite_pulse_overlap_in_sweep(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# the closed form the renderer's overlap rule reduces to for the sweep families:
+# t_min_s >= 1.5 pi_time_s n_pi (an edge gap tau/2 holds a pi/2 half and a pi half),
+# or 0.5 pi_time_s for FID (its two pi/2 halves)
+OLD_PI_COUNTS = {"fid": lambda n: 0, "echo": lambda n: 1, "cpmg": lambda n: n,
+                 "xy4": lambda n: 4 * n, "xy8": lambda n: 8 * n, "xy16": lambda n: 16 * n}
+
+
+@pytest.mark.parametrize("n_repeats", [1, 16])
+@pytest.mark.parametrize("family", list(OLD_PI_COUNTS))
+def test_finite_pulse_overlap_boundary_matches_closed_form(tmp_path, capsys, family, n_repeats):
+    n_pi = OLD_PI_COUNTS[family](n_repeats)
+    need = 1.5 * 48e-9 * n_pi if n_pi else 0.5 * 48e-9
+    base = f"experiment = {family}\nn_repeats = {n_repeats}\nfinite_pulses = true\npi_time_s = 48e-9\n"
+    assert run_cli("validate", write_cfg(tmp_path, base + f"t_min_s = {1.01 * need!r}\n")) == 0
+    capsys.readouterr()
+    assert run_cli("validate", write_cfg(tmp_path, base + f"t_min_s = {0.99 * need!r}\n")) == 2
+    err = capsys.readouterr().err
+    assert "'pi_time_s'" in err and "t_min_s" in err
+
+
+def test_calibration_failure_is_numerical_exit(tmp_path, capsys):
+    # tau_c = 1e-300 s passes the range checks, but the echo exponent at b = 1
+    # underflows to 0, so no finite b calibrates the bath
+    path = write_cfg(tmp_path, "experiment = echo\nbath_tau_c_s = 1e-300\nn_spins = 16\n")
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
+    assert "bath calibration" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_finite_pulses_rejected_outside_sweeps(tmp_path, capsys, command, experiment):

@@ -2,6 +2,7 @@
 cross-checked against direct single-spin unitary composition."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nvsim.ensemble import (
     sample_ensemble,
 )
 from nvsim.fields import ResonatorSpec, compute_field_map
+from nvsim.filters import coherence_analytic
 from nvsim.noise import (
     AmplitudeErrorModel,
     OUBath,
@@ -28,11 +30,37 @@ from nvsim.noise import (
     ou_chi_exact,
     sigma_from_t2star,
 )
-from nvsim.sequences import Delay, build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
+from nvsim.sequences import (
+    PH_Y,
+    Delay,
+    Pulse,
+    PulseSequence,
+    build_cpmg,
+    build_fid,
+    build_hahn_echo,
+    build_xy16,
+    pulse_times,
+    toggling_segments,
+)
 
 QUIET = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 10e-6))
 VOL = DetectionVolume(quoted_volume_m3=1.4e-12)
 OMEGA = math.pi / 48e-9
+
+
+def _echo_y():
+    echo = build_hahn_echo(2e-6)
+    return replace(echo, elements=(Pulse(PH_Y, math.pi / 2),) + echo.elements[1:])
+
+
+# sequences the ideal view would misread: an interior pi/2 pulse, a (pi/2)_y preparation
+MISREAD = {
+    "pi2-pair": PulseSequence(
+        (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(0.0, math.pi / 2), Delay(1e-6), build_fid(0.0).elements[-1]),
+        "pi2-pair",
+    ),
+    "echo-y": _echo_y(),
+}
 
 
 def quiet_ensemble(n=512, seed=1):
@@ -144,6 +172,20 @@ def test_echo_branch_difference_independent_of_static_detuning():
     assert p_plus - p_minus == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", list(MISREAD))
+def test_ideal_views_reject_sequences_they_would_misread(name):
+    seq = MISREAD[name]
+    ens = quiet_ensemble(16)
+    with pytest.raises(ValueError):
+        run_two_branch(seq, ens, QUIET.bath)
+    with pytest.raises(ValueError):
+        equatorial_survival(seq, ens, QUIET.bath, 0.0)
+    with pytest.raises(ValueError):
+        coherence_analytic(seq, QUIET.bath)
+    with pytest.raises(ValueError):
+        pulse_times(seq)
+
+
 def test_ac_phase_closed_form():
     # p0+/- = (1 +- W sin phi)/2 with phi = (2/pi) gamma B T for the
     # synchronized train (quadrature readout, zero crossings at the pulses).
@@ -162,14 +204,21 @@ def test_ac_phase_closed_form():
 @pytest.mark.parametrize("freq_hz", [0.0, 362e3, 1.3e6])
 @pytest.mark.parametrize("n_rep", [1, 15])
 def test_phase_integrals_match_scalar_sum(freq_hz, n_rep):
-    # the ideal engine's one-expression phi_ac against a term-by-term sum of phase_integral
+    # the one-expression phi_ac against a term-by-term sum of the scalar formula
     seq = build_xy16(n_rep, 1.0 / (2 * 362e3), readout_phase=math.pi / 2)
-    bounds, signs, _ = ensemble._sequence_phase_terms(seq)
+    bounds, signs = toggling_segments(*pulse_times(seq))
     ac = ACField(3e-9, freq_hz, 0.7)
-    scalar = sum(s * ac.phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs))
-    ints = ac.phase_integrals(bounds)
+
+    def phase_integral(t0, t1):
+        w = 2.0 * math.pi * freq_hz
+        if w == 0.0:
+            return math.sin(0.7) * (t1 - t0)
+        return (math.cos(w * t0 + 0.7) - math.cos(w * t1 + 0.7)) / w
+
+    scalar = sum(s * phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs))
+    ints = ac.phase_integrals(bounds[:-1], bounds[1:])
     assert ints.shape == (len(bounds) - 1,)
-    assert ints == pytest.approx([ac.phase_integral(a, b) for a, b in zip(bounds[:-1], bounds[1:])], rel=1e-12, abs=1e-22)
+    assert ints == pytest.approx([phase_integral(a, b) for a, b in zip(bounds[:-1], bounds[1:])], rel=1e-12, abs=1e-22)
     scale = float(np.sum(np.abs(np.diff(bounds))))
     assert float(signs @ ints) == pytest.approx(scalar, abs=1e-12 * scale)
 
@@ -268,7 +317,9 @@ def test_finite_engine_matches_rk4_composition_with_static_detuning():
     # one noiseless spin: rectangular pulses centered on their ideal
     # instants, integrated by RK4, and exact free precession in between
     width = 48e-9
-    for seq in (build_fid(0.8e-6), build_hahn_echo(1.6e-6), build_xy16(1, 0.4e-6), build_cpmg(3, 0.5e-6)):
+    # the finite engine renders every pulse, so it also runs what the ideal view rejects
+    for seq in (build_fid(0.8e-6), build_hahn_echo(1.6e-6), build_xy16(1, 0.4e-6), build_cpmg(3, 0.5e-6),
+                *MISREAD.values()):
         for d, eps in ((2 * math.pi * 1.3e6, 0.0), (-2 * math.pi * 0.7e6, 0.03)):
             ens = EnsembleSample(np.zeros((1, 3)), np.array([OMEGA]), np.array([d]), np.array([eps]), 0)
             got, _ = run_two_branch(seq, ens, OUBath(0.0, 1e-5), pulse_width=width)

@@ -249,6 +249,19 @@ def test_calibrate_bath_round_trip():
     assert math.exp(-float(chi_echo_ou(9e-6, bath))) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("tau_c", [1e-9, 10e-6, 1000 * 9e-6])
+def test_calibrate_bath_is_closed_form(tau_c):
+    # the echo exponent is exactly b^2 chi(b = 1), so the calibrated b puts the
+    # 50-digit exponent at 1; tau_c = 1000 T2 is where chi_echo_ou cancels digits
+    bath = calibrate_bath(9e-6, tau_c)
+    assert _chi_decimal([4.5e-6], 9e-6, bath) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_calibrate_bath_rejects_vanishing_exponent():
+    with pytest.raises(ValueError, match="not finite and positive"):
+        calibrate_bath(9e-6, 1e-300)
+
+
 def test_calibrate_bath_monotonic_in_target():
     b_short = calibrate_bath(9e-6, 10e-6).b
     b_long = calibrate_bath(18e-6, 10e-6).b

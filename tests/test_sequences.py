@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from nvsim.bloch import BRIGHT, evolve_free, population_ms0, rotate_ideal
 from nvsim.sequences import (
+    PH_Y,
+    XY16_PHASES,
     Delay,
     Pulse,
     PulseSequence,
@@ -19,7 +22,7 @@ from nvsim.sequences import (
     build_xy4,
     build_xy8,
     build_xy16,
-    pi_pulse_phases,
+    pi_train,
     pulse_times,
 )
 
@@ -92,13 +95,13 @@ def test_xy16_pulse_counts():
 
 
 def test_xy_prefix_rule():
-    p16 = list(pi_pulse_phases(build_xy16(1, 1e-6)))
-    assert list(pi_pulse_phases(build_xy4(1, 1e-6))) == p16[:4]
-    assert list(pi_pulse_phases(build_xy8(1, 1e-6))) == p16[:8]
+    p16 = list(pi_train(build_xy16(1, 1e-6)).phases)
+    assert list(pi_train(build_xy4(1, 1e-6)).phases) == p16[:4]
+    assert list(pi_train(build_xy8(1, 1e-6)).phases) == p16[:8]
 
 
 def test_xy16_phase_multiset_checksum():
-    phases = pi_pulse_phases(build_xy16(1, 1e-6))
+    phases = pi_train(build_xy16(1, 1e-6)).phases
     counts = Counter(round(p, 9) for p in phases)
     expected = {
         round(0.0, 9): 4,
@@ -110,9 +113,37 @@ def test_xy16_phase_multiset_checksum():
 
 
 def test_xy16_second_half_is_phase_inverted_first_half():
-    p = list(pi_pulse_phases(build_xy16(1, 1e-6)))
+    p = list(pi_train(build_xy16(1, 1e-6)).phases)
     for a, b in zip(p[:8], p[8:]):
         assert (b - a) % (2 * math.pi) == pytest.approx(math.pi)
+
+
+def test_pi_train_parses_times_phases_and_total():
+    train = pi_train(build_xy16(2, 1e-6))
+    assert list(train.phases) == list(XY16_PHASES) * 2
+    assert train.times == pytest.approx([(k - 0.5) * 1e-6 for k in range(1, 33)])
+    assert train.total_t == pytest.approx(32e-6)
+    fid = pi_train(build_fid(3e-6))
+    assert fid.times.size == 0 and fid.phases.size == 0 and fid.total_t == 3e-6
+
+
+def test_pi_train_rejects_pulses_the_ideal_view_would_drop_or_misread():
+    echo = build_hahn_echo(2e-6)
+    first, *middle, last = echo.elements
+    bad = {
+        "interior pi/2": (first, Delay(1e-6), Pulse(0.0, math.pi / 2), Delay(1e-6), last),
+        "(pi/2)_y preparation": (Pulse(PH_Y, math.pi / 2), *middle, last),
+        "leading delay": (Delay(1e-6), first, *middle, last),
+        "trailing delay": (first, *middle, last, Delay(1e-6)),
+        "no readout pulse": (first, Delay(1e-6)),
+    }
+    for name, elements in bad.items():
+        with pytest.raises(ValueError):
+            pi_train(replace(echo, elements=elements))
+    # the last pulse must be the one the readout branch names
+    with pytest.raises(ValueError):
+        pi_train(replace(echo, readout_sign=-1))
+    assert pi_train(echo.with_readout_sign(-1)).times == pytest.approx([1e-6])
 
 
 def test_pulse_times_echo():
