@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from nvsim.experiments import write_curve_csv
-from nvsim.fields import ResonatorSpec, compute_field_map
+from nvsim.fields import ResonatorSpec, drive_field
 
 
 def main():
@@ -22,14 +22,8 @@ def main():
     xs = np.linspace(-args.extent, args.extent, 241)
     cols = {"x_m": xs}
     for kind in ("cwr", "ring", "wire"):
-        spec = ResonatorSpec(kind, standoff_m=args.standoff)
-        m = compute_field_map(
-            spec, u_extent=args.extent, v_range=(0.9 * args.standoff, 1.1 * args.standoff),
-            n_u=241, n_v=5,
-        )
-        iz = int(np.argmin(np.abs(m.v - args.standoff)))
-        mag = m.magnitude()[:, iz]
-        cols[f"b_{kind}_t_per_sqrt_w"] = np.interp(xs, m.u, mag)
+        bx, by, bz = drive_field(ResonatorSpec(kind), xs, 0.0, args.standoff)
+        cols[f"b_{kind}_t_per_sqrt_w"] = np.hypot(np.hypot(bx, by), bz)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(out, list(cols.keys()), list(cols.values()))

@@ -1,7 +1,8 @@
 """Config-driven command line: `simulate run|validate|fieldmap <config>`.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure
-(non-convergent primary fit, bath calibration failure).
+(non-convergent primary fit, a coherence curve with no positive value
+to fit, bath calibration failure).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .experiments import (
     write_shots_csv,
 )
 from .fields import ResonatorSpec, compute_field_map
+from .fitting import FitError
 from .noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath, sigma_from_t2star
 from .readout import ReadoutModel, simulate_shot_stream
 from .sequences import SWEEP_FAMILIES, build_xy16
@@ -88,20 +90,10 @@ def build_ensemble(cfg: RunConfig):
         build_bath(cfg),
         AmplitudeErrorModel(cfg.amp_error_sigma, cfg.amp_error_systematic),
     )
-    if cfg.resonator == "uniform":
-        ens = sample_ensemble(
-            volume,
-            None,
-            noise_model,
-            cfg.n_spins,
-            cfg.seed,
-            rabi_angular_freq=math.pi / cfg.pi_time_s,
-        )
-    else:
-        fmap = compute_field_map(build_resonator_spec(cfg))
-        ens = sample_ensemble(
-            volume, fmap, noise_model, cfg.n_spins, cfg.seed, drive_power_w=cfg.drive_power_w
-        )
+    spec = None if cfg.resonator == "uniform" else build_resonator_spec(cfg)
+    ens = sample_ensemble(
+        volume, spec, noise_model, cfg.n_spins, cfg.seed, rabi_angular_freq=math.pi / cfg.pi_time_s
+    )
     return ens, noise_model
 
 
@@ -153,16 +145,19 @@ def _run_rabi(cfg, out, outputs):
 def _run_coherence(cfg, out, outputs):
     ens, noise_model = build_ensemble(cfg)
     t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
-    res = run_coherence(
-        cfg.experiment,
-        cfg.n_repeats,
-        t_sweep,
-        ens,
-        noise_model.bath,
-        pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
-        noise_seed=cfg.seed + 2,
-        threads=cfg.threads,
-    )
+    try:
+        res = run_coherence(
+            cfg.experiment,
+            cfg.n_repeats,
+            t_sweep,
+            ens,
+            noise_model.bath,
+            pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
+            noise_seed=cfg.seed + 2,
+            threads=cfg.threads,
+        )
+    except FitError as exc:
+        raise NumericalFailure(f"coherence fit: {exc}") from exc
     write_curve_csv(_output(out, outputs, "curve.csv"), ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
     extra = {"t2_s": res.t2_s, "stretch_p": res.stretch_p, "censored": float(res.censored)}
     return _write_fit(out, outputs, res.fit, extra, "coherence fit")
@@ -181,7 +176,7 @@ def _ac_sweep(cfg: RunConfig):
         ens,
         noise_model.bath,
         build_readout(cfg),
-        max(cfg.shots, 2),
+        cfg.shots,
         cfg.t_seq_s,
         ac_phase=cfg.ac_phase_rad,
         noise_seed=cfg.seed + 3,

@@ -51,7 +51,7 @@ class RunConfig:
     laser_pulse_s: float = 400e-6
     # sequence
     n_repeats: int = 16
-    tau_s: float = 0.0                 # 0 -> derived (1/(2 f_ac) for ac_sense)
+    tau_s: float = 0.0                 # 0 -> derived (1/(2 f_ac) for the AC sweeps)
     t_min_s: float = 0.5e-6
     t_max_s: float = 20e-6
     n_points: int = 24
@@ -110,8 +110,11 @@ _NONNEGATIVE = {
 _MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
             "n_freq", "m_min", "m_max", "m_points", "blocks_per_point"}
 
+# the experiments that run the XY16 AC-magnetometry sweep (cli._ac_sweep)
+_AC_SWEEPS = ("ac_sense", "resolution")
 # (key, minimum) for the number of points each experiment's fit needs
-_FIT_POINTS = {"rabi": ("n_points", 8), "ac_sense": ("n_amplitudes", 6), "resolution": ("n_amplitudes", 6)}
+_FIT_POINTS = {"rabi": ("n_points", 8)}
+_FIT_POINTS.update({experiment: ("n_amplitudes", 6) for experiment in _AC_SWEEPS})
 _FIT_POINTS.update({family: ("n_points", 6) for family in SWEEP_FAMILIES})
 
 
@@ -183,8 +186,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
     key, least = _FIT_POINTS.get(cfg.experiment, (None, 0))
     if key and getattr(cfg, key) < least:
         raise ConfigError(f"key '{key}': the {cfg.experiment} fit needs >= {least} points")
-    if cfg.experiment == "ac_sense" and cfg.shots < 2:
-        raise ConfigError("key 'shots': ac_sense needs >= 2 shots to estimate delta_s")
+    if cfg.experiment in _AC_SWEEPS and cfg.shots < 2:
+        raise ConfigError(f"key 'shots': {cfg.experiment} needs >= 2 shots to estimate delta_s")
+    if cfg.resonator == "wire" and cfg.standoff_m <= cfg.wire_diameter_m / 2.0:
+        raise ConfigError("key 'standoff_m': must exceed wire_diameter_m / 2, or spins sit inside the wire")
     if cfg.experiment == "odmr" and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
         raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
     if cfg.experiment == "fieldmap" and cfg.resonator == "uniform":
@@ -206,7 +211,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
             ) from None
 
     warnings = []
-    if cfg.experiment == "ac_sense" and cfg.tau_s > 0:
+    if cfg.experiment in _AC_SWEEPS and cfg.tau_s > 0:
         ideal = 1.0 / (2.0 * cfg.f_ac_hz)
         if abs(cfg.tau_s - ideal) > 0.01 * ideal:
             warnings.append(

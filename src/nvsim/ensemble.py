@@ -53,7 +53,7 @@ import numpy as np
 
 from .bloch import rabi_population, rotate_drive
 from .constants import GAMMA_E
-from .fields import FieldMap, rabi_from_b_vectors
+from .fields import ResonatorSpec, drive_field, rabi_from_b_vectors
 from .noise import (
     NO_AMPLITUDE_ERROR,
     AmplitudeErrorModel,
@@ -96,13 +96,11 @@ class ACField:
 
 @dataclass(frozen=True)
 class DetectionVolume:
-    """Cylindrical optical detection region above the driver plane."""
+    """Cylindrical optical detection region on the z axis, above the driver plane."""
 
     beam_diameter_m: float = 30.0e-6
     depth_m: float = 0.3e-3
     standoff_m: float = 2.0e-4
-    center_x_m: float = 0.0
-    center_y_m: float = 0.0
     quoted_volume_m3: float | None = None
 
     def __post_init__(self):
@@ -140,17 +138,19 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 
 def sample_ensemble(
     volume: DetectionVolume,
-    field: FieldMap | None,
+    spec: ResonatorSpec | None,
     noise: NoiseModel,
     n: int,
     seed: int,
-    drive_power_w: float = 1.0,
-    nv_axis=(0.0, 0.0, 1.0),
+    *,
     rabi_angular_freq: float | None = None,
 ) -> EnsembleSample:
-    """Draw n spins: uniform positions in the cylinder, local Rabi from the
-    field map (or a uniform rabi_angular_freq), static detunings and
-    amplitude errors from the noise model."""
+    """Draw n spins: uniform positions in the cylinder on the z axis, local
+    Rabi from the driver's field at each position and its drive power
+    (or a uniform rabi_angular_freq without a driver), static detunings
+    and amplitude errors from the noise model.  The NV axis is z.  Raises
+    ValueError if a spin's Rabi frequency is not finite (a spin inside
+    the wire's conductor)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng_pos = _rng_for(seed, 1)
@@ -160,18 +160,17 @@ def sample_ensemble(
     r = (volume.beam_diameter_m / 2.0) * np.sqrt(rng_pos.random(n))
     th = 2.0 * math.pi * rng_pos.random(n)
     z = volume.standoff_m + volume.depth_m * rng_pos.random(n)
-    positions = np.column_stack(
-        (volume.center_x_m + r * np.cos(th), volume.center_y_m + r * np.sin(th), z)
-    )
+    positions = np.column_stack((r * np.cos(th), r * np.sin(th), z))
 
-    if field is None:
+    if spec is None:
         if rabi_angular_freq is None:
-            raise ValueError("rabi_angular_freq is required without a field map")
+            raise ValueError("rabi_angular_freq is required without a resonator spec")
         omega = np.full(n, float(rabi_angular_freq))
     else:
-        buv = field.interpolate(positions)  # T per sqrt(W)
-        bvec = np.column_stack((buv[:, 0], np.zeros(n), buv[:, 1])) * math.sqrt(drive_power_w)
-        omega = rabi_from_b_vectors(bvec, nv_axis)
+        b = np.column_stack(drive_field(spec, *positions.T)) * math.sqrt(spec.drive_power_w)
+        omega = rabi_from_b_vectors(b, (0.0, 0.0, 1.0))
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("a spin's Rabi frequency is not finite: the volume reaches into the conductor")
 
     delta = noise.spread.sigma_delta * rng_delta.standard_normal(n)
     eps = noise.amplitude_error.sample(rng_eps, n)
@@ -338,6 +337,8 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
 
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
     steps, final = render_finite(seq.elements, pulse_width)
+    if final is None:
+        raise ValueError("the sequence must end with its readout pulse, not a delay")
 
     def run(blocks: _BlockRun):
         lo, hi = blocks.lo, blocks.hi

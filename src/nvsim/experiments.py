@@ -193,10 +193,9 @@ class SensitivityReport:
     delta_s_v: float
     max_slope_v_per_t: float
     t_seq_s: float
-    n_averages: int = 1
 
 
-def sensitivity_from_slope(delta_s: float, max_slope: float, t_seq: float, n_averages: int = 1) -> SensitivityReport:
+def sensitivity_from_slope(delta_s: float, max_slope: float, t_seq: float) -> SensitivityReport:
     """Minimum detectable field per root bandwidth from one-shot statistics.
 
     eta = (delta_s / max_slope) * sqrt(t_seq); the placement of the
@@ -208,7 +207,7 @@ def sensitivity_from_slope(delta_s: float, max_slope: float, t_seq: float, n_ave
     if max_slope <= 0:
         raise ValueError("max_slope must be > 0 (zero slope rejected)")
     eta = (delta_s / max_slope) * math.sqrt(t_seq)
-    return SensitivityReport(eta, delta_s, max_slope, t_seq, n_averages)
+    return SensitivityReport(eta, delta_s, max_slope, t_seq)
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,11 @@ def run_resolution(
     t_seq: float,
     n_avg_list,
     *,
-    p0_plus: float = 0.5,
-    p0_minus: float = 0.5,
     blocks_per_point: int = 20,
     seed: int = 0,
 ) -> ResolutionResult:
-    """Measured field resolution vs averaging from a simulated shot stream.
+    """Measured field resolution vs averaging from a simulated shot stream
+    at zero signal (p0 = 0.5 in both branches).
 
     For each averaging count M the std of non-overlapping M-shot block
     means estimates the averaged-signal noise; at least blocks_per_point
@@ -337,7 +335,7 @@ def run_resolution(
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     total = int(n_avg[-1]) * blocks_per_point
     rng = np.random.default_rng(seed)
-    s = processed_shot_stream(p0_plus, p0_minus, readout, total, rng)
+    s = processed_shot_stream(0.5, 0.5, readout, total, rng)
     min_field = np.empty(len(n_avg))
     k = total // n_avg
     for i, m in enumerate(n_avg):

@@ -9,8 +9,9 @@ amplitude captures the field shapes.  Geometries, in a common frame:
 * ring : circular loop of radius R in the z=0 plane centered on the origin.
 * wire : straight wire along y at the origin.
 
-All calculators return Tesla per ampere times the geometry shape; maps
-are stored per sqrt(W) of drive power so amplitudes scale as sqrt(P).
+All calculators return Tesla per ampere times the geometry shape;
+drive_field, the field spins read, and the exported grid are per sqrt(W)
+of drive power, so amplitudes scale as sqrt(P).
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ def field_of_wire(current: float, distance: float, wire_radius: float = 0.0) -> 
     return MU_0 * current / (2.0 * math.pi * distance)
 
 
-def wire_field_2d(current: float, x, z, x0: float = 0.0, z0: float = 0.0):
-    """(Bx, Bz) of a wire along y at (x0, z0) carrying +I along +y."""
+def wire_field_2d(current: float, x, z, x0: float = 0.0):
+    """(Bx, Bz) of a wire along y at (x0, 0) carrying +I along +y."""
     dx = np.asarray(x, dtype=float) - x0
-    dz = np.asarray(z, dtype=float) - z0
+    dz = np.asarray(z, dtype=float)
     r2 = dx * dx + dz * dz
     pref = MU_0 * current / (2.0 * math.pi)
     return pref * dz / r2, -pref * dx / r2
@@ -167,9 +168,30 @@ def _cwr_field_2d(spec: ResonatorSpec, current: float, x, z):
     return bx, bz
 
 
+def drive_field(spec: ResonatorSpec, x, y, z):
+    """(Bx, By, Bz) of the driver at points (x, y, z), in T per sqrt(W).
+
+    x, y and z are scalars or broadcastable arrays.  The cwr and the wire
+    are invariant along y (By = 0); points inside the wire's conductor
+    are NaN, and points on a strip or on the ring raise ValueError.
+    """
+    ipk = peak_current_per_sqrt_watt(spec)
+    if spec.kind == "ring":
+        return tuple(field_of_ring(spec.ring_radius_m, ipk, (x, y, z)))
+    if spec.kind == "cwr":
+        bx, bz = _cwr_field_2d(spec, ipk, x, z)
+    else:
+        bx, bz = wire_field_2d(ipk, x, z)
+        inside = np.hypot(x, z) <= spec.wire_diameter_m / 2.0
+        bx = np.where(inside, np.nan, bx)
+        bz = np.where(inside, np.nan, bz)
+    return bx, np.zeros_like(bx), bz
+
+
 @dataclass(frozen=True)
 class FieldMap:
-    """Microwave field amplitude on a regular (u, v) cross-section grid.
+    """Microwave field amplitude on a regular (u, v) cross-section grid,
+    for export: spins read drive_field at their own positions.
 
     u is the lateral coordinate, v the height above the structure plane.
     b_u/b_v are the in-plane field components in T per sqrt(W); the wire
@@ -177,7 +199,6 @@ class FieldMap:
     (u = signed radius in the x-z plane used for profiles/export).
     """
 
-    kind: str
     u: np.ndarray
     v: np.ndarray
     b_u: np.ndarray
@@ -185,43 +206,6 @@ class FieldMap:
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.b_u, self.b_v)
-
-    def interpolate(self, points: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of (Bu, Bv) at (n, 3) xyz points, T/sqrt(W).
-
-        Points are mapped into the (u, v) plane per geometry; raises if any
-        point falls outside the grid.
-        """
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        if self.kind == "ring":
-            u = np.hypot(pts[:, 0], pts[:, 1])
-        else:
-            u = pts[:, 0]
-        v = pts[:, 2]
-        if (
-            u.min() < self.u[0]
-            or u.max() > self.u[-1]
-            or v.min() < self.v[0]
-            or v.max() > self.v[-1]
-        ):
-            raise ValueError("field map does not cover the requested points")
-        iu = np.clip(np.searchsorted(self.u, u) - 1, 0, len(self.u) - 2)
-        iv = np.clip(np.searchsorted(self.v, v) - 1, 0, len(self.v) - 2)
-        fu = (u - self.u[iu]) / (self.u[iu + 1] - self.u[iu])
-        fv = (v - self.v[iv]) / (self.v[iv + 1] - self.v[iv])
-        out = np.empty((len(pts), 2))
-        for j, comp in enumerate((self.b_u, self.b_v)):
-            c00 = comp[iu, iv]
-            c10 = comp[iu + 1, iv]
-            c01 = comp[iu, iv + 1]
-            c11 = comp[iu + 1, iv + 1]
-            out[:, j] = (
-                c00 * (1 - fu) * (1 - fv)
-                + c10 * fu * (1 - fv)
-                + c01 * (1 - fu) * fv
-                + c11 * fu * fv
-            )
-        return out
 
     def to_csv(self) -> str:
         """Grid export with columns x_m, y_m, z_m, Bx_T, By_T, Bz_T, Babs_T.
@@ -248,8 +232,7 @@ def compute_field_map(
     n_u: int = 201,
     n_v: int = 81,
 ) -> FieldMap:
-    """Evaluate the geometry's field on a regular grid, per sqrt(W) of drive."""
-    ipk = peak_current_per_sqrt_watt(spec)
+    """Evaluate drive_field on a regular grid in the y = 0 plane, per sqrt(W)."""
     if u_extent is None:
         u_extent = {
             "cwr": spec.strip_width_m + 2 * (spec.gap_m + spec.ground_width_m),
@@ -261,27 +244,18 @@ def compute_field_map(
     u = np.linspace(-u_extent, u_extent, n_u)
     v = np.linspace(v_range[0], v_range[1], n_v)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    if spec.kind == "cwr":
-        bu, bv = _cwr_field_2d(spec, ipk, uu, vv)
-    elif spec.kind == "wire":
-        bu, bv = wire_field_2d(ipk, uu, vv)
-        inside = np.hypot(uu, vv) <= spec.wire_diameter_m / 2.0
-        bu = np.where(inside, np.nan, bu)
-        bv = np.where(inside, np.nan, bv)
-    else:
-        bu, _, bv = field_of_ring(spec.ring_radius_m, ipk, (uu, 0.0, vv))
-    return FieldMap(spec.kind, u, v, bu, bv)
+    bu, _, bv = drive_field(spec, uu, 0.0, vv)
+    return FieldMap(u, v, bu, bv)
 
 
-def rabi_from_b_vectors(b_vectors: np.ndarray, nv_axis, gamma_e: float = GAMMA_E) -> np.ndarray:
+def rabi_from_b_vectors(b_vectors: np.ndarray, nv_axis) -> np.ndarray:
     """Local Rabi angular frequency Omega = gamma |B1_perp| / 2 for (n, 3) fields.
 
     The factor 1/2 is the rotating-wave reduction of a linearly polarized
-    drive.
+    drive.  |B1_perp| = |B1 x axis|, which keeps its digits when B1 is
+    nearly parallel to the axis (the ring near its own axis).
     """
     axis = np.asarray(nv_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    b = np.asarray(b_vectors, dtype=float)
-    bpar = b @ axis
-    bperp2 = np.sum(b * b, axis=-1) - bpar**2
-    return gamma_e * np.sqrt(np.maximum(bperp2, 0.0)) / 2.0
+    bperp = np.linalg.norm(np.cross(np.asarray(b_vectors, dtype=float), axis), axis=-1)
+    return GAMMA_E * bperp / 2.0

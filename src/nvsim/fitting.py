@@ -22,6 +22,10 @@ MAX_NFEV = 500
 FIT_TOL = 1e-10
 
 
+class FitError(ValueError):
+    """The data admit no fit of the model: a decay with no positive value."""
+
+
 @dataclass(frozen=True)
 class CurveFitResult:
     params: np.ndarray
@@ -134,7 +138,7 @@ def fit_stretched_exp(t, y) -> CurveFitResult:
     """Fit a exp(-(t/t2)^p) with p in [0.5, 3].
 
     Seeds from a log-log linear regression of -ln(y/a0) on ln t using the
-    points with 0.05 a0 < y < 0.95 a0.
+    points with 0.05 a0 < y < 0.95 a0.  Raises FitError if no y is positive.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -142,7 +146,7 @@ def fit_stretched_exp(t, y) -> CurveFitResult:
         raise ValueError("need at least 6 points for a 3-parameter fit")
     a0 = float(np.max(y))
     if a0 <= 0:
-        raise ValueError("data has no positive values to fit a decay")
+        raise FitError("data has no positive values to fit a decay")
     sel = (y > 0.05 * a0) & (y < 0.95 * a0) & (t > 0)
     if np.count_nonzero(sel) >= 2:
         lx = np.log(t[sel])

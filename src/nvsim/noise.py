@@ -178,16 +178,32 @@ def sample_ou_segment_integrals(
     return out
 
 
+# Taylor coefficients of x - 3 + 4 e^(-x/2) - e^-x, the x^k term being
+# (-1)^k (4 / 2^k - 1) / k! for k = 3..12, highest first for np.polyval
+_ECHO_SERIES = [(-1) ** k * (4.0 / 2**k - 1.0) / math.factorial(k) for k in range(12, 2, -1)]
+
+
 def chi_fid_ou(t, bath: OUBath):
-    """Free-induction decoherence exponent under the OU bath."""
+    """Free-induction decoherence exponent under the OU bath.
+
+    x + expm1(-x) with x = t/tau_c, by its Taylor series below x = 0.01,
+    where the two terms cancel.
+    """
     x = np.asarray(t, dtype=float) / bath.tau_c
-    return bath.b**2 * bath.tau_c**2 * (np.exp(-x) + x - 1.0)
+    series = x * x * np.polyval([1.0 / 720.0, -1.0 / 120.0, 1.0 / 24.0, -1.0 / 6.0, 0.5], x)
+    return bath.b**2 * bath.tau_c**2 * np.where(x < 0.01, series, x + np.expm1(-x))
 
 
 def chi_echo_ou(t, bath: OUBath):
-    """Hahn-echo decoherence exponent under the OU bath."""
+    """Hahn-echo decoherence exponent under the OU bath.
+
+    With a = expm1(-x/2), x - 3 + 4 e^(-x/2) - e^-x = x + 2a - a^2; that
+    is O(x^3) from O(x) terms, so below x = 0.25 its Taylor series is used.
+    """
     x = np.asarray(t, dtype=float) / bath.tau_c
-    return bath.b**2 * bath.tau_c**2 * (x - 3.0 + 4.0 * np.exp(-x / 2.0) - np.exp(-x))
+    a = np.expm1(-x / 2.0)
+    series = x**3 * np.polyval(_ECHO_SERIES, x)
+    return bath.b**2 * bath.tau_c**2 * np.where(x < 0.25, series, x + 2.0 * a - a * a)
 
 
 def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:

@@ -61,10 +61,12 @@ def test_negative_t2_star_rejected():
 
 
 def test_unsynchronized_tau_warns_with_both_values():
-    cfg = parse_config_text("experiment = ac_sense\ntau_s = 1.2e-6\nf_ac_hz = 362e3\n")
-    warnings = validate_config(cfg)
-    assert len(warnings) == 1
-    assert "1.2e-06" in warnings[0] and "f_ac" in warnings[0]
+    # both experiments that run the AC sweep
+    for experiment in ("ac_sense", "resolution"):
+        cfg = parse_config_text(f"experiment = {experiment}\ntau_s = 1.2e-6\nf_ac_hz = 362e3\n")
+        warnings = validate_config(cfg)
+        assert len(warnings) == 1
+        assert "1.2e-06" in warnings[0] and "f_ac" in warnings[0]
 
 
 def test_quasistatic_tau_c_rejected_for_calibration():
@@ -292,6 +294,29 @@ def test_calibration_failure_is_numerical_exit(tmp_path, capsys):
     assert "bath calibration" in capsys.readouterr().err
 
 
+def test_coherence_curve_with_no_positive_value_is_numerical_exit(tmp_path, capsys):
+    # at this seed every point of the 50-spin FID curve is <= 0: nothing to fit a decay to
+    path = write_cfg(tmp_path, "experiment = fid\nt_min_s = 5e-6\nt_max_s = 20e-6\nn_points = 6\nn_spins = 50\n")
+    assert run_cli("run", path, "--seed", "46", "--out", str(tmp_path / "out")) == 3
+    assert "coherence fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_wire_standoff_inside_conductor_rejected(tmp_path, capsys, command):
+    # the 20 um wire's radius is 10 um: a 5 um standoff starts the volume inside it
+    path = write_cfg(tmp_path, "experiment = rabi\nresonator = wire\nstandoff_m = 5e-6\ndepth_m = 10e-6\n")
+    rc = run_cli(command, path, "--out", str(tmp_path / "out")) if command == "run" else run_cli(command, path)
+    assert rc == 2
+    assert "'standoff_m'" in capsys.readouterr().err
+
+
+def test_rabi_with_a_resonator_reads_the_field_at_any_depth(tmp_path):
+    # a 1 mm deep volume over the cwr: each spin reads its field in closed form
+    path = write_cfg(tmp_path, "experiment = rabi\nresonator = cwr\ndepth_m = 1e-3\nn_spins = 2000\n")
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 0
+    assert (tmp_path / "out" / "fit.csv").exists()
+
+
 @pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_finite_pulses_rejected_outside_sweeps(tmp_path, capsys, command, experiment):
@@ -310,6 +335,8 @@ def test_finite_pulses_rejected_outside_sweeps(tmp_path, capsys, command, experi
         ("experiment = rabi\nn_points = 7\n", "n_points"),
         ("experiment = ac_sense\nn_amplitudes = 5\n", "n_amplitudes"),
         ("experiment = ac_sense\nshots = 1\n", "shots"),
+        ("experiment = resolution\nn_amplitudes = 5\n", "n_amplitudes"),
+        ("experiment = resolution\nshots = 1\n", "shots"),
         ("experiment = odmr\nn_freq = 20\n", "n_freq"),
     ],
 )

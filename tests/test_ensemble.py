@@ -20,7 +20,7 @@ from nvsim.ensemble import (
     run_two_branch,
     sample_ensemble,
 )
-from nvsim.fields import ResonatorSpec, compute_field_map
+from nvsim.fields import ResonatorSpec
 from nvsim.filters import coherence_analytic
 from nvsim.noise import (
     AmplitudeErrorModel,
@@ -116,24 +116,29 @@ def test_sampling_deterministic_per_seed():
     assert not np.array_equal(a.positions, c.positions)
 
 
-def test_field_map_not_covering_volume_rejected():
-    spec = ResonatorSpec("cwr", standoff_m=2e-4)
-    fmap = compute_field_map(spec, v_range=(1.9e-4, 2.5e-4), n_u=31, n_v=7)
-    big = DetectionVolume(depth_m=5e-3)
-    nm = QUIET
-    with pytest.raises(ValueError):
-        sample_ensemble(big, fmap, nm, 16, 0, drive_power_w=50.0)
-
-
 def test_field_map_sampling_produces_positive_omegas():
-    spec = ResonatorSpec("cwr")
-    fmap = compute_field_map(spec, n_u=101, n_v=21)
-    ens = sample_ensemble(VOL, fmap, QUIET, 256, 5, drive_power_w=50.0)
+    ens = sample_ensemble(VOL, ResonatorSpec("cwr"), QUIET, 256, 5)
     assert np.all(ens.omega > 0)
     # spread is dominated by the 0.3 mm depth, not the 30 um beam width
     assert np.std(ens.omega) / np.mean(ens.omega) < 0.2
     top = ens.positions[:, 2] < np.median(ens.positions[:, 2])
     assert ens.omega[top].mean() > ens.omega[~top].mean()
+
+
+@pytest.mark.parametrize("kind", ["cwr", "ring", "wire"])
+def test_deep_volume_reads_the_field_at_every_depth(kind):
+    # 5 mm deep, far past any grid a field map would tabulate
+    ens = sample_ensemble(DetectionVolume(depth_m=5e-3), ResonatorSpec(kind), QUIET, 2048, 0)
+    assert np.all(np.isfinite(ens.omega)) and np.all(ens.omega > 0)
+    deep = ens.positions[:, 2] > 3e-3
+    assert deep.any() and ens.omega[deep].mean() < ens.omega[~deep].mean()
+
+
+def test_spins_inside_the_wire_rejected():
+    # a 5 um standoff puts the top of the volume inside the 10 um wire radius
+    inside = DetectionVolume(standoff_m=5e-6, depth_m=10e-6)
+    with pytest.raises(ValueError, match="not finite"):
+        sample_ensemble(inside, ResonatorSpec("wire"), QUIET, 256, 0)
 
 
 # ---------------------------------------------------------------- engine
@@ -340,6 +345,16 @@ def test_finite_pulse_overlap_rejected():
     ens = quiet_ensemble(16)
     with pytest.raises(ValueError):
         run_two_branch(build_xy16(1, 40e-9), ens, QUIET.bath, pulse_width=48e-9)
+
+
+def test_finite_engine_rejects_a_trailing_delay():
+    # (pi/2)_x - 1 us - pi_y - 1 us - (pi/2)_-x - 1 us: nothing after the delay to read out
+    seq = PulseSequence(
+        (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(PH_Y, math.pi), Delay(1e-6), Pulse(math.pi, math.pi / 2), Delay(1e-6)),
+        "trailing-delay",
+    )
+    with pytest.raises(ValueError, match="must end with its readout pulse"):
+        run_two_branch(seq, quiet_ensemble(16), QUIET.bath, pulse_width=48e-9)
 
 
 def test_finite_pulses_with_amplitude_error_leave_population_behind():

@@ -8,9 +8,11 @@ import pytest
 from scipy.integrate import quad
 
 from nvsim.constants import GAMMA_E, MU_0
+from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from nvsim.fields import (
     ResonatorSpec,
     compute_field_map,
+    drive_field,
     field_of_ring,
     field_of_strip,
     field_of_wire,
@@ -19,6 +21,7 @@ from nvsim.fields import (
     resonance_enhancement,
     wire_field_2d,
 )
+from nvsim.noise import OUBath, QuasiStaticSpread
 
 
 # ---------------------------------------------------------------- oracles
@@ -328,26 +331,33 @@ def test_peak_current_enhancement():
     assert peak_current_per_sqrt_watt(wire) == pytest.approx(math.sqrt(2 / 50.0), rel=1e-12)
 
 
-def test_map_interpolation_accuracy(maps):
-    m = maps["cwr"]
-    spec = ResonatorSpec("cwr")
+def test_spin_omega_matches_closed_form():
+    # each spin's Omega is gamma |B_perp| sqrt(P) / 2 of the geometry's own
+    # closed form at its position, with B_perp across the NV axis z
     from nvsim.fields import _cwr_field_2d
 
-    ipk = peak_current_per_sqrt_watt(spec)
-    rng = np.random.default_rng(3)
-    pts = np.column_stack(
-        [rng.uniform(-1e-3, 1e-3, 50), np.zeros(50), rng.uniform(1.5e-4, 6e-4, 50)]
-    )
-    got = m.interpolate(pts)
-    bx, bz = _cwr_field_2d(spec, ipk, pts[:, 0], pts[:, 2])
-    exact = np.column_stack([bx, bz])
-    err = np.linalg.norm(got - exact, axis=1) / np.linalg.norm(exact, axis=1)
-    assert np.max(err) < 0.02
+    quiet = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 1e-5))
+    for kind in ("cwr", "ring", "wire"):
+        spec = ResonatorSpec(kind, drive_power_w=30.0)
+        ens = sample_ensemble(DetectionVolume(), spec, quiet, 4000, 7)
+        x, y, z = ens.positions.T
+        ipk = peak_current_per_sqrt_watt(spec)
+        if kind == "cwr":
+            bperp = np.abs(_cwr_field_2d(spec, ipk, x, z)[0])
+        elif kind == "wire":
+            bperp = np.abs(wire_field_2d(ipk, x, z)[0])
+        else:
+            bx, by, _ = field_of_ring(spec.ring_radius_m, ipk, (x, y, z))
+            bperp = np.hypot(bx, by)
+        want = GAMMA_E * bperp * math.sqrt(30.0) / 2.0
+        assert np.allclose(ens.omega, want, rtol=1e-12, atol=0.0), kind
 
 
-def test_map_out_of_bounds_rejected(maps):
-    with pytest.raises(ValueError):
-        maps["cwr"].interpolate(np.array([[0.0, 0.0, 1.0]]))
+def test_drive_field_is_nan_inside_the_wire():
+    spec = ResonatorSpec("wire", wire_diameter_m=20e-6)
+    bx, by, bz = drive_field(spec, np.array([0.0, 3e-6, 0.0]), 0.0, np.array([5e-6, 5e-6, 2e-4]))
+    assert np.isnan(bx[:2]).all() and np.isnan(bz[:2]).all()
+    assert np.isfinite(bx[2]) and bz[2] == 0.0 and np.all(by == 0.0)
 
 
 def test_map_csv_export(maps):

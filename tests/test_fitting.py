@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvsim.fitting import (
+    FitError,
     damped_sine,
     fit_damped_sine,
     fit_lorentzian,
@@ -97,6 +98,12 @@ def test_fit_determinism_bit_for_bit():
     assert np.array_equal(f1.params, f2.params)
     assert np.array_equal(f1.stderr, f2.stderr)
     assert f1.residual_rms == f2.residual_rms
+
+
+def test_stretched_exp_rejects_a_curve_with_no_positive_value():
+    t = np.linspace(1e-6, 20e-6, 6)
+    with pytest.raises(FitError, match="no positive values"):
+        fit_stretched_exp(t, -np.linspace(0.01, 0.002, 6))
 
 
 def test_too_few_points_rejected():

@@ -252,9 +252,18 @@ def test_calibrate_bath_round_trip():
 @pytest.mark.parametrize("tau_c", [1e-9, 10e-6, 1000 * 9e-6])
 def test_calibrate_bath_is_closed_form(tau_c):
     # the echo exponent is exactly b^2 chi(b = 1), so the calibrated b puts the
-    # 50-digit exponent at 1; tau_c = 1000 T2 is where chi_echo_ou cancels digits
+    # 50-digit exponent at 1; tau_c = 1000 T2 is the longest that calibration accepts
     bath = calibrate_bath(9e-6, tau_c)
     assert _chi_decimal([4.5e-6], 9e-6, bath) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("ratio", [100.0, 1000.0, 1e5])
+def test_closed_forms_match_50_digit_reference_at_long_tau_c(ratio):
+    # t << tau_c, where the textbook forms of both exponents cancel digits
+    t = 9e-6
+    bath = OUBath(1.0, ratio * t)
+    assert float(chi_fid_ou(t, bath)) == pytest.approx(_chi_decimal([], t, bath), rel=1e-12, abs=0.0)
+    assert float(chi_echo_ou(t, bath)) == pytest.approx(_chi_decimal([t / 2], t, bath), rel=1e-12, abs=0.0)
 
 
 def test_calibrate_bath_rejects_vanishing_exponent():
