@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_items, format_manifest, parse_config, validate_config
+from .config import ConfigError, RunConfig, averaging_counts, config_items, format_manifest, parse_config, validate_config
 from .ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from .experiments import (
     run_ac_magnetometry,
@@ -203,14 +203,11 @@ def _run_ac_sense(cfg, out, outputs):
 
 def _run_resolution(cfg, out, outputs):
     ac = _ac_sweep(cfg)
-    m_list = np.unique(
-        np.round(np.geomspace(cfg.m_min, cfg.m_max, cfg.m_points)).astype(int)
-    )
     res = run_resolution(
         build_readout(cfg),
         ac.max_slope_v_per_t,
         cfg.t_seq_s,
-        m_list,
+        averaging_counts(cfg),
         blocks_per_point=cfg.blocks_per_point,
         seed=cfg.seed + 6,
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .noise import MAX_TAU_C_RATIO
 from .sequences import SWEEP_FAMILIES, render_finite
 
@@ -183,6 +185,16 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 't_min_s': must be < t_max_s")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("key 'm_min': must be <= m_max")
+    if cfg.experiment == "resolution":
+        # a block-mean std needs two blocks, and the log-log slope two points
+        if cfg.blocks_per_point < 2:
+            raise ConfigError(f"key 'blocks_per_point': resolution needs >= 2, got {cfg.blocks_per_point}")
+        m_list = averaging_counts(cfg)
+        if len(m_list) < 2:
+            raise ConfigError(
+                f"key 'm_points': resolution needs >= 2 distinct averaging counts, "
+                f"m_min..m_max gives {m_list.tolist()}"
+            )
     key, least = _FIT_POINTS.get(cfg.experiment, (None, 0))
     if key and getattr(cfg, key) < least:
         raise ConfigError(f"key '{key}': the {cfg.experiment} fit needs >= {least} points")
@@ -229,6 +241,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
             "pulses overlap significant dephasing"
         )
     return warnings
+
+
+def averaging_counts(cfg: RunConfig) -> np.ndarray:
+    """The resolution block sizes M: m_points log-spaced from m_min to m_max, rounded, distinct."""
+    return np.unique(np.round(np.geomspace(cfg.m_min, cfg.m_max, cfg.m_points)).astype(int))
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -30,7 +30,14 @@ from .fitting import (
     fit_stretched_exp,
 )
 from .noise import OUBath
-from .readout import ReadoutModel, process_two_branch, processed_shot_stream, readout_shot_std
+from .readout import (
+    PROCESSING_ROWS,
+    ReadoutModel,
+    process_two_branch,
+    processed_shot_stream,
+    readout_shot_std,
+    shot_pieces,
+)
 from .sequences import SWEEP_FAMILIES, PulseSequence, pulse_times
 
 DEFAULT_AC_PHASE = math.pi / 2.0
@@ -315,6 +322,42 @@ def resolution_vs_time(single_shot_std: float, max_slope: float, t_seq: float, n
     return elapsed, min_field
 
 
+def _block_means(pieces, sizes, counts) -> list[np.ndarray]:
+    """Means of the first counts[i] consecutive sizes[i]-shot blocks of a stream given in pieces.
+
+    A block inside one piece is averaged where it lies; a block that
+    straddles pieces is gathered into a buffer of its size first.  Either
+    way its mean is numpy's pairwise sum over the same contiguous values,
+    so the means are bit for bit those of the whole stream reshaped to
+    (counts[i], sizes[i]).
+    """
+    means = [np.empty(q) for q in counts]
+    carry = [np.empty(m) for m in sizes]
+    done = [0] * len(sizes)  # means taken, per size
+    held = [0] * len(sizes)  # shots of a straddling block in carry, per size
+    for piece in pieces:
+        for i, m in enumerate(sizes):
+            a = 0
+            if held[i]:
+                a = min(m - held[i], len(piece))
+                carry[i][held[i] : held[i] + a] = piece[:a]
+                held[i] += a
+                if held[i] < m:
+                    continue
+                means[i][done[i]] = carry[i].mean()
+                done[i] += 1
+                held[i] = 0
+            q = min((len(piece) - a) // m, counts[i] - done[i])
+            if q:
+                piece[a : a + q * m].reshape(q, m).mean(axis=1, out=means[i][done[i] : done[i] + q])
+                done[i] += q
+                a += q * m
+            if done[i] < counts[i]:
+                held[i] = len(piece) - a
+                carry[i][: held[i]] = piece[a:]
+    return means
+
+
 def run_resolution(
     readout: ReadoutModel,
     max_slope: float,
@@ -330,17 +373,18 @@ def run_resolution(
     For each averaging count M the std of non-overlapping M-shot block
     means estimates the averaged-signal noise; at least blocks_per_point
     blocks are simulated for the largest M.  A std from k Gaussian block
-    means has relative standard error 1/sqrt(2 (k - 1)).
+    means has relative standard error 1/sqrt(2 (k - 1)).  The stream is
+    reduced to block means as it is drawn, in pieces of the largest M, so
+    beside the means it holds max(M) + sum(M) shots, whatever blocks_per_point.
     """
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
-    total = int(n_avg[-1]) * blocks_per_point
-    rng = np.random.default_rng(seed)
-    s = processed_shot_stream(0.5, 0.5, readout, total, rng)
-    min_field = np.empty(len(n_avg))
+    m_max = int(n_avg[-1])
+    total = m_max * blocks_per_point
     k = total // n_avg
-    for i, m in enumerate(n_avg):
-        means = s[: k[i] * int(m)].reshape(k[i], int(m)).mean(axis=1)
-        min_field[i] = float(np.std(means, ddof=1)) / max_slope
+    rng = np.random.default_rng(seed)
+    pieces = shot_pieces(0.5, 0.5, readout, total, rng, [PROCESSING_ROWS["two_branch"]], m_max)
+    means = _block_means((p[0] for p in pieces), n_avg.tolist(), k.tolist())
+    min_field = np.array([float(np.std(x, ddof=1)) / max_slope for x in means])
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
     return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))

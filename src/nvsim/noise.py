@@ -218,8 +218,14 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
         R_(i+1) = e^(-h_i) R_i + y_i g_i,
 
     so the cross terms are a running sum that only decays.  g_i uses
-    expm1 and the diagonal a series for h < 0.01, so no term loses digits
-    to cancellation.  Independent of the frequency-domain route in
+    expm1 and the diagonal a series for h < 0.01, so each term keeps its
+    digits.  The sum does not: at tau_c >> T the diagonal terms (about
+    h_i^2/2) and the cross terms cancel down to order h_i^3, so the
+    relative error grows with tau_c over the shortest segment.  Against
+    a 50-digit reference at T = 9 us it is 3.6e-13 (echo) and 2.0e-12
+    (XY16-16) at tau_c = 100 T, 4.5e-13 and 4.2e-10 at 1000 T (the
+    longest calibrate_bath accepts), and 4.9e-11 for an echo at 1e5 T.
+    Independent of the frequency-domain route in
     filters.coherence_analytic.
     """
     bounds, signs = toggling_segments(pi_times, total_t)

@@ -12,6 +12,7 @@ from nvsim.cli import main
 from nvsim.config import (
     ConfigError,
     RunConfig,
+    averaging_counts,
     config_items,
     format_manifest,
     parse_config_text,
@@ -345,6 +346,32 @@ def test_validate_rejects_too_few_points_to_fit(tmp_path, capsys, text, key):
     rc = run_cli("validate", write_cfg(tmp_path, text))
     assert rc == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # one block per point: the last block-mean std has no degrees of freedom
+        ("blocks_per_point = 1\n", "blocks_per_point"),
+        # one distinct M: the log-log slope would be a fit through one point
+        ("m_min = 100000\nm_max = 100000\n", "m_points"),
+        ("m_points = 1\n", "m_points"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_resolution_needs_two_blocks_and_two_averaging_counts(tmp_path, capsys, command, text, key):
+    path = write_cfg(tmp_path, "experiment = resolution\n" + text)
+    rc = run_cli(command, path, "--out", str(tmp_path / "out")) if command == "run" else run_cli(command, path)
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_averaging_counts_are_rounded_and_distinct():
+    # four log-spaced points between 100 and 101 round to two distinct M, which is enough
+    cfg = parse_config_text("experiment = resolution\nm_min = 100\nm_max = 101\nblocks_per_point = 2\n")
+    assert averaging_counts(cfg).tolist() == [100, 101]
+    assert averaging_counts(parse_config_text("")).tolist() == [100, 1000, 10000, 100000]
 
 
 def test_run_ac_sense_pipeline_with_shot_dump(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
 from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
+from nvsim import readout
 from nvsim.experiments import (
+    _block_means,
     make_coherence_builder,
     odmr_dip_frequencies,
     resolution_vs_time,
@@ -23,7 +25,7 @@ from nvsim.experiments import (
     synchronized_phase,
 )
 from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
-from nvsim.readout import ReadoutModel, readout_shot_std
+from nvsim.readout import ReadoutModel, processed_shot_stream, readout_shot_std
 from nvsim.sequences import build_xy16
 
 VOL = DetectionVolume()
@@ -181,17 +183,61 @@ def test_run_resolution_stderr_column():
     assert res.min_field_stderr_t == pytest.approx(res.min_field_t / np.sqrt(2.0 * (k - 1)), rel=1e-15)
 
 
-def test_run_resolution_memory_is_one_stream():
-    # acceptance-7 arguments: 2 M shots; the processed stream is the only n-shot array held
+def test_run_resolution_memory_is_bounded():
+    # acceptance-7 arguments: the stream is reduced as it is drawn, so 4x the
+    # blocks (8 M shots) holds no more than the block means it adds
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
-    n_shots = 100000 * 20
-    tracemalloc.start()
-    try:
-        run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000, 100000], blocks_per_point=20, seed=71)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * n_shots + 4 * 2**20
+    peaks = []
+    for blocks in (20, 80):
+        tracemalloc.start()
+        try:
+            run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000, 100000], blocks_per_point=blocks, seed=71)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 2**20
+
+
+def _whole_stream_block_means(m, sizes, blocks, rng):
+    """The block means of the whole processed stream held at once, per M."""
+    total = max(sizes) * blocks
+    s = processed_shot_stream(0.5, 0.5, m, total, rng)
+    return [s[: (total // n) * n].reshape(total // n, n).mean(axis=1) for n in sizes]
+
+
+M_SETS = {
+    "decades": [100, 1000, 10000, 100000],
+    # M that do not divide the piece, and M above SHOT_CHUNK
+    "geomspace": np.unique(np.round(np.geomspace(100, 100000, 5)).astype(int)).tolist(),
+}
+
+
+@pytest.mark.parametrize("chunk", [1000, 4096, 2**16])
+@pytest.mark.parametrize("drift", [0.0, 1e-4])
+@pytest.mark.parametrize("sizes", list(M_SETS))
+def test_streamed_block_means_equal_whole_stream_means(monkeypatch, sizes, drift, chunk):
+    monkeypatch.setattr(readout, "SHOT_CHUNK", chunk)
+    sizes = M_SETS[sizes]
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
+    blocks = 3
+    rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
+    expect = _whole_stream_block_means(m, sizes, blocks, rng_ref)
+    total = max(sizes) * blocks
+    pieces = readout.shot_pieces(0.5, 0.5, m, total, rng, [readout.PROCESSING_ROWS["two_branch"]], max(sizes))
+    got = _block_means((p[0] for p in pieces), sizes, [total // n for n in sizes])
+    for n, a, b in zip(sizes, got, expect):
+        assert np.array_equal(a, b), n
+    assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+def test_run_resolution_equals_the_whole_stream_reduction():
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=1e-4)
+    sizes = M_SETS["geomspace"]
+    res = run_resolution(m, 110000.0, 1.47e-3, sizes, blocks_per_point=4, seed=23)
+    means = _whole_stream_block_means(m, sizes, 4, np.random.default_rng(23))
+    expect = np.array([float(np.std(x, ddof=1)) / 110000.0 for x in means])
+    assert np.array_equal(res.min_field_t, expect)
 
 
 def test_readout_shot_std_matches_quadrature_sum():

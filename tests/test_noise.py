@@ -266,6 +266,19 @@ def test_closed_forms_match_50_digit_reference_at_long_tau_c(ratio):
     assert float(chi_echo_ou(t, bath)) == pytest.approx(_chi_decimal([t / 2], t, bath), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("ratio", [100.0, 1000.0])
+@pytest.mark.parametrize(
+    "build", [build_hahn_echo, lambda T: build_xy16(16, T / 256)], ids=["echo", "xy16-16"]
+)
+def test_ou_chi_exact_keeps_its_stated_bound_at_long_tau_c(build, ratio):
+    # the diagonal and cross sums cancel at tau_c >> T; the docstring states the
+    # digits kept (4.2e-10 for XY16-16 at 1000 T), pinned here with margin
+    t = 9e-6
+    bath = OUBath(1.0, ratio * t)
+    times, total = pulse_times(build(t))
+    assert ou_chi_exact(times, total, bath) == pytest.approx(_chi_decimal(times, total, bath), rel=1e-9, abs=0.0)
+
+
 def test_calibrate_bath_rejects_vanishing_exponent():
     with pytest.raises(ValueError, match="not finite and positive"):
         calibrate_bath(9e-6, 1e-300)

@@ -334,3 +334,18 @@ def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, stream):
         streams.append(STREAMS[stream](m, n, np.random.default_rng(12)))
     for other in streams[1:]:
         assert np.array_equal(other, streams[0])
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-3])
+@pytest.mark.parametrize("piece", [1, 999, SHOT_CHUNK, SHOT_CHUNK + 1])
+def test_pieces_concatenate_to_the_stream(drift, piece):
+    # the drift walk comes first in the generator; a copy of it walks the steps
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
+    sizes = (1, 999, 2 * SHOT_CHUNK + 7) if piece > 1 else (1, 999)  # one-shot pieces are slow
+    for rows in (np.eye(4), [readout.PROCESSING_ROWS["two_branch"]]):
+        for n in sizes:
+            rng_ref, rng = np.random.default_rng(n), np.random.default_rng(n)
+            expect = readout._fold(0.3, 0.6, m, n, rng_ref, rows)
+            got = np.hstack([p.copy() for p in readout.shot_pieces(0.3, 0.6, m, n, rng, rows, piece)])
+            assert np.array_equal(got, expect), (len(rows), n)
+            assert rng.standard_normal() == rng_ref.standard_normal(), (len(rows), n)
