@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical failure
 (non-convergent primary fit, a coherence curve with no positive value
-to fit, bath calibration failure).
+to fit, an AC sine fit with zero slope, bath calibration failure).
 """
 
 from __future__ import annotations
@@ -169,20 +169,23 @@ def _ac_sweep(cfg: RunConfig):
     tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
     seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
     amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
-    return run_ac_magnetometry(
-        seq,
-        cfg.f_ac_hz,
-        amplitudes,
-        ens,
-        noise_model.bath,
-        build_readout(cfg),
-        cfg.shots,
-        cfg.t_seq_s,
-        ac_phase=cfg.ac_phase_rad,
-        noise_seed=cfg.seed + 3,
-        shot_seed=cfg.seed + 4,
-        threads=cfg.threads,
-    )
+    try:
+        return run_ac_magnetometry(
+            seq,
+            cfg.f_ac_hz,
+            amplitudes,
+            ens,
+            noise_model.bath,
+            build_readout(cfg),
+            cfg.shots,
+            cfg.t_seq_s,
+            ac_phase=cfg.ac_phase_rad,
+            noise_seed=cfg.seed + 3,
+            shot_seed=cfg.seed + 4,
+            threads=cfg.threads,
+        )
+    except FitError as exc:
+        raise NumericalFailure(f"AC sweep: {exc}") from exc
 
 
 def _run_ac_sense(cfg, out, outputs):

@@ -183,6 +183,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 's_window_s': S and R windows exceed laser_pulse_s")
     if cfg.t_min_s >= cfg.t_max_s:
         raise ConfigError("key 't_min_s': must be < t_max_s")
+    if cfg.f_min_hz >= cfg.f_max_hz:
+        raise ConfigError("key 'f_max_hz': must be > f_min_hz")
     if cfg.m_min > cfg.m_max:
         raise ConfigError("key 'm_min': must be <= m_max")
     if cfg.experiment == "resolution":

@@ -24,6 +24,7 @@ from .constants import COS_MISALIGNED, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
 from .ensemble import ACField, EnsembleSample, equatorial_survival, ensemble_rabi_curve, run_two_branch
 from .fitting import (
     CurveFitResult,
+    FitError,
     fit_damped_sine,
     fit_lorentzian,
     fit_sine,
@@ -36,7 +37,7 @@ from .readout import (
     process_two_branch,
     processed_shot_stream,
     readout_shot_std,
-    shot_pieces,
+    shot_law,
 )
 from .sequences import SWEEP_FAMILIES, PulseSequence, pulse_times
 
@@ -256,7 +257,8 @@ def run_ac_magnetometry(
     """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
 
     delta_s is the measured shot-to-shot std at the amplitude closest to
-    zero; max_slope is |a k| from the sine fit of the mean curve.
+    zero; max_slope is |a k| from the sine fit of the mean curve, and
+    FitError is raised when it is not positive.
     `processing` selects the A/B arm: "two_branch" (full common-mode rejection)
     or "single_branch" (branch subtraction disabled).
     """
@@ -287,6 +289,8 @@ def run_ac_magnetometry(
         norm[i] = p_plus - p_minus
     fit = fit_sine(amplitudes, mean_v, with_offset=(processing != "two_branch"))
     max_slope = abs(float(fit.params[0] * fit.params[1]))
+    if not max_slope > 0:
+        raise FitError(f"the sine fit has slope |a k| = {max_slope!r}, so no sensitivity")
     i0 = int(np.argmin(np.abs(amplitudes)))
     delta_s = float(std_v[i0])
     report = sensitivity_from_slope(delta_s, max_slope, t_seq)
@@ -322,39 +326,37 @@ def resolution_vs_time(single_shot_std: float, max_slope: float, t_seq: float, n
     return elapsed, min_field
 
 
-def _block_means(pieces, sizes, counts) -> list[np.ndarray]:
-    """Means of the first counts[i] consecutive sizes[i]-shot blocks of a stream given in pieces.
+def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.ndarray]:
+    """Means of the first counts[i] consecutive sizes[i]-shot blocks of an i.i.d. N(0, sigma^2) shot stream.
 
-    A block inside one piece is averaged where it lies; a block that
-    straddles pieces is gathered into a buffer of its size first.  Either
-    way its mean is numpy's pairwise sum over the same contiguous values,
-    so the means are bit for bit those of the whole stream reshaped to
-    (counts[i], sizes[i]).
+    The stream is cut at the union of the blocks' edges.  The L shots
+    between two cuts sum to one N(0, L sigma^2) draw, so one normal is
+    drawn per cut, in cut order, and each block mean is a difference of
+    prefix sums at its edges over its size.  The cuts are taken piece
+    shots at a time; the prefix sum carries into each piece's first cut
+    and each size keeps its prefix at its last edge so far, so a block
+    that straddles pieces needs no buffer and the bits do not depend on
+    piece.  rng only needs standard_normal(n).
     """
+    ends = [m * q for m, q in zip(sizes, counts)]
     means = [np.empty(q) for q in counts]
-    carry = [np.empty(m) for m in sizes]
-    done = [0] * len(sizes)  # means taken, per size
-    held = [0] * len(sizes)  # shots of a straddling block in carry, per size
-    for piece in pieces:
-        for i, m in enumerate(sizes):
-            a = 0
-            if held[i]:
-                a = min(m - held[i], len(piece))
-                carry[i][held[i] : held[i] + a] = piece[:a]
-                held[i] += a
-                if held[i] < m:
-                    continue
-                means[i][done[i]] = carry[i].mean()
-                done[i] += 1
-                held[i] = 0
-            q = min((len(piece) - a) // m, counts[i] - done[i])
-            if q:
-                piece[a : a + q * m].reshape(q, m).mean(axis=1, out=means[i][done[i] : done[i] + q])
-                done[i] += q
-                a += q * m
-            if done[i] < counts[i]:
-                held[i] = len(piece) - a
-                carry[i][: held[i]] = piece[a:]
+    last = [0.0] * len(sizes)  # prefix sum at each size's last edge so far
+    cut, prefix = 0, 0.0  # the last cut and the prefix sum there
+    for lo in range(0, max(ends), piece):
+        edges = [np.arange((lo // m + 1) * m, min(lo + piece, end) + 1, m) for m, end in zip(sizes, ends)]
+        cuts = np.unique(np.concatenate(edges))
+        if not len(cuts):
+            continue
+        sums = np.sqrt(np.diff(cuts, prepend=cut)) * sigma * rng.standard_normal(len(cuts))
+        # the carry joins the piece's first sum, so the prefix is summed in one order
+        sums[0] += prefix
+        np.cumsum(sums, out=sums)
+        for i, (m, e) in enumerate(zip(sizes, edges)):
+            if len(e):
+                at = sums[np.searchsorted(cuts, e)]
+                means[i][e[0] // m - 1 : e[-1] // m] = np.diff(at, prepend=last[i]) / m
+                last[i] = at[-1]
+        cut, prefix = cuts[-1], sums[-1]
     return means
 
 
@@ -373,17 +375,18 @@ def run_resolution(
     For each averaging count M the std of non-overlapping M-shot block
     means estimates the averaged-signal noise; at least blocks_per_point
     blocks are simulated for the largest M.  A std from k Gaussian block
-    means has relative standard error 1/sqrt(2 (k - 1)).  The stream is
-    reduced to block means as it is drawn, in pieces of the largest M, so
-    beside the means it holds max(M) + sum(M) shots, whatever blocks_per_point.
+    means has relative standard error 1/sqrt(2 (k - 1)).  At zero signal
+    the processed shots are i.i.d. N(0, sigma^2) and the drift walk adds
+    nothing (shot_law's mean is exactly 0.0), so the block means are drawn
+    from their exact law by _cut_block_means, one normal per block-edge
+    cut instead of one per shot, in pieces of the largest M.
     """
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     m_max = int(n_avg[-1])
-    total = m_max * blocks_per_point
-    k = total // n_avg
+    k = m_max * blocks_per_point // n_avg
+    _mean, factor = shot_law(0.5, 0.5, readout, [PROCESSING_ROWS["two_branch"]])
     rng = np.random.default_rng(seed)
-    pieces = shot_pieces(0.5, 0.5, readout, total, rng, [PROCESSING_ROWS["two_branch"]], m_max)
-    means = _block_means((p[0] for p in pieces), n_avg.tolist(), k.tolist())
+    means = _cut_block_means(abs(float(factor[0, 0])), n_avg.tolist(), k.tolist(), rng, m_max)
     min_field = np.array([float(np.std(x, ddof=1)) / max_slope for x in means])
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])

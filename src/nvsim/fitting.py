@@ -23,7 +23,7 @@ FIT_TOL = 1e-10
 
 
 class FitError(ValueError):
-    """The data admit no fit of the model: a decay with no positive value."""
+    """The data admit no fit of the model: a decay with no positive value, a sine with no slope."""
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,16 @@ set), then the k normals of each shot, shot after shot.  Both are drawn
 in SHOT_CHUNK pieces from the one generator, which yields the same
 normals as a single call; the drift walk carries its running sum into
 each chunk's first step, so the bits do not depend on the chunk size.
-shot_pieces yields a stream in pieces of a buffer it reuses: a copy of
-the generator walks the drift steps while the generator itself skips
-past them, so the bits and the generator's end state do not depend on
-the piece size either, and the working set is one piece and one chunk.
+
+At zero signal (p0 = 0.5 in both branches) the two-branch output's mean
+is exactly 0.0, so the drift walk adds nothing and the processed shots
+are i.i.d. N(0, sigma^2) with sigma = |R[0, 0]|.  A sum of L of them is
+then one N(0, L sigma^2) draw; experiments.run_resolution uses this to
+draw block sums, one normal per cut of the stream, instead of shots.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -106,48 +107,28 @@ def shot_law(p0_plus, p0_minus, model: ReadoutModel, rows) -> tuple[np.ndarray, 
     return mean, np.linalg.qr(coeff.T, mode="r").T
 
 
-def shot_pieces(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows, piece: int):
-    """Yield rows @ (s1, r1, s2, r2) for n_shots shots in shot order, as (k, <= piece) views of one buffer.
-
-    The buffer is overwritten by the next piece.  The drift steps come
-    first in rng, so a copy of rng walks them while rng skips past them.
-    """
-    mean, factor = shot_law(p0_plus, p0_minus, model, rows)
-    buf = np.empty((len(mean), min(piece, n_shots)))
-    w = np.empty((min(SHOT_CHUNK, buf.shape[1]), len(mean)))
-    if model.laser_drift_step_rel:
-        drift = copy.deepcopy(rng)
-        steps = np.empty(min(SHOT_CHUNK, n_shots))
-        for lo in range(0, n_shots, SHOT_CHUNK):
-            rng.standard_normal(out=steps[: min(SHOT_CHUNK, n_shots - lo)])
-        carry = 0.0
-    for start in range(0, n_shots, piece):
-        out = buf[:, : min(piece, n_shots - start)]
-        out[:] = mean[:, None]
-        if model.laser_drift_step_rel:
-            for lo in range(0, out.shape[1], SHOT_CHUNK):
-                walk = steps[: min(SHOT_CHUNK, out.shape[1] - lo)]
-                drift.standard_normal(out=walk)
-                # the carry joins the chunk's first step, so the walk is summed in one order
-                walk *= model.laser_drift_step_rel
-                walk[0] += carry
-                np.cumsum(walk, out=walk)
-                carry = walk[-1]
-                out[:, lo : lo + len(walk)] += mean[:, None] * walk
-        for lo in range(0, out.shape[1], SHOT_CHUNK):
-            wc = w[: min(SHOT_CHUNK, out.shape[1] - lo)]
-            rng.standard_normal(out=wc)  # shot-major: the k normals of one shot are adjacent
-            block = out[:, lo : lo + len(wc)]
-            # elementwise, not a matmul, so each shot's sum is rounded the same in any chunk
-            for j in range(len(mean)):
-                block += factor[:, j, None] * wc[:, j]
-        yield out
-
-
 def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
-    """(k, n_shots) array of rows @ (s1, r1, s2, r2): shot_pieces as one piece."""
-    pieces = shot_pieces(p0_plus, p0_minus, model, n_shots, rng, rows, max(n_shots, 1))
-    return next(pieces, np.empty((len(rows), 0)))
+    """(k, n_shots) array of rows @ (s1, r1, s2, r2) for n_shots shots: the drift steps, then the normals."""
+    mean, factor = shot_law(p0_plus, p0_minus, model, rows)
+    out = np.empty((len(mean), n_shots))
+    out[:] = mean[:, None]
+    if model.laser_drift_step_rel:
+        carry = 0.0
+        for lo in range(0, n_shots, SHOT_CHUNK):
+            walk = rng.standard_normal(min(SHOT_CHUNK, n_shots - lo))
+            # the carry joins the chunk's first step, so the walk is summed in one order
+            walk *= model.laser_drift_step_rel
+            walk[0] += carry
+            np.cumsum(walk, out=walk)
+            carry = walk[-1]
+            out[:, lo : lo + len(walk)] += mean[:, None] * walk
+    for lo in range(0, n_shots, SHOT_CHUNK):
+        w = rng.standard_normal((min(SHOT_CHUNK, n_shots - lo), len(mean)))  # shot-major
+        block = out[:, lo : lo + len(w)]
+        # elementwise, not a matmul, so each shot's sum is rounded the same in any chunk
+        for j in range(len(mean)):
+            block += factor[:, j, None] * w[:, j]
+    return out
 
 
 def simulate_shot_stream(

@@ -161,9 +161,12 @@ def test_acceptance_7_resolution_scaling():
     readout = ReadoutModel(
         v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01
     )
+    # 100 blocks: seeds 0-199 fail 0 times (at 20 blocks: 18 before the cut-sum draw, 30 after);
+    # the slope's spread over seeds is 0.0095 (0.05 = 5.3 SE), the endpoint's relative SE 7.1%
+    # (25% = 3.5 SE).  An endpoint min_field x 1.5 fails on 198 of the 200 seeds.
     res = run_resolution(
         readout, 110000.0, 1.47e-3, [100, 1000, 10000, 100000],
-        blocks_per_point=20, seed=71,
+        blocks_per_point=100, seed=71,
     )
     assert abs(res.loglog_slope + 0.5) <= 0.05
     i = list(res.n_avg).index(100000)

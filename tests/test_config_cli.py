@@ -302,6 +302,27 @@ def test_coherence_curve_with_no_positive_value_is_numerical_exit(tmp_path, caps
     assert "coherence fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
+def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, experiment):
+    # at this seed the sine fit of the 4e-14 T, 16-spin sweep has |a k| = 0: no slope to report
+    path = write_cfg(
+        tmp_path,
+        f"experiment = {experiment}\nn_spins = 16\nshots = 2\nn_amplitudes = 6\nn_repeats = 2\n"
+        "b_ac_max_t = 4e-14\nseed = 2\nm_min = 2\nm_max = 20\n",
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
+    assert "AC sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("f_max", ["2.77e9", "2.5e9"])
+def test_odmr_sweep_must_increase(tmp_path, capsys, command, f_max):
+    path = write_cfg(tmp_path, f"experiment = odmr\nf_min_hz = 2.77e9\nf_max_hz = {f_max}\n")
+    rc = run_cli(command, path, "--out", str(tmp_path / "out")) if command == "run" else run_cli(command, path)
+    assert rc == 2
+    assert "'f_max_hz'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_wire_standoff_inside_conductor_rejected(tmp_path, capsys, command):
     # the 20 um wire's radius is 10 um: a 5 um standoff starts the volume inside it

@@ -3,6 +3,7 @@ AC response, sensitivity arithmetic, resolution curves."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
 from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from nvsim import readout
+from nvsim.config import averaging_counts, parse_config
 from nvsim.experiments import (
-    _block_means,
+    _cut_block_means,
     make_coherence_builder,
     odmr_dip_frequencies,
     resolution_vs_time,
@@ -170,7 +172,10 @@ def test_resolution_loglog_slope_is_exactly_minus_half():
 
 def test_run_resolution_measured_slope():
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
-    res = run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000], blocks_per_point=40, seed=5)
+    # 160 blocks: seeds 0-199 fail 0 times (at 40 blocks the slope check failed 6 times before the
+    # cut-sum draw, 12 after); the slope's spread over seeds is 0.0117 (0.05 = 4.3 SE).  An endpoint
+    # min_field x 1.5 fails on all 200 seeds.
+    res = run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000], blocks_per_point=160, seed=5)
     assert res.loglog_slope == pytest.approx(-0.5, abs=0.05)
     # measured matches the analytic shot-noise prediction, point by point within 5 SE
     assert np.all(np.abs(res.min_field_t - res.ideal_min_field_t) <= 5.0 * res.min_field_stderr_t)
@@ -199,11 +204,20 @@ def test_run_resolution_memory_is_bounded():
     assert abs(peaks[1] - peaks[0]) <= 2**20
 
 
-def _whole_stream_block_means(m, sizes, blocks, rng):
-    """The block means of the whole processed stream held at once, per M."""
+def _whole_stream_block_means(sigma, sizes, blocks, rng):
+    """The block means per M from every cut of the stream at once: one normal per cut, one prefix sum."""
     total = max(sizes) * blocks
-    s = processed_shot_stream(0.5, 0.5, m, total, rng)
-    return [s[: (total // n) * n].reshape(total // n, n).mean(axis=1) for n in sizes]
+    edges = [np.arange(n, (total // n) * n + 1, n) for n in sizes]
+    cuts = np.unique(np.concatenate(edges))
+    prefix = np.cumsum(np.sqrt(np.diff(cuts, prepend=0)) * sigma * rng.standard_normal(len(cuts)))
+    return [np.diff(prefix[np.searchsorted(cuts, e)], prepend=0.0) / n for n, e in zip(sizes, edges)]
+
+
+def _zero_signal_sigma(m):
+    """sigma of the i.i.d. zero-signal two-branch shots; the drift walk has no term there."""
+    mean, factor = readout.shot_law(0.5, 0.5, m, [readout.PROCESSING_ROWS["two_branch"]])
+    assert mean[0] == 0.0
+    return abs(float(factor[0, 0]))
 
 
 M_SETS = {
@@ -216,28 +230,70 @@ M_SETS = {
 @pytest.mark.parametrize("chunk", [1000, 4096, 2**16])
 @pytest.mark.parametrize("drift", [0.0, 1e-4])
 @pytest.mark.parametrize("sizes", list(M_SETS))
-def test_streamed_block_means_equal_whole_stream_means(monkeypatch, sizes, drift, chunk):
-    monkeypatch.setattr(readout, "SHOT_CHUNK", chunk)
+def test_streamed_block_means_equal_whole_stream_means(sizes, drift, chunk):
+    # drawn in pieces of chunk shots, the block means are bit for bit those drawn from all cuts at once
     sizes = M_SETS[sizes]
-    m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
+    sigma = _zero_signal_sigma(ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift))
     blocks = 3
     rng_ref, rng = np.random.default_rng(17), np.random.default_rng(17)
-    expect = _whole_stream_block_means(m, sizes, blocks, rng_ref)
-    total = max(sizes) * blocks
-    pieces = readout.shot_pieces(0.5, 0.5, m, total, rng, [readout.PROCESSING_ROWS["two_branch"]], max(sizes))
-    got = _block_means((p[0] for p in pieces), sizes, [total // n for n in sizes])
+    expect = _whole_stream_block_means(sigma, sizes, blocks, rng_ref)
+    got = _cut_block_means(sigma, sizes, [max(sizes) * blocks // n for n in sizes], rng, chunk)
     for n, a, b in zip(sizes, got, expect):
         assert np.array_equal(a, b), n
     assert rng.standard_normal() == rng_ref.standard_normal()
 
 
 def test_run_resolution_equals_the_whole_stream_reduction():
-    m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=1e-4)
     sizes = M_SETS["geomspace"]
-    res = run_resolution(m, 110000.0, 1.47e-3, sizes, blocks_per_point=4, seed=23)
-    means = _whole_stream_block_means(m, sizes, 4, np.random.default_rng(23))
+    runs = []
+    for drift in (1e-4, 0.0):
+        m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=drift)
+        runs.append(run_resolution(m, 110000.0, 1.47e-3, sizes, blocks_per_point=4, seed=23))
+    means = _whole_stream_block_means(_zero_signal_sigma(m), sizes, 4, np.random.default_rng(23))
     expect = np.array([float(np.std(x, ddof=1)) / 110000.0 for x in means])
-    assert np.array_equal(res.min_field_t, expect)
+    assert np.array_equal(runs[0].min_field_t, expect)
+    assert np.array_equal(runs[1].min_field_t, expect)  # the drift walk adds nothing at zero signal
+
+
+class _RecordingNormals:
+    """Stands in for a generator: records each standard_normal(n) and returns the next n chosen values."""
+
+    def __init__(self, values=None):
+        self.values = values
+        self.requests = []
+
+    def standard_normal(self, n):
+        lo = sum(self.requests)
+        self.requests.append(n)
+        return np.zeros(n) if self.values is None else np.array(self.values[lo : lo + n], dtype=float)
+
+
+def test_cut_block_means_have_the_exact_covariance():
+    # no M divides another, and blocks of 3 and 5 straddle the pieces of 7 shots
+    sizes, blocks, sigma = [3, 5, 7], 4, 1.7
+    counts = [7 * blocks // n for n in sizes]
+    probe = _RecordingNormals()
+    _cut_block_means(sigma, sizes, counts, probe, 7)
+    n = sum(probe.requests)
+    edges = {e for m, q in zip(sizes, counts) for e in range(m, m * q + 1, m)}
+    assert n == len(edges) == 16
+    # the means are linear in the normals: column i of B is the means for the i-th unit vector
+    b = np.column_stack([np.concatenate(_cut_block_means(1.0, sizes, counts, _RecordingNormals(e), 7)) for e in np.eye(n)])
+    spans = [(j * m, (j + 1) * m, m) for m, q in zip(sizes, counts) for j in range(q)]
+    exact = np.array(
+        [[sigma**2 * max(0, min(hi, hj) - max(li, lj)) / (mi * mj) for lj, hj, mj in spans] for li, hi, mi in spans]
+    )
+    np.testing.assert_allclose(sigma**2 * (b @ b.T), exact, rtol=1e-12, atol=0.0)
+
+
+def test_resolution_cfg_draws_one_normal_per_block_edge_cut():
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / "resolution.cfg"))
+    sizes = averaging_counts(cfg).tolist()
+    assert sizes == [100, 1000, 10000, 100000] and cfg.blocks_per_point == 20
+    probe = _RecordingNormals()
+    means = _cut_block_means(1.0, sizes, [sizes[-1] * 20 // n for n in sizes], probe, sizes[-1])
+    assert sum(probe.requests) == 20000  # not the stream's 2,000,000 shots
+    assert [len(x) for x in means] == [20000, 2000, 200, 20]
 
 
 def test_readout_shot_std_matches_quadrature_sum():

@@ -1,5 +1,6 @@
 """Window model, common-mode rejection A/B, averaging statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -336,16 +337,41 @@ def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, stream):
         assert np.array_equal(other, streams[0])
 
 
+# sha256 prefix of each stream's bytes and the generator's next normal, per (stream, drift, n_shots):
+# the readout draw order pinned to its bits
+GOLDEN_STREAMS = {
+    ("windows", 0.0, 1): ("ff4c0b1555cd8bb8", 0.9053558666731177),
+    ("windows", 0.0, 999): ("c60b391acfbd48f0", -2.985375261854107),
+    ("windows", 0.0, 131079): ("09d08687312d898c", 0.2290178343243861),
+    ("two_branch", 0.0, 1): ("f4391ce822475760", 0.8216181435011584),
+    ("two_branch", 0.0, 999): ("990c595e5b994b3f", -0.7344954985958293),
+    ("two_branch", 0.0, 131079): ("f2b23cce4aab84ca", -0.2501859454128411),
+    ("single_branch", 0.0, 1): ("0a39b2084acc9c4d", 0.8216181435011584),
+    ("single_branch", 0.0, 999): ("449914f328c00340", -0.7344954985958293),
+    ("single_branch", 0.0, 131079): ("0834eab4635a790a", -0.2501859454128411),
+    ("windows", 0.001, 1): ("8c776ef4dafe16b6", 0.4463745723640113),
+    ("windows", 0.001, 999): ("462094538b66f902", 0.22727816329697403),
+    ("windows", 0.001, 131079): ("999599f10fe76452", 0.5403414618086145),
+    ("two_branch", 0.001, 1): ("8501b0ba2fefd075", 0.33043707618338714),
+    ("two_branch", 0.001, 999): ("30023211f61fa35c", 0.5608875611380941),
+    ("two_branch", 0.001, 131079): ("b5164a078544c12a", 1.0304940948178603),
+    ("single_branch", 0.001, 1): ("255346a4b69589f5", 0.33043707618338714),
+    ("single_branch", 0.001, 999): ("5c0bc4b761bb7d53", 0.5608875611380941),
+    ("single_branch", 0.001, 131079): ("22322f2ea9337a32", 1.0304940948178603),
+}
+
+
 @pytest.mark.parametrize("drift", [0.0, 1e-3])
 @pytest.mark.parametrize("piece", [1, 999, SHOT_CHUNK, SHOT_CHUNK + 1])
-def test_pieces_concatenate_to_the_stream(drift, piece):
-    # the drift walk comes first in the generator; a copy of it walks the steps
+def test_pieces_concatenate_to_the_stream(monkeypatch, drift, piece):
+    # drawn SHOT_CHUNK = piece shots at a time, every stream keeps its golden bits and generator end state
+    monkeypatch.setattr(readout, "SHOT_CHUNK", piece)
     m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
-    sizes = (1, 999, 2 * SHOT_CHUNK + 7) if piece > 1 else (1, 999)  # one-shot pieces are slow
-    for rows in (np.eye(4), [readout.PROCESSING_ROWS["two_branch"]]):
+    sizes = (1, 999, 2 * SHOT_CHUNK + 7) if piece > 1 else (1, 999)  # one-shot chunks are slow
+    for stream in STREAMS:
         for n in sizes:
-            rng_ref, rng = np.random.default_rng(n), np.random.default_rng(n)
-            expect = readout._fold(0.3, 0.6, m, n, rng_ref, rows)
-            got = np.hstack([p.copy() for p in readout.shot_pieces(0.3, 0.6, m, n, rng, rows, piece)])
-            assert np.array_equal(got, expect), (len(rows), n)
-            assert rng.standard_normal() == rng_ref.standard_normal(), (len(rows), n)
+            rng = np.random.default_rng(n)
+            x = np.ascontiguousarray(STREAMS[stream](m, n, rng))
+            digest, next_normal = GOLDEN_STREAMS[(stream, drift, n)]
+            assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest, (stream, n)
+            assert rng.standard_normal() == next_normal, (stream, n)
