@@ -35,18 +35,26 @@ Two evolution paths share the noise model:
   place.
 
 Noise is drawn in fixed-size spin blocks, each from its own
-counter-based substream keyed on (seed, key, noise_seed, block).
-Contiguous runs of whole blocks, at most RUN_BLOCKS each and at least
-one per thread, are each evolved as one array on min(threads, runs)
-threads; each block draws into its own slice of its run, and
-per-block partial sums are added in block order, so results are
-bit-identical for any worker-thread count.
+counter-based substream keyed on (seed, key, noise_seed, block)
+(Salmon et al., SC'11), as rows of one standard normal per spin.
+Contiguous runs of at most RUN_BLOCKS whole blocks are evolved one
+after another on the calling thread, each as one array, and per-block
+partial sums are added in block order.  Each block fills ROW_CHUNK of
+its rows per call.  With threads > 1, one worker thread fills a run's
+next chunk of rows while the caller evolves the spins through the
+current one: the Philox fills run without the GIL, while the many
+short numpy calls of the evolution would only trade it back and forth
+if the spins were split between threads.  The ideal engine takes one
+row and no worker.  A substream's draws do not depend on how its rows
+are chunked or filled, so results are bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +73,10 @@ from .noise import (
 from .sequences import PiTrain, PulseSequence, pi_train, render_finite, toggling_segments
 
 SPIN_BLOCK = 2048
-# blocks evolved as one array: bounds a run's memory and keeps its arrays in cache
-RUN_BLOCKS = 4
+# blocks evolved as one array: fewer, longer numpy calls, in bounded memory
+RUN_BLOCKS = 5
+# noise rows per fill, one call per block: the unit a prefetch worker hands over
+ROW_CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -178,49 +188,82 @@ def sample_ensemble(
 
 
 class _BlockRun:
-    """A contiguous run of whole spin blocks [lo, hi), evolved as one array.
+    """A contiguous run of whole spin blocks [lo, hi), evolved as one array,
+    and its supply of n_rows noise rows of one standard normal per spin.
 
-    Each block draws from its own (seed, key, noise_seed, block) substream
-    into its slice, so a spin's draws do not depend on how blocks are
-    grouped into runs.
+    Block b's part of the rows is the row-major order of its own (seed, key,
+    noise_seed, b) substream, so a spin's draws depend neither on how blocks
+    are grouped into runs nor on how rows are chunked.  With a pool, its one
+    worker fills the next chunk while the caller uses the current one.
     """
 
-    def __init__(self, blocks, seed: int, key: int, noise_seed: int):
+    def __init__(self, blocks, seed: int, key: int, noise_seed: int, n_rows: int, pool):
         self.lo, self.hi = blocks[0][1], blocks[-1][2]
+        self.n_rows = n_rows
+        self._pool = pool
         self._streams = [
             (_rng_for(seed, key, noise_seed, bi), slice(lo - self.lo, hi - self.lo))
             for bi, lo, hi in blocks
         ]
 
-    def normals(self, out: np.ndarray) -> np.ndarray:
-        """Fill out with one standard normal per spin, block by block."""
+    def _fill(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Fill the (rows, n) out block by block, each block's rows in one
+        draw into contiguous scratch (out's block columns are strided)."""
+        rows = len(out)
         for rng, s in self._streams:
-            rng.standard_normal(out=out[s])
+            part = scratch[: rows * (s.stop - s.start)].reshape(rows, -1)
+            rng.standard_normal(out=part)
+            out[:, s] = part
         return out
+
+    def rows(self):
+        """Yield the run's n_rows noise rows in order, as (n,) views of two
+        alternating chunk buffers.  A row stays valid until the caller takes
+        the second row after it, so it may hold the pair of one step."""
+        chunk = min(ROW_CHUNK, self.n_rows)
+        n_chunks = -(-self.n_rows // ROW_CHUNK)
+        # one array per buffer: freeing a single twice-as-large block raised glibc's
+        # dynamic mmap threshold and with it the peak RSS of a 10k-spin run by ~2 MB
+        bufs = [np.empty((chunk, self.hi - self.lo)) for _ in range(min(2, n_chunks))]
+        scratch = np.empty(chunk * SPIN_BLOCK)
+
+        def start(c):
+            """Start chunk c on the worker, if any, and return a callable giving it.
+            The caller fills chunk 0 itself: it has nothing to do meanwhile."""
+            if c == n_chunks:
+                return None
+            out = bufs[c % 2][: min(ROW_CHUNK, self.n_rows - c * ROW_CHUNK)]
+            if self._pool is None or c == 0:
+                return lambda: self._fill(out, scratch)
+            return self._pool.submit(self._fill, out, scratch).result
+
+        get = start(0)
+        for c in range(n_chunks):
+            rows = get()
+            yield rows[0]
+            # the caller has now let go of the last row of chunk c - 1, whose buffer chunk c + 1 reuses
+            get = start(c + 1)
+            yield from rows[1:]
 
     def block_sums(self, values: np.ndarray) -> list[float]:
         return [float(np.sum(values[s])) for _, s in self._streams]
 
 
-def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads: int) -> list:
-    """Run fn(run) on contiguous runs of whole SPIN_BLOCK blocks, at most
-    RUN_BLOCKS each and at least one per thread, with min(threads, runs)
-    threads; fn returns one result per block of its run.  Returns every
-    block's result in block order, so sums over them are bit-identical for
-    any thread count.
+def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads: int, n_rows: int) -> list:
+    """Run fn(run) on contiguous runs of at most RUN_BLOCKS whole SPIN_BLOCK
+    blocks, in block order on the calling thread; each run supplies n_rows
+    noise rows and fn returns one result per block of its run.  Returns
+    every block's result in block order.  With threads > 1 and more than
+    one chunk of rows, one worker thread fills each run's chunks ahead of
+    use; the draws and their order are the same for any thread count.
     """
     n = ensemble.n_spins
     blocks = [(i, lo, min(lo + SPIN_BLOCK, n)) for i, lo in enumerate(range(0, n, SPIN_BLOCK))]
-    k = min(len(blocks), max(threads, -(-len(blocks) // RUN_BLOCKS)))
-    runs = [
-        _BlockRun(blocks[g * len(blocks) // k : (g + 1) * len(blocks) // k], ensemble.seed, key, noise_seed)
-        for g in range(k)
-    ]
-    workers = min(threads, k)
-    if workers <= 1:
-        return [r for run in runs for r in fn(run)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [r for part in pool.map(fn, runs) for r in part]
+    k = -(-len(blocks) // RUN_BLOCKS)
+    runs = [blocks[g * len(blocks) // k : (g + 1) * len(blocks) // k] for g in range(k)]
+    prefetch = threads > 1 and n_rows > ROW_CHUNK
+    with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as pool:
+        return [r for run in runs for r in fn(_BlockRun(run, ensemble.seed, key, noise_seed, n_rows, pool))]
 
 
 def _readout_angle(seq: PulseSequence, sign: int) -> float:
@@ -245,11 +288,11 @@ def _mean_cos_ideal(train: PiTrain, ensemble, bath, b_ac, shift, *, key, noise_s
     base = pattern + phi_ac - shift
 
     def run(blocks: _BlockRun):
-        z = blocks.normals(np.empty(blocks.hi - blocks.lo))
+        z = next(blocks.rows())
         xi = base + static_coeff * ensemble.delta_static[blocks.lo : blocks.hi] + sigma * z
         return blocks.block_sums(np.cos(xi))
 
-    return sum(_map_blocks(run, ensemble, key, noise_seed, threads)) / ensemble.n_spins
+    return sum(_map_blocks(run, ensemble, key, noise_seed, threads, 1)) / ensemble.n_spins
 
 
 def run_two_branch(
@@ -294,13 +337,15 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
     """
     n = v.shape[1]
     vx, vy, _ = v
-    work = np.empty((9, n))  # rotate_drive scratch, reused by the free precession
+    # rotate_drive scratch, reused by the free precession (rows 0-2) and the OU step (rows 3-4)
+    work = np.empty((9, n))
     t, f, p = work[:3]
-    z1, z2, delta = np.empty((3, n))
+    delta = np.empty(n)
     x = np.zeros(n)
     noisy = bath.b > 0
     if noisy:
-        x = blocks.normals(x) * bath.b
+        rows = blocks.rows()
+        x = next(rows) * bath.b
     if b_ac is not None:
         starts = np.array([t0 for _, _, t0 in steps])
         ends = starts + np.array([L for _, L, _ in steps])
@@ -315,7 +360,7 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
         # with t = tan(phi / 2) and f = 2 / (1 + t^2), cos = f - 1, sin = f t
         np.multiply(delta_s, L, out=t)
         if noisy:
-            integral, x = ou_transition(lead, L, bath).apply(x, blocks.normals(z1), blocks.normals(z2))
+            integral, x = ou_transition(lead, L, bath).apply(x, next(rows), next(rows), work[3:5])
             t += integral
         if b_ac is not None:
             t += phi_ac[k]
@@ -333,6 +378,11 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
         vy *= f
         vy += t
     return x
+
+
+def _finite_rows(steps, bath: OUBath) -> int:
+    """Noise rows _evolve_finite takes: the start value, then a pair per step."""
+    return 1 + 2 * len(steps) if bath.b > 0 else 0
 
 
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
@@ -354,7 +404,7 @@ def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width
             sums.append(blocks.block_sums((1.0 + vb[2]) / 2.0))
         return list(zip(*sums))
 
-    parts = _map_blocks(run, ensemble, 0xB0, noise_seed, threads)
+    parts = _map_blocks(run, ensemble, 0xB0, noise_seed, threads, _finite_rows(steps, bath))
     n = ensemble.n_spins
     return sum(p for p, _ in parts) / n, sum(m for _, m in parts) / n
 
@@ -399,7 +449,7 @@ def equatorial_survival(
         _evolve_finite(v, steps, omega_eff, ensemble.delta_static[lo:hi], bath, blocks)
         return blocks.block_sums(v[0] * ca + v[1] * sa)
 
-    return sum(_map_blocks(run, ensemble, 0xE0, noise_seed, threads)) / n
+    return sum(_map_blocks(run, ensemble, 0xE0, noise_seed, threads, _finite_rows(steps, bath))) / n
 
 
 def ensemble_rabi_curve(ensemble: EnsembleSample, durations) -> np.ndarray:

@@ -171,7 +171,8 @@ def run_coherence(
 
     Each sweep point uses fresh bath trajectories (new measurements), keyed
     deterministically on (ensemble seed, noise_seed, point index).  A fit
-    whose T2 lands beyond the sweep is flagged censored.
+    that did not converge, or whose T2 lands before the first point or
+    beyond the last, is flagged censored.
     """
     t_sweep = np.asarray(t_sweep, dtype=float)
     builder, _n_pi = make_coherence_builder(family, n_repeats)
@@ -189,7 +190,7 @@ def run_coherence(
     fit = fit_stretched_exp(t_sweep, signal)
     t2 = float(fit.params[1])
     p = float(fit.params[2])
-    censored = (not fit.converged) or t2 > float(t_sweep[-1])
+    censored = (not fit.converged) or not float(t_sweep[0]) <= t2 <= float(t_sweep[-1])
     return CoherenceResult(t_sweep, signal, fit, t2, p, censored)
 
 
@@ -360,6 +361,15 @@ def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.nd
     return means
 
 
+def _std_consuming(x: np.ndarray) -> float:
+    """np.std(x, ddof=1), bit for bit, computed in x's own storage (x is
+    overwritten): the ufunc sequence of numpy's _var without its temporary."""
+    n = len(x)
+    x -= np.sum(x) / n
+    np.square(x, out=x)
+    return math.sqrt(np.sum(x) / (n - 1))
+
+
 def run_resolution(
     readout: ReadoutModel,
     max_slope: float,
@@ -387,7 +397,7 @@ def run_resolution(
     _mean, factor = shot_law(0.5, 0.5, readout, [PROCESSING_ROWS["two_branch"]])
     rng = np.random.default_rng(seed)
     means = _cut_block_means(abs(float(factor[0, 0])), n_avg.tolist(), k.tolist(), rng, m_max)
-    min_field = np.array([float(np.std(x, ddof=1)) / max_slope for x in means])
+    min_field = np.array([_std_consuming(x) / max_slope for x in means])
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
     return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))

@@ -2,7 +2,8 @@
 
 Every fit uses a documented, data-derived initialization (no randomness)
 and a fixed trust-region solve, so identical data produce bit-identical
-results.  Models:
+results.  A fit has converged when the solver succeeded and every
+parameter has a finite standard error.  Models:
 
     lorentzian dip : c - d * (hw^2 / ((x - x0)^2 + hw^2))
     damped sine    : a * exp(-t/tau_d) * cos(2 pi f t) + c
@@ -46,7 +47,9 @@ def _finish(res, n_pts: int, names) -> CurveFitResult:
         stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         pass
-    return CurveFitResult(res.x, stderr, rms, bool(res.success), tuple(names))
+    # a parameter without a finite error bar is not determined by the data
+    converged = bool(res.success) and bool(np.all(np.isfinite(stderr)))
+    return CurveFitResult(res.x, stderr, rms, converged, tuple(names))
 
 
 def _solve(resid, x0, names, n_pts, bounds=(-np.inf, np.inf)) -> CurveFitResult:

@@ -302,6 +302,25 @@ def test_coherence_curve_with_no_positive_value_is_numerical_exit(tmp_path, caps
     assert "coherence fit" in capsys.readouterr().err
 
 
+def test_fit_without_finite_error_bars_is_numerical_exit(tmp_path, capsys):
+    # the 64-spin FID at the default 0.5-20 us sweep: at this seed the fit lands on
+    # t2 = 86 ns with a singular covariance, so its std errors are NaN
+    path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
+    assert run_cli("run", path, "--seed", "3", "--out", str(tmp_path / "out")) == 3
+    assert "coherence fit did not converge" in capsys.readouterr().err
+    fit = dict(line.split(",")[:2] for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:])
+    assert fit["converged"] == "0"
+
+
+def test_t2_before_the_first_point_is_censored(tmp_path):
+    # same FID at another seed: t2 = 463 ns, before the first point at 500 ns
+    path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
+    assert run_cli("run", path, "--seed", "1", "--out", str(tmp_path / "out")) == 0
+    fit = dict(line.split(",")[:2] for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:])
+    assert float(fit["t2_s"]) < 0.5e-6
+    assert fit["censored"] == "1.0"
+
+
 @pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
 def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, experiment):
     # at this seed the sine fit of the 4e-14 T, 16-spin sweep has |a k| = 0: no slope to report

