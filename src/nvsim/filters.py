@@ -34,11 +34,12 @@ rtol * chi / 10:
 * Truncation at the last node W.  With h = S/w^2 and Fbar = sum c_k^2,
   F = Fbar + sum_{j!=k} c_j c_k cos(w (t_j - t_k)).  The mean part of
   the tail, Fbar * integral_W^inf h dw, is added: Gauss-Legendre in
-  u = 1/w, one panel checked against two.  The oscillating part is
-  bounded by Abel summation over the grid,
-  dw h(W) sum_{j!=k} |c_j c_k| (1/2 + 1/|sin(pi (t_j - t_k)/L)|), for h
-  falling beyond W; the sum stops at the first block end W where that
-  bound is below the tolerance.
+  u = 1/w, one panel checked against two.  For h falling beyond W, Abel
+  summation bounds the rest by dw h(W) sum_{j!=k} |c_j c_k| (1/2 + 1/sin(pi lag/L)),
+  lag = |t_j - t_k| <= T <= L/2; by Jordan's sin(pi lag/L) >= 2 lag/L that is at most
+  h(W) (dw P + 2pi Q), P = sum_{j<k} |c_j c_k|, Q = sum_{j<k} |c_j c_k|/lag, taken once
+  per call in O(n) memory (looser by at most pi/2).  The sum stops at the first block
+  end W where that bound is below the tolerance.
 
 The search is capped at W T = _MAX_BAND and _MAX_NODES nodes in all; a
 spectrum that does not certify within the caps, such as a non-integrable
@@ -54,6 +55,7 @@ from .sequences import PulseSequence, pulse_times, toggling_segments
 
 _ROWS, _COLS = 128, 8  # a block is _COLS runs of _ROWS grid nodes, one _ROWS x (n + 2) phase table
 _NODES = _ROWS * _COLS
+_OFFSETS = np.arange(1, _ROWS + 1)[:, None] + _ROWS * np.arange(_COLS)  # node j of a block at [row, col]
 _MAX_NODES = 1 << 26  # grid nodes summed over all periods before a spectrum is rejected
 _MAX_BAND = np.pi * (1 << 20)  # largest W T the tail search may reach (2^20 nodes of the first grid)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -90,16 +92,11 @@ def toggling_moment(pi_times, total_t: float) -> float:
     return float(np.sum(np.diff(bounds) * y))
 
 
-def _abel_sum(edges: np.ndarray, c: np.ndarray, period: float) -> float:
-    """sum_{j!=k} |c_j c_k| (1/2 + 1/|sin(pi (t_j - t_k)/period)|), one lag at a time.
-
-    Every lag is in (0, T] and period >= 2T, so each sine is positive.
-    """
-    total = 0.0
-    for d in range(1, edges.size):
-        lag = edges[d:] - edges[:-d]
-        total += float(np.abs(c[d:] * c[:-d]) @ (0.5 + 1.0 / np.sin(np.pi / period * lag)))
-    return 2.0 * total
+def _pair_sums(edges: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """sum_{j<k} |c_j c_k| and sum_{j<k} |c_j c_k|/(t_k - t_j), the second one lag at a time."""
+    a = np.abs(c)
+    weighted = sum(float((a[d:] * a[:-d]) @ (1.0 / (edges[d:] - edges[:-d]))) for d in range(1, edges.size))
+    return 0.5 * float(a.sum() ** 2 - a @ a), weighted
 
 
 def _envelope_tail(spectrum, w: float, tol: float) -> float | None:
@@ -127,19 +124,24 @@ class _Grid:
     A block is _COLS runs of _ROWS nodes.  `table` holds e^(i r dw t_k)
     for r = 1.._ROWS and `runs` e^(i q _ROWS dw t_k) for q < _COLS, so the
     amplitudes sum_k c_k e^(iwt_k) of a whole block are one matrix product.
-    """
+    Only the first grid's table takes exps; the runs and halved grids are products."""
 
-    def __init__(self, edges, c, dw: float):
+    def __init__(self, edges, c, dw: float, table=None):
         self.edges, self.c, self.dw = edges, c, dw
-        self.table = np.exp(1j * dw * np.outer(np.arange(1, _ROWS + 1), edges))
-        self.runs = np.exp(1j * (_ROWS * dw) * np.outer(edges, np.arange(_COLS)))
-        self.offsets = np.arange(1, _ROWS + 1)[:, None] + _ROWS * np.arange(_COLS)
+        self.table = np.exp(1j * dw * np.outer(np.arange(1, _ROWS + 1), edges)) if table is None else table
+        self.runs = (self.table[-1] ** np.arange(_COLS)[:, None]).T
+
+    def halved(self) -> "_Grid":
+        """Grid of step dw/2: even rows are this grid's first half, odd rows those times e^(-i dw t_k/2)."""
+        head = self.table[: _ROWS // 2]
+        odd = head * np.exp(-0.5j * self.dw * self.edges)
+        return _Grid(self.edges, self.c, 0.5 * self.dw, np.stack((odd, head), axis=1).reshape(self.table.shape))
 
     def block(self, spectrum, first: float):
         """S(w) F(w)/w^2 and S(w) at w = (first + j) dw, j = 1.._NODES, shaped (_ROWS, _COLS)."""
         start = self.c * np.exp(1j * (first * self.dw) * self.edges)
         amp = self.table @ (start[:, None] * self.runs)
-        w = (first + self.offsets) * self.dw
+        w = (first + _OFFSETS) * self.dw
         s = np.broadcast_to(spectrum(w), w.shape)
         return s * (amp.real**2 + amp.imag**2) / w**2, s
 
@@ -156,12 +158,13 @@ def chi_from_spectrum(pi_times, total_t: float, spectrum, rtol: float = 1e-6) ->
     f_bar = float(c @ c)
     moment = toggling_moment(pi_times, total_t)
     f_zero = float(spectrum(0.0)) * moment**2 if moment else 0.0  # S F / w^2 at w -> 0
-    dw = np.pi / total_t  # grid period L = 2 pi / dw = 2T
+    pairs, weighted = _pair_sums(edges, c)
+    grid = _Grid(edges, c, np.pi / total_t)  # grid period L = 2 pi / dw = 2T
     m = nodes = 0  # nodes 1..m of the current grid are summed; W = m dw
     sum_all = sum_even = f_last = h_last = 0.0  # S F / w^2 summed over nodes 1..m and over even m
     while True:
-        grid = _Grid(edges, c, dw)
-        abel = dw * _abel_sum(edges, c, 2.0 * np.pi / dw)
+        dw = grid.dw
+        abel = dw * pairs + 2.0 * np.pi * weighted  # bounds the Abel sum at L = 2 pi / dw
         while True:  # extend the grid until the tail beyond W certifies
             fine = dw * (0.5 * f_zero + sum_all - 0.5 * f_last)  # trapezoid on [0, W]
             tol = rtol * fine / 10.0
@@ -196,7 +199,7 @@ def chi_from_spectrum(pi_times, total_t: float, spectrum, rtol: float = 1e-6) ->
         else:
             m = 0
             sum_all = sum_even = f_last = h_last = 0.0
-        dw *= 0.5
+        grid = grid.halved()
 
 
 def coherence_analytic(

@@ -39,12 +39,13 @@ class CurveFitResult:
 def _finish(res, n_pts: int, names) -> CurveFitResult:
     rms = math.sqrt(2.0 * res.cost / n_pts) if n_pts else 0.0
     m = len(res.x)
-    # covariance from J^T J, guarded against rank deficiency
+    # covariance from J^T J, guarded against rank deficiency; a negative
+    # variance (an inverse lost to rounding) is no error bar at all
     stderr = np.full(m, np.nan)
     try:
         jtj = res.jac.T @ res.jac
-        cov = np.linalg.inv(jtj) * (2.0 * res.cost / max(n_pts - m, 1))
-        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        var = np.diag(np.linalg.inv(jtj)) * (2.0 * res.cost / max(n_pts - m, 1))
+        stderr = np.sqrt(np.where(var < 0.0, np.nan, var))
     except np.linalg.LinAlgError:
         pass
     # a parameter without a finite error bar is not determined by the data

@@ -101,12 +101,13 @@ def _final_pulse(readout_sign: int, readout_phase: float) -> Pulse:
 
 
 def _assemble(pi_phases, tau, label, readout_sign, readout_phase) -> PulseSequence:
-    n = len(pi_phases)
-    elems = [Pulse(PH_X, math.pi / 2.0)]
-    elems.append(Delay(tau / 2.0))
-    for k, ph in enumerate(pi_phases):
-        elems.append(Pulse(ph, math.pi))
-        elems.append(Delay(tau if k < n - 1 else tau / 2.0))
+    # frozen elements: one Pulse per phase and one Delay per length (which rejects tau < 0)
+    pulses = {ph: Pulse(ph, math.pi) for ph in set(pi_phases)}
+    half, full = Delay(tau / 2.0), Delay(tau)
+    elems = [Pulse(PH_X, math.pi / 2.0), half]
+    for ph in pi_phases:
+        elems += (pulses[ph], full)
+    elems[-1] = half
     elems.append(_final_pulse(readout_sign, readout_phase))
     return PulseSequence(tuple(elems), label, readout_sign, readout_phase)
 
@@ -138,16 +139,12 @@ def build_cpmg(
     """CPMG-n: n pi pulses, all phase y, symmetric timing with spacing tau."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
     return _assemble((PH_Y,) * n, tau, f"cpmg-{n}", readout_sign, readout_phase)
 
 
 def _build_xy(phases, n_repeats, tau, label, readout_sign, readout_phase):
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
     return _assemble(phases * n_repeats, tau, label, readout_sign, readout_phase)
 
 

@@ -152,6 +152,9 @@ def test_acceptance_6_mc_vs_filter_function():
             w_an = coherence_analytic(seq, BATH)
             diffs.append(w_mc - w_an)
         rms = float(np.sqrt(np.mean(np.square(diffs))))
+        # Ensemble seeds s = 0-199 with noise seeds s + 13 i fail 0 times: RMS median 0.0053,
+        # max 0.0104 (0.0040-0.0043 here), so 0.02 is 3.7 of the per-point Monte Carlo SEs in
+        # quadrature (0.0001-0.0074, from the seed spread).  W_mc x 1.1 fails all 200 seeds.
         assert rms <= 0.02, f"{family}-{n_rep}: RMS {rms:.4f}"
     assert time.perf_counter() - t0 < 600.0
 

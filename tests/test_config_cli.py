@@ -312,13 +312,19 @@ def test_fit_without_finite_error_bars_is_numerical_exit(tmp_path, capsys):
     assert fit["converged"] == "0"
 
 
-def test_t2_before_the_first_point_is_censored(tmp_path):
-    # same FID at another seed: t2 = 463 ns, before the first point at 500 ns
+def test_t2_before_the_first_point_is_censored(tmp_path, capsys):
+    # same FID at another seed: t2 = 463 ns, before the first point at 500 ns.
+    # cond(J^T J) is ~1e25 and the diagonal of its inverse comes out negative,
+    # which is no error bar: NaN std errors, converged 0, exit 3 (not 0.0 and 0)
     path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
-    assert run_cli("run", path, "--seed", "1", "--out", str(tmp_path / "out")) == 0
-    fit = dict(line.split(",")[:2] for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:])
-    assert float(fit["t2_s"]) < 0.5e-6
-    assert fit["censored"] == "1.0"
+    assert run_cli("run", path, "--seed", "1", "--out", str(tmp_path / "out")) == 3
+    assert "coherence fit did not converge" in capsys.readouterr().err
+    rows = [line.split(",") for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:]]
+    fit = {name: (value, err) for name, value, err in rows}
+    assert float(fit["t2_s"][0]) < 0.5e-6
+    assert fit["censored"][0] == "1.0"
+    assert fit["converged"][0] == "0"
+    assert all(fit[name][1] == "nan" for name in ("a", "t2", "p"))
 
 
 @pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])

@@ -10,7 +10,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from nvsim.experiments import make_coherence_builder
-from nvsim.filters import chi_from_spectrum, coherence_analytic, filter_weight, toggling_moment
+from nvsim.filters import (
+    _Grid,
+    _pair_sums,
+    _toggling_coefficients,
+    chi_from_spectrum,
+    coherence_analytic,
+    filter_weight,
+    toggling_moment,
+)
 from nvsim.noise import OUBath, calibrate_bath, chi_echo_ou, chi_fid_ou, ou_chi_exact
 from nvsim.sequences import build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
 
@@ -185,3 +193,65 @@ def test_chi_meets_rtol_on_acceptance_6_points(rtol):
             exact = ou_chi_exact(times, total, BATH)
             chi = chi_from_spectrum(times, total, BATH.psd, rtol=rtol)
             assert abs(chi - exact) <= rtol * exact, f"{family}-{n_rep} at {factor} T2"
+
+
+def _abel_sum(edges, c, period):
+    """Reference: sum_{j!=k} |c_j c_k| (1/2 + 1/|sin(pi (t_j - t_k)/period)|), one lag at a time."""
+    total = 0.0
+    for d in range(1, edges.size):
+        lag = edges[d:] - edges[:-d]
+        total += float(np.abs(c[d:] * c[:-d]) @ (0.5 + 1.0 / np.sin(np.pi / period * lag)))
+    return 2.0 * total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 256), seed=st.integers(0, 2**32 - 1))
+def test_tail_constant_bounds_the_abel_sum_of_every_period(n, seed):
+    # The once-per-call constant dw sum_{j<k}|c_j c_k| + 2pi sum_{j<k}|c_j c_k|/lag
+    # (Jordan: sin(pi lag/L) >= 2 lag/L for lag <= T <= L/2) against the exact
+    # per-period Abel sum, on the trains of test_chi_meets_rtol_on_random_trains.
+    T = 100e-6
+    times = np.sort(np.random.default_rng(seed).uniform(0.0, T, n))
+    edges, c = _toggling_coefficients(times, T)
+    pairs, weighted = _pair_sums(edges, c)
+    for k in range(5):
+        period = 2.0 * T * 2**k
+        dw = 2.0 * np.pi / period
+        assert dw * pairs + 2.0 * np.pi * weighted >= dw * _abel_sum(edges, c, period)
+
+
+def _exact_phases(edges, dw, count):
+    """e^(i r dw t_k) for r = 1..count, phases taken in extended precision."""
+    r = np.arange(1, count + 1, dtype=np.longdouble)
+    arg = np.multiply.outer(r * np.longdouble(dw), np.asarray(edges, dtype=np.longdouble))
+    return (np.cos(arg) + 1j * np.sin(arg)).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "times, T",
+    [
+        ([], 3e-6),
+        pulse_times(build_xy16(16, 1e-6)),
+        (np.sort(np.random.default_rng(1).uniform(0.0, 100e-6, 256)), 100e-6),
+    ],
+)
+def test_halved_grid_tables_match_a_fresh_grid_and_the_exact_phases(times, T):
+    # Each halved grid's table is built from the last one's, and every grid's
+    # runs are powers of its last table row: every table entry within 1e-13 of
+    # the extended-precision phase, and of a freshly built grid.  The largest
+    # run phase is 7x the largest table phase (~2800 rad on the first grid,
+    # where rounding the argument to double alone moves an exp by ~3e-13), so
+    # runs get 7e-13.
+    edges, c = _toggling_coefficients(times, T)
+    grid = _Grid(edges, c, np.pi / T)
+    for k in range(7):
+        rows, cols = grid.table.shape[0], grid.runs.shape[1]
+        assert np.abs(grid.table - _exact_phases(edges, grid.dw, rows)).max() <= 1e-13
+        assert np.abs(grid.runs[:, 1:].T - _exact_phases(edges, rows * grid.dw, cols - 1)).max() <= 7e-13
+        assert np.all(grid.runs[:, 0] == 1.0)
+        if k:
+            fresh = _Grid(edges, c, grid.dw)
+            assert np.abs(grid.table - fresh.table).max() <= 1e-13
+            assert np.abs(grid.runs - fresh.runs).max() <= 7e-13
+        grid = grid.halved()
+    assert grid.dw == np.pi / T / 2**7

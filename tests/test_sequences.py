@@ -87,6 +87,13 @@ def test_cpmg_rejects_zero_pulses():
         build_cpmg(0, 1e-6)
 
 
+@pytest.mark.parametrize("build", [build_cpmg, build_xy4, build_xy8, build_xy16])
+def test_builders_reject_negative_tau(build):
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            build(n, -1e-9)
+
+
 def test_xy16_pulse_counts():
     assert build_xy16(1, 1e-6).n_pi_pulses == 16
     assert build_xy16(16, 1e-6).n_pi_pulses == 256
