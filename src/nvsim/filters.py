@@ -121,10 +121,10 @@ def _envelope_tail(spectrum, w: float, tol: float) -> float | None:
 class _Grid:
     """Phase tables of the grid w_j = j dw for the edge times t_k.
 
-    A block is _COLS runs of _ROWS nodes.  `table` holds e^(i r dw t_k)
-    for r = 1.._ROWS and `runs` e^(i q _ROWS dw t_k) for q < _COLS, so the
-    amplitudes sum_k c_k e^(iwt_k) of a whole block are one matrix product.
-    Only the first grid's table takes exps; the runs and halved grids are products."""
+    A block is _COLS runs of _ROWS nodes.  `table` holds e^(i r dw t_k) for r = 1.._ROWS
+    (one (_ROWS, n) exp; a halved table is products of the last with one n-length exp)
+    and `runs` e^(i q _ROWS dw t_k) for q < _COLS (powers of the last row), so the
+    amplitudes sum_k c_k e^(iwt_k) of a whole block are one matrix product."""
 
     def __init__(self, edges, c, dw: float, table=None):
         self.edges, self.c, self.dw = edges, c, dw

@@ -39,13 +39,17 @@ class CurveFitResult:
 def _finish(res, n_pts: int, names) -> CurveFitResult:
     rms = math.sqrt(2.0 * res.cost / n_pts) if n_pts else 0.0
     m = len(res.x)
-    # covariance from J^T J, guarded against rank deficiency; a negative
-    # variance (an inverse lost to rounding) is no error bar at all
+    # covariance from J^T J, unless J is numerically rank-deficient once its
+    # columns are scaled to unit norm (the units alone put cond(J^T J) past
+    # 1/eps for odmr): inv(J^T J) is then rounding noise of either sign.
+    # A negative variance is no error bar either.
     stderr = np.full(m, np.nan)
     try:
-        jtj = res.jac.T @ res.jac
-        var = np.diag(np.linalg.inv(jtj)) * (2.0 * res.cost / max(n_pts - m, 1))
-        stderr = np.sqrt(np.where(var < 0.0, np.nan, var))
+        norm = np.linalg.norm(res.jac, axis=0)
+        sv = np.linalg.svd(res.jac / np.where(norm > 0.0, norm, 1.0), compute_uv=False)
+        if sv[-1] > np.finfo(float).eps * sv[0] * max(res.jac.shape):
+            var = np.diag(np.linalg.inv(res.jac.T @ res.jac)) * (2.0 * res.cost / max(n_pts - m, 1))
+            stderr = np.sqrt(np.where(var < 0.0, np.nan, var))
     except np.linalg.LinAlgError:
         pass
     # a parameter without a finite error bar is not determined by the data

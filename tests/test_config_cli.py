@@ -314,8 +314,9 @@ def test_fit_without_finite_error_bars_is_numerical_exit(tmp_path, capsys):
 
 def test_t2_before_the_first_point_is_censored(tmp_path, capsys):
     # same FID at another seed: t2 = 463 ns, before the first point at 500 ns.
-    # cond(J^T J) is ~1e25 and the diagonal of its inverse comes out negative,
-    # which is no error bar: NaN std errors, converged 0, exit 3 (not 0.0 and 0)
+    # The model is 0.0 from the third point on, so J has two nonzero rows for
+    # three parameters: NaN std errors, converged 0, exit 3. The censoring of a
+    # converged fit is test_experiments::test_converged_t2_before_the_first_point_is_censored
     path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
     assert run_cli("run", path, "--seed", "1", "--out", str(tmp_path / "out")) == 3
     assert "coherence fit did not converge" in capsys.readouterr().err

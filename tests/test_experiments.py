@@ -115,6 +115,19 @@ def test_coherence_censored_when_no_decay():
     assert np.all(res.signal_norm > 0.999)
 
 
+def test_converged_t2_before_the_first_point_is_censored():
+    # the round-trip echo, swept from 10 us on: the fit converges on the true
+    # T2 of 9 us, which lies before the first point, so the curve is censored
+    bath = calibrate_bath(9e-6, 10e-6)
+    ens, _ = make_ensemble(n=3000, seed=3, bath=bath)
+    t_sweep = np.linspace(10e-6, 24e-6, 15)
+    res = run_coherence("echo", 1, t_sweep, ens, bath, noise_seed=11)
+    assert res.fit.converged
+    assert res.t2_s < t_sweep[0]
+    assert res.t2_s == pytest.approx(9e-6, rel=0.05)
+    assert res.censored
+
+
 def test_coherence_builder_families():
     for family, n_rep, expect in (("echo", 1, 1), ("cpmg", 8, 8), ("xy4", 2, 8),
                                   ("xy8", 2, 16), ("xy16", 2, 32), ("fid", 1, 0)):

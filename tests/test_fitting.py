@@ -1,10 +1,13 @@
 """Curve fits: synthetic recovery, determinism, model nesting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nvsim.fitting import (
     FitError,
+    _finish,
     damped_sine,
     fit_damped_sine,
     fit_lorentzian,
@@ -115,3 +118,31 @@ def test_too_few_points_rejected():
         fit_stretched_exp([1, 2], [1, 2])
     with pytest.raises(ValueError):
         fit_sine([1, 2], [1, 2])
+
+
+def _solved(jac, cost=0.5):
+    return SimpleNamespace(x=np.zeros(jac.shape[1]), jac=jac, cost=cost, success=True)
+
+
+def test_rank_deficient_jacobian_has_no_error_bars():
+    # the second column is the first plus 1e-12 times the third: rank 2 in exact
+    # arithmetic, and the diagonal of inv(J^T J) is ~1e14 of either sign
+    t = np.linspace(0.0, 1.0, 20)
+    jac = np.column_stack([np.ones_like(t), 1.0 + 1e-12 * t, t])
+    fit = _finish(_solved(jac), len(t), ("a", "b", "c"))
+    assert np.all(np.isnan(fit.stderr))
+    assert not fit.converged
+
+
+def test_badly_scaled_jacobian_keeps_its_error_bars():
+    # columns of norm ~1, ~1e-9 and ~1e6, like an ODMR fit in Hz: cond(J^T J)
+    # is far past 1/eps, but the parameters are determined
+    t = np.linspace(0.0, 1.0, 20)
+    jac = np.column_stack([np.ones_like(t), 1e-9 * t, 1e6 * t * t])
+    assert np.linalg.cond(jac.T @ jac) > 1e20
+    fit = _finish(_solved(jac), len(t), ("a", "b", "c"))
+    scale = np.linalg.norm(jac, axis=0)
+    scaled = jac / scale
+    want = np.sqrt(np.diag(np.linalg.inv(scaled.T @ scaled)) / (len(t) - 3)) / scale
+    assert fit.converged
+    assert fit.stderr == pytest.approx(want, rel=1e-9)
