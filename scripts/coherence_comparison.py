@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
-from nvsim.experiments import make_coherence_builder, write_curve_csv
+from nvsim.experiments import make_coherence_builder, write_table
 from nvsim.filters import coherence_analytic
 from nvsim.noise import QuasiStaticSpread, calibrate_bath
 
@@ -46,7 +46,7 @@ def main():
             an[i] = coherence_analytic(seq, bath)
         label = f"{family}-{n_rep}" if family != "echo" else "echo"
         path = out / f"{label}.csv"
-        write_curve_csv(path, ["t_total_s", "signal_mc", "signal_analytic"], [sweep, mc, an])
+        write_table(path, ["t_total_s", "signal_mc", "signal_analytic"], [sweep, mc, an])
         print(f"wrote {path} ({n_pi} pi pulses)")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nvsim.experiments import write_curve_csv
+from nvsim.experiments import write_table
 from nvsim.fields import ResonatorSpec, drive_field
 
 
@@ -26,7 +26,7 @@ def main():
         cols[f"b_{kind}_t_per_sqrt_w"] = np.hypot(np.hypot(bx, by), bz)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(out, list(cols.keys()), list(cols.values()))
+    write_table(out, list(cols.keys()), list(cols.values()))
     print(f"wrote {out}")
 
 

@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,18 +20,18 @@ from . import __version__
 from .config import ConfigError, RunConfig, averaging_counts, config_items, format_manifest, parse_config, validate_config
 from .ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from .experiments import (
+    fit_table,
+    report_table,
     run_ac_magnetometry,
     run_coherence,
     run_odmr,
     run_rabi,
     run_resolution,
-    write_curve_csv,
-    write_fit_csv,
-    write_sensitivity_csv,
-    write_shots_csv,
+    shots_table,
+    write_table,
 )
 from .fields import ResonatorSpec, compute_field_map
-from .fitting import FitError
+from .fitting import CurveFitResult, FitError
 from .noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath, sigma_from_t2star
 from .readout import ReadoutModel, simulate_shot_stream
 from .sequences import SWEEP_FAMILIES, build_xy16
@@ -97,29 +98,25 @@ def build_ensemble(cfg: RunConfig):
     return ens, noise_model
 
 
-# Each runner writes its outputs into `out`, records them in `outputs`
-# (manifest entries, in order) and returns (primary fit, its name) or None.
+class Outputs(NamedTuple):
+    """A runner's tables (name, header, columns) in manifest order, its
+    primary fit and that fit's name, and any more manifest entries."""
 
-def _output(out: Path, outputs: dict[str, str], name: str) -> Path:
-    path = out / name
-    outputs[f"output_{name.split('.')[0]}"] = str(path)
-    return path
-
-
-def _write_fit(out, outputs, fit, extra, fit_name):
-    write_fit_csv(_output(out, outputs, "fit.csv"), fit, extra)
-    return fit, fit_name
+    tables: list
+    fit: CurveFitResult | None = None
+    fit_name: str = ""
+    manifest: dict[str, str] | None = None
 
 
-def _write_fieldmap(cfg: RunConfig, path: Path) -> None:
-    path.write_text(compute_field_map(build_resonator_spec(cfg)).to_csv())
+def _fieldmap_table(cfg: RunConfig):
+    return compute_field_map(build_resonator_spec(cfg)).table()
 
 
-def _run_fieldmap(cfg, out, outputs):
-    _write_fieldmap(cfg, _output(out, outputs, "fieldmap.csv"))
+def _run_fieldmap(cfg):
+    return Outputs([_fieldmap_table(cfg)])
 
 
-def _run_odmr(cfg, out, outputs):
+def _run_odmr(cfg):
     freqs = np.linspace(cfg.f_min_hz, cfg.f_max_hz, cfg.n_freq)
     res = run_odmr(
         freqs,
@@ -129,20 +126,20 @@ def _run_odmr(cfg, out, outputs):
         contrast_misaligned=cfg.odmr_contrast_misaligned,
         v0_v=cfg.v0_v,
     )
-    write_curve_csv(_output(out, outputs, "curve.csv"), ["freq_hz", "signal_v"], [res.freqs_hz, res.signal])
-    return _write_fit(out, outputs, res.fit, {"fitted_dip_hz": res.fitted_dip_hz}, "ODMR dip fit")
+    curve = ("curve.csv", ["freq_hz", "signal_v"], [res.freqs_hz, res.signal])
+    return Outputs([curve, fit_table(res.fit, {"fitted_dip_hz": res.fitted_dip_hz})], res.fit, "ODMR dip fit")
 
 
-def _run_rabi(cfg, out, outputs):
+def _run_rabi(cfg):
     ens, _ = build_ensemble(cfg)
     durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
     res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None,
                    shots=cfg.shots if cfg.shots > 1 else 0, seed=cfg.seed + 1)
-    write_curve_csv(_output(out, outputs, "curve.csv"), ["duration_s", "population"], [res.durations_s, res.population])
-    return _write_fit(out, outputs, res.fit, {"t_pi_s": res.t_pi_s}, "Rabi damped-sine fit")
+    curve = ("curve.csv", ["duration_s", "population"], [res.durations_s, res.population])
+    return Outputs([curve, fit_table(res.fit, {"t_pi_s": res.t_pi_s})], res.fit, "Rabi damped-sine fit")
 
 
-def _run_coherence(cfg, out, outputs):
+def _run_coherence(cfg):
     ens, noise_model = build_ensemble(cfg)
     t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
     try:
@@ -158,9 +155,9 @@ def _run_coherence(cfg, out, outputs):
         )
     except FitError as exc:
         raise NumericalFailure(f"coherence fit: {exc}") from exc
-    write_curve_csv(_output(out, outputs, "curve.csv"), ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
+    curve = ("curve.csv", ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
     extra = {"t2_s": res.t2_s, "stretch_p": res.stretch_p, "censored": float(res.censored)}
-    return _write_fit(out, outputs, res.fit, extra, "coherence fit")
+    return Outputs([curve, fit_table(res.fit, extra)], res.fit, "coherence fit")
 
 
 def _ac_sweep(cfg: RunConfig):
@@ -188,23 +185,21 @@ def _ac_sweep(cfg: RunConfig):
         raise NumericalFailure(f"AC sweep: {exc}") from exc
 
 
-def _run_ac_sense(cfg, out, outputs):
+def _run_ac_sense(cfg):
     res = _ac_sweep(cfg)
-    write_curve_csv(
-        _output(out, outputs, "curve.csv"),
+    curve = (
+        "curve.csv",
         ["b_ac_t", "signal_v", "signal_std_v", "signal_norm"],
         [res.amplitudes_t, res.signal_mean_v, res.signal_std_v, res.signal_norm],
     )
-    fit = _write_fit(out, outputs, res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t}, "AC sine fit")
-    write_sensitivity_csv(_output(out, outputs, "report.csv"), res.report)
+    tables = [curve, fit_table(res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t}), report_table(res.report)]
     if cfg.dump_shots:
         rng = np.random.default_rng(cfg.seed + 5)
-        stream = simulate_shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng)
-        write_shots_csv(_output(out, outputs, "shots.csv"), stream)
-    return fit
+        tables.append(shots_table(simulate_shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng)))
+    return Outputs(tables, res.fit, "AC sine fit")
 
 
-def _run_resolution(cfg, out, outputs):
+def _run_resolution(cfg):
     ac = _ac_sweep(cfg)
     res = run_resolution(
         build_readout(cfg),
@@ -214,13 +209,12 @@ def _run_resolution(cfg, out, outputs):
         blocks_per_point=cfg.blocks_per_point,
         seed=cfg.seed + 6,
     )
-    write_curve_csv(
-        _output(out, outputs, "resolution.csv"),
+    table = (
+        "resolution.csv",
         ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t", "min_field_stderr_t"],
         [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t, res.min_field_stderr_t],
     )
-    write_sensitivity_csv(_output(out, outputs, "report.csv"), ac.report)
-    outputs["loglog_slope"] = repr(res.loglog_slope)
+    return Outputs([table, report_table(ac.report)], manifest={"loglog_slope": repr(res.loglog_slope)})
 
 
 _RUNNERS = {
@@ -234,15 +228,20 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: RunConfig, out: Path) -> dict[str, str]:
-    """Dispatch one experiment; returns manifest entries for the outputs.
+    """Run one experiment and write its tables; returns their manifest entries.
 
-    fit.csv is written before a non-converged primary fit raises.
+    Every table, fit.csv included, is on disk before a non-converged
+    primary fit raises.
     """
-    outputs: dict[str, str] = {}
-    checked = _RUNNERS[cfg.experiment](cfg, out, outputs)
-    if checked is not None and not checked[0].converged:
-        raise NumericalFailure(f"{checked[1]} did not converge")
-    return outputs
+    res = _RUNNERS[cfg.experiment](cfg)
+    entries: dict[str, str] = {}
+    for name, header, columns in res.tables:
+        write_table(out / name, header, columns)
+        entries[f"output_{Path(name).stem}"] = str(out / name)
+    entries.update(res.manifest or {})
+    if res.fit is not None and not res.fit.converged:
+        raise NumericalFailure(f"{res.fit_name} did not converge")
+    return entries
 
 
 def cmd_run(cfg: RunConfig, warnings: list[str]) -> int:
@@ -278,8 +277,9 @@ def cmd_validate(cfg: RunConfig, warnings: list[str]) -> int:
 def cmd_fieldmap(cfg: RunConfig, warnings: list[str]) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_fieldmap(cfg, out / "fieldmap.csv")
-    print(f"wrote {out}/fieldmap.csv")
+    name, header, columns = _fieldmap_table(cfg)
+    write_table(out / name, header, columns)
+    print(f"wrote {out}/{name}")
     return 0
 
 

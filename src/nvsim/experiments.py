@@ -2,8 +2,9 @@
 resolution-vs-time, and the sensitivity arithmetic.
 
 Each driver returns a small result object carrying the raw curve, the
-fit, and derived quantities; CSV serialization lives in `write_*`
-helpers so the CLI and scripts share one format.
+fit, and derived quantities; every output file is a table
+`(name, header, columns)` written by `write_table`, so the CLI and the
+scripts share one format.
 
 AC synchronization: for symmetric pi-train timing (pulses at the
 half-integer multiples of the spacing tau) the test field must have its
@@ -441,46 +442,40 @@ def run_phase_robustness(
 
 # ---------------------------------------------------------------- CSV output
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def write_curve_csv(path, header: list[str], columns: list[np.ndarray]):
-    rows = zip(*columns)
+def write_table(path, header: list[str], columns) -> None:
+    """One CSV: the header line, then one row per index of the equal-length columns.
+
+    A float cell is written as repr(float(v)), which round-trips; any
+    other cell (an int, a name) as str(v).
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) if isinstance(v, (float, np.floating)) else _fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*columns, strict=True))
 
 
-def write_fit_csv(path, fit: CurveFitResult, extra: dict[str, float] | None = None):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("parameter,value,std_error\n")
-        for name, val, err in zip(fit.param_names, fit.params, fit.stderr):
-            fh.write(f"{name},{_fmt(float(val))},{_fmt(float(err))}\n")
-        fh.write(f"residual_rms,{_fmt(float(fit.residual_rms))},0.0\n")
-        fh.write(f"converged,{int(fit.converged)},0.0\n")
-        for name, val in (extra or {}).items():
-            fh.write(f"{name},{_fmt(float(val))},0.0\n")
+def fit_table(fit: CurveFitResult, extra: dict[str, float]):
+    """fit.csv: each parameter and its std error, then residual_rms, converged
+    (0 or 1) and the derived quantities in extra, each with std error 0.0."""
+    rows = ["residual_rms", "converged", *extra]
+    values = [*map(float, fit.params), float(fit.residual_rms), int(fit.converged), *map(float, extra.values())]
+    errors = [*map(float, fit.stderr)] + [0.0] * len(rows)
+    return "fit.csv", ["parameter", "value", "std_error"], [[*fit.param_names, *rows], values, errors]
 
 
-def write_sensitivity_csv(path, report: SensitivityReport):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("delta_s_V,max_slope_V_per_T,t_seq_s,eta_T_per_sqrtHz\n")
-        fh.write(
-            f"{_fmt(report.delta_s_v)},{_fmt(report.max_slope_v_per_t)},"
-            f"{_fmt(report.t_seq_s)},{_fmt(report.eta_t_per_sqrt_hz)}\n"
-        )
+def report_table(report: SensitivityReport):
+    """report.csv: the sensitivity arithmetic, one row."""
+    header = ["delta_s_V", "max_slope_V_per_T", "t_seq_s", "eta_T_per_sqrtHz"]
+    values = (report.delta_s_v, report.max_slope_v_per_t, report.t_seq_s, report.eta_t_per_sqrt_hz)
+    return "report.csv", header, [[v] for v in values]
 
 
-def write_shots_csv(path, stream: dict[str, np.ndarray]):
-    s = np.asarray(process_two_branch(stream))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("shot_index,s1_V,r1_V,s2_V,r2_V,S_V\n")
-        for i in range(len(s)):
-            fh.write(
-                f"{i},{_fmt(float(stream['s1'][i]))},{_fmt(float(stream['r1'][i]))},"
-                f"{_fmt(float(stream['s2'][i]))},{_fmt(float(stream['r2'][i]))},{_fmt(float(s[i]))}\n"
-            )
+def shots_table(stream: dict[str, np.ndarray]):
+    """shots.csv: the four windows of each shot and their two-branch output S."""
+    s = process_two_branch(stream)
+    columns = [range(len(s)), stream["s1"], stream["r1"], stream["s2"], stream["r2"], s]
+    return "shots.csv", ["shot_index", "s1_V", "r1_V", "s2_V", "r2_V", "S_V"], columns

@@ -16,7 +16,6 @@ of drive power, so amplitudes scale as sqrt(P).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -207,22 +206,20 @@ class FieldMap:
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.b_u, self.b_v)
 
-    def to_csv(self) -> str:
-        """Grid export with columns x_m, y_m, z_m, Bx_T, By_T, Bz_T, Babs_T.
+    def table(self):
+        """fieldmap.csv as a table (name, header, columns), one row per grid
+        point with v varying fastest.
 
         The cross-section plane is written as y = 0 with u -> x, v -> z;
-        amplitudes are per sqrt(W).
+        amplitudes are per sqrt(W).  Babs_T is math.hypot of each point,
+        whose bits np.hypot does not always give.
         """
-        buf = io.StringIO()
-        buf.write("x_m,y_m,z_m,Bx_T,By_T,Bz_T,Babs_T\n")
-        for i, uu in enumerate(self.u):
-            for j, vv in enumerate(self.v):
-                bu = self.b_u[i, j]
-                bv = self.b_v[i, j]
-                babs = math.hypot(bu, bv)
-                row = (uu, 0.0, vv, bu, 0.0, bv, babs)
-                buf.write(",".join(repr(float(c)) for c in row) + "\n")
-        return buf.getvalue()
+        n_u, n_v = self.b_u.shape
+        b_u, b_v = self.b_u.ravel(), self.b_v.ravel()
+        zero = np.zeros(b_u.size)
+        b_abs = [math.hypot(a, b) for a, b in zip(b_u.tolist(), b_v.tolist())]
+        columns = [np.repeat(self.u, n_v), zero, np.tile(self.v, n_u), b_u, zero, b_v, b_abs]
+        return "fieldmap.csv", ["x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T", "Babs_T"], columns
 
 
 def compute_field_map(
@@ -232,7 +229,12 @@ def compute_field_map(
     n_u: int = 201,
     n_v: int = 81,
 ) -> FieldMap:
-    """Evaluate drive_field on a regular grid in the y = 0 plane, per sqrt(W)."""
+    """Evaluate drive_field on a regular grid in the y = 0 plane, per sqrt(W).
+
+    The default heights start at standoff_m / 2.  A wire's field is not
+    defined inside its conductor, so grid points with hypot(u, v) <=
+    wire_diameter_m / 2 are NaN, here and in fieldmap.csv.
+    """
     if u_extent is None:
         u_extent = {
             "cwr": spec.strip_width_m + 2 * (spec.gap_m + spec.ground_width_m),

@@ -204,6 +204,10 @@ def test_acceptance_8_common_mode_ab():
 
     deg_full = eta("two_branch", 0.01) / eta("two_branch", 0.0) - 1.0
     deg_single = eta("single_branch", 0.01) / eta("single_branch", 0.0) - 1.0
+    # Seed scan of this call (ensemble, noise and shot seeds 0-199), SE = the
+    # spread over seeds: deg_full 6.0e-5 +- 7.9e-5 (max 4.3e-4), 630 SE under
+    # 0.05; deg_single 0.275 +- 0.0048, 36 SE over 0.10 and >= 677 deg_full.
+    # False-failure rate 0 of 200 seeds.
     assert deg_full < 0.05
     assert deg_single > 5.0 * deg_full
     assert deg_single > 0.10  # the laser leak is material without the branch pair
@@ -277,6 +281,10 @@ def test_acceptance_10_robustness():
         "cpmg": build_cpmg(n_pulses, tau),
     }
     out = run_phase_robustness(fams, ens, BATH, pulse_width=48e-9, n_phases=12, noise_seed=102)
+    # Seed scan of this call (ensemble and noise seeds 0-199), SE = the spread
+    # over seeds: XY16 minus CPMG is 0.535 +- 0.015 at the worst phase and
+    # 0.536 +- 0.015 on the x axis, 36 SE above 0 for both checks.
+    # False-failure rate 0 of 200 seeds.
     assert out["xy16"]["worst"] > out["cpmg"]["worst"]
     # and CPMG specifically fails on the axis 90 deg from its pulse axis
     cpmg_curve = out["cpmg"]["survival"]

@@ -4,6 +4,7 @@ import filecmp
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,6 +213,22 @@ def test_fieldmap_command_needs_geometry_for_any_experiment(tmp_path, capsys):
     assert "fieldmap requires" in capsys.readouterr().err
     path = write_cfg(tmp_path, "experiment = echo\nresonator = wire\n")
     assert run_cli("fieldmap", path, "--out", str(tmp_path / "fm")) == 0
+
+
+def test_wire_fieldmap_is_nan_inside_the_conductor(tmp_path, capsys):
+    # The grid starts at standoff_m / 2 = 7.5 um, inside the wire's 10 um
+    # radius.  The field is not defined there, so those points are NaN (four
+    # rows at x = 0) and every command still exits 0.
+    path = write_cfg(tmp_path, "experiment = fieldmap\nresonator = wire\nstandoff_m = 15e-6\n")
+    assert run_cli("validate", path) == 0
+    assert run_cli("fieldmap", path, "--out", str(tmp_path / "cmd")) == 0
+    assert run_cli("run", path, "--out", str(tmp_path / "run")) == 0
+    for d in ("cmd", "run"):
+        table = np.loadtxt(tmp_path / d / "fieldmap.csv", delimiter=",", skiprows=1)
+        inside = np.hypot(table[:, 0], table[:, 2]) <= 20e-6 / 2
+        assert inside.sum() == 4 and not table[inside, 0].any()
+        nan_columns = np.array([False, False, False, True, False, True, True])  # Bx_T, Bz_T, Babs_T
+        assert np.array_equal(np.isnan(table), inside[:, None] & nan_columns)
 
 
 def test_fieldmap_run_and_command_write_identical_csv(tmp_path):

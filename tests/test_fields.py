@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from nvsim.constants import GAMMA_E, MU_0
 from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
+from nvsim.experiments import write_table
 from nvsim.fields import (
     ResonatorSpec,
     compute_field_map,
@@ -360,22 +361,33 @@ def test_drive_field_is_nan_inside_the_wire():
     assert np.isfinite(bx[2]) and bz[2] == 0.0 and np.all(by == 0.0)
 
 
-def test_map_csv_export(maps):
-    text = maps["wire"].to_csv()
-    lines = text.strip().split("\n")
+def _map_csv_lines(m, tmp_path) -> list[str]:
+    name, header, columns = m.table()
+    write_table(tmp_path / name, header, columns)
+    return (tmp_path / name).read_text().splitlines()
+
+
+def test_map_csv_export(maps, tmp_path):
+    name, _, _ = maps["wire"].table()
+    lines = _map_csv_lines(maps["wire"], tmp_path)
+    assert name == "fieldmap.csv"
     assert lines[0] == "x_m,y_m,z_m,Bx_T,By_T,Bz_T,Babs_T"
     assert len(lines) == 1 + maps["wire"].b_u.size
 
 
-def test_map_csv_fields_are_plain_floats(maps):
-    # every field parses with float() and round-trips the grid exactly
+def test_map_csv_fields_are_plain_floats(maps, tmp_path):
+    # every field parses with float() and round-trips the grid exactly;
+    # Babs_T is math.hypot of each point, bit for bit
     for m in maps.values():
-        rows = m.to_csv().strip().split("\n")[1:]
+        rows = _map_csv_lines(m, tmp_path)[1:]
         table = np.array([[float(f) for f in row.split(",")] for row in rows])
         assert np.array_equal(table[:, 0], np.repeat(m.u, len(m.v)))
         assert np.array_equal(table[:, 2], np.tile(m.v, len(m.u)))
         assert np.array_equal(table[:, 3], m.b_u.ravel(), equal_nan=True)
         assert np.array_equal(table[:, 5], m.b_v.ravel(), equal_nan=True)
+        assert not table[:, [1, 4]].any()
+        want = [math.hypot(a, b) for a, b in zip(m.b_u.ravel().tolist(), m.b_v.ravel().tolist())]
+        assert np.array_equal(table[:, 6], want, equal_nan=True)
 
 
 def test_spec_validation():
