@@ -3,10 +3,13 @@
 
 Outputs go where each config's out_dir says, or with --out DIR into
 DIR/<config name>/ (DIR/resolution/ for resolution.cfg).  With
---compare REF_DIR, every CSV under --out is then compared byte for byte
-with the same path under REF_DIR (an earlier --out); the script lists
-each CSV that differs or is missing on either side and exits 1 if there
-is any.  Manifests are not compared: they hold wall times.
+--compare REF_DIR, the outputs under --out are then compared with the
+same paths under REF_DIR (an earlier --out): every CSV byte for byte,
+and every manifest.txt line by line without the lines that differ
+between runs of the same outputs (wall_time_s, threads, out_dir and the
+output_* paths), so a result that lives only in a manifest, such as
+resolution's loglog_slope, is compared too.  The script lists each file
+that differs or is missing on either side and exits 1 if there is any.
 
     python scripts/run_all_experiments.py --threads 1 --out ref
     python scripts/run_all_experiments.py --threads 2 --out new --compare ref
@@ -30,15 +33,29 @@ CONFIGS = [
 ]
 
 
-def compare_csvs(out: Path, ref: Path) -> list[str]:
-    """Problems found comparing the CSVs under out with those under ref, one line each."""
-    got = {p.relative_to(out) for p in out.rglob("*.csv")}
-    want = {p.relative_to(ref) for p in ref.rglob("*.csv")}
-    if not got | want:
+# manifest lines that differ between runs of the same outputs
+RUN_LINES = ("wall_time_s=", "threads=", "out_dir=", "output_")
+
+
+def _outputs(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.suffix == ".csv" or p.name == "manifest.txt"}
+
+
+def _same(a: Path, b: Path) -> bool:
+    if a.suffix == ".csv":
+        return filecmp.cmp(a, b, shallow=False)
+    kept = [[line for line in p.read_text().splitlines() if not line.startswith(RUN_LINES)] for p in (a, b)]
+    return kept[0] == kept[1]
+
+
+def compare_outputs(out: Path, ref: Path) -> list[str]:
+    """Problems found comparing the CSVs and manifests under out with those under ref, one line each."""
+    got, want = _outputs(out), _outputs(ref)
+    if not any(p.suffix == ".csv" for p in got | want):
         return [f"no CSV under {out} or {ref}"]
     problems = [f"missing from {out}: {p}" for p in sorted(want - got)]
     problems += [f"missing from {ref}: {p}" for p in sorted(got - want)]
-    problems += [f"differs: {p}" for p in sorted(got & want) if not filecmp.cmp(out / p, ref / p, shallow=False)]
+    problems += [f"differs: {p}" for p in sorted(got & want) if not _same(out / p, ref / p)]
     return problems
 
 
@@ -48,7 +65,7 @@ def main():
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None, help="write each config's outputs into OUT/<config name>/")
-    ap.add_argument("--compare", default=None, metavar="REF_DIR", help="then cmp every CSV under OUT with REF_DIR")
+    ap.add_argument("--compare", default=None, metavar="REF_DIR", help="then compare the CSVs and manifests under OUT with REF_DIR")
     args = ap.parse_args()
     if args.compare is not None and args.out is None:
         ap.error("--compare needs --out")
@@ -69,12 +86,11 @@ def main():
             print(f"    exited {rc}")
             failures += 1
     if args.compare is not None:
-        problems = compare_csvs(Path(args.out), Path(args.compare))
+        problems = compare_outputs(Path(args.out), Path(args.compare))
         for line in problems:
             print(line)
         if not problems:
-            n = len(list(Path(args.out).rglob("*.csv")))
-            print(f"{n} CSVs identical to {args.compare}")
+            print(f"{len(_outputs(Path(args.out)))} CSVs and manifests identical to {args.compare}")
         failures += len(problems)
     return 1 if failures else 0
 

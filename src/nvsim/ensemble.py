@@ -19,7 +19,10 @@ Two evolution paths share the noise model:
   is a fixed linear functional of a Gaussian process.  It is therefore
   exactly N(0, 2 chi) with chi = noise.ou_chi_exact of the same toggling
   function, so one standard normal per spin samples it without error.
-  The branch populations follow in closed form.
+  The branch populations follow in closed form.  Only phi_ac depends on
+  the AC amplitude: it is gamma B0 times a per-unit-amplitude integral,
+  so an AC sweep (two_branch_ac_sweep) folds its train once, and each
+  amplitude pays only for its own draws.
 
 * finite rectangular pulses (rendered by sequences.render_finite):
   piecewise-constant fields are exact rotations (bloch.rotate_drive),
@@ -56,6 +59,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,29 +274,54 @@ def _readout_angle(seq: PulseSequence, sign: int) -> float:
     return seq.readout_phase + (math.pi if sign > 0 else 0.0)
 
 
-def _mean_cos_ideal(train: PiTrain, ensemble, bath, b_ac, shift, *, key, noise_seed, threads) -> float:
-    """Ensemble mean of cos(Xi - shift) under the ideal pi train.
+class _IdealFold(NamedTuple):
+    """The amplitude-free part of the ideal engine for one pi train and bath:
+    Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + sigma z_i."""
 
-    Xi = pattern + m delta_i + phi_ac + sigma z_i with sigma = sqrt(2 chi)
-    and one standard normal z_i per spin from the (seed, key, noise_seed,
-    block) substream.
-    """
+    pattern: float
+    static: float
+    sigma: float  # sqrt(2 chi)
+    ac_unit: float  # the AC phase per GAMMA_E B0, 0.0 without a field
+
+
+def _fold_ideal(train: PiTrain, bath: OUBath, ac: ACField | None) -> _IdealFold:
+    """Fold the pi train once; ac gives the AC frequency and phase (its amplitude is not read)."""
     bounds, signs = toggling_segments(train.times, train.total_t)
     signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
     pattern = 2.0 * np.sum(train.phases * signs[1:])
-    static_coeff = float(np.sum(signs * np.diff(bounds)))
-    phi_ac = 0.0
-    if b_ac is not None:
-        phi_ac = GAMMA_E * b_ac.amplitude_t * float(signs @ b_ac.phase_integrals(bounds[:-1], bounds[1:]))
+    static = float(np.sum(signs * np.diff(bounds)))
     sigma = math.sqrt(2.0 * ou_chi_exact(train.times, train.total_t, bath))
-    base = pattern + phi_ac - shift
+    ac_unit = 0.0 if ac is None else float(signs @ ac.phase_integrals(bounds[:-1], bounds[1:]))
+    return _IdealFold(pattern, static, sigma, ac_unit)
+
+
+def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_seed, threads) -> float:
+    """Ensemble mean of cos(Xi - shift) under the folded ideal pi train,
+    with one standard normal z_i per spin from the (seed, key, noise_seed,
+    block) substream."""
+    base = fold.pattern + phi_ac - shift
 
     def run(blocks: _BlockRun):
         z = next(blocks.rows())
-        xi = base + static_coeff * ensemble.delta_static[blocks.lo : blocks.hi] + sigma * z
+        xi = base + fold.static * ensemble.delta_static[blocks.lo : blocks.hi] + fold.sigma * z
         return blocks.block_sums(np.cos(xi))
 
     return sum(_map_blocks(run, ensemble, key, noise_seed, threads, 1)) / ensemble.n_spins
+
+
+def _two_branch_ideal(seq, train, ensemble, bath, ac, amplitudes, noise_seeds, threads) -> list[tuple[float, float]]:
+    """The two branch populations under ideal pulses for each (amplitude,
+    noise seed), the train folded once; ac gives the AC frequency and phase."""
+    fold = _fold_ideal(train, bath, ac)
+    # Xi also carries pi * (n mod 2) from the pi/2 pulses
+    shift = _readout_angle(seq, +1) - math.pi * (len(train.times) % 2)
+    out = []
+    for b0, noise_seed in zip(amplitudes, noise_seeds):
+        phi_ac = 0.0 if ac is None else GAMMA_E * float(b0) * fold.ac_unit
+        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed, threads=threads)
+        # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
+        out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
+    return out
 
 
 def run_two_branch(
@@ -317,14 +346,28 @@ def run_two_branch(
         return _run_two_branch_finite(
             seq, ensemble, bath, b_ac, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
-    train = pi_train(seq)
-    # Xi also carries pi * (n mod 2) from the pi/2 pulses
-    shift = _readout_angle(seq, +1) - math.pi * (len(train.times) % 2)
-    m = _mean_cos_ideal(
-        train, ensemble, bath, b_ac, shift, key=0xB0, noise_seed=noise_seed, threads=threads
-    )
-    # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
-    return (1.0 - m) / 2.0, (1.0 + m) / 2.0
+    b0 = None if b_ac is None else b_ac.amplitude_t
+    return _two_branch_ideal(seq, pi_train(seq), ensemble, bath, b_ac, [b0], [noise_seed], threads)[0]
+
+
+def two_branch_ac_sweep(
+    seq: PulseSequence,
+    train: PiTrain,
+    ensemble: EnsembleSample,
+    bath: OUBath,
+    f_hz: float,
+    phase_rad: float,
+    amplitudes,
+    noise_seeds,
+    *,
+    threads: int = 1,
+) -> list[tuple[float, float]]:
+    """run_two_branch(seq, ensemble, bath, ACField(b0, f_hz, phase_rad),
+    noise_seed=s, threads=threads) under ideal pulses for each b0 in
+    amplitudes and s in noise_seeds, bit for bit, with train =
+    pi_train(seq) folded once for the whole sweep."""
+    ac = ACField(0.0, f_hz, phase_rad)
+    return _two_branch_ideal(seq, train, ensemble, bath, ac, amplitudes, noise_seeds, threads)
 
 
 def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=None) -> np.ndarray:
@@ -433,9 +476,8 @@ def equatorial_survival(
     if pulse_width is None:
         # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
         shift = 2.0 * initial_phase * (len(train.times) % 2)
-        return _mean_cos_ideal(
-            train, ensemble, bath, None, shift, key=0xE0, noise_seed=noise_seed, threads=threads
-        )
+        fold = _fold_ideal(train, bath, None)
+        return _mean_cos_ideal(fold, 0.0, ensemble, shift, key=0xE0, noise_seed=noise_seed, threads=threads)
 
     # pi_train has checked that everything between the pi/2 pulses is the train
     steps, _ = render_finite(seq.elements[1:-1], pulse_width)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COS_MISALIGNED, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
-from .ensemble import ACField, EnsembleSample, equatorial_survival, ensemble_rabi_curve, run_two_branch
+from .ensemble import EnsembleSample, equatorial_survival, ensemble_rabi_curve, run_two_branch, two_branch_ac_sweep
 from .fitting import (
     CurveFitResult,
     FitError,
@@ -40,7 +40,7 @@ from .readout import (
     readout_shot_std,
     shot_law,
 )
-from .sequences import SWEEP_FAMILIES, PulseSequence, pulse_times
+from .sequences import SWEEP_FAMILIES, PiTrain, PulseSequence, pi_train
 
 DEFAULT_AC_PHASE = math.pi / 2.0
 
@@ -232,12 +232,11 @@ class AcMagnetometryResult:
     signal_norm: np.ndarray
 
 
-def sequence_spacing(seq: PulseSequence) -> float:
-    """Inter-pi-pulse spacing implied by the sequence timing."""
-    times, total_t = pulse_times(seq)
-    if len(times) >= 2:
-        return float(times[1] - times[0])
-    return total_t
+def sequence_spacing(train: PiTrain) -> float:
+    """Inter-pi-pulse spacing implied by a sequence's pi train."""
+    if len(train.times) >= 2:
+        return float(train.times[1] - train.times[0])
+    return train.total_t
 
 
 def run_ac_magnetometry(
@@ -267,7 +266,8 @@ def run_ac_magnetometry(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if shots < 2:
         raise ValueError("shots must be >= 2 to estimate delta_s")
-    spacing = sequence_spacing(seq)
+    train = pi_train(seq)
+    spacing = sequence_spacing(train)
     if abs(spacing - 1.0 / (2.0 * f_ac)) > 0.01 * spacing:
         warnings.warn(
             f"sequence spacing {spacing:.6g} s vs 1/(2 f_ac) = {1.0 / (2.0 * f_ac):.6g} s: "
@@ -279,12 +279,10 @@ def run_ac_magnetometry(
     mean_v = np.empty_like(amplitudes)
     std_v = np.empty_like(amplitudes)
     norm = np.empty_like(amplitudes)
+    noise_seeds = [noise_seed + 104729 * i for i in range(len(amplitudes))]
+    branches = two_branch_ac_sweep(seq, train, ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds, threads=threads)
     rng = np.random.default_rng(shot_seed)
-    for i, b0 in enumerate(amplitudes):
-        ac = ACField(float(b0), f_ac, ac_phase)
-        p_plus, p_minus = run_two_branch(
-            seq, ensemble, bath, ac, noise_seed=noise_seed + 104729 * i, threads=threads
-        )
+    for i, (p_plus, p_minus) in enumerate(branches):
         vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)
         mean_v[i] = float(np.mean(vals))
         std_v[i] = float(np.std(vals, ddof=1))
@@ -328,6 +326,10 @@ def resolution_vs_time(single_shot_std: float, max_slope: float, t_seq: float, n
     return elapsed, min_field
 
 
+# smallest-M blocks per piece of _cut_block_means: about 2^14 cuts, under 1 MB of work arrays
+PIECE_BLOCKS = 2**14
+
+
 def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.ndarray]:
     """Means of the first counts[i] consecutive sizes[i]-shot blocks of an i.i.d. N(0, sigma^2) shot stream.
 
@@ -346,9 +348,11 @@ def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.nd
     cut, prefix = 0, 0.0  # the last cut and the prefix sum there
     for lo in range(0, max(ends), piece):
         edges = [np.arange((lo // m + 1) * m, min(lo + piece, end) + 1, m) for m, end in zip(sizes, ends)]
-        cuts = np.unique(np.concatenate(edges))
+        cuts = np.sort(np.concatenate(edges))
         if not len(cuts):
             continue
+        # np.unique, without its hashing pass: keep the first of each run of equal edges
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
         sums = np.sqrt(np.diff(cuts, prepend=cut)) * sigma * rng.standard_normal(len(cuts))
         # the carry joins the piece's first sum, so the prefix is summed in one order
         sums[0] += prefix
@@ -390,14 +394,16 @@ def run_resolution(
     the processed shots are i.i.d. N(0, sigma^2) and the drift walk adds
     nothing (shot_law's mean is exactly 0.0), so the block means are drawn
     from their exact law by _cut_block_means, one normal per block-edge
-    cut instead of one per shot, in pieces of the largest M.
+    cut instead of one per shot, in pieces of PIECE_BLOCKS smallest-M
+    blocks (at least the largest M).
     """
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     m_max = int(n_avg[-1])
     k = m_max * blocks_per_point // n_avg
     _mean, factor = shot_law(0.5, 0.5, readout, [PROCESSING_ROWS["two_branch"]])
     rng = np.random.default_rng(seed)
-    means = _cut_block_means(abs(float(factor[0, 0])), n_avg.tolist(), k.tolist(), rng, m_max)
+    piece = max(m_max, PIECE_BLOCKS * int(n_avg[0]))
+    means = _cut_block_means(abs(float(factor[0, 0])), n_avg.tolist(), k.tolist(), rng, piece)
     min_field = np.array([_std_consuming(x) / max_slope for x in means])
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])

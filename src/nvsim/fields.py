@@ -203,9 +203,6 @@ class FieldMap:
     b_u: np.ndarray
     b_v: np.ndarray
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.b_u, self.b_v)
-
     def table(self):
         """fieldmap.csv as a table (name, header, columns), one row per grid
         point with v varying fastest.

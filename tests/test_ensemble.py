@@ -40,6 +40,7 @@ from nvsim.sequences import (
     build_fid,
     build_hahn_echo,
     build_xy16,
+    pi_train,
     pulse_times,
     toggling_segments,
 )
@@ -248,6 +249,33 @@ def test_thread_count_invariance():
     r1 = run_two_branch(seq, ens, nm.bath, noise_seed=5, threads=1)
     r4 = run_two_branch(seq, ens, nm.bath, noise_seed=5, threads=4)
     assert r1 == r4  # bit-identical
+
+
+# recorded before an AC sweep folded its pi train once for all its amplitudes
+AC_SWEEP_PINNED = [
+    (0.40848454081240165, 0.5915154591875984),
+    (0.45150746115279217, 0.5484925388472078),
+    (0.4997452452025693, 0.5002547547974308),
+    (0.5460107953834817, 0.4539892046165182),
+    (0.590148727777341, 0.40985127222265905),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ac_sweep_equals_standalone_run_two_branch(threads):
+    # 6000 spins = 3 blocks; the noise seeds are run_ac_magnetometry's at noise_seed = 3
+    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
+    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
+    f, phase = 362e3, math.pi / 2
+    seq = build_xy16(2, 1 / (2 * f), readout_phase=math.pi / 2)
+    amplitudes = np.linspace(-4e-8, 4e-8, 5)
+    seeds = [3 + 104729 * i for i in range(len(amplitudes))]
+    swept = ensemble.two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds, threads=threads)
+    alone = [
+        run_two_branch(seq, ens, nm.bath, ACField(float(b0), f, phase), noise_seed=s, threads=threads)
+        for b0, s in zip(amplitudes, seeds)
+    ]
+    assert swept == alone == AC_SWEEP_PINNED  # bit-identical
 
 
 def test_finite_run_two_branch_thread_count_invariance(monkeypatch):

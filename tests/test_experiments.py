@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
-from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
+from nvsim.ensemble import ACField, DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
 from nvsim import readout
 from nvsim.config import averaging_counts, parse_config
 from nvsim.experiments import (
+    PIECE_BLOCKS,
     _cut_block_means,
     make_coherence_builder,
     odmr_dip_frequencies,
@@ -256,6 +257,22 @@ def test_streamed_block_means_equal_whole_stream_means(sizes, drift, chunk):
     assert rng.standard_normal() == rng_ref.standard_normal()
 
 
+@pytest.mark.parametrize("blocks", [20, 80])
+def test_resolution_cfg_pieces_give_the_whole_stream_means(blocks):
+    # run_resolution's piece, PIECE_BLOCKS blocks of the smallest M, splits resolution.cfg's
+    # stream (2 pieces at 20 blocks, 5 at 80) and moves no bit
+    sizes = M_SETS["decades"]
+    piece = max(sizes[-1], PIECE_BLOCKS * sizes[0])
+    assert -(-sizes[-1] * blocks // piece) == {20: 2, 80: 5}[blocks]
+    sigma = _zero_signal_sigma(ReadoutModel(laser_fluct_rel=0.01))
+    rng_ref, rng = np.random.default_rng(29), np.random.default_rng(29)
+    expect = _whole_stream_block_means(sigma, sizes, blocks, rng_ref)
+    got = _cut_block_means(sigma, sizes, [sizes[-1] * blocks // n for n in sizes], rng, piece)
+    for n, a, b in zip(sizes, got, expect):
+        assert np.array_equal(a, b), n
+    assert rng.standard_normal() == rng_ref.standard_normal()
+
+
 def test_run_resolution_equals_the_whole_stream_reduction():
     sizes = M_SETS["geomspace"]
     runs = []
@@ -338,6 +355,25 @@ def test_ac_magnetometry_odd_response_and_slope():
     T = seq.total_free_time
     expect = np.sin((2 / math.pi) * GAMMA_E * amplitudes * T)
     assert np.allclose(res.signal_norm, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ac_magnetometry_populations_equal_standalone_run_two_branch(threads):
+    # the sweep folds its pi train once; each amplitude still gets the bits of
+    # its own run_two_branch call at the noise seed the sweep gives it
+    bath = OUBath(3e5, 1e-5)
+    ens, _ = make_ensemble(n=5000, seed=6, sigma=1e6, bath=bath)
+    readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6)
+    f = 362e3
+    seq = build_xy16(2, 1.0 / (2 * f), readout_phase=math.pi / 2)
+    amplitudes = np.linspace(-4e-8, 4e-8, 7)
+    res = run_ac_magnetometry(
+        seq, f, amplitudes, ens, bath, readout, 100, 1.47e-3, noise_seed=3, shot_seed=7, threads=threads
+    )
+    for i, b0 in enumerate(amplitudes):
+        ac = ACField(float(b0), f, math.pi / 2)
+        p_plus, p_minus = run_two_branch(seq, ens, bath, ac, noise_seed=3 + 104729 * i, threads=threads)
+        assert res.signal_norm[i] == p_plus - p_minus
 
 
 def test_ac_magnetometry_zero_crossings_equally_spaced():

@@ -1,4 +1,4 @@
-"""Repository scripts: the byte-identity comparison of run_all_experiments."""
+"""Repository scripts: the output comparison of run_all_experiments."""
 
 import importlib.util
 from pathlib import Path
@@ -19,17 +19,31 @@ def test_compare_lists_every_difference(tmp_path):
     out, ref = tmp_path / "out", tmp_path / "ref"
     for root in (out, ref):
         write(root, "echo/curve.csv", "t,s\n1,2\n")
-        write(root, "echo/manifest.txt", f"wall_time_s={root.name}\n")  # not a CSV: ignored
-    assert run_all.compare_csvs(out, ref) == []
+        # the lines that differ between runs of the same outputs are dropped
+        write(root, "echo/manifest.txt", f"seed=1\nthreads={1 if root is out else 2}\nout_dir={root}\nwall_time_s={root.name}\n"
+              f"output_curve={root}/echo/curve.csv\n")
+    assert run_all.compare_outputs(out, ref) == []
     write(out, "echo/fit.csv", "a\n")
     write(ref, "rabi/curve.csv", "b\n")
     write(ref, "echo/curve.csv", "t,s\n1,3\n")
-    assert run_all.compare_csvs(out, ref) == [
+    assert run_all.compare_outputs(out, ref) == [
         f"missing from {out}: rabi/curve.csv",
         f"missing from {ref}: echo/fit.csv",
         "differs: echo/curve.csv",
     ]
 
 
+def test_compare_reads_results_that_live_only_in_a_manifest(tmp_path):
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    for root, slope in ((out, "-0.5384752134633399"), (ref, "-0.5384752134633398")):
+        write(root, "resolution/resolution.csv", "n_avg\n100.0\n")
+        write(root, "resolution/manifest.txt", f"seed=1\nwall_time_s=0.04\nloglog_slope={slope}\n")
+    write(out, "rabi/manifest.txt", "seed=1\n")
+    assert run_all.compare_outputs(out, ref) == [
+        f"missing from {ref}: rabi/manifest.txt",
+        "differs: resolution/manifest.txt",
+    ]
+
+
 def test_compare_of_empty_directories_fails(tmp_path):
-    assert run_all.compare_csvs(tmp_path, tmp_path) == [f"no CSV under {tmp_path} or {tmp_path}"]
+    assert run_all.compare_outputs(tmp_path, tmp_path) == [f"no CSV under {tmp_path} or {tmp_path}"]

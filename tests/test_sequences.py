@@ -134,6 +134,37 @@ def test_pi_train_parses_times_phases_and_total():
     assert fid.times.size == 0 and fid.phases.size == 0 and fid.total_t == 3e-6
 
 
+def _element_walk(seq):
+    """pi times, phases and total free time by one running sum over the interior elements, in order."""
+    t, times, phases = 0.0, [], []
+    for e in seq.elements[1:-1]:
+        if isinstance(e, Delay):
+            t += e.tau
+        else:
+            times.append(t)
+            phases.append(e.phase)
+    return times, phases, t
+
+
+def test_pi_train_equals_the_element_walk_bit_for_bit():
+    # every builder at a tau whose running sums round, and adjacent delays that a
+    # pairwise or regrouped sum would add in another order
+    tau = 0.1e-6 / 3
+    first, *_, last = build_hahn_echo(1e-6).elements
+    adjacent = PulseSequence(
+        (first, Delay(0.1e-6), Delay(0.2e-6), Pulse(PH_Y, math.pi), Delay(0.3e-6), Delay(0.7e-6), Delay(1e-7),
+         Pulse(0.0, math.pi), Delay(0.3e-6), last),
+        "adjacent-delays",
+    )
+    seqs = [build_fid(7 * tau), build_hahn_echo(7 * tau), build_cpmg(5, tau), adjacent]
+    seqs += [build(n, tau) for build in (build_xy4, build_xy8, build_xy16) for n in (1, 3, 16)]
+    for seq in seqs:
+        times, phases, total = _element_walk(seq)
+        train = pi_train(seq)
+        assert train.times.tolist() == times and train.phases.tolist() == phases, seq.label
+        assert train.total_t == total, seq.label
+
+
 def test_pi_train_rejects_pulses_the_ideal_view_would_drop_or_misread():
     echo = build_hahn_echo(2e-6)
     first, *middle, last = echo.elements
