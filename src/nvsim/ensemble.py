@@ -29,13 +29,24 @@ Two evolution paths share the noise model:
   composed per spin with the pulse axis tilted by the detuning at the
   pulse's start and the angle scaled by Omega_i (1 + eps_i).  Each pulse
   is paired with the free interval after it: the detuning needs only the
-  OU value at the pulse's start, and one exact draw pair from
-  noise.ou_transition(width, L) gives the OU integral over the gap (the
-  free-precession phase) and the value at its end, so a spin takes
-  1 + 2 normals per pulse+gap step (1 + 2 * 65 for XY16-4, whose readout
-  pulse has no gap).  The state is a (3, n) array, one contiguous row per
-  Bloch component, and the free precession rotates its x and y rows in
-  place.
+  OU value x at the pulse's start, and noise.ou_transition(width, L)
+  gives the OU integral over the gap (the free-precession phase) as
+  int_x x + a21 z1 + a22 z2 and the value at its end as end_x x + a11 z1.
+  Only z1 is drawn, so a spin takes 1 + 1 normal per pulse+gap step
+  (1 + 65 for XY16-4, whose readout pulse has no gap).  Averaging over z2
+  is exact (Rao-Blackwellisation; Casella & Robert, Biometrika 83, 81
+  (1996)): the OU process is Gauss-Markov, so given the values at both
+  ends of the gap, a22 z2 is independent of everything else.  It enters
+  only this gap's z-rotation, every later rotation is linear in the
+  Bloch vector, and the readout population and the survival projection
+  are affine in it, so no output's expectation changes when that
+  rotation is replaced by its mean: E[R_z(a22 z2)] scales (x, y) by
+  d = exp(-a22^2 / 2).  Only the spread over noise seeds shrinks.
+  The state is a (3, n) array, one contiguous row per Bloch component,
+  held in the frame of the next pulse's phase, so every pulse but the
+  first rotates about an axis (Omega, 0, delta) in the x-z plane; the
+  change of frame is a scalar added to the gap's z angle.  The free
+  precession turns and scales the x and y rows in place.
 
 Noise is drawn in fixed-size spin blocks, each from its own
 counter-based substream keyed on (seed, key, noise_seed, block)
@@ -223,7 +234,7 @@ class _BlockRun:
     def rows(self):
         """Yield the run's n_rows noise rows in order, as (n,) views of two
         alternating chunk buffers.  A row stays valid until the caller takes
-        the second row after it, so it may hold the pair of one step."""
+        the second row after it."""
         chunk = min(ROW_CHUNK, self.n_rows)
         n_chunks = -(-self.n_rows // ROW_CHUNK)
         # one array per buffer: freeing a single twice-as-large block raised glibc's
@@ -374,13 +385,14 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
     """Apply the pulse+gap steps to the (3, n) Bloch vectors v in place,
     along one fresh OU trajectory per spin; returns the OU values at the end.
 
-    A pulse rotates with the detuning frozen at its start; one exact
-    noise.ou_transition draw pair per step then gives the OU integral over
-    the gap and the value at its end, the pulse being the transition's lead.
+    A pulse rotates with the detuning frozen at its start; one normal z1
+    per step then gives the OU value at the gap's end and the gap's OU
+    integral up to its a22 z2 term, which is averaged out (see the module
+    docstring).  v is taken and left in the lab frame.
     """
     n = v.shape[1]
     vx, vy, _ = v
-    # rotate_drive scratch, reused by the free precession (rows 0-2) and the OU step (rows 3-4)
+    # rotate_drive scratch, reused by the free precession (rows 0-2)
     work = np.empty((9, n))
     t, f, p = work[:3]
     delta = np.empty(n)
@@ -389,31 +401,49 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
     if noisy:
         rows = blocks.rows()
         x = next(rows) * bath.b
+    # each gap's transition, computed once per distinct (lead, L), and the
+    # factor its averaged a22 z2 leaves on (x, y)
+    laws, gaps = {}, []
+    for pulse, L, _ in steps:
+        key = (0.0 if pulse is None else pulse[1], L)
+        if key not in laws:
+            law = ou_transition(*key, bath)
+            laws[key] = law, math.exp(-0.5 * law.a22 * law.a22)
+        gaps.append(laws[key])
+    # v's frame in each step: the lab's in the first, then its pulse's (only the first may have none)
+    frames = [0.0] + [pulse[0] for pulse, _, _ in steps[1:]]
+    # each gap angle's common part, halved: the turn into the next step's frame
+    # (the lab's after the last step), and the AC phase
+    turns = np.subtract(frames, frames[1:] + [0.0])
     if b_ac is not None:
         starts = np.array([t0 for _, _, t0 in steps])
         ends = starts + np.array([L for _, L, _ in steps])
-        phi_ac = GAMMA_E * b_ac.amplitude_t * b_ac.phase_integrals(starts, ends)
-    for k, (pulse, L, _) in enumerate(steps):
-        lead = 0.0
+        turns += GAMMA_E * b_ac.amplitude_t * b_ac.phase_integrals(starts, ends)
+    turns *= 0.5
+    for (pulse, L, _), frame, (law, d), turn in zip(steps, frames, gaps, turns):
         if pulse is not None:
-            phase, lead = pulse
             np.add(delta_s, x, out=delta)
-            rotate_drive(v, omega_eff, delta, phase, lead, work)
-        # free precession about z by phi = delta_s L + OU integral + AC phase:
-        # with t = tan(phi / 2) and f = 2 / (1 + t^2), cos = f - 1, sin = f t
-        np.multiply(delta_s, L, out=t)
+            rotate_drive(v, omega_eff, delta, pulse[0] - frame, pulse[1], work)
+        # free precession about z by phi = delta_s L + OU integral + the common part;
+        # with t = tan(phi / 2) and f = 2 d / (1 + t^2), d cos = f - d, d sin = f t
+        np.multiply(delta_s, 0.5 * L, out=t)
         if noisy:
-            integral, x = ou_transition(lead, L, bath).apply(x, next(rows), next(rows), work[3:5])
-            t += integral
-        if b_ac is not None:
-            t += phi_ac[k]
-        t *= 0.5
+            z1 = next(rows)
+            np.multiply(x, 0.5 * law.int_x, out=p)
+            t += p
+            np.multiply(z1, 0.5 * law.a21, out=p)
+            t += p
+            x *= law.end_x
+            np.multiply(z1, law.a11, out=p)
+            x += p
+        if turn:
+            t += turn
         np.tan(t, out=t)
-        np.multiply(t, t, out=f)
+        np.square(t, out=f)
         f += 1.0
-        np.divide(2.0, f, out=f)
+        np.divide(2.0 * d, f, out=f)
         t *= f
-        f -= 1.0
+        f -= d
         np.multiply(vy, t, out=p)
         t *= vx
         vx *= f
@@ -424,8 +454,8 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
 
 
 def _finite_rows(steps, bath: OUBath) -> int:
-    """Noise rows _evolve_finite takes: the start value, then a pair per step."""
-    return 1 + 2 * len(steps) if bath.b > 0 else 0
+    """Noise rows _evolve_finite takes: the start value, then one per step."""
+    return 1 + len(steps) if bath.b > 0 else 0
 
 
 def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):

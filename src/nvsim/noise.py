@@ -109,26 +109,11 @@ class OUTransition(NamedTuple):
     a21: float
     a22: float
 
-    def apply(self, x, z1, z2, work=None):
-        """(integrals, end values) for start values x and normals z1, z2.
-
-        Without work the arguments are left alone.  With work, a (2, n)
-        scratch array, nothing is allocated: the integrals are written to
-        work[0] and the end values to x, and z1 and z2 are overwritten.
-        """
-        if work is None:
-            x, z1, z2 = (np.array(a, dtype=float) for a in (x, z1, z2))
-            work = np.empty((2,) + x.shape)
-        integral, a21_z1 = work
-        np.multiply(x, self.int_x, out=integral)
-        np.multiply(z1, self.a21, out=a21_z1)
-        integral += a21_z1
-        z2 *= self.a22
-        integral += z2
-        x *= self.end_x
-        z1 *= self.a11
-        x += z1
-        return integral, x
+    def apply(self, x, z1, z2):
+        """(integrals, end values) for start values x and normals z1, z2;
+        the arguments are left alone."""
+        x, z1, z2 = (np.asarray(a, dtype=float) for a in (x, z1, z2))
+        return self.int_x * x + self.a21 * z1 + self.a22 * z2, self.end_x * x + self.a11 * z1
 
 
 def ou_transition(lead: float, L: float, bath: OUBath) -> OUTransition:

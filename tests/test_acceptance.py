@@ -282,11 +282,12 @@ def test_acceptance_10_robustness():
     }
     out = run_phase_robustness(fams, ens, BATH, pulse_width=48e-9, n_phases=12, noise_seed=102)
     # Seed scan of this call (ensemble seeds 0-199, noise seeds 1000-1199), SE =
-    # the spread over seeds: XY16 minus CPMG is 0.529 +- 0.066 at the worst
-    # phase and 0.532 +- 0.066 on the x axis, 8.1 SE above 0 for both checks
-    # (the spread goes as 1/sqrt(spins): 2,000 spins gave 36 SE in 1.6 s a
-    # call, 128 take 0.6 s).  False-failure rate 0 of 200 seeds.  With the
-    # finite engine ignoring each pulse's phase, both checks fail on 200 of 200.
+    # the spread over seeds: XY16 minus CPMG is 0.535 +- 0.008 at the worst
+    # phase and 0.536 +- 0.008 on the x axis, 64 and 65 SE above 0 (8.1 SE
+    # for both while the finite engine drew each gap's bridge noise instead
+    # of averaging it; the spread goes as 1/sqrt(spins), and 128 spins take
+    # 0.35 s a call).  False-failure rate 0 of 200 seeds.  With the finite
+    # engine ignoring each pulse's phase, both checks fail on 200 of 200.
     assert out["xy16"]["worst"] > out["cpmg"]["worst"]
     # and CPMG specifically fails on the axis 90 deg from its pulse axis
     cpmg_curve = out["cpmg"]["survival"]

