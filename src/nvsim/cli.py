@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,33 +51,17 @@ def build_bath(cfg: RunConfig) -> OUBath:
         raise NumericalFailure(f"bath calibration: {exc}") from exc
 
 
+def _from_config(model, cfg: RunConfig, **renamed):
+    """model built from the config keys named like its fields, and the renamed ones."""
+    return model(**{f.name: getattr(cfg, renamed.get(f.name, f.name)) for f in fields(model)})
+
+
 def build_readout(cfg: RunConfig) -> ReadoutModel:
-    return ReadoutModel(
-        v0_v=cfg.v0_v,
-        contrast=cfg.contrast,
-        s_window_s=cfg.s_window_s,
-        r_window_s=cfg.r_window_s,
-        laser_pulse_s=cfg.laser_pulse_s,
-        shot_noise_v=cfg.shot_noise_v,
-        laser_fluct_rel=cfg.laser_fluct_rel,
-        laser_fluct_fast_rel=cfg.laser_fluct_fast_rel,
-        laser_drift_step_rel=cfg.laser_drift_step_rel,
-    )
+    return _from_config(ReadoutModel, cfg)
 
 
 def build_resonator_spec(cfg: RunConfig) -> ResonatorSpec:
-    return ResonatorSpec(
-        kind=cfg.resonator,
-        f0_hz=cfg.f0_hz,
-        q_factor=cfg.q_factor,
-        drive_power_w=cfg.drive_power_w,
-        strip_width_m=cfg.strip_width_m,
-        gap_m=cfg.gap_m,
-        ground_width_m=cfg.ground_width_m,
-        ring_radius_m=cfg.ring_radius_m,
-        wire_diameter_m=cfg.wire_diameter_m,
-        standoff_m=cfg.standoff_m,
-    )
+    return _from_config(ResonatorSpec, cfg, kind="resonator")
 
 
 def build_ensemble(cfg: RunConfig):

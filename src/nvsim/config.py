@@ -106,7 +106,7 @@ _POSITIVE = {
     "rabi_max_s", "t_min_s", "t_max_s", "b_ac_max_t",
 }
 _NONNEGATIVE = {
-    "bath_b_rad_s", "shot_noise_v", "laser_fluct_rel", "laser_fluct_fast_rel",
+    "seed", "bath_b_rad_s", "shot_noise_v", "laser_fluct_rel", "laser_fluct_fast_rel",
     "laser_drift_step_rel", "amp_error_sigma", "tau_s",
 }
 _MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
@@ -139,8 +139,8 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"key '{key}': cannot parse {raw!r} as {typ}") from None
 
 
-def parse_config_text(text: str, defaults: RunConfig | None = None) -> RunConfig:
-    cfg = defaults or RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -21,8 +21,9 @@ Two evolution paths share the noise model:
   function, so one standard normal per spin samples it without error.
   The branch populations follow in closed form.  Only phi_ac depends on
   the AC amplitude: it is gamma B0 times a per-unit-amplitude integral,
-  so an AC sweep (two_branch_ac_sweep) folds its train once, and each
-  amplitude pays only for its own draws.
+  so an AC sweep (two_branch_ac_sweep, the one way an AC field enters
+  the engine) folds its train once, and each amplitude pays only for
+  its own draws.
 
 * finite rectangular pulses (rendered by sequences.render_finite):
   piecewise-constant fields are exact rotations (bloch.rotate_drive),
@@ -46,7 +47,12 @@ Two evolution paths share the noise model:
   held in the frame of the next pulse's phase, so every pulse but the
   first rotates about an axis (Omega, 0, delta) in the x-z plane; the
   change of frame is a scalar added to the gap's z angle.  The free
-  precession turns and scales the x and y rows in place.
+  precession turns and scales the x and y rows in place.  This path
+  runs without an AC field.
+
+Both paths read each branch out at the final pulse phase that
+sequences.readout_angle gives it: the +1 branch's is the sequence's own
+last pulse, and the -1 branch's differs from it by pi.
 
 Noise is drawn in fixed-size spin blocks, each from its own
 counter-based substream keyed on (seed, key, noise_seed, block)
@@ -85,7 +91,7 @@ from .noise import (
     ou_chi_exact,
     ou_transition,
 )
-from .sequences import PiTrain, PulseSequence, pi_train, render_finite, toggling_segments
+from .sequences import PiTrain, PulseSequence, pi_train, readout_angle, render_finite, toggling_segments
 
 SPIN_BLOCK = 2048
 # blocks evolved as one array: fewer, longer numpy calls, in bounded memory
@@ -103,20 +109,13 @@ class NoiseModel:
     amplitude_error: AmplitudeErrorModel = NO_AMPLITUDE_ERROR
 
 
-@dataclass(frozen=True)
-class ACField:
-    """Applied AC test field along the sensing axis."""
-
-    amplitude_t: float
-    freq_hz: float
-    phase_rad: float = 0.0
-
-    def phase_integrals(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """Integral of sin(2 pi f t + phase) over each interval [t0[k], t1[k]]."""
-        w = 2.0 * math.pi * self.freq_hz
-        if w == 0.0:
-            return math.sin(self.phase_rad) * (t1 - t0)
-        return (np.cos(w * t0 + self.phase_rad) - np.cos(w * t1 + self.phase_rad)) / w
+def ac_phase_integrals(f_hz: float, phase_rad: float, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Integral of sin(2 pi f_hz t + phase_rad), the AC test field per unit
+    amplitude along the sensing axis, over each interval [t0[k], t1[k]]."""
+    w = 2.0 * math.pi * f_hz
+    if w == 0.0:
+        return math.sin(phase_rad) * (t1 - t0)
+    return (np.cos(w * t0 + phase_rad) - np.cos(w * t1 + phase_rad)) / w
 
 
 @dataclass(frozen=True)
@@ -281,10 +280,6 @@ def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads
         return [r for run in runs for r in fn(_BlockRun(run, ensemble.seed, key, noise_seed, n_rows, pool))]
 
 
-def _readout_angle(seq: PulseSequence, sign: int) -> float:
-    return seq.readout_phase + (math.pi if sign > 0 else 0.0)
-
-
 class _IdealFold(NamedTuple):
     """The amplitude-free part of the ideal engine for one pi train and bath:
     Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + sigma z_i."""
@@ -292,17 +287,17 @@ class _IdealFold(NamedTuple):
     pattern: float
     static: float
     sigma: float  # sqrt(2 chi)
-    ac_unit: float  # the AC phase per GAMMA_E B0, 0.0 without a field
+    ac_unit: float  # the AC phase per GAMMA_E B0
 
 
-def _fold_ideal(train: PiTrain, bath: OUBath, ac: ACField | None) -> _IdealFold:
-    """Fold the pi train once; ac gives the AC frequency and phase (its amplitude is not read)."""
+def _fold_ideal(train: PiTrain, bath: OUBath, f_hz: float, phase_rad: float) -> _IdealFold:
+    """Fold the pi train once, for an AC field of frequency f_hz and phase phase_rad."""
     bounds, signs = toggling_segments(train.times, train.total_t)
     signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
     pattern = 2.0 * np.sum(train.phases * signs[1:])
     static = float(np.sum(signs * np.diff(bounds)))
     sigma = math.sqrt(2.0 * ou_chi_exact(train.times, train.total_t, bath))
-    ac_unit = 0.0 if ac is None else float(signs @ ac.phase_integrals(bounds[:-1], bounds[1:]))
+    ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))
     return _IdealFold(pattern, static, sigma, ac_unit)
 
 
@@ -320,32 +315,17 @@ def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_see
     return sum(_map_blocks(run, ensemble, key, noise_seed, threads, 1)) / ensemble.n_spins
 
 
-def _two_branch_ideal(seq, train, ensemble, bath, ac, amplitudes, noise_seeds, threads) -> list[tuple[float, float]]:
-    """The two branch populations under ideal pulses for each (amplitude,
-    noise seed), the train folded once; ac gives the AC frequency and phase."""
-    fold = _fold_ideal(train, bath, ac)
-    # Xi also carries pi * (n mod 2) from the pi/2 pulses
-    shift = _readout_angle(seq, +1) - math.pi * (len(train.times) % 2)
-    out = []
-    for b0, noise_seed in zip(amplitudes, noise_seeds):
-        phi_ac = 0.0 if ac is None else GAMMA_E * float(b0) * fold.ac_unit
-        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed, threads=threads)
-        # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
-        out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
-    return out
-
-
 def run_two_branch(
     seq: PulseSequence,
     ensemble: EnsembleSample,
     bath: OUBath,
-    b_ac: ACField | None = None,
     *,
     noise_seed: int = 0,
     pulse_width: float | None = None,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """Ensemble-averaged ms=0 populations for the two readout branches.
+    """Ensemble-averaged ms=0 populations for the two readout branches,
+    without an AC field (two_branch_ac_sweep applies one).
 
     Each spin carries its own static detuning, amplitude error, and a
     fresh OU phase (ideal pulses) or trajectory (finite pulses) keyed on
@@ -355,10 +335,10 @@ def run_two_branch(
     """
     if pulse_width is not None:
         return _run_two_branch_finite(
-            seq, ensemble, bath, b_ac, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
+            seq, ensemble, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
-    b0 = None if b_ac is None else b_ac.amplitude_t
-    return _two_branch_ideal(seq, pi_train(seq), ensemble, bath, b_ac, [b0], [noise_seed], threads)[0]
+    # a zero amplitude adds a zero AC phase
+    return two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, 0.0, 0.0, [0.0], [noise_seed], threads=threads)[0]
 
 
 def two_branch_ac_sweep(
@@ -373,15 +353,23 @@ def two_branch_ac_sweep(
     *,
     threads: int = 1,
 ) -> list[tuple[float, float]]:
-    """run_two_branch(seq, ensemble, bath, ACField(b0, f_hz, phase_rad),
-    noise_seed=s, threads=threads) under ideal pulses for each b0 in
-    amplitudes and s in noise_seeds, bit for bit, with train =
-    pi_train(seq) folded once for the whole sweep."""
-    ac = ACField(0.0, f_hz, phase_rad)
-    return _two_branch_ideal(seq, train, ensemble, bath, ac, amplitudes, noise_seeds, threads)
+    """The two branch populations under ideal pulses and the AC field
+    b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes and noise
+    seed s in noise_seeds, with train = pi_train(seq) folded once for the
+    whole sweep."""
+    fold = _fold_ideal(train, bath, f_hz, phase_rad)
+    # Xi also carries pi * (n mod 2) from the pi/2 pulses
+    shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
+    out = []
+    for b0, noise_seed in zip(amplitudes, noise_seeds):
+        phi_ac = GAMMA_E * float(b0) * fold.ac_unit
+        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed, threads=threads)
+        # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
+        out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
+    return out
 
 
-def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=None) -> np.ndarray:
+def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun) -> np.ndarray:
     """Apply the pulse+gap steps to the (3, n) Bloch vectors v in place,
     along one fresh OU trajectory per spin; returns the OU values at the end.
 
@@ -404,23 +392,18 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun, b_ac=N
     # each gap's transition, computed once per distinct (lead, L), and the
     # factor its averaged a22 z2 leaves on (x, y)
     laws, gaps = {}, []
-    for pulse, L, _ in steps:
+    for pulse, L in steps:
         key = (0.0 if pulse is None else pulse[1], L)
         if key not in laws:
             law = ou_transition(*key, bath)
             laws[key] = law, math.exp(-0.5 * law.a22 * law.a22)
         gaps.append(laws[key])
     # v's frame in each step: the lab's in the first, then its pulse's (only the first may have none)
-    frames = [0.0] + [pulse[0] for pulse, _, _ in steps[1:]]
+    frames = [0.0] + [pulse[0] for pulse, _ in steps[1:]]
     # each gap angle's common part, halved: the turn into the next step's frame
-    # (the lab's after the last step), and the AC phase
-    turns = np.subtract(frames, frames[1:] + [0.0])
-    if b_ac is not None:
-        starts = np.array([t0 for _, _, t0 in steps])
-        ends = starts + np.array([L for _, L, _ in steps])
-        turns += GAMMA_E * b_ac.amplitude_t * b_ac.phase_integrals(starts, ends)
-    turns *= 0.5
-    for (pulse, L, _), frame, (law, d), turn in zip(steps, frames, gaps, turns):
+    # (the lab's after the last step)
+    turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
+    for (pulse, L), frame, (law, d), turn in zip(steps, frames, gaps, turns):
         if pulse is not None:
             np.add(delta_s, x, out=delta)
             rotate_drive(v, omega_eff, delta, pulse[0] - frame, pulse[1], work)
@@ -458,7 +441,7 @@ def _finite_rows(steps, bath: OUBath) -> int:
     return 1 + len(steps) if bath.b > 0 else 0
 
 
-def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width, threads):
+def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, threads):
     steps, final = render_finite(seq.elements, pulse_width)
     if final is None:
         raise ValueError("the sequence must end with its readout pulse, not a delay")
@@ -469,11 +452,11 @@ def _run_two_branch_finite(seq, ensemble, bath, b_ac, *, noise_seed, pulse_width
         delta_s = ensemble.delta_static[lo:hi]
         v = np.zeros((3, hi - lo))
         v[2] = 1.0
-        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks, b_ac)
+        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks)
         sums = []
         for sign in (+1, -1):  # the final readout pulse, per branch
             vb = v.copy()
-            rotate_drive(vb, omega_eff, delta, _readout_angle(seq, sign), final[1])
+            rotate_drive(vb, omega_eff, delta, readout_angle(seq.readout_phase, sign), final[1])
             sums.append(blocks.block_sums((1.0 + vb[2]) / 2.0))
         return list(zip(*sums))
 
@@ -506,7 +489,7 @@ def equatorial_survival(
     if pulse_width is None:
         # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
         shift = 2.0 * initial_phase * (len(train.times) % 2)
-        fold = _fold_ideal(train, bath, None)
+        fold = _fold_ideal(train, bath, 0.0, 0.0)
         return _mean_cos_ideal(fold, 0.0, ensemble, shift, key=0xE0, noise_seed=noise_seed, threads=threads)
 
     # pi_train has checked that everything between the pi/2 pulses is the train

@@ -26,10 +26,8 @@ w ~ N(0, I_k), R being the triangular QR factor of A^T for the k x 7
 coefficient matrix A: A A^T = R^T R, also when A is rank-deficient.  A
 stream therefore draws k normals per shot, not 7.  The draw order is
 fixed: first the n_shots drift steps (only when laser_drift_step_rel is
-set), then the k normals of each shot, shot after shot.  Both are drawn
-in SHOT_CHUNK pieces from the one generator, which yields the same
-normals as a single call; the drift walk carries its running sum into
-each chunk's first step, so the bits do not depend on the chunk size.
+set), in one call, then the k normals of each shot, shot after shot, in
+one more call.
 
 At zero signal (p0 = 0.5 in both branches) the two-branch output's mean
 is exactly 0.0, so the drift walk adds nothing and the processed shots
@@ -74,8 +72,6 @@ class ReadoutModel:
         return self.shot_noise_v * math.sqrt(self.s_window_s / self.r_window_s)
 
 
-SHOT_CHUNK = 2**16  # shots drawn per generator call; the results do not depend on it
-
 WINDOWS = ("s1", "r1", "s2", "r2")
 
 # weights over WINDOWS of each processed output
@@ -113,21 +109,14 @@ def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.G
     out = np.empty((len(mean), n_shots))
     out[:] = mean[:, None]
     if model.laser_drift_step_rel:
-        carry = 0.0
-        for lo in range(0, n_shots, SHOT_CHUNK):
-            walk = rng.standard_normal(min(SHOT_CHUNK, n_shots - lo))
-            # the carry joins the chunk's first step, so the walk is summed in one order
-            walk *= model.laser_drift_step_rel
-            walk[0] += carry
-            np.cumsum(walk, out=walk)
-            carry = walk[-1]
-            out[:, lo : lo + len(walk)] += mean[:, None] * walk
-    for lo in range(0, n_shots, SHOT_CHUNK):
-        w = rng.standard_normal((min(SHOT_CHUNK, n_shots - lo), len(mean)))  # shot-major
-        block = out[:, lo : lo + len(w)]
-        # elementwise, not a matmul, so each shot's sum is rounded the same in any chunk
-        for j in range(len(mean)):
-            block += factor[:, j, None] * w[:, j]
+        walk = rng.standard_normal(n_shots)
+        walk *= model.laser_drift_step_rel
+        np.cumsum(walk, out=walk)
+        out += mean[:, None] * walk
+    w = rng.standard_normal((n_shots, len(mean)))  # shot-major
+    # elementwise, not a matmul, so each shot's sum is rounded in a fixed order
+    for j in range(len(mean)):
+        out += factor[:, j, None] * w[:, j]
     return out
 
 

@@ -6,8 +6,10 @@ induction decay with symmetric timing: tau/2 before the first pi pulse,
 tau between pi pulses, tau/2 after the last one.
 
 Readout convention (locked by golden tests): the first pulse is
-(pi/2, phase 0).  The final pulse has angle pi/2 and phase
-readout_phase + pi for readout_sign = +1, readout_phase for -1.
+(pi/2, phase 0).  The final pulse has angle pi/2, and readout_angle is
+the one rule for its phase: readout_phase + pi in the +1 branch,
+readout_phase in the -1 branch.  A built sequence ends with the +1
+branch's pulse; the engine applies either branch's angle itself.
 With readout_phase = 0 the +1 branch of a noiseless sequence returns
 the bright state (p0 = 1); readout_phase = pi/2 selects the quadrature
 used for AC sensing, where the branch difference is odd in the
@@ -21,7 +23,7 @@ signs, and render_finite renders finite pulses by the one overlap rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +60,11 @@ class Delay:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Immutable pulse/delay program with a selectable readout branch."""
+    """Immutable pulse/delay program ending with its +1 readout branch's pulse."""
 
     elements: tuple
     label: str
-    readout_sign: int = +1
     readout_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.readout_sign not in (+1, -1):
-            raise ValueError("readout_sign must be +1 or -1")
 
     @property
     def n_pi_pulses(self) -> int:
@@ -77,30 +74,18 @@ class PulseSequence:
     def total_free_time(self) -> float:
         return sum(e.tau for e in self.elements if isinstance(e, Delay))
 
-    def with_readout_sign(self, sign: int) -> "PulseSequence":
-        """Return the twin sequence with the other (or given) readout branch."""
-        if sign == self.readout_sign:
-            return self
-        final = _final_pulse(sign, self.readout_phase)
-        return replace(self, elements=self.elements[:-1] + (final,), readout_sign=sign)
 
-    def to_text(self) -> str:
-        """One element per line: PULSE phase_deg angle_deg / DELAY seconds."""
-        lines = []
-        for e in self.elements:
-            if isinstance(e, Pulse):
-                lines.append(f"PULSE {math.degrees(e.phase):g} {math.degrees(e.angle):g}")
-            else:
-                lines.append(f"DELAY {e.tau:.12g}")
-        return "\n".join(lines) + "\n"
+def readout_angle(readout_phase: float, sign: int) -> float:
+    """Phase of the final pi/2 pulse in readout branch sign (+1 or -1),
+    not reduced mod 2 pi: readout_phase + pi for +1, readout_phase for -1."""
+    return readout_phase + (math.pi if sign > 0 else 0.0)
 
 
-def _final_pulse(readout_sign: int, readout_phase: float) -> Pulse:
-    shift = math.pi if readout_sign > 0 else 0.0
-    return Pulse((readout_phase + shift) % (2.0 * math.pi), math.pi / 2.0)
+def _final_pulse(readout_phase: float) -> Pulse:
+    return Pulse(readout_angle(readout_phase, +1) % (2.0 * math.pi), math.pi / 2.0)
 
 
-def _assemble(pi_phases, tau, label, readout_sign, readout_phase) -> PulseSequence:
+def _assemble(pi_phases, tau, label, readout_phase) -> PulseSequence:
     # frozen elements: one Pulse per phase and one Delay per length (which rejects tau < 0)
     pulses = {ph: Pulse(ph, math.pi) for ph in set(pi_phases)}
     half, full = Delay(tau / 2.0), Delay(tau)
@@ -108,56 +93,48 @@ def _assemble(pi_phases, tau, label, readout_sign, readout_phase) -> PulseSequen
     for ph in pi_phases:
         elems += (pulses[ph], full)
     elems[-1] = half
-    elems.append(_final_pulse(readout_sign, readout_phase))
-    return PulseSequence(tuple(elems), label, readout_sign, readout_phase)
+    elems.append(_final_pulse(readout_phase))
+    return PulseSequence(tuple(elems), label, readout_phase)
 
 
-def build_fid(tau_total: float, readout_sign: int = +1, readout_phase: float = 0.0) -> PulseSequence:
-    """Free induction decay: (pi/2) - tau - (+-pi/2), no refocusing pulses."""
+def build_fid(tau_total: float, *, readout_phase: float = 0.0) -> PulseSequence:
+    """Free induction decay: (pi/2) - tau - (pi/2), no refocusing pulses."""
     if tau_total < 0:
         raise ValueError("tau_total must be >= 0")
-    elems = (
-        Pulse(PH_X, math.pi / 2.0),
-        Delay(tau_total),
-        _final_pulse(readout_sign, readout_phase),
-    )
-    return PulseSequence(elems, "fid", readout_sign, readout_phase)
+    elems = (Pulse(PH_X, math.pi / 2.0), Delay(tau_total), _final_pulse(readout_phase))
+    return PulseSequence(elems, "fid", readout_phase)
 
 
-def build_hahn_echo(
-    tau_total: float, readout_sign: int = +1, readout_phase: float = 0.0
-) -> PulseSequence:
-    """Spin echo: (pi/2)x - tau/2 - (pi)y - tau/2 - (+-pi/2), tau_total total free time."""
+def build_hahn_echo(tau_total: float, *, readout_phase: float = 0.0) -> PulseSequence:
+    """Spin echo: (pi/2)x - tau/2 - (pi)y - tau/2 - (pi/2), tau_total total free time."""
     if tau_total <= 0:
         raise ValueError("tau_total must be > 0")
-    return _assemble((PH_Y,), tau_total, "echo", readout_sign, readout_phase)
+    return _assemble((PH_Y,), tau_total, "echo", readout_phase)
 
 
-def build_cpmg(
-    n: int, tau: float, readout_sign: int = +1, readout_phase: float = 0.0
-) -> PulseSequence:
+def build_cpmg(n: int, tau: float, *, readout_phase: float = 0.0) -> PulseSequence:
     """CPMG-n: n pi pulses, all phase y, symmetric timing with spacing tau."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _assemble((PH_Y,) * n, tau, f"cpmg-{n}", readout_sign, readout_phase)
+    return _assemble((PH_Y,) * n, tau, f"cpmg-{n}", readout_phase)
 
 
-def _build_xy(phases, n_repeats, tau, label, readout_sign, readout_phase):
+def _build_xy(phases, n_repeats, tau, label, readout_phase):
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    return _assemble(phases * n_repeats, tau, label, readout_sign, readout_phase)
+    return _assemble(phases * n_repeats, tau, label, readout_phase)
 
 
-def build_xy4(n_repeats: int, tau: float, readout_sign: int = +1, readout_phase: float = 0.0):
-    return _build_xy(XY4_PHASES, n_repeats, tau, f"xy4-{n_repeats}", readout_sign, readout_phase)
+def build_xy4(n_repeats: int, tau: float, *, readout_phase: float = 0.0):
+    return _build_xy(XY4_PHASES, n_repeats, tau, f"xy4-{n_repeats}", readout_phase)
 
 
-def build_xy8(n_repeats: int, tau: float, readout_sign: int = +1, readout_phase: float = 0.0):
-    return _build_xy(XY8_PHASES, n_repeats, tau, f"xy8-{n_repeats}", readout_sign, readout_phase)
+def build_xy8(n_repeats: int, tau: float, *, readout_phase: float = 0.0):
+    return _build_xy(XY8_PHASES, n_repeats, tau, f"xy8-{n_repeats}", readout_phase)
 
 
-def build_xy16(n_repeats: int, tau: float, readout_sign: int = +1, readout_phase: float = 0.0):
-    return _build_xy(XY16_PHASES, n_repeats, tau, f"xy16-{n_repeats}", readout_sign, readout_phase)
+def build_xy16(n_repeats: int, tau: float, *, readout_phase: float = 0.0):
+    return _build_xy(XY16_PHASES, n_repeats, tau, f"xy16-{n_repeats}", readout_phase)
 
 
 # Coherence-sweep families, parametrized by the total free time T:
@@ -184,12 +161,12 @@ def pi_train(seq: PulseSequence) -> PiTrain:
     """Parse seq into its pi pulses, each at the instant the delays reach.
 
     The ideal view reads the first pulse as the (pi/2)_x preparation, the
-    last as the readout pulse of seq's readout branch, and every pulse in
+    last as the +1 branch's readout pulse, and every pulse in
     between as an instantaneous pi toggle.  Raises ValueError for any pulse
     it would drop or misread, and for pi times not strictly increasing.
     """
     elems = seq.elements
-    ends = (Pulse(PH_X, math.pi / 2.0), _final_pulse(seq.readout_sign, seq.readout_phase))
+    ends = (Pulse(PH_X, math.pi / 2.0), _final_pulse(seq.readout_phase))
     if len(elems) < 2 or (elems[0], elems[-1]) != ends:
         raise ValueError(f"{seq.label}: the ideal-pulse view needs (pi/2)_x first and the readout pulse last")
     t = 0.0
@@ -228,17 +205,16 @@ def render_finite(elements, pulse_width: float):
     """Pulse+gap steps of the train rendered with rectangular pulses
     centered on their ideal instants.
 
-    Returns (steps, last): each step is (pulse, L, t0), a pulse (phase,
-    width), or None for a gap before the first pulse, followed by the free
-    interval [t0, t0 + L]; last is the final pulse when no delay follows
-    it, else None.  A pulse of nominal angle theta lasts
+    Returns (steps, last): each step is (pulse, L), a pulse (phase, width),
+    or None for a gap before the first pulse, followed by a free interval
+    of length L; last is the final pulse when no delay follows it, else
+    None.  A pulse of nominal angle theta lasts
     theta/pi * pulse_width, so the pi/2 pulses are half-width.  Delays are
     shortened by the half-widths of the adjacent pulses (center-to-center
     timing); raises ValueError if neighboring pulses would overlap: the one
     overlap rule, also for config validation.
     """
     steps = []
-    t = 0.0
     pending_gap = 0.0
     seen_delay = False
     pulse = None
@@ -252,16 +228,14 @@ def render_finite(elements, pulse_width: float):
             gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0) - width / 2.0
             if gap < -1e-15:
                 raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-            steps.append((pulse, max(gap, 0.0), t))
-            t += max(gap, 0.0)
+            steps.append((pulse, max(gap, 0.0)))
         pending_gap = 0.0
         seen_delay = False
         pulse = (e.phase, width)
-        t += width
     if seen_delay:
         gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0)
         if gap < -1e-15:
             raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-        steps.append((pulse, max(gap, 0.0), t))
+        steps.append((pulse, max(gap, 0.0)))
         pulse = None
     return steps, pulse

@@ -118,6 +118,21 @@ def test_validate_command_bad_config(tmp_path, capsys):
     assert "tau_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type == "int"])
+def test_validate_rejects_every_negative_count_by_name(tmp_path, capsys, key):
+    # a negative seed used to pass validate and then crash the run in SeedSequence
+    rc = run_cli("validate", write_cfg(tmp_path, f"{key} = -1\n"))
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    rc = run_cli("run", str(CONFIG_DIR / "echo.cfg"), "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_exits_2(tmp_path, capsys):
     rc = run_cli("run", str(tmp_path / "nope.cfg"))
     assert rc == 2

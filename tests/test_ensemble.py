@@ -12,14 +12,15 @@ from nvsim import ensemble
 from nvsim.bloch import BRIGHT, DriveParams, evolve_driven, evolve_free, population_ms0, rotate_drive, rotate_ideal
 from nvsim.constants import GAMMA_E
 from nvsim.ensemble import (
-    ACField,
     DetectionVolume,
     EnsembleSample,
     NoiseModel,
+    ac_phase_integrals,
     equatorial_survival,
     ensemble_rabi_curve,
     run_two_branch,
     sample_ensemble,
+    two_branch_ac_sweep,
 )
 from nvsim.fields import ResonatorSpec
 from nvsim.filters import coherence_analytic
@@ -203,8 +204,9 @@ def test_ac_phase_closed_form():
     tau = 1e-6
     seq = build_xy16(1, tau, readout_phase=math.pi / 2)
     b0 = 4e-9
-    ac = ACField(b0, 1.0 / (2 * tau), math.pi / 2)
-    p_plus, p_minus = run_two_branch(seq, ens, QUIET.bath, ac)
+    [(p_plus, p_minus)] = two_branch_ac_sweep(
+        seq, pi_train(seq), ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
+    )
     phi = (2 / math.pi) * GAMMA_E * b0 * 16 * tau
     assert p_plus == pytest.approx((1 + math.sin(phi)) / 2, abs=1e-9)
     assert p_minus == pytest.approx((1 - math.sin(phi)) / 2, abs=1e-9)
@@ -217,7 +219,6 @@ def test_phase_integrals_match_scalar_sum(freq_hz, n_rep):
     # the one-expression phi_ac against a term-by-term sum of the scalar formula
     seq = build_xy16(n_rep, 1.0 / (2 * 362e3), readout_phase=math.pi / 2)
     bounds, signs = toggling_segments(*pulse_times(seq))
-    ac = ACField(3e-9, freq_hz, 0.7)
 
     def phase_integral(t0, t1):
         w = 2.0 * math.pi * freq_hz
@@ -226,7 +227,7 @@ def test_phase_integrals_match_scalar_sum(freq_hz, n_rep):
         return (math.cos(w * t0 + 0.7) - math.cos(w * t1 + 0.7)) / w
 
     scalar = sum(s * phase_integral(bounds[k], bounds[k + 1]) for k, s in enumerate(signs))
-    ints = ac.phase_integrals(bounds[:-1], bounds[1:])
+    ints = ac_phase_integrals(freq_hz, 0.7, bounds[:-1], bounds[1:])
     assert ints.shape == (len(bounds) - 1,)
     assert ints == pytest.approx([phase_integral(a, b) for a, b in zip(bounds[:-1], bounds[1:])], rel=1e-12, abs=1e-22)
     scale = float(np.sum(np.abs(np.diff(bounds))))
@@ -237,8 +238,9 @@ def test_ac_simulated_phase_matches_oracle_within_1pc():
     ens = quiet_ensemble()
     for n_rep, tau, b0 in ((1, 1e-6, 2e-9), (2, 1.5e-6, 1e-9)):
         seq = build_xy16(n_rep, tau, readout_phase=math.pi / 2)
-        ac = ACField(b0, 1.0 / (2 * tau), math.pi / 2)
-        p_plus, p_minus = run_two_branch(seq, ens, QUIET.bath, ac)
+        [(p_plus, p_minus)] = two_branch_ac_sweep(
+            seq, pi_train(seq), ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
+        )
         phi_sim = math.asin(p_plus - p_minus)
         phi_expect = (2 / math.pi) * GAMMA_E * b0 * (16 * n_rep * tau)
         assert phi_sim == pytest.approx(phi_expect, rel=0.01)
@@ -264,7 +266,7 @@ AC_SWEEP_PINNED = [
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_ac_sweep_equals_standalone_run_two_branch(threads):
+def test_ac_sweep_outputs_pinned(threads):
     # 6000 spins = 3 blocks; the noise seeds are run_ac_magnetometry's at noise_seed = 3
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
@@ -272,12 +274,8 @@ def test_ac_sweep_equals_standalone_run_two_branch(threads):
     seq = build_xy16(2, 1 / (2 * f), readout_phase=math.pi / 2)
     amplitudes = np.linspace(-4e-8, 4e-8, 5)
     seeds = [3 + 104729 * i for i in range(len(amplitudes))]
-    swept = ensemble.two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds, threads=threads)
-    alone = [
-        run_two_branch(seq, ens, nm.bath, ACField(float(b0), f, phase), noise_seed=s, threads=threads)
-        for b0, s in zip(amplitudes, seeds)
-    ]
-    assert swept == alone == AC_SWEEP_PINNED  # bit-identical
+    swept = two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds, threads=threads)
+    assert swept == AC_SWEEP_PINNED  # bit-identical
 
 
 def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
@@ -325,7 +323,7 @@ def _reference_finite(seq, ens, bath, pulse_width, key, noise_seed, initial_phas
         steps, _ = render_finite(seq.elements[1:-1], pulse_width)
         v[0], v[1] = math.cos(initial_phase), math.sin(initial_phase)
     x = bath.b * row()
-    for pulse, L, _ in steps:
+    for pulse, L in steps:
         lead = 0.0
         if pulse is not None:
             phase, lead = pulse

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
-from nvsim.ensemble import ACField, DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
+from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from nvsim import readout
 from nvsim.config import averaging_counts, parse_config
 from nvsim.experiments import (
@@ -236,7 +236,7 @@ def _zero_signal_sigma(m):
 
 M_SETS = {
     "decades": [100, 1000, 10000, 100000],
-    # M that do not divide the piece, and M above SHOT_CHUNK
+    # M that do not divide the piece, and M above 2**16
     "geomspace": np.unique(np.round(np.geomspace(100, 100000, 5)).astype(int)).tolist(),
 }
 
@@ -355,25 +355,6 @@ def test_ac_magnetometry_odd_response_and_slope():
     T = seq.total_free_time
     expect = np.sin((2 / math.pi) * GAMMA_E * amplitudes * T)
     assert np.allclose(res.signal_norm, expect, atol=1e-9)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ac_magnetometry_populations_equal_standalone_run_two_branch(threads):
-    # the sweep folds its pi train once; each amplitude still gets the bits of
-    # its own run_two_branch call at the noise seed the sweep gives it
-    bath = OUBath(3e5, 1e-5)
-    ens, _ = make_ensemble(n=5000, seed=6, sigma=1e6, bath=bath)
-    readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6)
-    f = 362e3
-    seq = build_xy16(2, 1.0 / (2 * f), readout_phase=math.pi / 2)
-    amplitudes = np.linspace(-4e-8, 4e-8, 7)
-    res = run_ac_magnetometry(
-        seq, f, amplitudes, ens, bath, readout, 100, 1.47e-3, noise_seed=3, shot_seed=7, threads=threads
-    )
-    for i, b0 in enumerate(amplitudes):
-        ac = ACField(float(b0), f, math.pi / 2)
-        p_plus, p_minus = run_two_branch(seq, ens, bath, ac, noise_seed=3 + 104729 * i, threads=threads)
-        assert res.signal_norm[i] == p_plus - p_minus
 
 
 def test_ac_magnetometry_zero_crossings_equally_spaced():

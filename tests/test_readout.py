@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nvsim import readout
 from nvsim.readout import (
-    SHOT_CHUNK,
     ReadoutModel,
     expected_two_branch_mean,
     process_two_branch,
@@ -249,7 +248,7 @@ def readout_models(draw):
     unit,
     unit,
     readout_models(),
-    st.sampled_from([1, SHOT_CHUNK - 1, SHOT_CHUNK + 1, 3 * SHOT_CHUNK + 7]),
+    st.sampled_from([1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 7]),
     st.integers(0, 2**32 - 1),
 )
 def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
@@ -295,7 +294,7 @@ def test_stream_moments_match_the_window_law():
 
 
 def test_fold_advances_generator_by_k_plus_drift_normals_per_shot():
-    n = SHOT_CHUNK + 1000
+    n = 2**16 + 1000
     for drift in (0.0, 1e-4):
         m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=drift)
         for k, stream in ((4, simulate_shot_stream), (1, processed_shot_stream)):
@@ -325,16 +324,43 @@ STREAMS = {
 }
 
 
+# the rows each of STREAMS folds the four windows with
+STREAM_ROWS = {
+    "two_branch": [readout.PROCESSING_ROWS["two_branch"]],
+    "single_branch": [readout.PROCESSING_ROWS["single_branch"]],
+    "windows": np.eye(4),
+}
+
+
+def _stream_in_pieces(stream, m, n, rng, piece):
+    """STREAMS[stream] drawn piece shots per generator call, the drift walk carrying its running sum."""
+    mean, factor = readout.shot_law(0.3, 0.6, m, STREAM_ROWS[stream])
+    out = np.empty((len(mean), n))
+    out[:] = mean[:, None]
+    if m.laser_drift_step_rel:
+        carry = 0.0
+        for lo in range(0, n, piece):
+            walk = rng.standard_normal(min(piece, n - lo)) * m.laser_drift_step_rel
+            walk[0] += carry
+            np.cumsum(walk, out=walk)
+            carry = walk[-1]
+            out[:, lo : lo + len(walk)] += mean[:, None] * walk
+    for lo in range(0, n, piece):
+        w = rng.standard_normal((min(piece, n - lo), len(mean)))
+        block = out[:, lo : lo + len(w)]
+        for j in range(len(mean)):
+            block += factor[:, j, None] * w[:, j]
+    return out if stream == "windows" else out[0]
+
+
 @pytest.mark.parametrize("stream", list(STREAMS))
-def test_processed_stream_bits_independent_of_chunk_size(monkeypatch, stream):
+def test_processed_stream_bits_independent_of_chunk_size(stream):
+    # the one-call stream equals the same stream drawn in chunks of any size
     m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=1e-3)
     n = 3 * 2**16 + 7
-    streams = []
+    whole = STREAMS[stream](m, n, np.random.default_rng(12))
     for chunk in (1000, 4096, 2**16):
-        monkeypatch.setattr(readout, "SHOT_CHUNK", chunk)
-        streams.append(STREAMS[stream](m, n, np.random.default_rng(12)))
-    for other in streams[1:]:
-        assert np.array_equal(other, streams[0])
+        assert np.array_equal(_stream_in_pieces(stream, m, n, np.random.default_rng(12), chunk), whole), chunk
 
 
 # sha256 prefix of each stream's bytes and the generator's next normal, per (stream, drift, n_shots):
@@ -362,16 +388,28 @@ GOLDEN_STREAMS = {
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-3])
-@pytest.mark.parametrize("piece", [1, 999, SHOT_CHUNK, SHOT_CHUNK + 1])
-def test_pieces_concatenate_to_the_stream(monkeypatch, drift, piece):
-    # drawn SHOT_CHUNK = piece shots at a time, every stream keeps its golden bits and generator end state
-    monkeypatch.setattr(readout, "SHOT_CHUNK", piece)
+def test_streams_keep_their_golden_bits(drift):
+    # every stream keeps its golden bits and generator end state
     m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
-    sizes = (1, 999, 2 * SHOT_CHUNK + 7) if piece > 1 else (1, 999)  # one-shot chunks are slow
+    for stream in STREAMS:
+        for n in (1, 999, 2 * 2**16 + 7):
+            rng = np.random.default_rng(n)
+            x = np.ascontiguousarray(STREAMS[stream](m, n, rng))
+            digest, next_normal = GOLDEN_STREAMS[(stream, drift, n)]
+            assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest, (stream, n)
+            assert rng.standard_normal() == next_normal, (stream, n)
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-3])
+@pytest.mark.parametrize("piece", [1, 999, 2**16, 2**16 + 1])
+def test_pieces_concatenate_to_the_stream(drift, piece):
+    # drawn piece shots at a time, every stream keeps its golden bits and generator end state
+    m = ReadoutModel(laser_fluct_rel=0.01, laser_fluct_fast_rel=0.003, laser_drift_step_rel=drift)
+    sizes = (1, 999, 2 * 2**16 + 7) if piece > 1 else (1, 999)  # one-shot pieces are slow
     for stream in STREAMS:
         for n in sizes:
             rng = np.random.default_rng(n)
-            x = np.ascontiguousarray(STREAMS[stream](m, n, rng))
+            x = np.ascontiguousarray(_stream_in_pieces(stream, m, n, rng, piece))
             digest, next_normal = GOLDEN_STREAMS[(stream, drift, n)]
             assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest, (stream, n)
             assert rng.standard_normal() == next_normal, (stream, n)

@@ -1,4 +1,4 @@
-"""Sequence builders: structure, timing, phase pattern, serialization."""
+"""Sequence builders: structure, timing, phase pattern, readout branches."""
 
 import math
 from collections import Counter
@@ -24,18 +24,21 @@ from nvsim.sequences import (
     build_xy16,
     pi_train,
     pulse_times,
+    readout_angle,
 )
 
 taus = st.floats(1e-8, 1e-4)
 
 
-def compose_ideal(seq: PulseSequence, detuning: float) -> float:
-    """Direct unitary composition with the single-spin primitives.
+def compose_ideal(seq: PulseSequence, detuning: float, sign: int = +1) -> float:
+    """Direct unitary composition with the single-spin primitives, read
+    out in branch sign: the final pulse at readout_angle's phase.
 
     Independent oracle for the ensemble phase-algebra engine.
     """
+    final = Pulse(readout_angle(seq.readout_phase, sign) % (2 * math.pi), math.pi / 2)
     s = BRIGHT
-    for e in seq.elements:
+    for e in seq.elements[:-1] + (final,):
         if isinstance(e, Delay):
             s = evolve_free(s, e.tau, detuning)
         else:
@@ -178,10 +181,11 @@ def test_pi_train_rejects_pulses_the_ideal_view_would_drop_or_misread():
     for name, elements in bad.items():
         with pytest.raises(ValueError):
             pi_train(replace(echo, elements=elements))
-    # the last pulse must be the one the readout branch names
+    # the last pulse must be the +1 branch's pulse for the sequence's readout phase
     with pytest.raises(ValueError):
-        pi_train(replace(echo, readout_sign=-1))
-    assert pi_train(echo.with_readout_sign(-1)).times == pytest.approx([1e-6])
+        pi_train(replace(echo, readout_phase=PH_Y))
+    with pytest.raises(ValueError):
+        pi_train(replace(echo, elements=(*echo.elements[:-1], Pulse(0.0, math.pi / 2))))
 
 
 def test_pulse_times_echo():
@@ -223,14 +227,14 @@ def test_ideal_zero_noise_identity(family, tau):
         "xy16": lambda: build_xy16(1, tau),
     }[family]()
     assert compose_ideal(seq, 0.0) == pytest.approx(1.0, abs=1e-9)
-    assert compose_ideal(seq.with_readout_sign(-1), 0.0) == pytest.approx(0.0, abs=1e-9)
+    assert compose_ideal(seq, 0.0, -1) == pytest.approx(0.0, abs=1e-9)
 
 
 @given(st.floats(-2 * math.pi * 1e6, 2 * math.pi * 1e6))
 def test_echo_refocuses_static_detuning(delta):
     seq = build_hahn_echo(2e-6)
     p_plus = compose_ideal(seq, delta)
-    p_minus = compose_ideal(seq.with_readout_sign(-1), delta)
+    p_minus = compose_ideal(seq, delta, -1)
     assert (p_plus - p_minus) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -245,32 +249,32 @@ def test_xy16_population_independent_of_tau():
         assert compose_ideal(build_xy16(1, tau), 0.0) == pytest.approx(ref, abs=1e-12)
 
 
-def test_serialization_golden():
-    seq = build_hahn_echo(2e-6)
-    expected = (
-        "PULSE 0 90\n"
-        "DELAY 1e-06\n"
-        "PULSE 90 180\n"
-        "DELAY 1e-06\n"
-        "PULSE 180 90\n"
+def test_echo_elements_golden():
+    # the readout convention: (pi/2)_x first, the +1 branch's (pi/2) at readout_phase + pi last
+    assert build_hahn_echo(2e-6).elements == (
+        Pulse(0.0, math.pi / 2),
+        Delay(1e-6),
+        Pulse(PH_Y, math.pi),
+        Delay(1e-6),
+        Pulse(math.pi, math.pi / 2),
     )
-    assert seq.to_text() == expected
+    assert build_hahn_echo(2e-6, readout_phase=PH_Y).elements[-1] == Pulse(3 * math.pi / 2, math.pi / 2)
 
 
-def test_serialization_roundtrip_stability():
-    text = build_xy16(1, 1.5e-6).to_text()
-    lines = text.strip().split("\n")
-    assert len(lines) == 2 + 16 + 17  # pi/2 pulses + pi pulses + delays
-    assert lines[0] == "PULSE 0 90"
-    assert lines[-1] == "PULSE 180 90"
+def test_readout_branches_differ_by_pi():
+    for phase in (0.0, PH_Y, math.pi, 1.5 * math.pi):
+        assert readout_angle(phase, +1) - readout_angle(phase, -1) == pytest.approx(math.pi, abs=1e-15)
+        final = build_xy16(1, 1e-6, readout_phase=phase).elements[-1]
+        assert final == Pulse(readout_angle(phase, +1) % (2 * math.pi), math.pi / 2)
 
 
-def test_readout_sign_flips_final_phase_only():
-    a = build_xy16(1, 1e-6)
-    b = a.with_readout_sign(-1)
-    assert a.elements[:-1] == b.elements[:-1]
-    assert (a.elements[-1].phase - b.elements[-1].phase) % (2 * math.pi) == pytest.approx(math.pi)
-    assert b.with_readout_sign(-1) is b
+def test_builders_take_the_readout_phase_by_keyword_only():
+    # a positional readout sign, as builders once took, fails instead of being read as a phase
+    builds = {build_fid: (1e-6,), build_hahn_echo: (1e-6,), build_cpmg: (2, 1e-6)}
+    builds.update({build: (1, 1e-6) for build in (build_xy4, build_xy8, build_xy16)})
+    for build, args in builds.items():
+        with pytest.raises(TypeError):
+            build(*args, -1)
 
 
 def test_element_validation():
