@@ -164,7 +164,6 @@ def _ac_sweep(cfg: RunConfig):
             ac_phase=cfg.ac_phase_rad,
             noise_seed=cfg.seed + 3,
             shot_seed=cfg.seed + 4,
-            threads=cfg.threads,
         )
     except FitError as exc:
         raise NumericalFailure(f"AC sweep: {exc}") from exc

@@ -215,7 +215,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 f"model finite pulses, not {cfg.experiment!r}"
             )
         # the gaps grow with T, so the sweep's shortest point decides
-        seq = SWEEP_FAMILIES[cfg.experiment](cfg.n_repeats, cfg.t_min_s, 0.0)
+        seq = SWEEP_FAMILIES[cfg.experiment](cfg.n_repeats, cfg.t_min_s)
         try:
             render_finite(seq.elements, cfg.pi_time_s)
         except ValueError as exc:
@@ -230,7 +230,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         if abs(cfg.tau_s - ideal) > 0.01 * ideal:
             warnings.append(
                 f"tau_s = {cfg.tau_s:g} s does not match 1/(2 f_ac_hz) = {ideal:g} s; "
-                "the AC field will not be synchronized"
+                "the AC field is not synchronized"
             )
     if cfg.bath_tau_c_s > MAX_TAU_C_RATIO * cfg.t2_echo_target_s and cfg.bath_b_rad_s == 0.0:
         raise ConfigError(

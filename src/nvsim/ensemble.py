@@ -65,9 +65,9 @@ next chunk of rows while the caller evolves the spins through the
 current one: the Philox fills run without the GIL, while the many
 short numpy calls of the evolution would only trade it back and forth
 if the spins were split between threads.  The ideal engine takes one
-row and no worker.  A substream's draws do not depend on how its rows
-are chunked or filled, so results are bit-identical for any thread
-count.
+row, so it has no thread count and no worker.  A substream's draws do
+not depend on how its rows are chunked or filled, so results are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def _fold_ideal(train: PiTrain, bath: OUBath, f_hz: float, phase_rad: float) -> 
     return _IdealFold(pattern, static, sigma, ac_unit)
 
 
-def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_seed, threads) -> float:
+def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_seed) -> float:
     """Ensemble mean of cos(Xi - shift) under the folded ideal pi train,
     with one standard normal z_i per spin from the (seed, key, noise_seed,
     block) substream."""
@@ -312,7 +312,7 @@ def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_see
         xi = base + fold.static * ensemble.delta_static[blocks.lo : blocks.hi] + fold.sigma * z
         return blocks.block_sums(np.cos(xi))
 
-    return sum(_map_blocks(run, ensemble, key, noise_seed, threads, 1)) / ensemble.n_spins
+    return sum(_map_blocks(run, ensemble, key, noise_seed, 1, 1)) / ensemble.n_spins
 
 
 def run_two_branch(
@@ -331,14 +331,14 @@ def run_two_branch(
     fresh OU phase (ideal pulses) or trajectory (finite pulses) keyed on
     (ensemble.seed, noise_seed, block).  pulse_width = None uses ideal
     pulses; a finite width renders the sequence with rectangular pulses,
-    delays center-to-center.
+    delays center-to-center.  threads only reaches the finite engine.
     """
     if pulse_width is not None:
         return _run_two_branch_finite(
             seq, ensemble, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
     # a zero amplitude adds a zero AC phase
-    return two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, 0.0, 0.0, [0.0], [noise_seed], threads=threads)[0]
+    return two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, 0.0, 0.0, [0.0], [noise_seed])[0]
 
 
 def two_branch_ac_sweep(
@@ -350,20 +350,19 @@ def two_branch_ac_sweep(
     phase_rad: float,
     amplitudes,
     noise_seeds,
-    *,
-    threads: int = 1,
 ) -> list[tuple[float, float]]:
     """The two branch populations under ideal pulses and the AC field
     b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes and noise
     seed s in noise_seeds, with train = pi_train(seq) folded once for the
-    whole sweep."""
+    whole sweep.  Each point draws one noise row, on the calling thread
+    alone, so the sweep has no thread count."""
     fold = _fold_ideal(train, bath, f_hz, phase_rad)
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
     out = []
     for b0, noise_seed in zip(amplitudes, noise_seeds):
         phi_ac = GAMMA_E * float(b0) * fold.ac_unit
-        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed, threads=threads)
+        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed)
         # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
         out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
     return out
@@ -480,8 +479,9 @@ def equatorial_survival(
     Prepares v0 = (cos a, sin a, 0), runs the interior pi pulses and
     delays of `seq` (the pi/2 pulses are skipped), and returns the
     ensemble mean of v_final . v0: the surviving projection on the
-    prepared axis.  Used for pulse-error robustness comparisons.  Raises
-    ValueError where sequences.pi_train does.
+    prepared axis.  Used for pulse-error robustness comparisons.  threads
+    only reaches the finite engine.  Raises ValueError where
+    sequences.pi_train does.
     """
     train = pi_train(seq)
     n = ensemble.n_spins
@@ -490,7 +490,7 @@ def equatorial_survival(
         # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
         shift = 2.0 * initial_phase * (len(train.times) % 2)
         fold = _fold_ideal(train, bath, 0.0, 0.0)
-        return _mean_cos_ideal(fold, 0.0, ensemble, shift, key=0xE0, noise_seed=noise_seed, threads=threads)
+        return _mean_cos_ideal(fold, 0.0, ensemble, shift, key=0xE0, noise_seed=noise_seed)
 
     # pi_train has checked that everything between the pi/2 pulses is the train
     steps, _ = render_finite(seq.elements[1:-1], pulse_width)

@@ -16,13 +16,12 @@ magnitude for an ideal synchronized train is (2/pi) gamma B0 T.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import COS_MISALIGNED, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
-from .ensemble import EnsembleSample, equatorial_survival, ensemble_rabi_curve, run_two_branch, two_branch_ac_sweep
+from .ensemble import EnsembleSample, ensemble_rabi_curve, run_two_branch, two_branch_ac_sweep
 from .fitting import (
     CurveFitResult,
     FitError,
@@ -40,17 +39,17 @@ from .readout import (
     readout_shot_std,
     shot_law,
 )
-from .sequences import SWEEP_FAMILIES, PiTrain, PulseSequence, pi_train
+from .sequences import SWEEP_FAMILIES, PulseSequence, pi_train
 
 DEFAULT_AC_PHASE = math.pi / 2.0
 
 
-def make_coherence_builder(family: str, n_repeats: int = 1, readout_phase: float = 0.0):
+def make_coherence_builder(family: str, n_repeats: int = 1):
     """(builder, pi_count) for a total-free-time parametrized sequence."""
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown sequence family {family!r}")
     build = SWEEP_FAMILIES[family]
-    builder = lambda T: build(n_repeats, T, readout_phase)
+    builder = lambda T: build(n_repeats, T)
     return builder, builder(1.0).n_pi_pulses  # the count does not depend on T
 
 
@@ -232,13 +231,6 @@ class AcMagnetometryResult:
     signal_norm: np.ndarray
 
 
-def sequence_spacing(train: PiTrain) -> float:
-    """Inter-pi-pulse spacing implied by a sequence's pi train."""
-    if len(train.times) >= 2:
-        return float(train.times[1] - train.times[0])
-    return train.total_t
-
-
 def run_ac_magnetometry(
     seq: PulseSequence,
     f_ac: float,
@@ -252,11 +244,15 @@ def run_ac_magnetometry(
     ac_phase: float = DEFAULT_AC_PHASE,
     noise_seed: int = 0,
     shot_seed: int = 1,
-    threads: int = 1,
     processing: str = "two_branch",
 ) -> AcMagnetometryResult:
     """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
 
+    The branches come from the ideal-pulse engine, one
+    ensemble.two_branch_ac_sweep over all amplitudes.  Nothing here checks
+    that seq's spacing matches 1/(2 f_ac) or that its readout is the
+    quadrature one: config.validate_config warns about an unsynchronized
+    tau_s, and the CLI always builds seq with readout_phase = pi/2.
     delta_s is the measured shot-to-shot std at the amplitude closest to
     zero; max_slope is |a k| from the sine fit of the mean curve, and
     FitError is raised when it is not positive.
@@ -266,21 +262,11 @@ def run_ac_magnetometry(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if shots < 2:
         raise ValueError("shots must be >= 2 to estimate delta_s")
-    train = pi_train(seq)
-    spacing = sequence_spacing(train)
-    if abs(spacing - 1.0 / (2.0 * f_ac)) > 0.01 * spacing:
-        warnings.warn(
-            f"sequence spacing {spacing:.6g} s vs 1/(2 f_ac) = {1.0 / (2.0 * f_ac):.6g} s: "
-            "AC field is not synchronized",
-            stacklevel=2,
-        )
-    if abs(seq.readout_phase - math.pi / 2.0) > 1e-9:
-        warnings.warn("AC sensing expects the quadrature readout (readout_phase = pi/2)", stacklevel=2)
     mean_v = np.empty_like(amplitudes)
     std_v = np.empty_like(amplitudes)
     norm = np.empty_like(amplitudes)
     noise_seeds = [noise_seed + 104729 * i for i in range(len(amplitudes))]
-    branches = two_branch_ac_sweep(seq, train, ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds, threads=threads)
+    branches = two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
         vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)
@@ -408,42 +394,6 @@ def run_resolution(
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
     return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))
-
-
-# ---------------------------------------------------------------- robustness
-
-def run_phase_robustness(
-    families: dict[str, PulseSequence],
-    ensemble: EnsembleSample,
-    bath: OUBath,
-    pulse_width: float | None,
-    n_phases: int = 12,
-    noise_seed: int = 0,
-    threads: int = 1,
-) -> dict[str, dict]:
-    """Worst-case equatorial coherence over initial phases, per sequence.
-
-    Returns {name: {"phases": ..., "survival": ..., "worst": float}}.
-    """
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
-    out = {}
-    for name, seq in families.items():
-        surv = np.array(
-            [
-                equatorial_survival(
-                    seq,
-                    ensemble,
-                    bath,
-                    float(a),
-                    pulse_width=pulse_width,
-                    noise_seed=noise_seed,
-                    threads=threads,
-                )
-                for a in phases
-            ]
-        )
-        out[name] = {"phases": phases, "survival": surv, "worst": float(np.min(surv))}
-    return out
 
 
 # ---------------------------------------------------------------- CSV output

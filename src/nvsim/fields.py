@@ -98,9 +98,9 @@ def field_of_wire(current: float, distance: float, wire_radius: float = 0.0) -> 
     return MU_0 * current / (2.0 * math.pi * distance)
 
 
-def wire_field_2d(current: float, x, z, x0: float = 0.0):
-    """(Bx, Bz) of a wire along y at (x0, 0) carrying +I along +y."""
-    dx = np.asarray(x, dtype=float) - x0
+def wire_field_2d(current: float, x, z):
+    """(Bx, Bz) of a wire along y at the origin carrying +I along +y."""
+    dx = np.asarray(x, dtype=float)
     dz = np.asarray(z, dtype=float)
     r2 = dx * dx + dz * dz
     pref = MU_0 * current / (2.0 * math.pi)
@@ -126,17 +126,17 @@ def field_of_strip(width: float, current: float, point) -> np.ndarray:
     return np.array([bx, bz])
 
 
-def field_of_ring(radius: float, current: float, point, wire_radius: float = 0.0) -> np.ndarray:
+def field_of_ring(radius: float, current: float, point) -> np.ndarray:
     """(Bx, By, Bz) of a circular loop in the z=0 plane via elliptic integrals.
 
     point = (x, y, z) with x, y and z scalars or broadcastable arrays;
-    returns shape (3, ...).  On the axis the loop's closed form is used.
+    returns shape (3, ...).  On the axis the loop's closed form is used;
+    a point on the loop itself raises ValueError.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in point))
     a = radius
     rho = np.hypot(x, y)
-    d_to_wire = np.hypot(rho - a, z)
-    if np.any((d_to_wire <= wire_radius) | (d_to_wire == 0.0)):
+    if np.any(np.hypot(rho - a, z) == 0.0):
         raise ValueError("query point on the conductor")
     axis = rho < 1e-12 * a
     r = np.where(axis, 0.5 * a, rho)  # any off-axis radius: the axis points take the closed form below
@@ -219,29 +219,22 @@ class FieldMap:
         return "fieldmap.csv", ["x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T", "Babs_T"], columns
 
 
-def compute_field_map(
-    spec: ResonatorSpec,
-    u_extent: float | None = None,
-    v_range: tuple[float, float] | None = None,
-    n_u: int = 201,
-    n_v: int = 81,
-) -> FieldMap:
+def compute_field_map(spec: ResonatorSpec, n_u: int = 201, n_v: int = 81) -> FieldMap:
     """Evaluate drive_field on a regular grid in the y = 0 plane, per sqrt(W).
 
-    The default heights start at standoff_m / 2.  A wire's field is not
+    u spans +-(strip_width_m + 2 (gap_m + ground_width_m)) for the cwr,
+    +-2 ring_radius_m for the ring and +-2 mm for the wire; the heights v
+    run from standoff_m / 2 to 4 standoff_m.  A wire's field is not
     defined inside its conductor, so grid points with hypot(u, v) <=
     wire_diameter_m / 2 are NaN, here and in fieldmap.csv.
     """
-    if u_extent is None:
-        u_extent = {
-            "cwr": spec.strip_width_m + 2 * (spec.gap_m + spec.ground_width_m),
-            "ring": 2.0 * spec.ring_radius_m,
-            "wire": 2.0e-3,
-        }[spec.kind]
-    if v_range is None:
-        v_range = (0.5 * spec.standoff_m, 4.0 * spec.standoff_m)
+    u_extent = {
+        "cwr": spec.strip_width_m + 2 * (spec.gap_m + spec.ground_width_m),
+        "ring": 2.0 * spec.ring_radius_m,
+        "wire": 2.0e-3,
+    }[spec.kind]
     u = np.linspace(-u_extent, u_extent, n_u)
-    v = np.linspace(v_range[0], v_range[1], n_v)
+    v = np.linspace(0.5 * spec.standoff_m, 4.0 * spec.standoff_m, n_v)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     bu, _, bv = drive_field(spec, uu, 0.0, vv)
     return FieldMap(u, v, bu, bv)

@@ -203,25 +203,20 @@ def chi_from_spectrum(pi_times, total_t: float, spectrum, rtol: float = 1e-6) ->
 
 
 def coherence_analytic(
-    seq_or_times,
+    seq: PulseSequence,
     spectrum=None,
-    total_t: float | None = None,
     sigma_static: float = 0.0,
     rtol: float = 1e-6,
 ) -> float:
     """Coherence W in [0, 1] for a pulse sequence under Gaussian noise.
 
-    `seq_or_times` is a PulseSequence or an array of pi-pulse times (then
-    total_t is required).  `spectrum` is a two-sided PSD callable or an
-    OUBath.  A quasi-static Gaussian detuning spread of std sigma_static
-    is averaged exactly: chi_qs = (sigma * moment)^2 / 2.
+    The pi-pulse times and total free time come from
+    sequences.pulse_times(seq); for raw times call chi_from_spectrum.
+    `spectrum` is a two-sided PSD callable or an OUBath.  A quasi-static
+    Gaussian detuning spread of std sigma_static is averaged exactly:
+    chi_qs = (sigma * moment)^2 / 2.
     """
-    if isinstance(seq_or_times, PulseSequence):
-        times, T = pulse_times(seq_or_times)
-    else:
-        if total_t is None:
-            raise ValueError("total_t is required when passing raw pulse times")
-        times, T = np.asarray(seq_or_times, dtype=float), float(total_t)
+    times, T = pulse_times(seq)
     chi = 0.5 * (sigma_static * toggling_moment(times, T)) ** 2
     if spectrum is not None and T > 0.0:
         S = spectrum.psd if isinstance(spectrum, OUBath) else spectrum

@@ -138,14 +138,14 @@ def build_xy16(n_repeats: int, tau: float, *, readout_phase: float = 0.0):
 
 
 # Coherence-sweep families, parametrized by the total free time T:
-# family -> build(n_repeats, T, readout_phase)
+# family -> build(n_repeats, T)
 SWEEP_FAMILIES = {
-    "fid": lambda n, T, ph: build_fid(T, readout_phase=ph),
-    "echo": lambda n, T, ph: build_hahn_echo(T, readout_phase=ph),
-    "cpmg": lambda n, T, ph: build_cpmg(n, T / n, readout_phase=ph),
-    "xy4": lambda n, T, ph: build_xy4(n, T / (4 * n), readout_phase=ph),
-    "xy8": lambda n, T, ph: build_xy8(n, T / (8 * n), readout_phase=ph),
-    "xy16": lambda n, T, ph: build_xy16(n, T / (16 * n), readout_phase=ph),
+    "fid": lambda n, T: build_fid(T),
+    "echo": lambda n, T: build_hahn_echo(T),
+    "cpmg": lambda n, T: build_cpmg(n, T / n),
+    "xy4": lambda n, T: build_xy4(n, T / (4 * n)),
+    "xy8": lambda n, T: build_xy8(n, T / (8 * n)),
+    "xy16": lambda n, T: build_xy16(n, T / (16 * n)),
 }
 
 

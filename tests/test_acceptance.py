@@ -14,11 +14,10 @@ import pytest
 from scipy.optimize import brentq
 
 from nvsim.cli import main as cli_main
-from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
+from nvsim.ensemble import DetectionVolume, NoiseModel, equatorial_survival, run_two_branch, sample_ensemble
 from nvsim.experiments import (
     run_ac_magnetometry,
     run_coherence,
-    run_phase_robustness,
     run_rabi,
     run_resolution,
     sensitivity_from_slope,
@@ -280,20 +279,22 @@ def test_acceptance_10_robustness():
         "xy16": build_xy16(16, tau),
         "cpmg": build_cpmg(n_pulses, tau),
     }
-    out = run_phase_robustness(fams, ens, BATH, pulse_width=48e-9, n_phases=12, noise_seed=102)
-    # Seed scan of this call (ensemble seeds 0-199, noise seeds 1000-1199), SE =
+    phases = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    survival = {
+        name: np.array([equatorial_survival(seq, ens, BATH, a, pulse_width=48e-9, noise_seed=102) for a in phases])
+        for name, seq in fams.items()
+    }
+    # Seed scan of these calls (ensemble seeds 0-199, noise seeds 1000-1199), SE =
     # the spread over seeds: XY16 minus CPMG is 0.535 +- 0.008 at the worst
     # phase and 0.536 +- 0.008 on the x axis, 64 and 65 SE above 0 (8.1 SE
     # for both while the finite engine drew each gap's bridge noise instead
     # of averaging it; the spread goes as 1/sqrt(spins), and 128 spins take
     # 0.35 s a call).  False-failure rate 0 of 200 seeds.  With the finite
     # engine ignoring each pulse's phase, both checks fail on 200 of 200.
-    assert out["xy16"]["worst"] > out["cpmg"]["worst"]
+    assert survival["xy16"].min() > survival["cpmg"].min()
     # and CPMG specifically fails on the axis 90 deg from its pulse axis
-    cpmg_curve = out["cpmg"]["survival"]
-    xy_curve = out["xy16"]["survival"]
     i_x = 0  # phase 0 = x axis, 90 deg from the CPMG y pulses
-    assert xy_curve[i_x] > cpmg_curve[i_x]
+    assert survival["xy16"][i_x] > survival["cpmg"][i_x]
 
 
 @criterion(11, "determinism: same config + seed -> byte-identical CSVs across runs and thread counts")

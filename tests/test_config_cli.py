@@ -1,6 +1,7 @@
 """Config schema, CLI exit codes, reproducibility, manifest completeness."""
 
 import filecmp
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -69,6 +70,18 @@ def test_unsynchronized_tau_warns_with_both_values():
         warnings = validate_config(cfg)
         assert len(warnings) == 1
         assert "1.2e-06" in warnings[0] and "f_ac" in warnings[0]
+
+
+def test_run_prints_the_unsynchronized_warning_once(tmp_path, capsys):
+    # config owns the rule; a Python warning from the AC sweep would be a second copy
+    cfg = write_cfg(tmp_path, "experiment = ac_sense\ntau_s = 1.5e-6\nn_spins = 500\nshots = 50\nn_repeats = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", cfg, "--out", str(tmp_path / "out")) == 0
+    said = capsys.readouterr().err + "".join(str(w.message) for w in caught)
+    assert said.count("not synchronized") == 1
+    assert run_cli("validate", cfg) == 0
+    assert capsys.readouterr().out.count("not synchronized") == 1
 
 
 def test_quasistatic_tau_c_rejected_for_calibration():

@@ -265,8 +265,7 @@ AC_SWEEP_PINNED = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ac_sweep_outputs_pinned(threads):
+def test_ac_sweep_outputs_pinned():
     # 6000 spins = 3 blocks; the noise seeds are run_ac_magnetometry's at noise_seed = 3
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
@@ -274,7 +273,7 @@ def test_ac_sweep_outputs_pinned(threads):
     seq = build_xy16(2, 1 / (2 * f), readout_phase=math.pi / 2)
     amplitudes = np.linspace(-4e-8, 4e-8, 5)
     seeds = [3 + 104729 * i for i in range(len(amplitudes))]
-    swept = two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds, threads=threads)
+    swept = two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds)
     assert swept == AC_SWEEP_PINNED  # bit-identical
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
-from nvsim.ensemble import DetectionVolume, NoiseModel, sample_ensemble
+from nvsim.ensemble import DetectionVolume, NoiseModel, equatorial_survival, sample_ensemble
 from nvsim import readout
 from nvsim.config import averaging_counts, parse_config
 from nvsim.experiments import (
@@ -21,7 +21,6 @@ from nvsim.experiments import (
     run_ac_magnetometry,
     run_coherence,
     run_odmr,
-    run_phase_robustness,
     run_rabi,
     run_resolution,
     sensitivity_from_slope,
@@ -392,15 +391,6 @@ def test_ac_report_self_consistency_and_noise_prediction():
     assert rep.delta_s_v == pytest.approx(readout_shot_std(readout), rel=0.05)
 
 
-def test_ac_warns_on_unsynchronized_tau():
-    bath = OUBath(0.0, 1e-5)
-    ens, _ = make_ensemble(n=64, seed=9, bath=bath)
-    readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=1e-6)
-    seq = build_xy16(1, 1.2e-6, readout_phase=math.pi / 2)  # not 1/(2 f_ac)
-    with pytest.warns(UserWarning, match="not synchronized"):
-        run_ac_magnetometry(seq, 362e3, np.linspace(-1e-8, 1e-8, 9), ens, bath, readout, 10, 1.47e-3)
-
-
 def test_synchronized_phase_helper():
     assert synchronized_phase(1e-9, 100e-6) == pytest.approx(
         (2 / math.pi) * GAMMA_E * 1e-9 * 100e-6
@@ -418,9 +408,13 @@ def test_phase_robustness_xy16_beats_cpmg_smoke():
         "xy16": build_xy16(2, tau),
         "cpmg": __import__("nvsim.sequences", fromlist=["build_cpmg"]).build_cpmg(32, tau),
     }
-    out = run_phase_robustness(fams, ens, bath, pulse_width=48e-9, n_phases=8)
+    phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    worst = {
+        name: min(equatorial_survival(seq, ens, bath, float(a), pulse_width=48e-9) for a in phases)
+        for name, seq in fams.items()
+    }
     # no OU noise, no static spread, one amplitude error: every spin is the same, so
     # the seed does not matter; over ensemble seeds 0-199 the worst-phase XY16 minus
     # CPMG is 0.690983 on every seed, whether the engine draws the gaps' bridge
     # noise or averages it (there is none to draw)
-    assert out["xy16"]["worst"] > out["cpmg"]["worst"]
+    assert worst["xy16"] > worst["cpmg"]

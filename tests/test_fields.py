@@ -43,10 +43,10 @@ def oracle_strip(width, current, x, z, n_max=None):
     K = current / width
 
     def bx_int(u):
-        return wire_field_2d(K, x, z, x0=u)[0]
+        return wire_field_2d(K, x - u, z)[0]
 
     def bz_int(u):
-        return wire_field_2d(K, x, z, x0=u)[1]
+        return wire_field_2d(K, x - u, z)[1]
 
     bx, _ = quad(bx_int, -width / 2, width / 2, limit=400)
     bz, _ = quad(bz_int, -width / 2, width / 2, limit=400)
@@ -174,7 +174,7 @@ def test_ring_on_axis_z_equals_R():
 
 def test_ring_on_conductor_rejected():
     with pytest.raises(ValueError):
-        field_of_ring(1e-3, 1.0, (1e-3, 0.0, 0.0), wire_radius=10e-6)
+        field_of_ring(1e-3, 1.0, (1e-3, 0.0, 0.0))  # a point on the loop
 
 
 def test_ring_vs_quadrature_oracle_random_points():

@@ -157,11 +157,6 @@ def test_spectrum_infinite_at_zero_rejected():
     assert 0.0 < chi_from_spectrum([1e-6], 2e-6, one_over_f) < np.inf
 
 
-def test_raw_times_require_total():
-    with pytest.raises(ValueError):
-        coherence_analytic(np.array([1e-6]), BATH)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 256),
