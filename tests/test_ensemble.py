@@ -265,15 +265,22 @@ AC_SWEEP_PINNED = [
 ]
 
 
-def test_ac_sweep_outputs_pinned():
-    # 6000 spins = 3 blocks; the noise seeds are run_ac_magnetometry's at noise_seed = 3
+@pytest.mark.parametrize("calls", [1, 2])
+def test_ac_sweep_outputs_pinned(calls):
+    # 6000 spins = 3 blocks; the noise seeds are run_ac_magnetometry's at noise_seed = 3.
+    # The sweep is split over `calls` calls: each point depends only on its
+    # own amplitude and seed, not on the others folded with it.
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
     f, phase = 362e3, math.pi / 2
     seq = build_xy16(2, 1 / (2 * f), readout_phase=math.pi / 2)
     amplitudes = np.linspace(-4e-8, 4e-8, 5)
     seeds = [3 + 104729 * i for i in range(len(amplitudes))]
-    swept = two_branch_ac_sweep(seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes, seeds)
+    swept = []
+    for part in np.array_split(np.arange(len(amplitudes)), calls):
+        swept += two_branch_ac_sweep(
+            seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes[part], [seeds[i] for i in part]
+        )
     assert swept == AC_SWEEP_PINNED  # bit-identical
 
 
