@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical failure
 (non-convergent primary fit, a coherence curve with no positive value
-to fit, an AC sine fit with zero slope, bath calibration failure).
+to fit, an AC sine fit with zero slope, a zero noise floor, bath
+calibration failure, an overflow or invalid value during the run).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, averaging_counts, config_items, format_manifest, parse_config, validate_config
+from .config import (ConfigError, RunConfig, averaging_counts, config_items, format_manifest, frequency_sweep,
+                     parse_config, validate_config)
 from .ensemble import DetectionVolume, NoiseModel, sample_ensemble
 from .experiments import (
     fit_table,
@@ -93,16 +95,12 @@ class Outputs(NamedTuple):
     manifest: dict[str, str] | None = None
 
 
-def _fieldmap_table(cfg: RunConfig):
-    return compute_field_map(build_resonator_spec(cfg)).table()
-
-
 def _run_fieldmap(cfg):
-    return Outputs([_fieldmap_table(cfg)])
+    return Outputs([compute_field_map(build_resonator_spec(cfg)).table()])
 
 
 def _run_odmr(cfg):
-    freqs = np.linspace(cfg.f_min_hz, cfg.f_max_hz, cfg.n_freq)
+    freqs = frequency_sweep(cfg)
     res = run_odmr(
         freqs,
         cfg.bias_field_t,
@@ -185,14 +183,17 @@ def _run_ac_sense(cfg):
 
 def _run_resolution(cfg):
     ac = _ac_sweep(cfg)
-    res = run_resolution(
-        build_readout(cfg),
-        ac.max_slope_v_per_t,
-        cfg.t_seq_s,
-        averaging_counts(cfg),
-        blocks_per_point=cfg.blocks_per_point,
-        seed=cfg.seed + 6,
-    )
+    try:
+        res = run_resolution(
+            build_readout(cfg),
+            ac.max_slope_v_per_t,
+            cfg.t_seq_s,
+            averaging_counts(cfg),
+            blocks_per_point=cfg.blocks_per_point,
+            seed=cfg.seed + 6,
+        )
+    except FitError as exc:
+        raise NumericalFailure(f"resolution: {exc}") from exc
     table = (
         "resolution.csv",
         ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t", "min_field_stderr_t"],
@@ -212,12 +213,14 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: RunConfig, out: Path) -> dict[str, str]:
-    """Run one experiment and write its tables; returns their manifest entries.
+    """Run one experiment and write its tables into out, made once they
+    exist; returns their manifest entries.
 
     Every table, fit.csv included, is on disk before a non-converged
     primary fit raises.
     """
     res = _RUNNERS[cfg.experiment](cfg)
+    out.mkdir(parents=True, exist_ok=True)
     entries: dict[str, str] = {}
     for name, header, columns in res.tables:
         write_table(out / name, header, columns)
@@ -232,16 +235,8 @@ def cmd_run(cfg: RunConfig, warnings: list[str]) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    try:
-        outputs = run_experiment(cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    outputs = run_experiment(cfg, out)
     extra = {"version": __version__, "wall_time_s": f"{time.time() - t0:.3f}", **outputs}
     (out / "manifest.txt").write_text(format_manifest(cfg, extra))
     print(f"wrote {out}/manifest.txt")
@@ -259,16 +254,9 @@ def cmd_validate(cfg: RunConfig, warnings: list[str]) -> int:
 
 
 def cmd_fieldmap(cfg: RunConfig, warnings: list[str]) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    name, header, columns = _fieldmap_table(cfg)
-    write_table(out / name, header, columns)
-    print(f"wrote {out}/{name}")
+    for path in run_experiment(cfg, Path(cfg.out_dir)).values():
+        print(f"wrote {path}")
     return 0
-
-
-# config keys a command may override: its flags, and `fieldmap`'s experiment
-_OVERRIDES = ("seed", "threads", "out_dir", "experiment")
 
 
 def main(argv=None) -> int:
@@ -294,14 +282,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        for key in _OVERRIDES:
-            if getattr(args, key, None) is not None:
-                setattr(cfg, key, getattr(args, key))
+        # each flag's dest, and `fieldmap`'s experiment, is the config key it sets
+        for key, value in vars(args).items():
+            if value is not None and hasattr(cfg, key):
+                setattr(cfg, key, value)
         warnings = validate_config(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return args.func(cfg, warnings)
+    try:
+        # an overflow, a 0/0 or an inf - inf anywhere in the run is a numerical failure, not a NaN in a CSV
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(cfg, warnings)
+    except (NumericalFailure, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -125,21 +125,23 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
         if typ == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
+            return {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[raw.lower()]
         if typ == "int":
             return int(raw)
-        if typ == "float":
-            return float(raw)
-        return raw
-    except ValueError:
+        if typ != "float":
+            return raw
+        value = float(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"key '{key}': cannot parse {raw!r} as {typ}") from None
+    # nan passes every range check (nan <= 0 is false), and inf or 1e400 reach the physics
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> RunConfig:
+    """Parse key = value text: ConfigError for an unknown key or a value not of its key's type
+    (a float must be finite).  cli.main runs validate_config once, after the command's flags."""
     cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -151,7 +153,6 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
         setattr(cfg, key, _parse_value(key, raw))
-    validate_config(cfg)
     return cfg
 
 
@@ -206,23 +207,30 @@ def validate_config(cfg: RunConfig) -> list[str]:
         raise ConfigError("key 'standoff_m': must exceed wire_diameter_m / 2, or spins sit inside the wire")
     if cfg.experiment == "odmr" and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
         raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
+    if cfg.experiment == "odmr" and not np.all(np.diff(frequency_sweep(cfg)) > 0):
+        raise ConfigError("key 'f_max_hz': f_min_hz..f_max_hz is too narrow for n_freq distinct frequencies")
     if cfg.experiment == "fieldmap" and cfg.resonator == "uniform":
         raise ConfigError("key 'resonator': fieldmap requires cwr, ring, or wire")
-    if cfg.finite_pulses:
-        if cfg.experiment not in SWEEP_FAMILIES:
-            raise ConfigError(
-                f"key 'finite_pulses': only the coherence sweeps {tuple(SWEEP_FAMILIES)} "
-                f"model finite pulses, not {cfg.experiment!r}"
-            )
+    if cfg.finite_pulses and cfg.experiment not in SWEEP_FAMILIES:
+        raise ConfigError(
+            f"key 'finite_pulses': only the coherence sweeps {tuple(SWEEP_FAMILIES)} "
+            f"model finite pulses, not {cfg.experiment!r}"
+        )
+    if cfg.experiment in SWEEP_FAMILIES:
         # the gaps grow with T, so the sweep's shortest point decides
         seq = SWEEP_FAMILIES[cfg.experiment](cfg.n_repeats, cfg.t_min_s)
         try:
-            render_finite(seq.elements, cfg.pi_time_s)
-        except ValueError as exc:
-            raise ConfigError(
-                f"key 'pi_time_s': {cfg.pi_time_s:g} s pulses at t_min_s = {cfg.t_min_s:g} s "
-                f"({seq.n_pi_pulses} pi pulses): {exc}"
-            ) from None
+            n_pi = seq.n_pi_pulses
+        except ValueError as exc:  # a T so small that its gaps round to 0
+            raise ConfigError(f"key 't_min_s': {cfg.t_min_s:g} s: {exc}") from None
+        if cfg.finite_pulses:
+            try:
+                render_finite(seq.elements, cfg.pi_time_s)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key 'pi_time_s': {cfg.pi_time_s:g} s pulses at t_min_s = {cfg.t_min_s:g} s "
+                    f"({n_pi} pi pulses): {exc}"
+                ) from None
 
     warnings = []
     if cfg.experiment in _AC_SWEEPS and cfg.tau_s > 0:
@@ -243,6 +251,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
             "pulses overlap significant dephasing"
         )
     return warnings
+
+
+def frequency_sweep(cfg: RunConfig) -> np.ndarray:
+    """The ODMR frequencies: n_freq evenly spaced from f_min_hz to f_max_hz."""
+    return np.linspace(cfg.f_min_hz, cfg.f_max_hz, cfg.n_freq)
 
 
 def averaging_counts(cfg: RunConfig) -> np.ndarray:

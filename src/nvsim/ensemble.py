@@ -192,7 +192,7 @@ def sample_ensemble(
         omega = np.full(n, float(rabi_angular_freq))
     else:
         b = np.column_stack(drive_field(spec, *positions.T)) * math.sqrt(spec.drive_power_w)
-        omega = rabi_from_b_vectors(b, (0.0, 0.0, 1.0))
+        omega = rabi_from_b_vectors(b)
         if not np.all(np.isfinite(omega)):
             raise ValueError("a spin's Rabi frequency is not finite: the volume reaches into the conductor")
 
@@ -338,12 +338,11 @@ def run_two_branch(
             seq, ensemble, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
     # a zero amplitude adds a zero AC phase
-    return two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, 0.0, 0.0, [0.0], [noise_seed])[0]
+    return two_branch_ac_sweep(seq, ensemble, bath, 0.0, 0.0, [0.0], [noise_seed])[0]
 
 
 def two_branch_ac_sweep(
     seq: PulseSequence,
-    train: PiTrain,
     ensemble: EnsembleSample,
     bath: OUBath,
     f_hz: float,
@@ -353,9 +352,10 @@ def two_branch_ac_sweep(
 ) -> list[tuple[float, float]]:
     """The two branch populations under ideal pulses and the AC field
     b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes and noise
-    seed s in noise_seeds, with train = pi_train(seq) folded once for the
-    whole sweep.  Each point draws one noise row, on the calling thread
-    alone, so the sweep has no thread count."""
+    seed s in noise_seeds, with seq's pi train (sequences.pi_train) folded
+    once for the whole sweep.  Each point draws one noise row, on the
+    calling thread alone, so the sweep has no thread count."""
+    train = pi_train(seq)
     fold = _fold_ideal(train, bath, f_hz, phase_rad)
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)

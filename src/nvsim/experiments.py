@@ -39,7 +39,7 @@ from .readout import (
     readout_shot_std,
     shot_law,
 )
-from .sequences import SWEEP_FAMILIES, PulseSequence, pi_train
+from .sequences import SWEEP_FAMILIES, PulseSequence
 
 DEFAULT_AC_PHASE = math.pi / 2.0
 
@@ -254,8 +254,8 @@ def run_ac_magnetometry(
     quadrature one: config.validate_config warns about an unsynchronized
     tau_s, and the CLI always builds seq with readout_phase = pi/2.
     delta_s is the measured shot-to-shot std at the amplitude closest to
-    zero; max_slope is |a k| from the sine fit of the mean curve, and
-    FitError is raised when it is not positive.
+    zero; max_slope is |a k| from the sine fit of the mean curve.  FitError
+    if either is not positive (delta_s is 0 without shot noise and laser noise).
     `processing` selects the A/B arm: "two_branch" (full common-mode rejection)
     or "single_branch" (branch subtraction disabled).
     """
@@ -266,7 +266,7 @@ def run_ac_magnetometry(
     std_v = np.empty_like(amplitudes)
     norm = np.empty_like(amplitudes)
     noise_seeds = [noise_seed + 104729 * i for i in range(len(amplitudes))]
-    branches = two_branch_ac_sweep(seq, pi_train(seq), ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds)
+    branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
         vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)
@@ -275,10 +275,10 @@ def run_ac_magnetometry(
         norm[i] = p_plus - p_minus
     fit = fit_sine(amplitudes, mean_v, with_offset=(processing != "two_branch"))
     max_slope = abs(float(fit.params[0] * fit.params[1]))
-    if not max_slope > 0:
-        raise FitError(f"the sine fit has slope |a k| = {max_slope!r}, so no sensitivity")
     i0 = int(np.argmin(np.abs(amplitudes)))
-    delta_s = float(std_v[i0])
+    delta_s = float(std_v[i0])  # the shot-to-shot std
+    if not (max_slope > 0 and delta_s > 0):
+        raise FitError(f"the sine fit's slope |a k| = {max_slope!r} and delta_s = {delta_s!r}: no sensitivity")
     report = sensitivity_from_slope(delta_s, max_slope, t_seq)
     return AcMagnetometryResult(amplitudes, mean_v, std_v, fit, max_slope, delta_s, report, norm)
 
@@ -352,15 +352,6 @@ def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.nd
     return means
 
 
-def _std_consuming(x: np.ndarray) -> float:
-    """np.std(x, ddof=1), bit for bit, computed in x's own storage (x is
-    overwritten): the ufunc sequence of numpy's _var without its temporary."""
-    n = len(x)
-    x -= np.sum(x) / n
-    np.square(x, out=x)
-    return math.sqrt(np.sum(x) / (n - 1))
-
-
 def run_resolution(
     readout: ReadoutModel,
     max_slope: float,
@@ -381,16 +372,20 @@ def run_resolution(
     nothing (shot_law's mean is exactly 0.0), so the block means are drawn
     from their exact law by _cut_block_means, one normal per block-edge
     cut instead of one per shot, in pieces of PIECE_BLOCKS smallest-M
-    blocks (at least the largest M).
+    blocks (at least the largest M).  FitError before any draw if sigma is 0
+    (no shot noise, and the slow laser term cancels at zero signal): no std to take a log of.
     """
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     m_max = int(n_avg[-1])
     k = m_max * blocks_per_point // n_avg
     _mean, factor = shot_law(0.5, 0.5, readout, [PROCESSING_ROWS["two_branch"]])
+    sigma = abs(float(factor[0, 0]))
+    if not sigma > 0:
+        raise FitError(f"the zero-signal shot std sigma = {sigma!r}: every block-mean std is 0, no log-log slope")
     rng = np.random.default_rng(seed)
     piece = max(m_max, PIECE_BLOCKS * int(n_avg[0]))
-    means = _cut_block_means(abs(float(factor[0, 0])), n_avg.tolist(), k.tolist(), rng, piece)
-    min_field = np.array([_std_consuming(x) / max_slope for x in means])
+    means = _cut_block_means(sigma, n_avg.tolist(), k.tolist(), rng, piece)
+    min_field = np.array([np.std(x, ddof=1) / max_slope for x in means])
     elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
     slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
     return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))

@@ -77,18 +77,13 @@ def resonance_enhancement(f: float, f0: float, q: float):
     return float(out) if out.ndim == 0 else out
 
 
-def peak_current_per_sqrt_watt(spec: ResonatorSpec, f_hz: float | None = None) -> float:
-    """Peak drive current per sqrt(W): I = sqrt(2 P E / Z0) / sqrt(P).
+def peak_current_per_sqrt_watt(spec: ResonatorSpec) -> float:
+    """Peak drive current per sqrt(W) on resonance: I = sqrt(2 P E / Z0) / sqrt(P).
 
-    E is the resonant power enhancement (Q * Lorentzian) for resonant
-    structures and the bare Lorentzian-free unity for the wire.
+    E is the resonant power enhancement, Q (times resonance_enhancement,
+    which is 1 at f0) for resonant structures and unity for the wire.
     """
-    if f_hz is None:
-        f_hz = spec.f0_hz
-    enh = 1.0
-    if spec.resonant:
-        enh = spec.q_factor * float(resonance_enhancement(f_hz, spec.f0_hz, spec.q_factor))
-    return math.sqrt(2.0 * enh / LINE_IMPEDANCE_OHM)
+    return math.sqrt(2.0 * (spec.q_factor if spec.resonant else 1.0) / LINE_IMPEDANCE_OHM)
 
 
 def field_of_wire(current: float, distance: float, wire_radius: float = 0.0) -> float:
@@ -240,14 +235,12 @@ def compute_field_map(spec: ResonatorSpec, n_u: int = 201, n_v: int = 81) -> Fie
     return FieldMap(u, v, bu, bv)
 
 
-def rabi_from_b_vectors(b_vectors: np.ndarray, nv_axis) -> np.ndarray:
-    """Local Rabi angular frequency Omega = gamma |B1_perp| / 2 for (n, 3) fields.
+def rabi_from_b_vectors(b_vectors: np.ndarray) -> np.ndarray:
+    """Local Rabi angular frequency Omega = gamma |B1_perp| / 2 for (n, 3) fields, NV axis along z.
 
     The factor 1/2 is the rotating-wave reduction of a linearly polarized
     drive.  |B1_perp| = |B1 x axis|, which keeps its digits when B1 is
     nearly parallel to the axis (the ring near its own axis).
     """
-    axis = np.asarray(nv_axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    bperp = np.linalg.norm(np.cross(np.asarray(b_vectors, dtype=float), axis), axis=-1)
+    bperp = np.linalg.norm(np.cross(np.asarray(b_vectors, dtype=float), (0.0, 0.0, 1.0)), axis=-1)
     return GAMMA_E * bperp / 2.0

@@ -228,7 +228,7 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
     (XY16-16) at tau_c = 100 T, 4.5e-13 and 4.2e-10 at 1000 T (the
     longest calibrate_bath accepts), and 4.9e-11 for an echo at 1e5 T.
     Independent of the frequency-domain route in
-    filters.coherence_analytic.
+    filters.coherence_analytic.  FloatingPointError rather than nan.
     """
     bounds, signs = toggling_segments(pi_times, total_t)
     tau = bath.tau_c
@@ -243,7 +243,10 @@ def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:
             diag = h + math.expm1(-h)
         acc += diag + y * g * r
         r = math.exp(-h) * r + y * g
-    return bath.b**2 * tau * tau * acc
+    chi = bath.b**2 * tau * tau * acc
+    if math.isnan(chi):  # b^2 tau_c^2 underflowed to 0 against an infinite sum
+        raise FloatingPointError(f"the OU exponent is nan at b = {bath.b!r} rad/s, tau_c = {tau!r} s")
+    return chi
 
 
 def calibrate_bath(target_t2: float, tau_c: float) -> OUBath:

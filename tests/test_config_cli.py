@@ -1,13 +1,17 @@
 """Config schema, CLI exit codes, reproducibility, manifest completeness."""
 
+import contextlib
 import filecmp
+import io
+import re
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim.cli import main
@@ -60,7 +64,7 @@ def test_bad_value_type_names_key():
 
 def test_negative_t2_star_rejected():
     with pytest.raises(ConfigError, match="t2_star_s"):
-        parse_config_text("t2_star_s = -150e-9\n")
+        validate_config(parse_config_text("t2_star_s = -150e-9\n"))
 
 
 def test_unsynchronized_tau_warns_with_both_values():
@@ -86,7 +90,7 @@ def test_run_prints_the_unsynchronized_warning_once(tmp_path, capsys):
 
 def test_quasistatic_tau_c_rejected_for_calibration():
     with pytest.raises(ConfigError, match="bath_tau_c_s"):
-        parse_config_text("bath_tau_c_s = 100e-3\nt2_echo_target_s = 9e-6\n")
+        validate_config(parse_config_text("bath_tau_c_s = 100e-3\nt2_echo_target_s = 9e-6\n"))
 
 
 def test_comments_and_blank_lines_ok():
@@ -144,6 +148,64 @@ def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     assert rc == 2
     assert "'seed'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SMALL_ECHO = "experiment = echo\nn_spins = 256\nn_points = 8\nt_min_s = 1e-6\nt_max_s = 12e-6\n"
+
+
+@pytest.mark.parametrize("line, flag, value", [("seed = -1", "--seed", "5"), ("threads = 0", "--threads", "2")])
+def test_run_flags_mend_what_the_file_gets_wrong(tmp_path, line, flag, value):
+    # validation runs once, after the flags, so the file's own value is never checked
+    path = write_cfg(tmp_path, SMALL_ECHO + line + "\n")
+    assert run_cli("run", path, flag, value, "--out", str(tmp_path / "out")) == 0
+    assert f"{flag[2:]}={value}" in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+
+
+def test_fieldmap_checks_only_what_a_field_map_reads(tmp_path, capsys):
+    # one block per point breaks a resolution run, and a field map never reads it
+    path = write_cfg(tmp_path, "experiment = resolution\nblocks_per_point = 1\nresonator = cwr\n")
+    assert run_cli("validate", path) == 2
+    assert "'blocks_per_point'" in capsys.readouterr().err
+    out = tmp_path / "fm"
+    assert run_cli("fieldmap", path, "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote {out}/fieldmap.csv\n"
+    assert sorted(p.name for p in out.iterdir()) == ["fieldmap.csv"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "line",
+    ["t2_star_s = nan", "ac_phase_rad = nan", "b_ac_max_t = inf", "bath_b_rad_s = inf", "pi_time_s = inf",
+     "t_seq_s = 1e400", "tau_s = -inf"],
+)
+def test_non_finite_value_rejected_by_name(tmp_path, capsys, command, line):
+    # nan passes every range check (nan <= 0 is false); these ac_sense runs
+    # used to exit 1 on NaN populations, and pi_time_s = inf exited 0
+    path = write_cfg(tmp_path, f"experiment = ac_sense\n{line}\n")
+    rc = run_cli(command, path, "--out", str(tmp_path / "out")) if command == "run" else run_cli(command, path)
+    assert rc == 2
+    assert f"key '{line.split()[0]}': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, zero",
+    [
+        # every shot is the same: the shot-to-shot std delta_s is 0, so eta would be 0
+        ("experiment = ac_sense\nshot_noise_v = 0\nlaser_fluct_rel = 0\n", "delta_s"),
+        # the slow laser term cancels at zero signal: every block-mean std is 0, and log(0) has no slope
+        ("experiment = resolution\nshot_noise_v = 0\nm_min = 2\nm_max = 200\n", "sigma"),
+    ],
+    ids=["ac_sense", "resolution"],
+)
+def test_zero_noise_floor_is_numerical_exit(tmp_path, capsys, text, zero):
+    path = write_cfg(tmp_path, text + "n_spins = 256\nshots = 20\nn_repeats = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
+    assert not caught
+    assert f"{zero} = 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # no table, so no NaN in one
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):
@@ -509,3 +571,72 @@ def test_run_odmr_pipeline(tmp_path):
     fit = (tmp_path / "odmr" / "fit.csv").read_text()
     dip = float([l for l in fit.splitlines() if l.startswith("fitted_dip_hz")][0].split(",")[1])
     assert dip == pytest.approx(2.813952e9, abs=1e6)
+
+
+# ---------------------------------------------------------------- exit-code property
+
+# one small, valid config per experiment
+BASES = {
+    "odmr": "n_freq = 201\n",
+    "rabi": "n_spins = 64\nn_points = 12\nshots = 1\n",
+    **{family: "n_spins = 64\nn_points = 6\nn_repeats = 1\n" for family in ("fid", "echo", "cpmg", "xy4", "xy8", "xy16")},
+    "ac_sense": "n_spins = 64\nshots = 20\nn_amplitudes = 6\nn_repeats = 1\n",
+    "resolution": "n_spins = 64\nshots = 20\nn_amplitudes = 6\nn_repeats = 1\nm_min = 2\nm_max = 200\nblocks_per_point = 2\n",
+    "fieldmap": "resonator = wire\n",
+}
+FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
+# counts stay small: a huge n_spins or shots is a valid config that only exhausts memory
+INT_EDGES = {"seed": ["-1", "0", str(2**64 - 1), str(10**30)]}
+EDGES = {f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"])
+         for f in fields(RunConfig) if f.type in ("int", "float")}
+PERTURBATIONS = st.lists(st.sampled_from(sorted(EDGES)), max_size=3, unique=True).flatmap(
+    lambda keys: st.tuples(*(st.tuples(st.just(key), st.sampled_from(EDGES[key])) for key in keys))
+)
+
+
+def _cli(*argv):
+    """(exit code, stderr, Python warnings) of one in-process command."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main(list(argv))
+    return rc, err.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BASES)), PERTURBATIONS)
+def test_every_config_exits_0_2_or_3(experiment, edges):
+    # up to 3 keys of a small valid config set to 0, tiny, huge, negative or non-finite values
+    with tempfile.TemporaryDirectory() as tmp:
+        text = f"experiment = {experiment}\n{BASES[experiment]}out_dir = {tmp}/out\n"
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text + "".join(f"{key} = {value}\n" for key, value in edges))
+        ran = {command: _cli(command, str(path)) for command in ("validate", "run")}
+    for command, (rc, err, caught) in ran.items():
+        assert rc in (0, 2, 3), (command, rc)
+        assert not caught, (command, caught)
+        if rc == 2:
+            named = re.findall(r"key '(\w+)'", err)
+            assert named and set(named) <= {f.name for f in fields(RunConfig)}, err
+    assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
+
+
+@pytest.mark.parametrize(
+    "experiment, text, rc, said",
+    [
+        # found by the property above; each used to exit 1 or leak a RuntimeWarning
+        ("ac_sense", "shot_noise_v = 1e300\n", 3, "numerical failure: overflow"),
+        ("rabi", "pi_time_s = 1e-300\n", 3, "numerical failure: overflow"),
+        ("xy8", "t2_star_s = 5e-324\n", 3, "numerical failure: invalid value"),
+        ("cpmg", "bath_b_rad_s = 5e-324\nbath_tau_c_s = 5e-324\n", 3, "the OU exponent is nan"),
+        ("xy16", "t_min_s = 5e-324\n", 2, "key 't_min_s'"),
+        ("odmr", "f_min_hz = 0\nf_max_hz = 5e-324\n", 2, "key 'f_max_hz'"),
+    ],
+    ids=["overflow", "tiny_pi_time", "tiny_t2_star", "nan_ou_exponent", "tiny_t_min", "tiny_frequency_span"],
+)
+def test_extreme_values_keep_the_exit_code_contract(tmp_path, experiment, text, rc, said):
+    path = write_cfg(tmp_path, f"experiment = {experiment}\n{BASES[experiment]}{text}")
+    got, err, caught = _cli("run", path, "--out", str(tmp_path / "out"))
+    assert (got, caught) == (rc, [])
+    assert said in err

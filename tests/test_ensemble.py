@@ -42,7 +42,6 @@ from nvsim.sequences import (
     build_fid,
     build_hahn_echo,
     build_xy16,
-    pi_train,
     pulse_times,
     render_finite,
     toggling_segments,
@@ -205,7 +204,7 @@ def test_ac_phase_closed_form():
     seq = build_xy16(1, tau, readout_phase=math.pi / 2)
     b0 = 4e-9
     [(p_plus, p_minus)] = two_branch_ac_sweep(
-        seq, pi_train(seq), ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
+        seq, ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
     )
     phi = (2 / math.pi) * GAMMA_E * b0 * 16 * tau
     assert p_plus == pytest.approx((1 + math.sin(phi)) / 2, abs=1e-9)
@@ -239,20 +238,33 @@ def test_ac_simulated_phase_matches_oracle_within_1pc():
     for n_rep, tau, b0 in ((1, 1e-6, 2e-9), (2, 1.5e-6, 1e-9)):
         seq = build_xy16(n_rep, tau, readout_phase=math.pi / 2)
         [(p_plus, p_minus)] = two_branch_ac_sweep(
-            seq, pi_train(seq), ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
+            seq, ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0], [0]
         )
         phi_sim = math.asin(p_plus - p_minus)
         phi_expect = (2 / math.pi) * GAMMA_E * b0 * (16 * n_rep * tau)
         assert phi_sim == pytest.approx(phi_expect, rel=0.01)
 
 
-def test_thread_count_invariance():
+def _record_pools(monkeypatch) -> list:
+    """The max_workers of every ThreadPoolExecutor the engine starts from now on."""
+    workers = []
+
+    class RecordingPool(ensemble.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+    return workers
+
+
+def test_thread_count_invariance(monkeypatch):
+    # the ideal engine draws one noise row, so threads = 4 starts no worker
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
-    seq = build_xy16(1, 1e-6)
-    r1 = run_two_branch(seq, ens, nm.bath, noise_seed=5, threads=1)
-    r4 = run_two_branch(seq, ens, nm.bath, noise_seed=5, threads=4)
-    assert r1 == r4  # bit-identical
+    workers = _record_pools(monkeypatch)
+    run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, noise_seed=5, threads=4)
+    assert workers == []
 
 
 # recorded before an AC sweep folded its pi train once for all its amplitudes
@@ -279,7 +291,7 @@ def test_ac_sweep_outputs_pinned(calls):
     swept = []
     for part in np.array_split(np.arange(len(amplitudes)), calls):
         swept += two_branch_ac_sweep(
-            seq, pi_train(seq), ens, nm.bath, f, phase, amplitudes[part], [seeds[i] for i in part]
+            seq, ens, nm.bath, f, phase, amplitudes[part], [seeds[i] for i in part]
         )
     assert swept == AC_SWEEP_PINNED  # bit-identical
 
@@ -289,14 +301,7 @@ def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
     seq = build_xy16(1, 1e-6)
-    workers = []
-
-    class RecordingPool(ensemble.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+    workers = _record_pools(monkeypatch)
     before = threading.active_count()
     runs = [
         run_two_branch(seq, ens, nm.bath, noise_seed=5, pulse_width=48e-9, threads=t)
@@ -461,14 +466,17 @@ def test_prefetch_fill_error_reaches_the_caller(monkeypatch):
 
 
 @pytest.mark.parametrize("pulse_width", [None, 48e-9], ids=["ideal", "finite"])
-def test_equatorial_survival_thread_count_invariance(pulse_width):
+def test_equatorial_survival_thread_count_invariance(monkeypatch, pulse_width):
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
     seq = build_xy16(1, 1e-6)
+    workers = _record_pools(monkeypatch)
     s1 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=1)
     s4 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=4)
     assert s1 == s4  # bit-identical
     assert 0.0 < s1 < 1.0
+    # the ideal engine draws one noise row, so only the finite one starts a worker at threads = 4
+    assert workers == ([] if pulse_width is None else [1])
 
 
 def test_noise_seed_changes_trajectories():

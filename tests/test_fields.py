@@ -249,12 +249,12 @@ def test_resonance_validation():
 # ---------------------------------------------------------------- rabi map
 
 def test_rabi_zero_for_parallel_field():
-    omega = rabi_from_b_vectors(np.array([[0.0, 0.0, 1e-3]]), (0, 0, 1))
+    omega = rabi_from_b_vectors(np.array([[0.0, 0.0, 1e-3]]))
     assert omega[0] == 0.0
 
 
 def test_rabi_for_perpendicular_074mT():
-    omega = rabi_from_b_vectors(np.array([[0.74e-3, 0.0, 0.0]]), (0, 0, 1))
+    omega = rabi_from_b_vectors(np.array([[0.74e-3, 0.0, 0.0]]))
     assert omega[0] / (2 * math.pi) == pytest.approx(10.4e6, rel=5e-3)
     # and the 48 ns pi time inverts to ~0.743 mT
     b_needed = 2 * (math.pi / 48e-9) / GAMMA_E
@@ -265,10 +265,10 @@ def test_rabi_scales_sqrt_power():
     spec = ResonatorSpec("cwr")
     m1 = compute_field_map(spec, n_u=41, n_v=11)
     b1 = np.column_stack([m1.b_u.ravel(), np.zeros(m1.b_u.size), m1.b_v.ravel()])
-    om1 = rabi_from_b_vectors(b1, (0, 0, 1))
+    om1 = rabi_from_b_vectors(b1)
     # doubling power multiplies B by sqrt(2) hence Omega by sqrt(2)
     assert np.allclose(
-        rabi_from_b_vectors(b1 * math.sqrt(2.0), (0, 0, 1)),
+        rabi_from_b_vectors(b1 * math.sqrt(2.0)),
         math.sqrt(2.0) * om1,
         rtol=1e-12,
         equal_nan=True,
