@@ -41,7 +41,7 @@ def main():
         an = np.empty_like(sweep)
         for i, T in enumerate(sweep):
             seq = builder(float(T))
-            p_plus, p_minus = run_two_branch(seq, ens, bath, noise_seed=1000 + i)
+            p_plus, p_minus = run_two_branch(seq, ens, bath)
             mc[i] = p_plus - p_minus
             an[i] = coherence_analytic(seq, bath)
         label = f"{family}-{n_rep}" if family != "echo" else "echo"

@@ -160,7 +160,6 @@ def _ac_sweep(cfg: RunConfig):
             cfg.shots,
             cfg.t_seq_s,
             ac_phase=cfg.ac_phase_rad,
-            noise_seed=cfg.seed + 3,
             shot_seed=cfg.seed + 4,
         )
     except FitError as exc:
@@ -217,9 +216,12 @@ def run_experiment(cfg: RunConfig, out: Path) -> dict[str, str]:
     exist; returns their manifest entries.
 
     Every table, fit.csv included, is on disk before a non-converged
-    primary fit raises.
+    primary fit raises.  An ArithmeticError gets the experiment's name.
     """
-    res = _RUNNERS[cfg.experiment](cfg)
+    try:
+        res = _RUNNERS[cfg.experiment](cfg)
+    except ArithmeticError as exc:
+        raise NumericalFailure(f"{cfg.experiment}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     entries: dict[str, str] = {}
     for name, header, columns in res.tables:

@@ -126,22 +126,24 @@ def _parse_value(key: str, raw: str):
     try:
         if typ == "bool":
             return {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[raw.lower()]
-        if typ == "int":
-            return int(raw)
-        if typ != "float":
+        if typ not in ("int", "float"):
             return raw
-        value = float(raw)
+        value = int(raw) if typ == "int" else float(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"key '{key}': cannot parse {raw!r} as {typ}") from None
+    # numpy computes with counts as int64: m_max = 10**19 broke np.geomspace
+    if typ == "int" and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"key '{key}': {raw!r} does not fit in a 64-bit integer")
     # nan passes every range check (nan <= 0 is false), and inf or 1e400 reach the physics
-    if not math.isfinite(value):
+    if typ == "float" and not math.isfinite(value):
         raise ConfigError(f"key '{key}': must be finite, got {raw!r}")
     return value
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse key = value text: ConfigError for an unknown key or a value not of its key's type
-    (a float must be finite).  cli.main runs validate_config once, after the command's flags."""
+    (a float must be finite, an int must fit in int64).  cli.main runs validate_config once,
+    after the command's flags."""
     cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

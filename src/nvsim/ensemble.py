@@ -1,8 +1,8 @@
 """Ensemble sampling and the two-branch Monte Carlo evolution engine.
 
 Spins are sampled over the optical detection volume with spatially
-varying Rabi frequency, per-spin static detuning and amplitude error,
-and an independent OU bath trajectory per spin.
+varying Rabi frequency, per-spin static detuning and amplitude error;
+the OU bath is averaged exactly or drawn as one trajectory per spin.
 
 Two evolution paths share the noise model:
 
@@ -18,12 +18,15 @@ Two evolution paths share the noise model:
   detuning and in its OU path, and phi_OU = (-1)^n sum_k y_k int_k x(t) dt
   is a fixed linear functional of a Gaussian process.  It is therefore
   exactly N(0, 2 chi) with chi = noise.ou_chi_exact of the same toggling
-  function, so one standard normal per spin samples it without error.
-  The branch populations follow in closed form.  Only phi_ac depends on
-  the AC amplitude: it is gamma B0 times a per-unit-amplitude integral,
-  so an AC sweep (two_branch_ac_sweep, the one way an AC field enters
-  the engine) folds its train once, and each amplitude pays only for
-  its own draws.
+  function, and E cos(a + phi_OU) = exp(-chi) cos(a): the engine averages
+  each spin's OU phase exactly and draws nothing (the device averages
+  ~7e12 NVs, so the OU scatter of a mean over the sampled spins would be
+  an artifact).  The static detunings stay sampled, as the finite engine
+  and the Rabi curve use them.  The oracles independent of this identity
+  are noise.sample_ou_segment_integrals and filters' chi, each against
+  ou_chi_exact.  Only phi_ac depends on the AC amplitude: it is gamma B0
+  times a per-unit-amplitude integral, so an AC sweep (two_branch_ac_sweep,
+  the one way an AC field enters the engine) folds its train once.
 
 * finite rectangular pulses (rendered by sequences.render_finite):
   piecewise-constant fields are exact rotations (bloch.rotate_drive),
@@ -54,8 +57,8 @@ Both paths read each branch out at the final pulse phase that
 sequences.readout_angle gives it: the +1 branch's is the sequence's own
 last pulse, and the -1 branch's differs from it by pi.
 
-Noise is drawn in fixed-size spin blocks, each from its own
-counter-based substream keyed on (seed, key, noise_seed, block)
+The finite engine draws its noise in fixed-size spin blocks, each from
+its own counter-based substream keyed on (seed, key, noise_seed, block)
 (Salmon et al., SC'11), as rows of one standard normal per spin.
 Contiguous runs of at most RUN_BLOCKS whole blocks are evolved one
 after another on the calling thread, each as one array, and per-block
@@ -64,10 +67,10 @@ its rows per call.  With threads > 1, one worker thread fills a run's
 next chunk of rows while the caller evolves the spins through the
 current one: the Philox fills run without the GIL, while the many
 short numpy calls of the evolution would only trade it back and forth
-if the spins were split between threads.  The ideal engine takes one
-row, so it has no thread count and no worker.  A substream's draws do
-not depend on how its rows are chunked or filled, so results are
-bit-identical for any thread count.
+if the spins were split between threads.  A substream's draws do not
+depend on how its rows are chunked or filled, so results are
+bit-identical for any thread count.  The ideal engine draws nothing, so
+it has no noise seed and no thread count.
 """
 
 from __future__ import annotations
@@ -282,11 +285,11 @@ def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads
 
 class _IdealFold(NamedTuple):
     """The amplitude-free part of the ideal engine for one pi train and bath:
-    Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + sigma z_i."""
+    Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + phi_OU."""
 
     pattern: float
     static: float
-    sigma: float  # sqrt(2 chi)
+    decay: float  # exp(-chi) = E cos(phi_OU), phi_OU ~ N(0, 2 chi)
     ac_unit: float  # the AC phase per GAMMA_E B0
 
 
@@ -296,23 +299,16 @@ def _fold_ideal(train: PiTrain, bath: OUBath, f_hz: float, phase_rad: float) -> 
     signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
     pattern = 2.0 * np.sum(train.phases * signs[1:])
     static = float(np.sum(signs * np.diff(bounds)))
-    sigma = math.sqrt(2.0 * ou_chi_exact(train.times, train.total_t, bath))
+    decay = math.exp(-ou_chi_exact(train.times, train.total_t, bath))
     ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))
-    return _IdealFold(pattern, static, sigma, ac_unit)
+    return _IdealFold(pattern, static, decay, ac_unit)
 
 
-def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift, *, key, noise_seed) -> float:
+def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift) -> float:
     """Ensemble mean of cos(Xi - shift) under the folded ideal pi train,
-    with one standard normal z_i per spin from the (seed, key, noise_seed,
-    block) substream."""
+    exact in each spin's OU phase: E cos(a + phi_OU) = exp(-chi) cos(a)."""
     base = fold.pattern + phi_ac - shift
-
-    def run(blocks: _BlockRun):
-        z = next(blocks.rows())
-        xi = base + fold.static * ensemble.delta_static[blocks.lo : blocks.hi] + fold.sigma * z
-        return blocks.block_sums(np.cos(xi))
-
-    return sum(_map_blocks(run, ensemble, key, noise_seed, 1, 1)) / ensemble.n_spins
+    return fold.decay * float(np.mean(np.cos(base + fold.static * ensemble.delta_static)))
 
 
 def run_two_branch(
@@ -327,18 +323,19 @@ def run_two_branch(
     """Ensemble-averaged ms=0 populations for the two readout branches,
     without an AC field (two_branch_ac_sweep applies one).
 
-    Each spin carries its own static detuning, amplitude error, and a
-    fresh OU phase (ideal pulses) or trajectory (finite pulses) keyed on
-    (ensemble.seed, noise_seed, block).  pulse_width = None uses ideal
-    pulses; a finite width renders the sequence with rectangular pulses,
-    delays center-to-center.  threads only reaches the finite engine.
+    Each spin carries its own static detuning and amplitude error.
+    pulse_width = None uses ideal pulses, which average each spin's OU
+    phase exactly and draw nothing.  A finite width renders the sequence
+    with rectangular pulses, delays center-to-center, and evolves each
+    spin along a fresh OU trajectory keyed on (ensemble.seed, noise_seed,
+    block).  noise_seed and threads only reach the finite engine.
     """
     if pulse_width is not None:
         return _run_two_branch_finite(
             seq, ensemble, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
         )
     # a zero amplitude adds a zero AC phase
-    return two_branch_ac_sweep(seq, ensemble, bath, 0.0, 0.0, [0.0], [noise_seed])[0]
+    return two_branch_ac_sweep(seq, ensemble, bath, 0.0, 0.0, [0.0])[0]
 
 
 def two_branch_ac_sweep(
@@ -348,21 +345,20 @@ def two_branch_ac_sweep(
     f_hz: float,
     phase_rad: float,
     amplitudes,
-    noise_seeds,
 ) -> list[tuple[float, float]]:
     """The two branch populations under ideal pulses and the AC field
-    b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes and noise
-    seed s in noise_seeds, with seq's pi train (sequences.pi_train) folded
-    once for the whole sweep.  Each point draws one noise row, on the
-    calling thread alone, so the sweep has no thread count."""
+    b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes, with seq's
+    pi train (sequences.pi_train) folded once for the whole sweep.  The OU
+    phase is averaged exactly, so the sweep draws nothing and takes no
+    seed."""
     train = pi_train(seq)
     fold = _fold_ideal(train, bath, f_hz, phase_rad)
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
     out = []
-    for b0, noise_seed in zip(amplitudes, noise_seeds):
+    for b0 in amplitudes:
         phi_ac = GAMMA_E * float(b0) * fold.ac_unit
-        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift, key=0xB0, noise_seed=noise_seed)
+        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift)
         # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
         out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
     return out
@@ -479,9 +475,9 @@ def equatorial_survival(
     Prepares v0 = (cos a, sin a, 0), runs the interior pi pulses and
     delays of `seq` (the pi/2 pulses are skipped), and returns the
     ensemble mean of v_final . v0: the surviving projection on the
-    prepared axis.  Used for pulse-error robustness comparisons.  threads
-    only reaches the finite engine.  Raises ValueError where
-    sequences.pi_train does.
+    prepared axis.  Used for pulse-error robustness comparisons.
+    noise_seed and threads only reach the finite engine.  Raises
+    ValueError where sequences.pi_train does.
     """
     train = pi_train(seq)
     n = ensemble.n_spins
@@ -490,7 +486,7 @@ def equatorial_survival(
         # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
         shift = 2.0 * initial_phase * (len(train.times) % 2)
         fold = _fold_ideal(train, bath, 0.0, 0.0)
-        return _mean_cos_ideal(fold, 0.0, ensemble, shift, key=0xE0, noise_seed=noise_seed)
+        return _mean_cos_ideal(fold, 0.0, ensemble, shift)
 
     # pi_train has checked that everything between the pi/2 pulses is the train
     steps, _ = render_finite(seq.elements[1:-1], pulse_width)

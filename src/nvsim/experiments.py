@@ -169,8 +169,8 @@ def run_coherence(
 ) -> CoherenceResult:
     """Normalized two-branch signal vs total free time, stretched-exp fit.
 
-    Each sweep point uses fresh bath trajectories (new measurements), keyed
-    deterministically on (ensemble seed, noise_seed, point index).  A fit
+    Finite pulses draw fresh bath trajectories per point, keyed on (ensemble
+    seed, noise_seed + 7919 i); ideal pulses average the bath exactly.  A fit
     that did not converge, or whose T2 lands before the first point or
     beyond the last, is flagged censored.
     """
@@ -242,17 +242,17 @@ def run_ac_magnetometry(
     t_seq: float,
     *,
     ac_phase: float = DEFAULT_AC_PHASE,
-    noise_seed: int = 0,
     shot_seed: int = 1,
     processing: str = "two_branch",
 ) -> AcMagnetometryResult:
     """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
 
-    The branches come from the ideal-pulse engine, one
-    ensemble.two_branch_ac_sweep over all amplitudes.  Nothing here checks
-    that seq's spacing matches 1/(2 f_ac) or that its readout is the
-    quadrature one: config.validate_config warns about an unsynchronized
-    tau_s, and the CLI always builds seq with readout_phase = pi/2.
+    The branches come from one ensemble.two_branch_ac_sweep over all
+    amplitudes, which averages the bath exactly: only the shots (shot_seed)
+    are random.  Nothing here checks that seq's spacing matches 1/(2 f_ac)
+    or that its readout is the quadrature one: config.validate_config warns
+    about an unsynchronized tau_s, and the CLI always builds seq with
+    readout_phase = pi/2.
     delta_s is the measured shot-to-shot std at the amplitude closest to
     zero; max_slope is |a k| from the sine fit of the mean curve.  FitError
     if either is not positive (delta_s is 0 without shot noise and laser noise).
@@ -265,8 +265,7 @@ def run_ac_magnetometry(
     mean_v = np.empty_like(amplitudes)
     std_v = np.empty_like(amplitudes)
     norm = np.empty_like(amplitudes)
-    noise_seeds = [noise_seed + 104729 * i for i in range(len(amplitudes))]
-    branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes, noise_seeds)
+    branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
         vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)

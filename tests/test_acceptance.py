@@ -104,7 +104,7 @@ def test_acceptance_3_t2star_round_trip():
 def test_acceptance_4_echo_round_trip():
     t0 = time.perf_counter()
     ens = ensemble_with(BATH)
-    res = run_coherence("echo", 1, np.linspace(0.5e-6, 20e-6, 20), ens, BATH, noise_seed=41)
+    res = run_coherence("echo", 1, np.linspace(0.5e-6, 20e-6, 20), ens, BATH)
     assert res.fit.converged and not res.censored
     assert abs(res.t2_s - 9e-6) / 9e-6 <= 0.05
     assert time.perf_counter() - t0 < 120.0
@@ -114,8 +114,8 @@ def test_acceptance_4_echo_round_trip():
 def test_acceptance_5_dd_enhancement_bracket():
     t0 = time.perf_counter()
     ens = ensemble_with(BATH)
-    echo = run_coherence("echo", 1, np.linspace(0.5e-6, 20e-6, 20), ens, BATH, noise_seed=51)
-    xy = run_coherence("xy16", 16, np.linspace(20e-6, 700e-6, 24), ens, BATH, noise_seed=52)
+    echo = run_coherence("echo", 1, np.linspace(0.5e-6, 20e-6, 20), ens, BATH)
+    xy = run_coherence("xy16", 16, np.linspace(20e-6, 700e-6, 24), ens, BATH)
     assert echo.fit.converged and xy.fit.converged
     ratio = xy.t2_s / echo.t2_s
     assert 20.0 <= ratio <= 45.0
@@ -146,14 +146,15 @@ def test_acceptance_6_mc_vs_filter_function():
         diffs = []
         for i, T in enumerate(sweep):
             seq = builder(float(T))
-            p_plus, p_minus = run_two_branch(seq, ens, BATH, noise_seed=61 + 13 * i)
+            p_plus, p_minus = run_two_branch(seq, ens, BATH)
             w_mc = p_plus - p_minus
             w_an = coherence_analytic(seq, BATH)
             diffs.append(w_mc - w_an)
         rms = float(np.sqrt(np.mean(np.square(diffs))))
-        # Ensemble seeds s = 0-199 with noise seeds s + 13 i fail 0 times: RMS median 0.0053,
-        # max 0.0104 (0.0040-0.0043 here), so 0.02 is 3.7 of the per-point Monte Carlo SEs in
-        # quadrature (0.0001-0.0074, from the seed spread).  W_mc x 1.1 fails all 200 seeds.
+        # Deterministic: no draw remains.  The ideal engine averages the OU phase exactly,
+        # so W_mc = exp(-chi) of noise.ou_chi_exact and the RMS (at most 2.1e-11 over the four
+        # cases) is the filter-function quadrature's own error; W_mc x 1.1 fails every case
+        # (RMS 0.056).  The Monte Carlo check of chi is test_noise's trajectory sampler.
         assert rms <= 0.02, f"{family}-{n_rep}: RMS {rms:.4f}"
     assert time.perf_counter() - t0 < 600.0
 
@@ -197,16 +198,17 @@ def test_acceptance_8_common_mode_ab():
         )
         res = run_ac_magnetometry(
             seq, 362e3, amplitudes, ens, bath, readout, shots, t_seq,
-            noise_seed=81, shot_seed=82, processing=processing,
+            shot_seed=82, processing=processing,
         )
         return res.report.eta_t_per_sqrt_hz
 
     deg_full = eta("two_branch", 0.01) / eta("two_branch", 0.0) - 1.0
     deg_single = eta("single_branch", 0.01) / eta("single_branch", 0.0) - 1.0
-    # Seed scan of this call (ensemble, noise and shot seeds 0-199), SE = the
-    # spread over seeds: deg_full 6.0e-5 +- 7.9e-5 (max 4.3e-4), 630 SE under
-    # 0.05; deg_single 0.275 +- 0.0048, 36 SE over 0.10 and >= 677 deg_full.
-    # False-failure rate 0 of 200 seeds.
+    # The engine draws nothing (the OU phase is averaged exactly), so only the
+    # shots are random.  Seed scan of this call (ensemble and shot seeds 0-199),
+    # SE = the spread over seeds: deg_full -1.1e-7 +- 3.8e-6 (max 1.1e-5), 1.3e4
+    # SE under 0.05; deg_single 0.2751 +- 9.1e-5 (min 0.2748), 1.9e3 SE over 0.10
+    # and >= 2.4e4 deg_full.  False-failure rate 0 of 200 seeds.
     assert deg_full < 0.05
     assert deg_single > 5.0 * deg_full
     assert deg_single > 0.10  # the laser leak is material without the branch pair

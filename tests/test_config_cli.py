@@ -3,6 +3,7 @@
 import contextlib
 import filecmp
 import io
+import math
 import re
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvsim import experiments
 from nvsim.cli import main
 from nvsim.config import (
     ConfigError,
@@ -24,6 +26,9 @@ from nvsim.config import (
     parse_config_text,
     validate_config,
 )
+from nvsim.constants import GAMMA_E
+from nvsim.noise import calibrate_bath, ou_chi_exact
+from nvsim.sequences import build_xy16, pulse_times
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -193,8 +198,9 @@ def test_non_finite_value_rejected_by_name(tmp_path, capsys, command, line):
     [
         # every shot is the same: the shot-to-shot std delta_s is 0, so eta would be 0
         ("experiment = ac_sense\nshot_noise_v = 0\nlaser_fluct_rel = 0\n", "delta_s"),
-        # the slow laser term cancels at zero signal: every block-mean std is 0, and log(0) has no slope
-        ("experiment = resolution\nshot_noise_v = 0\nm_min = 2\nm_max = 200\n", "sigma"),
+        # the slow laser term cancels at zero signal: every block-mean std is 0, and log(0) has no
+        # slope; an even n_amplitudes leaves out b = 0, so the AC sweep's delta_s stays > 0
+        ("experiment = resolution\nshot_noise_v = 0\nm_min = 2\nm_max = 200\nn_amplitudes = 6\n", "sigma"),
     ],
     ids=["ac_sense", "resolution"],
 )
@@ -243,13 +249,14 @@ def test_run_reproducible_and_thread_invariant(tmp_path):
 
 
 def test_seed_override_changes_outputs(tmp_path):
+    # the FID keeps the sampled static detunings, so its curve depends on the seed
     path = write_cfg(
         tmp_path,
-        "experiment = echo\nseed = 9\nn_spins = 1024\nn_points = 8\n"
-        "t_min_s = 1e-6\nt_max_s = 12e-6\n",
+        "experiment = fid\nseed = 9\nn_spins = 1024\nn_points = 8\n"
+        "t_min_s = 10e-9\nt_max_s = 450e-9\n",
     )
-    run_cli("run", path, "--out", str(tmp_path / "a"))
-    run_cli("run", path, "--out", str(tmp_path / "b"), "--seed", "10")
+    assert run_cli("run", path, "--out", str(tmp_path / "a")) == 0
+    assert run_cli("run", path, "--out", str(tmp_path / "b"), "--seed", "10") == 0
     assert not filecmp.cmp(tmp_path / "a" / "curve.csv", tmp_path / "b" / "curve.csv", shallow=False)
 
 
@@ -410,41 +417,55 @@ def test_coherence_curve_with_no_positive_value_is_numerical_exit(tmp_path, caps
 
 
 def test_fit_without_finite_error_bars_is_numerical_exit(tmp_path, capsys):
-    # the 64-spin FID at the default 0.5-20 us sweep: at this seed the fit lands on
-    # t2 = 86 ns with a singular covariance, so its std errors are NaN
-    path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
-    assert run_cli("run", path, "--seed", "3", "--out", str(tmp_path / "out")) == 3
+    # Deterministic: the echo refocuses the static detunings and the ideal engine averages
+    # the OU phase exactly, so the curve is exp(-chi) at any seed.  Over 0.5-200 us it is
+    # 0.9998 at the first point and at most 4e-16 from the second on: one point that
+    # carries the decay for three parameters, so the fit's std errors are NaN
+    path = write_cfg(tmp_path, "experiment = echo\nn_spins = 16\nn_points = 6\nt_max_s = 200e-6\n")
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
     assert "coherence fit did not converge" in capsys.readouterr().err
     fit = dict(line.split(",")[:2] for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:])
     assert fit["converged"] == "0"
 
 
 def test_t2_before_the_first_point_is_censored(tmp_path, capsys):
-    # same FID at another seed: t2 = 463 ns, before the first point at 500 ns.
-    # The model is 0.0 from the third point on, so J has two nonzero rows for
+    # Deterministic, as above: the echo curve exp(-chi) is 0.27 at 10 us and 0.0 from
+    # 48 us on at any seed, and the fit puts t2 at 9.0 us, before the first point.
+    # The model is 0.0 from the second point on, so J has one nonzero row for
     # three parameters: NaN std errors, converged 0, exit 3. The censoring of a
     # converged fit is test_experiments::test_converged_t2_before_the_first_point_is_censored
-    path = write_cfg(tmp_path, "experiment = fid\nn_spins = 64\n")
-    assert run_cli("run", path, "--seed", "1", "--out", str(tmp_path / "out")) == 3
+    path = write_cfg(
+        tmp_path, "experiment = echo\nn_spins = 16\nn_points = 6\nt_min_s = 10e-6\nt_max_s = 200e-6\n"
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
     assert "coherence fit did not converge" in capsys.readouterr().err
     rows = [line.split(",") for line in (tmp_path / "out" / "fit.csv").read_text().splitlines()[1:]]
     fit = {name: (value, err) for name, value, err in rows}
-    assert float(fit["t2_s"][0]) < 0.5e-6
+    assert float(fit["t2_s"][0]) < 10e-6
     assert fit["censored"][0] == "1.0"
     assert fit["converged"][0] == "0"
     assert all(fit[name][1] == "nan" for name in ("a", "t2", "p"))
 
 
 @pytest.mark.parametrize("experiment", ["ac_sense", "resolution"])
-def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, experiment):
-    # at this seed the sine fit of the 4e-14 T, 16-spin sweep has |a k| = 0: no slope to report
+def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, monkeypatch, experiment):
+    # No curve makes the least-squares sine fit land on exactly |a k| = 0.0: on a
+    # curve of zeros it stops near a = 1e-10.  So the fit's amplitude is set to 0.0
+    # here, and with shot noise keeping delta_s > 0 the zero slope alone must exit 3.
+    fit_sine = experiments.fit_sine
+
+    def flat_fit(x, y, with_offset=False):
+        fit = fit_sine(x, y, with_offset)
+        return replace(fit, params=np.concatenate(([0.0], fit.params[1:])))
+
+    monkeypatch.setattr(experiments, "fit_sine", flat_fit)
     path = write_cfg(
         tmp_path,
         f"experiment = {experiment}\nn_spins = 16\nshots = 2\nn_amplitudes = 6\nn_repeats = 2\n"
-        "b_ac_max_t = 4e-14\nseed = 2\nm_min = 2\nm_max = 20\n",
+        "m_min = 2\nm_max = 20\n",
     )
     assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
-    assert "AC sweep" in capsys.readouterr().err
+    assert re.search(r"AC sweep: .*\|a k\| = 0\.0 and delta_s = [1-9]", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -549,6 +570,22 @@ def test_run_ac_sense_pipeline_with_shot_dump(tmp_path):
     assert s_val == pytest.approx(float(row[5]), abs=1e-18)
 
 
+def test_reference_device_slope_matches_its_closed_form(tmp_path):
+    # The ideal engine is exact in the OU phase, so the mean curve is v0 C W sin(phi)
+    # with phi = (2/pi) gamma B T, and its slope at 0 is v0 C (2/pi) gamma T W(T).  The
+    # sine fit's relative std errors are 0.04% (a) and 0.08% (k), so 1% is over 10 of
+    # them; the shipped config lands at -0.09%.
+    assert run_cli("run", str(CONFIG_DIR / "reference_device.cfg"), "--out", str(tmp_path / "rd")) == 0
+    report = (tmp_path / "rd" / "report.csv").read_text().splitlines()
+    slope = dict(zip(report[0].split(","), map(float, report[1].split(","))))["max_slope_V_per_T"]
+    cfg = parse_config_text((CONFIG_DIR / "reference_device.cfg").read_text())
+    seq = build_xy16(cfg.n_repeats, 1.0 / (2.0 * cfg.f_ac_hz), readout_phase=math.pi / 2)
+    times, total = pulse_times(seq)
+    w = math.exp(-ou_chi_exact(times, total, calibrate_bath(cfg.t2_echo_target_s, cfg.bath_tau_c_s)))
+    closed_form = cfg.v0_v * cfg.contrast * (2.0 / math.pi) * GAMMA_E * total * w
+    assert slope == pytest.approx(closed_form, rel=0.01)
+
+
 def test_run_resolution_pipeline(tmp_path):
     path = write_cfg(
         tmp_path,
@@ -585,10 +622,15 @@ BASES = {
     "fieldmap": "resonator = wire\n",
 }
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
-# counts stay small: a huge n_spins or shots is a valid config that only exhausts memory
-INT_EDGES = {"seed": ["-1", "0", str(2**64 - 1), str(10**30)]}
-EDGES = {f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"])
-         for f in fields(RunConfig) if f.type in ("int", "float")}
+# an int beyond int64 exits 2 when parsed; otherwise counts stay small: a huge n_spins
+# or shots is a valid config that only exhausts memory
+BEYOND_INT64 = [str(2**63), str(10**30)]
+INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)]}
+EDGES = {
+    f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"]) + BEYOND_INT64
+    for f in fields(RunConfig)
+    if f.type in ("int", "float")
+}
 PERTURBATIONS = st.lists(st.sampled_from(sorted(EDGES)), max_size=3, unique=True).flatmap(
     lambda keys: st.tuples(*(st.tuples(st.just(key), st.sampled_from(EDGES[key])) for key in keys))
 )
@@ -622,14 +664,27 @@ def test_every_config_exits_0_2_or_3(experiment, edges):
     assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("m_max", [str(10**19), str(10**30)])
+def test_count_beyond_int64_names_its_key(tmp_path, command, m_max):
+    # 10**19 used to leak a RuntimeWarning from numpy's int64 cast and print ok;
+    # 10**30 exited 1 on a TypeError from np.geomspace
+    path = write_cfg(tmp_path, f"experiment = resolution\nm_max = {m_max}\n")
+    got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
+    assert (got, caught) == (2, [])
+    assert "key 'm_max'" in err and "64-bit" in err
+
+
 @pytest.mark.parametrize(
     "experiment, text, rc, said",
     [
         # found by the property above; each used to exit 1 or leak a RuntimeWarning
-        ("ac_sense", "shot_noise_v = 1e300\n", 3, "numerical failure: overflow"),
-        ("rabi", "pi_time_s = 1e-300\n", 3, "numerical failure: overflow"),
-        ("xy8", "t2_star_s = 5e-324\n", 3, "numerical failure: invalid value"),
-        ("cpmg", "bath_b_rad_s = 5e-324\nbath_tau_c_s = 5e-324\n", 3, "the OU exponent is nan"),
+        # an exit 3 names the experiment that was running, as numpy names only the operation
+        ("ac_sense", "shot_noise_v = 1e300\n", 3, "numerical failure: ac_sense: overflow"),
+        ("rabi", "pi_time_s = 1e-300\n", 3, "numerical failure: rabi: overflow"),
+        ("xy8", "t2_star_s = 5e-324\n", 3, "numerical failure: xy8: invalid value"),
+        ("cpmg", "bath_b_rad_s = 5e-324\nbath_tau_c_s = 5e-324\n", 3,
+         "numerical failure: cpmg: the OU exponent is nan"),
         ("xy16", "t_min_s = 5e-324\n", 2, "key 't_min_s'"),
         ("odmr", "f_min_hz = 0\nf_max_hz = 5e-324\n", 2, "key 'f_max_hz'"),
     ],

@@ -102,7 +102,7 @@ def test_coherence_echo_round_trip_small():
     bath = calibrate_bath(9e-6, 10e-6)
     ens, _ = make_ensemble(n=3000, seed=3, bath=bath)
     t_sweep = np.linspace(0.5e-6, 20e-6, 18)
-    res = run_coherence("echo", 1, t_sweep, ens, bath, noise_seed=11)
+    res = run_coherence("echo", 1, t_sweep, ens, bath)
     assert res.fit.converged and not res.censored
     assert res.t2_s == pytest.approx(9e-6, rel=0.08)
 
@@ -121,7 +121,7 @@ def test_converged_t2_before_the_first_point_is_censored():
     bath = calibrate_bath(9e-6, 10e-6)
     ens, _ = make_ensemble(n=3000, seed=3, bath=bath)
     t_sweep = np.linspace(10e-6, 24e-6, 15)
-    res = run_coherence("echo", 1, t_sweep, ens, bath, noise_seed=11)
+    res = run_coherence("echo", 1, t_sweep, ens, bath)
     assert res.fit.converged
     assert res.t2_s < t_sweep[0]
     assert res.t2_s == pytest.approx(9e-6, rel=0.05)

@@ -55,13 +55,12 @@ def test_decoupling_ordering_monte_carlo():
     ws = []
     for n_rep in (1, 4, 16):
         seq = build_xy16(n_rep, T / (16 * n_rep))
-        p_plus, p_minus = run_two_branch(seq, ens, bath, noise_seed=n_rep)
+        p_plus, p_minus = run_two_branch(seq, ens, bath)
         ws.append(p_plus - p_minus)
-    # MC error bars ~ 1/sqrt(n_spins): require ordering beyond 3 sigma
-    # Seed scan of this call (ensemble and noise seeds 0-199), SE = the spread
-    # over seeds: W = 0.207 +- 0.0072, 0.905 +- 0.0014, 0.9938 +- 0.0001 for
-    # XY16-1, -4, -16; the three checks below pass by 88, 64 and 104 SE.
-    # False-failure rate 0 of 200 seeds.
+    # Deterministic: no draw remains.  The ideal engine averages the OU phase
+    # exactly, so W = exp(-chi) = 0.2078, 0.9049 and 0.9938 for XY16-1, -4 and
+    # -16 at any seed, and the checks below hold by 0.66, 0.089 and 0.75.
+    # sigma is the 3-sigma error bar a Monte Carlo W of 8000 spins would carry.
     sigma = 3.0 / math.sqrt(8000)
     assert ws[1] > ws[0] + sigma or abs(ws[1] - ws[0]) < 3 * sigma
     assert ws[2] > ws[1]
