@@ -194,6 +194,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         # a block-mean std needs two blocks, and the log-log slope two points
         if cfg.blocks_per_point < 2:
             raise ConfigError(f"key 'blocks_per_point': resolution needs >= 2, got {cfg.blocks_per_point}")
+        # averaging_counts spaces the counts in float64, which holds every integer only up to 2**53
+        if cfg.m_max > 2**53:
+            raise ConfigError(f"key 'm_max': must be <= 2**53, got {cfg.m_max}")
         m_list = averaging_counts(cfg)
         if len(m_list) < 2:
             raise ConfigError(

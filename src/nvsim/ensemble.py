@@ -57,18 +57,17 @@ Both paths read each branch out at the final pulse phase that
 sequences.readout_angle gives it: the +1 branch's is the sequence's own
 last pulse, and the -1 branch's differs from it by pi.
 
-The finite engine draws its noise in fixed-size spin blocks, each from
-its own counter-based substream keyed on (seed, key, noise_seed, block)
-(Salmon et al., SC'11), as rows of one standard normal per spin.
-Contiguous runs of at most RUN_BLOCKS whole blocks are evolved one
-after another on the calling thread, each as one array, and per-block
-partial sums are added in block order.  Each block fills ROW_CHUNK of
-its rows per call.  With threads > 1, one worker thread fills a run's
-next chunk of rows while the caller evolves the spins through the
-current one: the Philox fills run without the GIL, while the many
-short numpy calls of the evolution would only trade it back and forth
-if the spins were split between threads.  A substream's draws do not
-depend on how its rows are chunked or filled, so results are
+The finite engine cuts the spins into near-equal blocks of at most
+SPIN_BLOCK.  Each block is evolved as one array on the calling thread
+and draws its noise from its own counter-based substream keyed on
+(seed, key, noise_seed, block) (Salmon et al., SC'11), as rows of one
+standard normal per spin, ROW_CHUNK rows per call; the blocks' partial
+sums are added in block order.  With threads > 1, one worker thread
+fills a block's next chunk of rows while the caller evolves the spins
+through the current one: the Philox fills run without the GIL, while
+the many short numpy calls of the evolution would only trade it back
+and forth if the spins were split between threads.  A substream's draws
+do not depend on how its rows are chunked or filled, so results are
 bit-identical for any thread count.  The ideal engine draws nothing, so
 it has no noise seed and no thread count.
 """
@@ -96,10 +95,9 @@ from .noise import (
 )
 from .sequences import PiTrain, PulseSequence, pi_train, readout_angle, render_finite, toggling_segments
 
-SPIN_BLOCK = 2048
-# blocks evolved as one array: fewer, longer numpy calls, in bounded memory
-RUN_BLOCKS = 5
-# noise rows per fill, one call per block: the unit a prefetch worker hands over
+# spins evolved as one array, with one noise substream: few, long numpy calls in bounded memory
+SPIN_BLOCK = 10240
+# noise rows per fill: the unit a prefetch worker hands over
 ROW_CHUNK = 12
 
 
@@ -204,37 +202,22 @@ def sample_ensemble(
     return EnsembleSample(positions, omega, delta, eps, seed)
 
 
-class _BlockRun:
-    """A contiguous run of whole spin blocks [lo, hi), evolved as one array,
-    and its supply of n_rows noise rows of one standard normal per spin.
-
-    Block b's part of the rows is the row-major order of its own (seed, key,
-    noise_seed, b) substream, so a spin's draws depend neither on how blocks
-    are grouped into runs nor on how rows are chunked.  With a pool, its one
-    worker fills the next chunk while the caller uses the current one.
+class _Block:
+    """The spins [lo, hi), evolved as one array, and their supply of n_rows
+    noise rows of one standard normal per spin: the row-major order of the
+    block's one substream, so a spin's draws do not depend on how rows are
+    chunked.  With a pool, its one worker fills the next chunk while the
+    caller uses the current one.
     """
 
-    def __init__(self, blocks, seed: int, key: int, noise_seed: int, n_rows: int, pool):
-        self.lo, self.hi = blocks[0][1], blocks[-1][2]
+    def __init__(self, lo: int, hi: int, rng: np.random.Generator, n_rows: int, pool):
+        self.lo, self.hi = lo, hi
         self.n_rows = n_rows
+        self._rng = rng
         self._pool = pool
-        self._streams = [
-            (_rng_for(seed, key, noise_seed, bi), slice(lo - self.lo, hi - self.lo))
-            for bi, lo, hi in blocks
-        ]
-
-    def _fill(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Fill the (rows, n) out block by block, each block's rows in one
-        draw into contiguous scratch (out's block columns are strided)."""
-        rows = len(out)
-        for rng, s in self._streams:
-            part = scratch[: rows * (s.stop - s.start)].reshape(rows, -1)
-            rng.standard_normal(out=part)
-            out[:, s] = part
-        return out
 
     def rows(self):
-        """Yield the run's n_rows noise rows in order, as (n,) views of two
+        """Yield the block's n_rows noise rows in order, as (n,) views of two
         alternating chunk buffers.  A row stays valid until the caller takes
         the second row after it."""
         chunk = min(ROW_CHUNK, self.n_rows)
@@ -242,17 +225,17 @@ class _BlockRun:
         # one array per buffer: freeing a single twice-as-large block raised glibc's
         # dynamic mmap threshold and with it the peak RSS of a 10k-spin run by ~2 MB
         bufs = [np.empty((chunk, self.hi - self.lo)) for _ in range(min(2, n_chunks))]
-        scratch = np.empty(chunk * SPIN_BLOCK)
 
         def start(c):
             """Start chunk c on the worker, if any, and return a callable giving it.
             The caller fills chunk 0 itself: it has nothing to do meanwhile."""
             if c == n_chunks:
                 return None
+            # the leading rows of a C-contiguous buffer, filled by one draw
             out = bufs[c % 2][: min(ROW_CHUNK, self.n_rows - c * ROW_CHUNK)]
             if self._pool is None or c == 0:
-                return lambda: self._fill(out, scratch)
-            return self._pool.submit(self._fill, out, scratch).result
+                return lambda: self._rng.standard_normal(out=out)
+            return self._pool.submit(self._rng.standard_normal, out=out).result
 
         get = start(0)
         for c in range(n_chunks):
@@ -262,25 +245,24 @@ class _BlockRun:
             get = start(c + 1)
             yield from rows[1:]
 
-    def block_sums(self, values: np.ndarray) -> list[float]:
-        return [float(np.sum(values[s])) for _, s in self._streams]
-
 
 def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads: int, n_rows: int) -> list:
-    """Run fn(run) on contiguous runs of at most RUN_BLOCKS whole SPIN_BLOCK
-    blocks, in block order on the calling thread; each run supplies n_rows
-    noise rows and fn returns one result per block of its run.  Returns
-    every block's result in block order.  With threads > 1 and more than
-    one chunk of rows, one worker thread fills each run's chunks ahead of
-    use; the draws and their order are the same for any thread count.
+    """Run fn(block) on k = ceil(n / SPIN_BLOCK) near-equal spin blocks
+    [b n // k, (b + 1) n // k), in block order on the calling thread; block
+    b supplies n_rows noise rows from its (seed, key, noise_seed, b)
+    substream.  Returns each block's result in block order.  With threads
+    > 1 and more than one chunk of rows, one worker thread fills each
+    block's chunks ahead of use; the draws and their order are the same
+    for any thread count.
     """
     n = ensemble.n_spins
-    blocks = [(i, lo, min(lo + SPIN_BLOCK, n)) for i, lo in enumerate(range(0, n, SPIN_BLOCK))]
-    k = -(-len(blocks) // RUN_BLOCKS)
-    runs = [blocks[g * len(blocks) // k : (g + 1) * len(blocks) // k] for g in range(k)]
+    k = -(-n // SPIN_BLOCK)
     prefetch = threads > 1 and n_rows > ROW_CHUNK
     with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as pool:
-        return [r for run in runs for r in fn(_BlockRun(run, ensemble.seed, key, noise_seed, n_rows, pool))]
+        return [
+            fn(_Block(b * n // k, (b + 1) * n // k, _rng_for(ensemble.seed, key, noise_seed, b), n_rows, pool))
+            for b in range(k)
+        ]
 
 
 class _IdealFold(NamedTuple):
@@ -364,7 +346,7 @@ def two_branch_ac_sweep(
     return out
 
 
-def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun) -> np.ndarray:
+def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndarray:
     """Apply the pulse+gap steps to the (3, n) Bloch vectors v in place,
     along one fresh OU trajectory per spin; returns the OU values at the end.
 
@@ -382,7 +364,7 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks: _BlockRun) -> np.
     x = np.zeros(n)
     noisy = bath.b > 0
     if noisy:
-        rows = blocks.rows()
+        rows = block.rows()
         x = next(rows) * bath.b
     # each gap's transition, computed once per distinct (lead, L), and the
     # factor its averaged a22 z2 leaves on (x, y)
@@ -441,19 +423,19 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, thre
     if final is None:
         raise ValueError("the sequence must end with its readout pulse, not a delay")
 
-    def run(blocks: _BlockRun):
-        lo, hi = blocks.lo, blocks.hi
+    def run(block: _Block):
+        lo, hi = block.lo, block.hi
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
         v = np.zeros((3, hi - lo))
         v[2] = 1.0
-        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, blocks)
+        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, block)
         sums = []
         for sign in (+1, -1):  # the final readout pulse, per branch
             vb = v.copy()
             rotate_drive(vb, omega_eff, delta, readout_angle(seq.readout_phase, sign), final[1])
-            sums.append(blocks.block_sums((1.0 + vb[2]) / 2.0))
-        return list(zip(*sums))
+            sums.append(float(np.sum((1.0 + vb[2]) / 2.0)))
+        return sums
 
     parts = _map_blocks(run, ensemble, 0xB0, noise_seed, threads, _finite_rows(steps, bath))
     n = ensemble.n_spins
@@ -492,13 +474,13 @@ def equatorial_survival(
     steps, _ = render_finite(seq.elements[1:-1], pulse_width)
     ca, sa = math.cos(initial_phase), math.sin(initial_phase)
 
-    def run(blocks: _BlockRun):
-        lo, hi = blocks.lo, blocks.hi
+    def run(block: _Block):
+        lo, hi = block.lo, block.hi
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         v = np.zeros((3, hi - lo))
         v[0], v[1] = ca, sa
-        _evolve_finite(v, steps, omega_eff, ensemble.delta_static[lo:hi], bath, blocks)
-        return blocks.block_sums(v[0] * ca + v[1] * sa)
+        _evolve_finite(v, steps, omega_eff, ensemble.delta_static[lo:hi], bath, block)
+        return float(np.sum(v[0] * ca + v[1] * sa))
 
     return sum(_map_blocks(run, ensemble, 0xE0, noise_seed, threads, _finite_rows(steps, bath))) / n
 

@@ -255,7 +255,9 @@ def run_ac_magnetometry(
     readout_phase = pi/2.
     delta_s is the measured shot-to-shot std at the amplitude closest to
     zero; max_slope is |a k| from the sine fit of the mean curve.  FitError
-    if either is not positive (delta_s is 0 without shot noise and laser noise).
+    if either is not positive (delta_s is 0 without shot noise and laser noise),
+    or if the slope is within 5 of its std errors (from fit.cov) of 0: the
+    sweep shows no signal.  A fit without a covariance is not converged.
     `processing` selects the A/B arm: "two_branch" (full common-mode rejection)
     or "single_branch" (branch subtraction disabled).
     """
@@ -278,6 +280,15 @@ def run_ac_magnetometry(
     delta_s = float(std_v[i0])  # the shot-to-shot std
     if not (max_slope > 0 and delta_s > 0):
         raise FitError(f"the sine fit's slope |a k| = {max_slope!r} and delta_s = {delta_s!r}: no sensitivity")
+    # the slope's std error by the delta method: a and k alone are ill-determined
+    # (anti-correlated) when the sweep sees only the linear part of the sine
+    grad = np.array([fit.params[1], fit.params[0]])
+    var_slope = float(grad @ fit.cov[:2, :2] @ grad)
+    if var_slope >= 0.0 and max_slope <= 5.0 * math.sqrt(var_slope):
+        raise FitError(
+            f"the sine fit's slope |a k| = {max_slope!r} is within 5 std errors "
+            f"({math.sqrt(var_slope)!r}) of 0: no signal"
+        )
     report = sensitivity_from_slope(delta_s, max_slope, t_seq)
     return AcMagnetometryResult(amplitudes, mean_v, std_v, fit, max_slope, delta_s, report, norm)
 

@@ -31,6 +31,7 @@ class FitError(ValueError):
 class CurveFitResult:
     params: np.ndarray
     stderr: np.ndarray
+    cov: np.ndarray  # of the params: all NaN if J is numerically rank-deficient
     residual_rms: float
     converged: bool
     param_names: tuple = ()
@@ -43,18 +44,19 @@ def _finish(res, n_pts: int, names) -> CurveFitResult:
     # columns are scaled to unit norm (the units alone put cond(J^T J) past
     # 1/eps for odmr): inv(J^T J) is then rounding noise of either sign.
     # A negative variance is no error bar either.
-    stderr = np.full(m, np.nan)
+    cov = np.full((m, m), np.nan)
     try:
         norm = np.linalg.norm(res.jac, axis=0)
         sv = np.linalg.svd(res.jac / np.where(norm > 0.0, norm, 1.0), compute_uv=False)
         if sv[-1] > np.finfo(float).eps * sv[0] * max(res.jac.shape):
-            var = np.diag(np.linalg.inv(res.jac.T @ res.jac)) * (2.0 * res.cost / max(n_pts - m, 1))
-            stderr = np.sqrt(np.where(var < 0.0, np.nan, var))
+            cov = np.linalg.inv(res.jac.T @ res.jac) * (2.0 * res.cost / max(n_pts - m, 1))
     except np.linalg.LinAlgError:
         pass
+    var = np.diag(cov)
+    stderr = np.sqrt(np.where(var < 0.0, np.nan, var))
     # a parameter without a finite error bar is not determined by the data
     converged = bool(res.success) and bool(np.all(np.isfinite(stderr)))
-    return CurveFitResult(res.x, stderr, rms, converged, tuple(names))
+    return CurveFitResult(res.x, stderr, cov, rms, converged, tuple(names))
 
 
 def _solve(resid, x0, names, n_pts, bounds=(-np.inf, np.inf)) -> CurveFitResult:

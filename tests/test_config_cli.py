@@ -468,6 +468,19 @@ def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, monkeypatch, experime
     assert re.search(r"AC sweep: .*\|a k\| = 0\.0 and delta_s = [1-9]", capsys.readouterr().err)
 
 
+def test_ac_sweep_without_signal_is_numerical_exit(tmp_path, capsys):
+    # a bath of b = 1e9 rad/s leaves no coherence to sense with: the sine fit's slope
+    # |a k| is 2.0 of its std errors from 0 (reference_device: 2,330).  Its amplitude a
+    # alone is no test: on a sweep that sees only the sine's linear part, a and k are
+    # ill-determined while a k is not (test_zero_noise_floor_is_numerical_exit's
+    # resolution sweep has a at 3.2 std errors and a k at 304)
+    path = write_cfg(
+        tmp_path, "experiment = ac_sense\nbath_b_rad_s = 1e9\nn_spins = 64\nshots = 200\nn_repeats = 2\n"
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "out")) == 3
+    assert re.search(r"AC sweep: .*within 5 std errors .*: no signal", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("f_max", ["2.77e9", "2.5e9"])
 def test_odmr_sweep_must_increase(tmp_path, capsys, command, f_max):
@@ -673,6 +686,17 @@ def test_count_beyond_int64_names_its_key(tmp_path, command, m_max):
     got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
     assert (got, caught) == (2, [])
     assert "key 'm_max'" in err and "64-bit" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("m_max", [str(2**53 + 1), str(2**63 - 1)])
+def test_count_beyond_float64_integers_names_its_key(tmp_path, command, m_max):
+    # 2**63 - 1 used to leak numpy's cast RuntimeWarning and print ok: past 2**53
+    # float64 cannot hold each averaging count
+    path = write_cfg(tmp_path, f"experiment = resolution\nm_max = {m_max}\n")
+    got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
+    assert (got, caught) == (2, [])
+    assert "key 'm_max'" in err and "2**53" in err
 
 
 @pytest.mark.parametrize(

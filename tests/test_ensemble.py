@@ -294,7 +294,7 @@ def test_ac_sweep_outputs_pinned(calls):
 
 
 def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
-    # 6000 spins = 3 blocks, the last one partial
+    # 6000 spins, one block: test_finite_engine_outputs_pinned_over_three_blocks covers three
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
     ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
     seq = build_xy16(1, 1e-6)
@@ -309,14 +309,19 @@ def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
     assert threading.active_count() == before
 
 
+# the reference's own stream layout, that of its two-normal pins; at up to this many
+# spins its draws are the engine's (one block, the same substream)
+REFERENCE_BLOCK = 2048
+
+
 def _reference_finite(seq, ens, bath, pulse_width, key, noise_seed, initial_phase=None):
     """The finite engine with both normals of every gap drawn: the start
     value, then z1 and z2 of noise.ou_transition per pulse+gap step, row by
-    row from the engine's (seed, key, noise_seed, block) substreams, with
-    every rotation in the lab frame.  Returns run_two_branch's (p+, p-), or
-    equatorial_survival's value when initial_phase is given."""
+    row from (seed, key, noise_seed, block) substreams of REFERENCE_BLOCK
+    spins, with every rotation in the lab frame.  Returns run_two_branch's
+    (p+, p-), or equatorial_survival's value when initial_phase is given."""
     n = ens.n_spins
-    edges = [(lo, min(lo + ensemble.SPIN_BLOCK, n)) for lo in range(0, n, ensemble.SPIN_BLOCK)]
+    edges = [(lo, min(lo + REFERENCE_BLOCK, n)) for lo in range(0, n, REFERENCE_BLOCK)]
     rngs = [ensemble._rng_for(ens.seed, key, noise_seed, b) for b in range(len(edges))]
 
     def row():
@@ -349,13 +354,16 @@ def _reference_finite(seq, ens, bath, pulse_width, key, noise_seed, initial_phas
     return tuple(pops)
 
 
-def _pinned_case():
+def _pinned_case(n=6000):
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
-    return nm.bath, sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA), build_xy16(1, 1e-6)
+    return nm.bath, sample_ensemble(VOL, None, nm, n, 4, rabi_angular_freq=OMEGA), build_xy16(1, 1e-6)
 
 
-# recorded with the bridge noise a22 z2 of every gap averaged out, one normal per step
-FINITE_PINNED = ((0.9940217337836237, 0.006983810119146329), 0.9880359497333276)
+# recorded with the bridge noise a22 z2 of every gap averaged out, one normal per step,
+# and one substream per block of at most SPIN_BLOCK spins: 6000 spins are one block
+FINITE_PINNED = ((0.9940301552927737, 0.006960784898610452), 0.988046660495027)
+# the same at 2 SPIN_BLOCK + 300 spins: three near-equal blocks
+FINITE_PINNED_3_BLOCKS = ((0.994021924991372, 0.006956961620261242), 0.9880312085068004)
 
 
 def test_reference_engine_reproduces_the_two_normal_pins():
@@ -406,55 +414,66 @@ def test_finite_engine_agrees_with_the_two_normal_reference():
     assert np.all(new.std(axis=0, ddof=1) <= ref.std(axis=0, ddof=1))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_finite_engine_outputs_pinned(threads):
-    bath, ens, seq = _pinned_case()
-    got = (
+def _finite_outputs(n, threads):
+    bath, ens, seq = _pinned_case(n)
+    return (
         run_two_branch(seq, ens, bath, noise_seed=5, pulse_width=48e-9, threads=threads),
         equatorial_survival(seq, ens, bath, 0.3, pulse_width=48e-9, noise_seed=5, threads=threads),
     )
-    assert got == FINITE_PINNED
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_finite_engine_outputs_pinned(threads):
+    assert _finite_outputs(6000, threads) == FINITE_PINNED
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_finite_engine_outputs_pinned_over_three_blocks(threads):
+    assert _finite_outputs(2 * ensemble.SPIN_BLOCK + 300, threads) == FINITE_PINNED_3_BLOCKS
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("chunk", [1, 3, 8, 12])
 def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threads):
-    # 3 blocks, the last one partial, in runs of at most 2; 19 rows is no multiple of 3, 8 or 12
+    # 3 near-equal blocks; 19 rows is no multiple of 3, 8 or 12
     monkeypatch.setattr(ensemble, "ROW_CHUNK", chunk)
-    monkeypatch.setattr(ensemble, "RUN_BLOCKS", 2)
     n, n_rows, seed, key, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 0xB0, 5
     ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed)
 
-    def take(run):
+    def take(block):
         got, prev = [], None
-        for row in run.rows():
+        for row in block.rows():
             if prev is not None:
                 assert np.array_equal(prev, got[-1])  # a row outlives the next one's arrival
             got.append(row.copy())
             prev = row
-        got = np.array(got)
-        return [got[:, s] for _, s in run._streams]
+        return block.lo, block.hi, np.array(got)
 
-    got = np.hstack(ensemble._map_blocks(take, ens, key, noise_seed, threads, n_rows))
-    edges = [(lo, min(lo + ensemble.SPIN_BLOCK, n)) for lo in range(0, n, ensemble.SPIN_BLOCK)]
-    rngs = [ensemble._rng_for(seed, key, noise_seed, b) for b in range(len(edges))]
-    want = [np.concatenate([rng.standard_normal(hi - lo) for rng, (lo, hi) in zip(rngs, edges)]) for _ in range(n_rows)]
-    assert np.array_equal(got, np.array(want))
+    blocks = ensemble._map_blocks(take, ens, key, noise_seed, threads, n_rows)
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]
+    for b, (lo, hi, got) in enumerate(blocks):
+        rng = ensemble._rng_for(seed, key, noise_seed, b)
+        want = [rng.standard_normal(hi - lo) for _ in range(n_rows)]
+        assert np.array_equal(got, np.array(want))
 
 
 def test_prefetch_fill_error_reaches_the_caller(monkeypatch):
-    fill = ensemble._BlockRun._fill
+    rng_for = ensemble._rng_for
     failed = []
 
-    def fill_failing_off_the_caller(self, out, scratch):
-        if threading.current_thread() is not threading.main_thread():
-            failed.append(True)
-            raise RuntimeError("prefetch fill failed")
-        return fill(self, out, scratch)
+    class FailingOffTheCaller:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(ensemble._BlockRun, "_fill", fill_failing_off_the_caller)
+        def standard_normal(self, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(True)
+                raise RuntimeError("prefetch fill failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 3000, 4, rabi_angular_freq=OMEGA)
+    monkeypatch.setattr(ensemble, "_rng_for", lambda *key: FailingOffTheCaller(rng_for(*key)))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="prefetch fill failed"):
         run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9, threads=2)
@@ -546,7 +565,7 @@ def test_finite_pulses_match_ideal_under_ou_noise():
     var = ((1.0 + math.exp(-4.0 * chi)) / 2.0 - math.exp(-2.0 * chi)) / 4.0
     se = math.sqrt(var / n)  # of the finite mean: the ideal one draws nothing
     # rerun over ensemble and noise seeds 0-199: no seed failed, the largest deviation was
-    # 0.025 of this SE (median 0.0065), since the finite engine averages each gap's a22 z2
+    # 0.041 of this SE (median 0.0062), since the finite engine averages each gap's a22 z2
     # term and spreads far less than the per-spin law above; n stays at 20000
     for got, want in zip(finite, ideal):
         assert abs(got - want) < 5 * se

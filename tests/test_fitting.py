@@ -131,6 +131,7 @@ def test_rank_deficient_jacobian_has_no_error_bars():
     jac = np.column_stack([np.ones_like(t), 1.0 + 1e-12 * t, t])
     fit = _finish(_solved(jac), len(t), ("a", "b", "c"))
     assert np.all(np.isnan(fit.stderr))
+    assert np.all(np.isnan(fit.cov))
     assert not fit.converged
 
 
