@@ -116,8 +116,7 @@ def _run_odmr(cfg):
 def _run_rabi(cfg):
     ens, _ = build_ensemble(cfg)
     durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
-    res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None,
-                   shots=cfg.shots if cfg.shots > 1 else 0, seed=cfg.seed + 1)
+    res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None, shots=cfg.shots, seed=cfg.seed + 1)
     curve = ("curve.csv", ["duration_s", "population"], [res.durations_s, res.population])
     return Outputs([curve, fit_table(res.fit, {"t_pi_s": res.t_pi_s})], res.fit, "Rabi damped-sine fit")
 

@@ -18,6 +18,8 @@ from .sequences import SWEEP_FAMILIES, render_finite
 
 EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "fieldmap")
 RESONATORS = ("uniform", "cwr", "ring", "wire")
+# the most blocks of the smallest averaging count a resolution run may take (32 MiB of block means)
+MAX_RESOLUTION_BLOCKS = 2**22
 
 
 class ConfigError(ValueError):
@@ -197,6 +199,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         # averaging_counts spaces the counts in float64, which holds every integer only up to 2**53
         if cfg.m_max > 2**53:
             raise ConfigError(f"key 'm_max': must be <= 2**53, got {cfg.m_max}")
+        blocks = cfg.m_max * cfg.blocks_per_point // cfg.m_min  # the smallest M's, each mean held in memory
+        if blocks > MAX_RESOLUTION_BLOCKS:
+            raise ConfigError(f"key 'm_max': m_max * blocks_per_point // m_min = {blocks} blocks, over 2**22")
         m_list = averaging_counts(cfg)
         if len(m_list) < 2:
             raise ConfigError(

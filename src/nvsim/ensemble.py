@@ -42,10 +42,10 @@ Two evolution paths share the noise model:
   (1996)): the OU process is Gauss-Markov, so given the values at both
   ends of the gap, a22 z2 is independent of everything else.  It enters
   only this gap's z-rotation, every later rotation is linear in the
-  Bloch vector, and the readout population and the survival projection
-  are affine in it, so no output's expectation changes when that
-  rotation is replaced by its mean: E[R_z(a22 z2)] scales (x, y) by
-  d = exp(-a22^2 / 2).  Only the spread over noise seeds shrinks.
+  Bloch vector, and the readout population is affine in it, so no
+  output's expectation changes when that rotation is replaced by its
+  mean: E[R_z(a22 z2)] scales (x, y) by d = exp(-a22^2 / 2).  Only the
+  spread over noise seeds shrinks.
   The state is a (3, n) array, one contiguous row per Bloch component,
   held in the frame of the next pulse's phase, so every pulse but the
   first rotates about an axis (Omega, 0, delta) in the x-z plane; the
@@ -60,7 +60,7 @@ last pulse, and the -1 branch's differs from it by pi.
 The finite engine cuts the spins into near-equal blocks of at most
 SPIN_BLOCK.  Each block is evolved as one array on the calling thread
 and draws its noise from its own counter-based substream keyed on
-(seed, key, noise_seed, block) (Salmon et al., SC'11), as rows of one
+(seed, NOISE_KEY, noise_seed, block) (Salmon et al., SC'11), as rows of one
 standard normal per spin, ROW_CHUNK rows per call; the blocks' partial
 sums are added in block order.  With threads > 1, one worker thread
 fills a block's next chunk of rows while the caller evolves the spins
@@ -99,6 +99,8 @@ from .sequences import PiTrain, PulseSequence, pi_train, readout_angle, render_f
 SPIN_BLOCK = 10240
 # noise rows per fill: the unit a prefetch worker hands over
 ROW_CHUNK = 12
+# the finite engine's substreams: (seed, NOISE_KEY, noise_seed, block)
+NOISE_KEY = 0xB0
 
 
 @dataclass(frozen=True)
@@ -246,10 +248,10 @@ class _Block:
             yield from rows[1:]
 
 
-def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads: int, n_rows: int) -> list:
+def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, threads: int, n_rows: int) -> list:
     """Run fn(block) on k = ceil(n / SPIN_BLOCK) near-equal spin blocks
     [b n // k, (b + 1) n // k), in block order on the calling thread; block
-    b supplies n_rows noise rows from its (seed, key, noise_seed, b)
+    b supplies n_rows noise rows from its (seed, NOISE_KEY, noise_seed, b)
     substream.  Returns each block's result in block order.  With threads
     > 1 and more than one chunk of rows, one worker thread fills each
     block's chunks ahead of use; the draws and their order are the same
@@ -260,7 +262,7 @@ def _map_blocks(fn, ensemble: EnsembleSample, key: int, noise_seed: int, threads
     prefetch = threads > 1 and n_rows > ROW_CHUNK
     with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as pool:
         return [
-            fn(_Block(b * n // k, (b + 1) * n // k, _rng_for(ensemble.seed, key, noise_seed, b), n_rows, pool))
+            fn(_Block(b * n // k, (b + 1) * n // k, _rng_for(ensemble.seed, NOISE_KEY, noise_seed, b), n_rows, pool))
             for b in range(k)
         ]
 
@@ -284,13 +286,6 @@ def _fold_ideal(train: PiTrain, bath: OUBath, f_hz: float, phase_rad: float) -> 
     decay = math.exp(-ou_chi_exact(train.times, train.total_t, bath))
     ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))
     return _IdealFold(pattern, static, decay, ac_unit)
-
-
-def _mean_cos_ideal(fold: _IdealFold, phi_ac, ensemble, shift) -> float:
-    """Ensemble mean of cos(Xi - shift) under the folded ideal pi train,
-    exact in each spin's OU phase: E cos(a + phi_OU) = exp(-chi) cos(a)."""
-    base = fold.pattern + phi_ac - shift
-    return fold.decay * float(np.mean(np.cos(base + fold.static * ensemble.delta_static)))
 
 
 def run_two_branch(
@@ -339,8 +334,9 @@ def two_branch_ac_sweep(
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
     out = []
     for b0 in amplitudes:
-        phi_ac = GAMMA_E * float(b0) * fold.ac_unit
-        m = _mean_cos_ideal(fold, phi_ac, ensemble, shift)
+        base = fold.pattern + GAMMA_E * float(b0) * fold.ac_unit - shift
+        # the mean of cos(Xi - shift), exact in each spin's OU phase: E cos(a + phi_OU) = exp(-chi) cos(a)
+        m = fold.decay * float(np.mean(np.cos(base + fold.static * ensemble.delta_static)))
         # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
         out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
     return out
@@ -366,24 +362,22 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndar
     if noisy:
         rows = block.rows()
         x = next(rows) * bath.b
-    # each gap's transition, computed once per distinct (lead, L), and the
+    # each gap's transition, computed once per distinct (width, L), and the
     # factor its averaged a22 z2 leaves on (x, y)
     laws, gaps = {}, []
-    for pulse, L in steps:
-        key = (0.0 if pulse is None else pulse[1], L)
-        if key not in laws:
-            law = ou_transition(*key, bath)
-            laws[key] = law, math.exp(-0.5 * law.a22 * law.a22)
-        gaps.append(laws[key])
-    # v's frame in each step: the lab's in the first, then its pulse's (only the first may have none)
+    for (_, width), L in steps:
+        if (width, L) not in laws:
+            law = ou_transition(width, L, bath)
+            laws[width, L] = law, math.exp(-0.5 * law.a22 * law.a22)
+        gaps.append(laws[width, L])
+    # v's frame in each step: the lab's in the first, then its pulse's
     frames = [0.0] + [pulse[0] for pulse, _ in steps[1:]]
     # each gap angle's common part, halved: the turn into the next step's frame
     # (the lab's after the last step)
     turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
-    for (pulse, L), frame, (law, d), turn in zip(steps, frames, gaps, turns):
-        if pulse is not None:
-            np.add(delta_s, x, out=delta)
-            rotate_drive(v, omega_eff, delta, pulse[0] - frame, pulse[1], work)
+    for ((phase, width), L), frame, (law, d), turn in zip(steps, frames, gaps, turns):
+        np.add(delta_s, x, out=delta)
+        rotate_drive(v, omega_eff, delta, phase - frame, width, work)
         # free precession about z by phi = delta_s L + OU integral + the common part;
         # with t = tan(phi / 2) and f = 2 d / (1 + t^2), d cos = f - d, d sin = f t
         np.multiply(delta_s, 0.5 * L, out=t)
@@ -413,15 +407,8 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndar
     return x
 
 
-def _finite_rows(steps, bath: OUBath) -> int:
-    """Noise rows _evolve_finite takes: the start value, then one per step."""
-    return 1 + len(steps) if bath.b > 0 else 0
-
-
 def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, threads):
     steps, final = render_finite(seq.elements, pulse_width)
-    if final is None:
-        raise ValueError("the sequence must end with its readout pulse, not a delay")
 
     def run(block: _Block):
         lo, hi = block.lo, block.hi
@@ -437,52 +424,10 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, thre
             sums.append(float(np.sum((1.0 + vb[2]) / 2.0)))
         return sums
 
-    parts = _map_blocks(run, ensemble, 0xB0, noise_seed, threads, _finite_rows(steps, bath))
+    # the noise rows _evolve_finite takes: the start value, then one per step
+    parts = _map_blocks(run, ensemble, noise_seed, threads, 1 + len(steps) if bath.b > 0 else 0)
     n = ensemble.n_spins
     return sum(p for p, _ in parts) / n, sum(m for _, m in parts) / n
-
-
-def equatorial_survival(
-    seq: PulseSequence,
-    ensemble: EnsembleSample,
-    bath: OUBath,
-    initial_phase: float,
-    *,
-    pulse_width: float | None = None,
-    noise_seed: int = 0,
-    threads: int = 1,
-) -> float:
-    """Coherence of an equatorial state under only the pi-pulse train.
-
-    Prepares v0 = (cos a, sin a, 0), runs the interior pi pulses and
-    delays of `seq` (the pi/2 pulses are skipped), and returns the
-    ensemble mean of v_final . v0: the surviving projection on the
-    prepared axis.  Used for pulse-error robustness comparisons.
-    noise_seed and threads only reach the finite engine.  Raises
-    ValueError where sequences.pi_train does.
-    """
-    train = pi_train(seq)
-    n = ensemble.n_spins
-
-    if pulse_width is None:
-        # c_final = e^(i Xi) conj^n(c0), so v_final . v0 = cos(Xi - 2 a (n mod 2))
-        shift = 2.0 * initial_phase * (len(train.times) % 2)
-        fold = _fold_ideal(train, bath, 0.0, 0.0)
-        return _mean_cos_ideal(fold, 0.0, ensemble, shift)
-
-    # pi_train has checked that everything between the pi/2 pulses is the train
-    steps, _ = render_finite(seq.elements[1:-1], pulse_width)
-    ca, sa = math.cos(initial_phase), math.sin(initial_phase)
-
-    def run(block: _Block):
-        lo, hi = block.lo, block.hi
-        omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
-        v = np.zeros((3, hi - lo))
-        v[0], v[1] = ca, sa
-        _evolve_finite(v, steps, omega_eff, ensemble.delta_static[lo:hi], bath, block)
-        return float(np.sum(v[0] * ca + v[1] * sa))
-
-    return sum(_map_blocks(run, ensemble, 0xE0, noise_seed, threads, _finite_rows(steps, bath))) / n
 
 
 def ensemble_rabi_curve(ensemble: EnsembleSample, durations) -> np.ndarray:

@@ -125,14 +125,16 @@ def run_rabi(
 ) -> RabiResult:
     """Ensemble-averaged drive curve plus damped-sine fit; t_pi = 1/(2 f).
 
-    With a readout model and shots > 0 each point is measured through the
-    single-branch window chain, adding detector noise.
+    With a readout model each point is the mean of `shots` single-branch
+    shots instead, which adds detector noise.
     """
     durations = np.asarray(durations, dtype=float)
     if np.any(np.diff(durations) < 0):
         raise ValueError("durations must be sorted")
     pop = ensemble_rabi_curve(ensemble, durations)
-    if readout is not None and shots > 0:
+    if readout is not None:
+        if shots < 1:
+            raise ValueError("shots must be >= 1 with a readout model")
         rng = np.random.default_rng(seed)
         meas = np.empty_like(pop)
         for i, p in enumerate(pop):
@@ -243,7 +245,6 @@ def run_ac_magnetometry(
     *,
     ac_phase: float = DEFAULT_AC_PHASE,
     shot_seed: int = 1,
-    processing: str = "two_branch",
 ) -> AcMagnetometryResult:
     """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
 
@@ -258,8 +259,9 @@ def run_ac_magnetometry(
     if either is not positive (delta_s is 0 without shot noise and laser noise),
     or if the slope is within 5 of its std errors (from fit.cov) of 0: the
     sweep shows no signal.  A fit without a covariance is not converged.
-    `processing` selects the A/B arm: "two_branch" (full common-mode rejection)
-    or "single_branch" (branch subtraction disabled).
+    The shots are processed by the two-branch difference, which rejects
+    the common-mode laser noise; readout.processed_shot_stream's
+    "single_branch" output is the arm without the branch pair.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if shots < 2:
@@ -270,11 +272,11 @@ def run_ac_magnetometry(
     branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
-        vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng, processing)
+        vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng)
         mean_v[i] = float(np.mean(vals))
         std_v[i] = float(np.std(vals, ddof=1))
         norm[i] = p_plus - p_minus
-    fit = fit_sine(amplitudes, mean_v, with_offset=(processing != "two_branch"))
+    fit = fit_sine(amplitudes, mean_v)
     max_slope = abs(float(fit.params[0] * fit.params[1]))
     i0 = int(np.argmin(np.abs(amplitudes)))
     delta_s = float(std_v[i0])  # the shot-to-shot std

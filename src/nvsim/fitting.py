@@ -8,7 +8,7 @@ parameter has a finite standard error.  Models:
     lorentzian dip : c - d * (hw^2 / ((x - x0)^2 + hw^2))
     damped sine    : a * exp(-t/tau_d) * cos(2 pi f t) + c
     stretched exp  : a * exp(-(t/t2)^p), p bounded to [0.5, 3]
-    sine           : a * sin(k x) (+ optional offset)
+    sine           : a * sin(k x)
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ def sine_through_origin(x, a, k):
     return a * np.sin(k * x)
 
 
-def fit_sine(x, y, with_offset: bool = False) -> CurveFitResult:
-    """Fit a sin(k x) (optionally + c), seeded from the Fourier peak over
-    the sweep, falling back to a quarter-period guess for short sweeps."""
+def fit_sine(x, y) -> CurveFitResult:
+    """Fit a sin(k x), seeded from the Fourier peak over the sweep,
+    falling back to a quarter-period guess for short sweeps."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 6:
@@ -195,7 +195,7 @@ def fit_sine(x, y, with_offset: bool = False) -> CurveFitResult:
     a0 = float(np.max(np.abs(y)))
     a0 = a0 if a0 > 0 else 1.0
     span = x[-1] - x[0]
-    f0 = _fourier_peak_freq(x, y - (np.mean(y) if with_offset else 0.0))
+    f0 = _fourier_peak_freq(x, y)
     k0 = 2.0 * math.pi * f0
     if k0 * span < math.pi / 2.0:
         k0 = math.pi / (2.0 * max(abs(x[-1]), abs(x[0]), 1e-300))
@@ -204,12 +204,6 @@ def fit_sine(x, y, with_offset: bool = False) -> CurveFitResult:
     if len(i) >= 2 and np.ptp(x[i]) > 0:
         slope = np.polyfit(x[i], y[i], 1)[0]
         a0 = math.copysign(a0, slope if slope != 0 else 1.0)
-
-    if with_offset:
-        def resid(p):
-            return p[0] * np.sin(p[1] * x) + p[2] - y
-
-        return _solve(resid, [a0, k0, float(np.mean(y))], ("a", "k", "c"), len(x))
 
     def resid(p):
         return sine_through_origin(x, *p) - y

@@ -205,37 +205,30 @@ def render_finite(elements, pulse_width: float):
     """Pulse+gap steps of the train rendered with rectangular pulses
     centered on their ideal instants.
 
-    Returns (steps, last): each step is (pulse, L), a pulse (phase, width),
-    or None for a gap before the first pulse, followed by a free interval
-    of length L; last is the final pulse when no delay follows it, else
-    None.  A pulse of nominal angle theta lasts
-    theta/pi * pulse_width, so the pi/2 pulses are half-width.  Delays are
-    shortened by the half-widths of the adjacent pulses (center-to-center
-    timing); raises ValueError if neighboring pulses would overlap: the one
-    overlap rule, also for config validation.
+    Returns (steps, last): each step is (pulse, L), a pulse (phase, width)
+    followed by a free interval of length L, and last is the final pulse.
+    A pulse of nominal angle theta lasts theta/pi * pulse_width, so the
+    pi/2 pulses are half-width.  Delays are shortened by the half-widths
+    of the adjacent pulses (center-to-center timing); raises ValueError if
+    neighboring pulses would overlap: the one overlap rule, also for
+    config validation.  Raises ValueError too unless the train starts and
+    ends with a pulse, since a leading delay has no pulse to pair with.
     """
+    if not elements or isinstance(elements[0], Delay) or isinstance(elements[-1], Delay):
+        raise ValueError("the sequence must start with a pulse and must end with its readout pulse, not a delay")
     steps = []
     pending_gap = 0.0
-    seen_delay = False
     pulse = None
     for e in elements:
         if isinstance(e, Delay):
             pending_gap += e.tau
-            seen_delay = True
             continue
         width = e.angle / math.pi * pulse_width
-        if pulse is not None or seen_delay:
-            gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0) - width / 2.0
+        if pulse is not None:
+            gap = pending_gap - pulse[1] / 2.0 - width / 2.0
             if gap < -1e-15:
                 raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
             steps.append((pulse, max(gap, 0.0)))
         pending_gap = 0.0
-        seen_delay = False
         pulse = (e.phase, width)
-    if seen_delay:
-        gap = pending_gap - (pulse[1] / 2.0 if pulse else 0.0)
-        if gap < -1e-15:
-            raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-        steps.append((pulse, max(gap, 0.0)))
-        pulse = None
     return steps, pulse

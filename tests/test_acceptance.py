@@ -14,8 +14,9 @@ import pytest
 from scipy.optimize import brentq
 
 from nvsim.cli import main as cli_main
-from nvsim.ensemble import DetectionVolume, NoiseModel, equatorial_survival, run_two_branch, sample_ensemble
+from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble, two_branch_ac_sweep
 from nvsim.experiments import (
+    DEFAULT_AC_PHASE,
     run_ac_magnetometry,
     run_coherence,
     run_rabi,
@@ -40,9 +41,10 @@ from nvsim.noise import (
     ou_chi_exact,
     sigma_from_t2star,
 )
-from nvsim.readout import ReadoutModel
+from nvsim.readout import ReadoutModel, processed_shot_stream
 from nvsim.sequences import build_cpmg, build_xy16
 
+from test_ensemble import prepared_on
 from test_fields import oracle_ring, oracle_strip, oracle_wire_segment
 
 VOL = DetectionVolume()
@@ -192,23 +194,31 @@ def test_acceptance_8_common_mode_ab():
     t_seq = 1.47e-3
     shots = 60000
 
-    def eta(processing, lam):
-        readout = ReadoutModel(
-            v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=lam
-        )
-        res = run_ac_magnetometry(
-            seq, 362e3, amplitudes, ens, bath, readout, shots, t_seq,
-            shot_seed=82, processing=processing,
-        )
+    def readout(lam):
+        return ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=lam)
+
+    def eta(lam):
+        res = run_ac_magnetometry(seq, 362e3, amplitudes, ens, bath, readout(lam), shots, t_seq, shot_seed=82)
         return res.report.eta_t_per_sqrt_hz
 
-    deg_full = eta("two_branch", 0.01) / eta("two_branch", 0.0) - 1.0
-    deg_single = eta("single_branch", 0.01) / eta("single_branch", 0.0) - 1.0
+    # Without the branch pair, eta = delta_s / slope sqrt(t_seq) degrades as delta_s does:
+    # the slope is set by the populations, not by lam.  delta_s is the shot-to-shot std at
+    # b = 0, here of the single-branch output at the sweep's b = 0 populations.
+    [(p_plus, p_minus)] = two_branch_ac_sweep(seq, ens, bath, 362e3, DEFAULT_AC_PHASE, [0.0])
+
+    def delta_s_single(lam):
+        rng = np.random.default_rng(82)
+        return float(np.std(processed_shot_stream(p_plus, p_minus, readout(lam), shots, rng, "single_branch"), ddof=1))
+
+    deg_full = eta(0.01) / eta(0.0) - 1.0
+    deg_single = delta_s_single(0.01) / delta_s_single(0.0) - 1.0
     # The engine draws nothing (the OU phase is averaged exactly), so only the
-    # shots are random.  Seed scan of this call (ensemble and shot seeds 0-199),
+    # shots are random.  Seed scan of these calls (ensemble and shot seeds 0-199),
     # SE = the spread over seeds: deg_full -1.1e-7 +- 3.8e-6 (max 1.1e-5), 1.3e4
-    # SE under 0.05; deg_single 0.2751 +- 9.1e-5 (min 0.2748), 1.9e3 SE over 0.10
-    # and >= 2.4e4 deg_full.  False-failure rate 0 of 200 seeds.
+    # SE under 0.05; deg_single 0.275053 on every seed (both streams take the same
+    # normals, which one factor scales), >= 2.4e4 |deg_full|.  False-failure rate 0
+    # of 200 seeds.  Two-branch rows that keep only the first branch, or a slow
+    # laser term on one branch alone, fail deg_full < 0.05.
     assert deg_full < 0.05
     assert deg_single > 5.0 * deg_full
     assert deg_single > 0.10  # the laser leak is material without the branch pair
@@ -283,16 +293,19 @@ def test_acceptance_10_robustness():
     }
     phases = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     survival = {
-        name: np.array([equatorial_survival(seq, ens, BATH, a, pulse_width=48e-9, noise_seed=102) for a in phases])
+        name: np.array([
+            np.subtract(*run_two_branch(prepared_on(seq, a), ens, BATH, noise_seed=102, pulse_width=48e-9))
+            for a in phases
+        ])
         for name, seq in fams.items()
     }
-    # Seed scan of these calls (ensemble seeds 0-199, noise seeds 1000-1199), SE =
-    # the spread over seeds: XY16 minus CPMG is 0.535 +- 0.008 at the worst
-    # phase and 0.536 +- 0.008 on the x axis, 64 and 65 SE above 0 (8.1 SE
-    # for both while the finite engine drew each gap's bridge noise instead
-    # of averaging it; the spread goes as 1/sqrt(spins), and 128 spins take
-    # 0.35 s a call).  False-failure rate 0 of 200 seeds.  With the finite
-    # engine ignoring each pulse's phase, both checks fail on 200 of 200.
+    # p+ - p- of the train turned by prepared_on(seq, a) is the coherence left on
+    # axis a, read through the finite pi/2 pulses.  Seed scan of these calls
+    # (ensemble seeds 0-199, noise seeds 1000-1199), SE = the spread over seeds:
+    # XY16 minus CPMG is 0.576 +- 0.009 at the worst phase and 0.577 +- 0.009 on
+    # the x axis, 68 and 67 SE above 0 (128 spins take 0.01 s a call).
+    # False-failure rate 0 of 200 seeds.  With the finite engine ignoring each
+    # pulse's phase, both trains are all-x and both checks fail on 200 of 200.
     assert survival["xy16"].min() > survival["cpmg"].min()
     # and CPMG specifically fails on the axis 90 deg from its pulse axis
     i_x = 0  # phase 0 = x axis, 90 deg from the CPMG y pulses

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -326,6 +327,8 @@ def test_wire_fieldmap_is_nan_inside_the_conductor(tmp_path, capsys):
         assert inside.sum() == 4 and not table[inside, 0].any()
         nan_columns = np.array([False, False, False, True, False, True, True])  # Bx_T, Bz_T, Babs_T
         assert np.array_equal(np.isnan(table), inside[:, None] & nan_columns)
+    # the one exemption of test_every_config_exits_0_2_or_3's finite-CSV check
+    assert _non_finite_cells(tmp_path / "run", parse_config_text(Path(path).read_text())) == []
 
 
 def test_fieldmap_run_and_command_write_identical_csv(tmp_path):
@@ -454,8 +457,8 @@ def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, monkeypatch, experime
     # here, and with shot noise keeping delta_s > 0 the zero slope alone must exit 3.
     fit_sine = experiments.fit_sine
 
-    def flat_fit(x, y, with_offset=False):
-        fit = fit_sine(x, y, with_offset)
+    def flat_fit(x, y):
+        fit = fit_sine(x, y)
         return replace(fit, params=np.concatenate(([0.0], fit.params[1:])))
 
     monkeypatch.setattr(experiments, "fit_sine", flat_fit)
@@ -659,15 +662,36 @@ def _cli(*argv):
     return rc, err.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
+def _non_finite_cells(out: Path, cfg: RunConfig) -> list[str]:
+    """Each numeric CSV cell under out that is not finite, as file:line:column=cell, except
+    the wire field map's inside the conductor, where hypot(x, z) <= wire_diameter_m / 2."""
+    bad = []
+    for csv in sorted(out.glob("*.csv")):
+        header, *rows = csv.read_text().splitlines()
+        for line, row in enumerate(rows, start=2):
+            cells = row.split(",")
+            if csv.name == "fieldmap.csv" and cfg.resonator == "wire" and \
+                    np.hypot(float(cells[0]), float(cells[2])) <= cfg.wire_diameter_m / 2.0:
+                continue
+            for name, cell in zip(header.split(","), cells):
+                with contextlib.suppress(ValueError):  # a fit parameter's name
+                    if not math.isfinite(float(cell)):
+                        bad.append(f"{csv.name}:{line}:{name}={cell}")
+    return bad
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(BASES)), PERTURBATIONS)
 def test_every_config_exits_0_2_or_3(experiment, edges):
-    # up to 3 keys of a small valid config set to 0, tiny, huge, negative or non-finite values
+    # up to 3 keys of a small valid config set to 0, tiny, huge, negative or non-finite values;
+    # an exit 0 writes only finite CSV values, but for the wire field map inside the conductor
     with tempfile.TemporaryDirectory() as tmp:
         text = f"experiment = {experiment}\n{BASES[experiment]}out_dir = {tmp}/out\n"
         path = Path(tmp) / "fuzz.cfg"
         path.write_text(text + "".join(f"{key} = {value}\n" for key, value in edges))
         ran = {command: _cli(command, str(path)) for command in ("validate", "run")}
+        if ran["run"][0] == 0:
+            assert not _non_finite_cells(Path(tmp) / "out", parse_config_text(path.read_text()))
     for command, (rc, err, caught) in ran.items():
         assert rc in (0, 2, 3), (command, rc)
         assert not caught, (command, caught)
@@ -697,6 +721,23 @@ def test_count_beyond_float64_integers_names_its_key(tmp_path, command, m_max):
     got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
     assert (got, caught) == (2, [])
     assert "key 'm_max'" in err and "2**53" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
+    # 2**53 * 20 // 100 smallest-M block means are 14 PB: validate printed ok, and run sampled
+    # the ensemble, swept the AC field and then asked numpy for them
+    path = write_cfg(tmp_path, f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n")
+    tracemalloc.start()
+    try:
+        got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got, caught) == (2, [])
+    assert "key 'm_max'" in err and "2**22" in err
+    assert peak < 2**20  # no ensemble, no sweep, no block means
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from nvsim.ensemble import (
     EnsembleSample,
     NoiseModel,
     ac_phase_integrals,
-    equatorial_survival,
     ensemble_rabi_curve,
     run_two_branch,
     sample_ensemble,
@@ -66,6 +65,21 @@ MISREAD = {
     ),
     "echo-y": _echo_y(),
 }
+
+
+def prepared_on(seq, a):
+    """seq with each interior pi pulse's phase turned by -(a + pi/2).
+
+    This z-turn of the frame takes the equatorial axis a onto -y, the state
+    the (pi/2)_x pulse prepares, and the readout of a phase-0 sequence has
+    p+ - p- = -y.  So with ideal end pulses, p+ - p- of the turned sequence
+    is the projection on axis a that a state prepared there keeps under
+    seq's pi train: its survival.
+    """
+    turn = -(a + math.pi / 2)
+    first, *inner, last = seq.elements
+    inner = [Pulse(e.phase + turn, e.angle) if isinstance(e, Pulse) else e for e in inner]
+    return replace(seq, elements=(first, *inner, last))
 
 
 def quiet_ensemble(n=512, seed=1):
@@ -190,8 +204,6 @@ def test_ideal_views_reject_sequences_they_would_misread(name):
     with pytest.raises(ValueError):
         run_two_branch(seq, ens, QUIET.bath)
     with pytest.raises(ValueError):
-        equatorial_survival(seq, ens, QUIET.bath, 0.0)
-    with pytest.raises(ValueError):
         coherence_analytic(seq, QUIET.bath)
     with pytest.raises(ValueError):
         pulse_times(seq)
@@ -314,38 +326,29 @@ def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
 REFERENCE_BLOCK = 2048
 
 
-def _reference_finite(seq, ens, bath, pulse_width, key, noise_seed, initial_phase=None):
+def _reference_finite(seq, ens, bath, pulse_width, noise_seed):
     """The finite engine with both normals of every gap drawn: the start
     value, then z1 and z2 of noise.ou_transition per pulse+gap step, row by
-    row from (seed, key, noise_seed, block) substreams of REFERENCE_BLOCK
+    row from (seed, 0xB0, noise_seed, block) substreams of REFERENCE_BLOCK
     spins, with every rotation in the lab frame.  Returns run_two_branch's
-    (p+, p-), or equatorial_survival's value when initial_phase is given."""
+    (p+, p-)."""
     n = ens.n_spins
     edges = [(lo, min(lo + REFERENCE_BLOCK, n)) for lo in range(0, n, REFERENCE_BLOCK)]
-    rngs = [ensemble._rng_for(ens.seed, key, noise_seed, b) for b in range(len(edges))]
+    rngs = [ensemble._rng_for(ens.seed, 0xB0, noise_seed, b) for b in range(len(edges))]
 
     def row():
         return np.concatenate([rng.standard_normal(hi - lo) for rng, (lo, hi) in zip(rngs, edges)])
 
     omega = ens.omega * (1.0 + ens.epsilon)
     v = np.zeros((3, n))
-    if initial_phase is None:
-        steps, final = render_finite(seq.elements, pulse_width)
-        v[2] = 1.0
-    else:
-        steps, _ = render_finite(seq.elements[1:-1], pulse_width)
-        v[0], v[1] = math.cos(initial_phase), math.sin(initial_phase)
+    v[2] = 1.0
+    steps, final = render_finite(seq.elements, pulse_width)
     x = bath.b * row()
-    for pulse, L in steps:
-        lead = 0.0
-        if pulse is not None:
-            phase, lead = pulse
-            rotate_drive(v, omega, ens.delta_static + x, phase, lead)
-        integral, x = ou_transition(lead, L, bath).apply(x, row(), row())
+    for (phase, width), L in steps:
+        rotate_drive(v, omega, ens.delta_static + x, phase, width)
+        integral, x = ou_transition(width, L, bath).apply(x, row(), row())
         phi = ens.delta_static * L + integral
         v[:2] = np.cos(phi) * v[:2] + np.sin(phi) * np.array([-v[1], v[0]])
-    if initial_phase is not None:
-        return float(np.mean(v[0] * math.cos(initial_phase) + v[1] * math.sin(initial_phase)))
     pops = []
     for readout in (seq.readout_phase + math.pi, seq.readout_phase):  # the + then the - branch
         vb = v.copy()
@@ -361,43 +364,31 @@ def _pinned_case(n=6000):
 
 # recorded with the bridge noise a22 z2 of every gap averaged out, one normal per step,
 # and one substream per block of at most SPIN_BLOCK spins: 6000 spins are one block
-FINITE_PINNED = ((0.9940301552927737, 0.006960784898610452), 0.988046660495027)
+FINITE_PINNED = (0.9940301552927737, 0.006960784898610452)
 # the same at 2 SPIN_BLOCK + 300 spins: three near-equal blocks
-FINITE_PINNED_3_BLOCKS = ((0.994021924991372, 0.006956961620261242), 0.9880312085068004)
+FINITE_PINNED_3_BLOCKS = (0.994021924991372, 0.006956961620261242)
 
 
 def test_reference_engine_reproduces_the_two_normal_pins():
     # the engine's values before it averaged each gap's bridge noise (one draw
     # pair per step, recorded before the noise rows were chunked and prefetched)
     bath, ens, seq = _pinned_case()
-    got = (
-        _reference_finite(seq, ens, bath, 48e-9, 0xB0, 5),
-        _reference_finite(seq, ens, bath, 48e-9, 0xE0, 5, initial_phase=0.3),
-    )
-    want = ((0.9940956603019361, 0.006880441208820322), 0.988451288395487)
-    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-14)
-    assert got[1] == pytest.approx(want[1], rel=1e-12)
+    got = _reference_finite(seq, ens, bath, 48e-9, 5)
+    assert got == pytest.approx((0.9940956603019361, 0.006880441208820322), rel=1e-12, abs=1e-14)
 
 
 def _reference_comparison(ens_seed, noise_seeds, ref_seeds):
     """Both finite engines on one ensemble: XY16-4 under 48 ns pulses, 1.9 MHz
     off resonance with a static spread and amplitude errors, read out at
-    pi/2.  Returns (new, reference), each (seeds, 2): p+ and the survival
-    from phase 1.0 per noise seed."""
+    pi/2.  Returns (new, reference), each (seeds, 2): p+ of the sequence and
+    of its pi phases turned by prepared_on(seq, 1.0), per noise seed."""
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02, systematic=0.05))
     ens = sample_ensemble(VOL, None, nm, 2048, ens_seed, rabi_angular_freq=OMEGA)
     ens = replace(ens, delta_static=ens.delta_static + 1.2e7)
     seq = build_xy16(4, 2e-6, readout_phase=math.pi / 2)
-    new = [
-        (run_two_branch(seq, ens, nm.bath, noise_seed=s, pulse_width=48e-9)[0],
-         equatorial_survival(seq, ens, nm.bath, 1.0, pulse_width=48e-9, noise_seed=s))
-        for s in noise_seeds
-    ]
-    ref = [
-        (_reference_finite(seq, ens, nm.bath, 48e-9, 0xB0, s)[0],
-         _reference_finite(seq, ens, nm.bath, 48e-9, 0xE0, s, initial_phase=1.0))
-        for s in ref_seeds
-    ]
+    seqs = (seq, prepared_on(seq, 1.0))
+    new = [[run_two_branch(q, ens, nm.bath, noise_seed=s, pulse_width=48e-9)[0] for q in seqs] for s in noise_seeds]
+    ref = [[_reference_finite(q, ens, nm.bath, 48e-9, s)[0] for q in seqs] for s in ref_seeds]
     return np.array(new), np.array(ref)
 
 
@@ -406,8 +397,9 @@ def test_finite_engine_agrees_with_the_two_normal_reference():
     # noise seeds.  Off resonance, because a turn into the wrong frame mirrors the
     # train, which an ensemble symmetric in detuning cannot tell apart.  Over
     # ensemble seeds 1000-1039 (noise seeds disjoint) the means differed by at most
-    # 3.2 SE and the spread ratio was at most 0.51; the test failed on 40 of 40
-    # with d = 1, with the frame turn's sign flipped (11-23 SE) or without a21 z1.
+    # 3.0 SE and the spread ratio was at most 0.50; the test failed on 40 of 40
+    # with d = 1 (9.2-19 SE), with the frame turn's sign flipped (7.6-16 SE), without
+    # a21 z1 (9.7-20 SE) or with the engine ignoring each pulse's phase.
     new, ref = _reference_comparison(12, range(16), range(100, 116))
     se = np.sqrt((new.var(axis=0, ddof=1) + ref.var(axis=0, ddof=1)) / 16)
     assert np.all(np.abs(new.mean(axis=0) - ref.mean(axis=0)) < 5 * se)
@@ -416,10 +408,7 @@ def test_finite_engine_agrees_with_the_two_normal_reference():
 
 def _finite_outputs(n, threads):
     bath, ens, seq = _pinned_case(n)
-    return (
-        run_two_branch(seq, ens, bath, noise_seed=5, pulse_width=48e-9, threads=threads),
-        equatorial_survival(seq, ens, bath, 0.3, pulse_width=48e-9, noise_seed=5, threads=threads),
-    )
+    return run_two_branch(seq, ens, bath, noise_seed=5, pulse_width=48e-9, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -437,7 +426,7 @@ def test_finite_engine_outputs_pinned_over_three_blocks(threads):
 def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threads):
     # 3 near-equal blocks; 19 rows is no multiple of 3, 8 or 12
     monkeypatch.setattr(ensemble, "ROW_CHUNK", chunk)
-    n, n_rows, seed, key, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 0xB0, 5
+    n, n_rows, seed, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 5
     ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed)
 
     def take(block):
@@ -449,10 +438,10 @@ def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threa
             prev = row
         return block.lo, block.hi, np.array(got)
 
-    blocks = ensemble._map_blocks(take, ens, key, noise_seed, threads, n_rows)
+    blocks = ensemble._map_blocks(take, ens, noise_seed, threads, n_rows)
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]
     for b, (lo, hi, got) in enumerate(blocks):
-        rng = ensemble._rng_for(seed, key, noise_seed, b)
+        rng = ensemble._rng_for(seed, ensemble.NOISE_KEY, noise_seed, b)
         want = [rng.standard_normal(hi - lo) for _ in range(n_rows)]
         assert np.array_equal(got, np.array(want))
 
@@ -479,20 +468,6 @@ def test_prefetch_fill_error_reaches_the_caller(monkeypatch):
         run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9, threads=2)
     assert failed
     assert threading.active_count() == before  # the worker was joined
-
-
-@pytest.mark.parametrize("pulse_width", [None, 48e-9], ids=["ideal", "finite"])
-def test_equatorial_survival_thread_count_invariance(monkeypatch, pulse_width):
-    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
-    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
-    seq = build_xy16(1, 1e-6)
-    workers = _record_pools(monkeypatch)
-    s1 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=1)
-    s4 = equatorial_survival(seq, ens, nm.bath, 0.3, pulse_width=pulse_width, noise_seed=5, threads=4)
-    assert s1 == s4  # bit-identical
-    assert 0.0 < s1 < 1.0
-    # the ideal engine draws nothing, so only the finite one starts a worker at threads = 4
-    assert workers == ([] if pulse_width is None else [1])
 
 
 def test_noise_seed_changes_trajectories():
@@ -601,13 +576,12 @@ def test_finite_pulse_overlap_rejected():
 
 
 def test_finite_engine_rejects_a_trailing_delay():
-    # (pi/2)_x - 1 us - pi_y - 1 us - (pi/2)_-x - 1 us: nothing after the delay to read out
-    seq = PulseSequence(
-        (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(PH_Y, math.pi), Delay(1e-6), Pulse(math.pi, math.pi / 2), Delay(1e-6)),
-        "trailing-delay",
-    )
-    with pytest.raises(ValueError, match="must end with its readout pulse"):
-        run_two_branch(seq, quiet_ensemble(16), QUIET.bath, pulse_width=48e-9)
+    # (pi/2)_x - 1 us - pi_y - 1 us - (pi/2)_-x, with 1 us after it (nothing after the delay
+    # to read out) or before it (a delay no pulse precedes, which would be dropped)
+    echo = (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(PH_Y, math.pi), Delay(1e-6), Pulse(math.pi, math.pi / 2))
+    for elements in (echo + (Delay(1e-6),), (Delay(1e-6),) + echo):
+        with pytest.raises(ValueError, match="must end with its readout pulse"):
+            run_two_branch(PulseSequence(elements, "stray-delay"), quiet_ensemble(16), QUIET.bath, pulse_width=48e-9)
 
 
 def test_finite_pulses_with_amplitude_error_leave_population_behind():
@@ -633,19 +607,13 @@ def test_rabi_inhomogeneity_damps_contrast_at_tenth_flip():
     assert contrast_s <= 0.7 * contrast_h
 
 
-def test_equatorial_survival_ideal_pulses_full_revival():
-    ens = quiet_ensemble(128)
-    seq = build_xy16(1, 1e-6)
-    for a in (0.0, 0.7, math.pi / 2):
-        s = equatorial_survival(seq, ens, QUIET.bath, a)
-        assert s == pytest.approx(1.0, abs=1e-9)
-
-
 def test_cpmg_protects_only_pulse_axis_under_amplitude_error():
     nm = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 1e-5), AmplitudeErrorModel(systematic=0.05))
     ens = sample_ensemble(VOL, None, nm, 256, 8, rabi_angular_freq=OMEGA)
     seq = build_cpmg(32, 1e-6)
-    along_y = equatorial_survival(seq, ens, nm.bath, math.pi / 2, pulse_width=48e-9)
-    along_x = equatorial_survival(seq, ens, nm.bath, 0.0, pulse_width=48e-9)
+    # every spin is the same: y 0.994, x 0.382; both 0.382 with the engine ignoring each pulse's phase
+    along_y, along_x = (
+        np.subtract(*run_two_branch(prepared_on(seq, a), ens, nm.bath, pulse_width=48e-9)) for a in (math.pi / 2, 0.0)
+    )
     assert along_y > 0.95
     assert along_x < along_y - 0.1

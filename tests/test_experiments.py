@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
-from nvsim.ensemble import DetectionVolume, NoiseModel, equatorial_survival, sample_ensemble
+from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
 from nvsim import readout
 from nvsim.config import averaging_counts, parse_config
 from nvsim.experiments import (
@@ -28,7 +28,9 @@ from nvsim.experiments import (
 )
 from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
 from nvsim.readout import ReadoutModel, processed_shot_stream, readout_shot_std
-from nvsim.sequences import build_xy16
+from nvsim.sequences import build_cpmg, build_xy16
+
+from test_ensemble import prepared_on
 
 VOL = DetectionVolume()
 OMEGA = math.pi / 48e-9
@@ -84,6 +86,9 @@ def test_rabi_pi_time_homogeneous_no_noise():
     assert res.fit.converged
     assert res.t_pi_s == pytest.approx(48e-9, abs=0.5e-9)
     assert res.population[0] == pytest.approx(1.0, abs=1e-12)
+    # a readout model adds detector noise, and its points need shots to average
+    with pytest.raises(ValueError, match="shots"):
+        run_rabi(durations, ens, ReadoutModel())
 
 
 def test_rabi_decay_time_decreases_with_spread():
@@ -406,15 +411,15 @@ def test_phase_robustness_xy16_beats_cpmg_smoke():
     tau = 1e-6
     fams = {
         "xy16": build_xy16(2, tau),
-        "cpmg": __import__("nvsim.sequences", fromlist=["build_cpmg"]).build_cpmg(32, tau),
+        "cpmg": build_cpmg(32, tau),
     }
     phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     worst = {
-        name: min(equatorial_survival(seq, ens, bath, float(a), pulse_width=48e-9) for a in phases)
+        name: min(np.subtract(*run_two_branch(prepared_on(seq, a), ens, bath, pulse_width=48e-9)) for a in phases)
         for name, seq in fams.items()
     }
     # no OU noise, no static spread, one amplitude error: every spin is the same, so
-    # the seed does not matter; over ensemble seeds 0-199 the worst-phase XY16 minus
-    # CPMG is 0.690983 on every seed, whether the engine draws the gaps' bridge
-    # noise or averages it (there is none to draw)
+    # the seed does not matter; over ensemble seeds 0-199 the worst-phase XY16 is
+    # 0.993844 and CPMG 0.232726 on every seed.  With the finite engine ignoring
+    # each pulse's phase, both are 0.381504 and the check fails.
     assert worst["xy16"] > worst["cpmg"]

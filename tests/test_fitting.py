@@ -76,14 +76,6 @@ def test_sine_fit_and_slope():
     assert abs(fit.params[0] * fit.params[1]) == pytest.approx(a * k, rel=1e-6)
 
 
-def test_sine_fit_with_offset():
-    b = np.linspace(-4e-8, 4e-8, 33)
-    y = 2e-3 * np.sin(2.4e7 * b) - 5e-3
-    fit = fit_sine(b, y, with_offset=True)
-    assert fit.converged
-    assert fit.params[2] == pytest.approx(-5e-3, rel=1e-6)
-
-
 def test_sine_fit_negative_amplitude():
     b = np.linspace(-4e-8, 4e-8, 33)
     y = -2e-3 * np.sin(2.4e7 * b)
