@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Decay curves for echo and XY16-N under the calibrated bath: Monte Carlo
-ensemble average next to the filter-function prediction, one CSV per
-sequence (columns t_total_s, signal_mc, signal_analytic)."""
+"""Decay curves for echo and XY16-N under the calibrated bath: the ideal-pulse
+engine's signal, which averages each spin's OU phase exactly (exp(-chi) with
+noise.ou_chi_exact, no draw), next to the filter-function quadrature, one CSV
+per sequence (columns t_total_s, signal_mc for the engine, signal_analytic)."""
 
 import argparse
 import math

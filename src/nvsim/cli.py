@@ -36,7 +36,7 @@ from .experiments import (
 from .fields import ResonatorSpec, compute_field_map
 from .fitting import CurveFitResult, FitError
 from .noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath, sigma_from_t2star
-from .readout import ReadoutModel, simulate_shot_stream
+from .readout import WINDOWS, ReadoutModel, shot_stream
 from .sequences import SWEEP_FAMILIES, build_xy16
 
 
@@ -175,7 +175,7 @@ def _run_ac_sense(cfg):
     tables = [curve, fit_table(res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t}), report_table(res.report)]
     if cfg.dump_shots:
         rng = np.random.default_rng(cfg.seed + 5)
-        tables.append(shots_table(simulate_shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng)))
+        tables.append(shots_table(shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng, WINDOWS)))
     return Outputs(tables, res.fit, "AC sine fit")
 
 

@@ -20,6 +20,8 @@ EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "field
 RESONATORS = ("uniform", "cwr", "ring", "wire")
 # the most blocks of the smallest averaging count a resolution run may take (32 MiB of block means)
 MAX_RESOLUTION_BLOCKS = 2**22
+# the most ODMR frequencies (n_freq) or averaging counts (m_points): validate_config builds either array
+MAX_SWEEP_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -180,6 +182,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
     for key in _MIN_ONE:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"key '{key}': must be >= 1, got {getattr(cfg, key)}")
+    for key in ("n_freq", "m_points"):
+        if getattr(cfg, key) > MAX_SWEEP_POINTS:
+            raise ConfigError(f"key '{key}': must be <= 2**20, got {getattr(cfg, key)}")
     if not (0.0 < cfg.contrast < 1.0):
         raise ConfigError(f"key 'contrast': must be in (0, 1), got {cfg.contrast}")
     if 1.0 + cfg.amp_error_systematic <= 0.0:

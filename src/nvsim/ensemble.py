@@ -78,7 +78,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +92,7 @@ from .noise import (
     ou_chi_exact,
     ou_transition,
 )
-from .sequences import PiTrain, PulseSequence, pi_train, readout_angle, render_finite, toggling_segments
+from .sequences import PulseSequence, pi_train, readout_angle, render_finite, toggling_segments
 
 # spins evolved as one array, with one noise substream: few, long numpy calls in bounded memory
 SPIN_BLOCK = 10240
@@ -267,27 +266,6 @@ def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, threads: int, n_r
         ]
 
 
-class _IdealFold(NamedTuple):
-    """The amplitude-free part of the ideal engine for one pi train and bath:
-    Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + phi_OU."""
-
-    pattern: float
-    static: float
-    decay: float  # exp(-chi) = E cos(phi_OU), phi_OU ~ N(0, 2 chi)
-    ac_unit: float  # the AC phase per GAMMA_E B0
-
-
-def _fold_ideal(train: PiTrain, bath: OUBath, f_hz: float, phase_rad: float) -> _IdealFold:
-    """Fold the pi train once, for an AC field of frequency f_hz and phase phase_rad."""
-    bounds, signs = toggling_segments(train.times, train.total_t)
-    signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
-    pattern = 2.0 * np.sum(train.phases * signs[1:])
-    static = float(np.sum(signs * np.diff(bounds)))
-    decay = math.exp(-ou_chi_exact(train.times, train.total_t, bath))
-    ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))
-    return _IdealFold(pattern, static, decay, ac_unit)
-
-
 def run_two_branch(
     seq: PulseSequence,
     ensemble: EnsembleSample,
@@ -329,14 +307,20 @@ def two_branch_ac_sweep(
     phase is averaged exactly, so the sweep draws nothing and takes no
     seed."""
     train = pi_train(seq)
-    fold = _fold_ideal(train, bath, f_hz, phase_rad)
+    # Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + phi_OU
+    bounds, signs = toggling_segments(train.times, train.total_t)
+    signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
+    pattern = 2.0 * np.sum(train.phases * signs[1:])
+    static = float(np.sum(signs * np.diff(bounds)))
+    decay = math.exp(-ou_chi_exact(train.times, train.total_t, bath))  # E cos(phi_OU), phi_OU ~ N(0, 2 chi)
+    ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))  # per GAMMA_E B0
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
     out = []
     for b0 in amplitudes:
-        base = fold.pattern + GAMMA_E * float(b0) * fold.ac_unit - shift
+        base = pattern + GAMMA_E * float(b0) * ac_unit - shift
         # the mean of cos(Xi - shift), exact in each spin's OU phase: E cos(a + phi_OU) = exp(-chi) cos(a)
-        m = fold.decay * float(np.mean(np.cos(base + fold.static * ensemble.delta_static)))
+        m = decay * float(np.mean(np.cos(base + static * ensemble.delta_static)))
         # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
         out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
     return out

@@ -31,14 +31,7 @@ from .fitting import (
     fit_stretched_exp,
 )
 from .noise import OUBath
-from .readout import (
-    PROCESSING_ROWS,
-    ReadoutModel,
-    process_two_branch,
-    processed_shot_stream,
-    readout_shot_std,
-    shot_law,
-)
+from .readout import SINGLE_BRANCH, TWO_BRANCH, ReadoutModel, readout_shot_std, shot_law, shot_stream
 from .sequences import SWEEP_FAMILIES, PulseSequence
 
 DEFAULT_AC_PHASE = math.pi / 2.0
@@ -59,7 +52,6 @@ def make_coherence_builder(family: str, n_repeats: int = 1):
 class OdmrResult:
     freqs_hz: np.ndarray
     signal: np.ndarray
-    dip_freqs_hz: np.ndarray
     fit: CurveFitResult
     fitted_dip_hz: float
 
@@ -103,7 +95,7 @@ def run_odmr(
     i0 = int(np.argmin(signal))
     mask = np.abs(f - f[i0]) <= 4.0 * linewidth_hz
     fit = fit_lorentzian(f[mask], signal[mask])
-    return OdmrResult(f, signal, dips, fit, float(fit.params[0]))
+    return OdmrResult(f, signal, fit, float(fit.params[0]))
 
 
 # ---------------------------------------------------------------- Rabi
@@ -138,7 +130,7 @@ def run_rabi(
         rng = np.random.default_rng(seed)
         meas = np.empty_like(pop)
         for i, p in enumerate(pop):
-            vals = processed_shot_stream(p, p, readout, shots, rng, "single_branch")
+            vals = shot_stream(p, p, readout, shots, rng, [SINGLE_BRANCH])[0]
             meas[i] = 1.0 + float(np.mean(vals)) / (readout.v0_v * readout.contrast)
         pop = meas
     fit = fit_damped_sine(durations, pop)
@@ -259,9 +251,9 @@ def run_ac_magnetometry(
     if either is not positive (delta_s is 0 without shot noise and laser noise),
     or if the slope is within 5 of its std errors (from fit.cov) of 0: the
     sweep shows no signal.  A fit without a covariance is not converged.
-    The shots are processed by the two-branch difference, which rejects
-    the common-mode laser noise; readout.processed_shot_stream's
-    "single_branch" output is the arm without the branch pair.
+    The shots are drawn as readout.TWO_BRANCH, the two-branch difference,
+    which rejects the common-mode laser noise; readout.SINGLE_BRANCH is
+    the arm without the branch pair.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if shots < 2:
@@ -272,7 +264,7 @@ def run_ac_magnetometry(
     branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
-        vals = processed_shot_stream(p_plus, p_minus, readout, shots, rng)
+        vals = shot_stream(p_plus, p_minus, readout, shots, rng, [TWO_BRANCH])[0]
         mean_v[i] = float(np.mean(vals))
         std_v[i] = float(np.std(vals, ddof=1))
         norm[i] = p_plus - p_minus
@@ -390,7 +382,7 @@ def run_resolution(
     n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
     m_max = int(n_avg[-1])
     k = m_max * blocks_per_point // n_avg
-    _mean, factor = shot_law(0.5, 0.5, readout, [PROCESSING_ROWS["two_branch"]])
+    _mean, factor = shot_law(0.5, 0.5, readout, [TWO_BRANCH])
     sigma = abs(float(factor[0, 0]))
     if not sigma > 0:
         raise FitError(f"the zero-signal shot std sigma = {sigma!r}: every block-mean std is 0, no log-log slope")
@@ -437,8 +429,9 @@ def report_table(report: SensitivityReport):
     return "report.csv", header, [[v] for v in values]
 
 
-def shots_table(stream: dict[str, np.ndarray]):
-    """shots.csv: the four windows of each shot and their two-branch output S."""
-    s = process_two_branch(stream)
-    columns = [range(len(s)), stream["s1"], stream["r1"], stream["s2"], stream["r2"], s]
+def shots_table(windows: np.ndarray):
+    """shots.csv: the (4, n) windows s1, r1, s2, r2 of readout.shot_stream(..., WINDOWS),
+    one row per shot, and their two-branch output S = (s1 - r1) - (s2 - r2)."""
+    s1, r1, s2, r2 = windows
+    columns = [range(len(s1)), s1, r1, s2, r2, (s1 - r1) - (s2 - r2)]
     return "shots.csv", ["shot_index", "s1_V", "r1_V", "s2_V", "r2_V", "S_V"], columns

@@ -1,4 +1,4 @@
-"""Photodetector window model and two-branch common-mode-rejected processing.
+"""Photodetector window model and its one draw, shot_stream.
 
 Each shot runs the sequence twice (readout branches +1 and -1), each
 followed by a laser readout pulse with a signal window S (spin-state
@@ -23,11 +23,12 @@ the walk, the seven normals of a shot (z0, z1, z2 and the four z_w) are
 i.i.d. across shots, so k fixed combinations of the windows (rows of
 weights over s1, r1, s2, r2) are, per shot, exactly mean + R^T w with
 w ~ N(0, I_k), R being the triangular QR factor of A^T for the k x 7
-coefficient matrix A: A A^T = R^T R, also when A is rank-deficient.  A
-stream therefore draws k normals per shot, not 7.  The draw order is
-fixed: first the n_shots drift steps (only when laser_drift_step_rel is
-set), in one call, then the k normals of each shot, shot after shot, in
-one more call.
+coefficient matrix A: A A^T = R^T R, also when A is rank-deficient.
+shot_stream therefore draws k normals per shot, not 7, for the rows its
+caller names: [TWO_BRANCH], [SINGLE_BRANCH] or the four WINDOWS.  The
+draw order is fixed: first the n_shots drift steps (only when
+laser_drift_step_rel is set), in one call, then the k normals of each
+shot, shot after shot, in one more call.
 
 At zero signal (p0 = 0.5 in both branches) the two-branch output's mean
 is exactly 0.0, so the drift walk adds nothing and the processed shots
@@ -72,13 +73,10 @@ class ReadoutModel:
         return self.shot_noise_v * math.sqrt(self.s_window_s / self.r_window_s)
 
 
-WINDOWS = ("s1", "r1", "s2", "r2")
-
-# weights over WINDOWS of each processed output
-PROCESSING_ROWS = {
-    "two_branch": (1.0, -1.0, -1.0, 1.0),
-    "single_branch": (1.0, -1.0, 0.0, 0.0),
-}
+# rows of weights over the windows (s1, r1, s2, r2), one per output of shot_stream
+TWO_BRANCH = (1.0, -1.0, -1.0, 1.0)  # (S1 - R1) - (S2 - R2)
+SINGLE_BRANCH = (1.0, -1.0, 0.0, 0.0)  # S1 - R1, the A/B arm without the branch pair
+WINDOWS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def shot_law(p0_plus, p0_minus, model: ReadoutModel, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +101,12 @@ def shot_law(p0_plus, p0_minus, model: ReadoutModel, rows) -> tuple[np.ndarray, 
     return mean, np.linalg.qr(coeff.T, mode="r").T
 
 
-def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
-    """(k, n_shots) array of rows @ (s1, r1, s2, r2) for n_shots shots: the drift steps, then the normals."""
+def shot_stream(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.Generator, rows) -> np.ndarray:
+    """(k, n_shots) array of the k rows @ (s1, r1, s2, r2) for n_shots identical-population shots.
+
+    rows is [TWO_BRANCH], [SINGLE_BRANCH], WINDOWS or any other k rows of
+    weights.  Draws the drift steps, then k normals per shot.
+    """
     mean, factor = shot_law(p0_plus, p0_minus, model, rows)
     out = np.empty((len(mean), n_shots))
     out[:] = mean[:, None]
@@ -118,51 +120,6 @@ def _fold(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.random.G
     for j in range(len(mean)):
         out += factor[:, j, None] * w[:, j]
     return out
-
-
-def simulate_shot_stream(
-    p0_plus: float,
-    p0_minus: float,
-    model: ReadoutModel,
-    n_shots: int,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Vectorized window records for n_shots identical-population shots.
-
-    Returns arrays s1, r1, s2, r2, drawn from their exact joint law with
-    four normals per shot, plus the optional random walk with per-shot
-    step laser_drift_step_rel.
-    """
-    return dict(zip(WINDOWS, _fold(p0_plus, p0_minus, model, n_shots, rng, np.eye(4))))
-
-
-def processed_shot_stream(
-    p0_plus: float,
-    p0_minus: float,
-    model: ReadoutModel,
-    n_shots: int,
-    rng: np.random.Generator,
-    processing: str = "two_branch",
-) -> np.ndarray:
-    """Per-shot processed output, "two_branch" or "single_branch".
-
-    Has the law of simulate_shot_stream's windows combined by
-    process_two_branch or process_single_branch, but draws one normal
-    per shot instead of four, into one n_shots array.
-    """
-    if processing not in PROCESSING_ROWS:
-        raise ValueError(f"unknown processing mode {processing!r}")
-    return _fold(p0_plus, p0_minus, model, n_shots, rng, [PROCESSING_ROWS[processing]])[0]
-
-
-def process_two_branch(w) -> np.ndarray:
-    """Two-branch difference of reference-subtracted windows."""
-    return (w["s1"] - w["r1"]) - (w["s2"] - w["r2"])
-
-
-def process_single_branch(w) -> np.ndarray:
-    """Reference-subtracted single branch (A/B comparison: no branch pair)."""
-    return w["s1"] - w["r1"]
 
 
 def expected_two_branch_mean(p0_plus: float, p0_minus: float, model: ReadoutModel) -> float:

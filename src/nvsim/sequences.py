@@ -30,8 +30,6 @@ import numpy as np
 
 PH_X = 0.0
 PH_Y = math.pi / 2.0
-PH_XBAR = math.pi
-PH_YBAR = 3.0 * math.pi / 2.0
 
 # XY-16 pattern: the eight-pulse XY block followed by its phase-inverted copy.
 XY8_PHASES = (PH_X, PH_Y, PH_X, PH_Y, PH_Y, PH_X, PH_Y, PH_X)

@@ -41,7 +41,7 @@ from nvsim.noise import (
     ou_chi_exact,
     sigma_from_t2star,
 )
-from nvsim.readout import ReadoutModel, processed_shot_stream
+from nvsim.readout import SINGLE_BRANCH, ReadoutModel, shot_stream
 from nvsim.sequences import build_cpmg, build_xy16
 
 from test_ensemble import prepared_on
@@ -208,7 +208,7 @@ def test_acceptance_8_common_mode_ab():
 
     def delta_s_single(lam):
         rng = np.random.default_rng(82)
-        return float(np.std(processed_shot_stream(p_plus, p_minus, readout(lam), shots, rng, "single_branch"), ddof=1))
+        return float(np.std(shot_stream(p_plus, p_minus, readout(lam), shots, rng, [SINGLE_BRANCH])[0], ddof=1))
 
     deg_full = eta(0.01) / eta(0.0) - 1.0
     deg_single = delta_s_single(0.01) / delta_s_single(0.0) - 1.0

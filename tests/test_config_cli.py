@@ -580,10 +580,10 @@ def test_run_ac_sense_pipeline_with_shot_dump(tmp_path):
     shots = (tmp_path / "ac" / "shots.csv").read_text().splitlines()
     assert shots[0] == "shot_index,s1_V,r1_V,s2_V,r2_V,S_V"
     assert len(shots) == 1 + 500
-    # S column is consistent with the window columns
-    row = shots[1].split(",")
-    s_val = float(row[1]) - float(row[2]) - float(row[3]) + float(row[4])
-    assert s_val == pytest.approx(float(row[5]), abs=1e-18)
+    # on every row, S is the window formula bit for bit: each cell is a repr, which round-trips
+    for line in shots[1:]:
+        s1, r1, s2, r2, s = map(float, line.split(",")[1:])
+        assert (s1 - r1) - (s2 - r2) == s, line
 
 
 def test_reference_device_slope_matches_its_closed_form(tmp_path):
@@ -726,18 +726,25 @@ def test_count_beyond_float64_integers_names_its_key(tmp_path, command, m_max):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     # 2**53 * 20 // 100 smallest-M block means are 14 PB: validate printed ok, and run sampled
-    # the ensemble, swept the AC field and then asked numpy for them
-    path = write_cfg(tmp_path, f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n")
-    tracemalloc.start()
-    try:
-        got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (got, caught) == (2, [])
-    assert "key 'm_max'" in err and "2**22" in err
-    assert peak < 2**20  # no ensemble, no sweep, no block means
-    assert not (tmp_path / "out").exists()
+    # the ensemble, swept the AC field and then asked numpy for them.  10**9 frequencies or
+    # averaging counts are 7.45 GiB, which validate itself asked numpy for
+    cases = [
+        (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max", "2**22"),
+        ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", "2**20"),
+        ("experiment = resolution\nm_points = 1000000000\n", "m_points", "2**20"),
+    ]
+    for text, key, cap in cases:
+        path = write_cfg(tmp_path, text)
+        tracemalloc.start()
+        try:
+            got, err, caught = _cli(command, path, *(["--out", str(tmp_path / "out")] if command == "run" else []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got, caught) == (2, []), key
+        assert f"key '{key}'" in err and cap in err, err
+        assert peak < 2**20, key  # no ensemble, no sweep, no block means, no frequencies
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

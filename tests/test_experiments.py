@@ -27,7 +27,7 @@ from nvsim.experiments import (
     synchronized_phase,
 )
 from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
-from nvsim.readout import ReadoutModel, processed_shot_stream, readout_shot_std
+from nvsim.readout import ReadoutModel, readout_shot_std
 from nvsim.sequences import build_cpmg, build_xy16
 
 from test_ensemble import prepared_on
@@ -233,7 +233,7 @@ def _whole_stream_block_means(sigma, sizes, blocks, rng):
 
 def _zero_signal_sigma(m):
     """sigma of the i.i.d. zero-signal two-branch shots; the drift walk has no term there."""
-    mean, factor = readout.shot_law(0.5, 0.5, m, [readout.PROCESSING_ROWS["two_branch"]])
+    mean, factor = readout.shot_law(0.5, 0.5, m, [readout.TWO_BRANCH])
     assert mean[0] == 0.0
     return abs(float(factor[0, 0]))
 

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim import readout
-from nvsim.readout import (
-    ReadoutModel,
-    expected_two_branch_mean,
-    process_two_branch,
-    process_single_branch,
-    processed_shot_stream,
-    simulate_shot_stream,
-)
+from nvsim.readout import SINGLE_BRANCH, TWO_BRANCH, WINDOWS, ReadoutModel, expected_two_branch_mean, shot_stream
 
 volts = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -24,58 +17,58 @@ QUIET = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=0.0)
 
 
 def windows(s1, r1, s2, r2):
-    return {"s1": s1, "r1": r1, "s2": s2, "r2": r2}
+    return np.array([s1, r1, s2, r2])
 
 
 def test_two_branch_trivial_values():
-    assert process_two_branch(windows(5.0, 5.0, 3.0, 3.0)) == 0.0
+    assert TWO_BRANCH @ windows(5.0, 5.0, 3.0, 3.0) == 0.0
 
 
 @given(volts, volts, volts, volts, volts)
 def test_two_branch_affine_invariance(s1, r1, s2, r2, c):
-    base = process_two_branch(windows(s1, r1, s2, r2))
-    shifted = process_two_branch(windows(s1 + c, r1 + c, s2 + c, r2 + c))
+    base = TWO_BRANCH @ windows(s1, r1, s2, r2)
+    shifted = TWO_BRANCH @ windows(s1 + c, r1 + c, s2 + c, r2 + c)
     scale = max(abs(s1), abs(r1), abs(s2), abs(r2), abs(c), 1.0)
     assert abs(shifted - base) < 1e-12 * scale
 
 
 @given(volts, volts, volts, volts, volts)
 def test_within_branch_drift_cancels(s1, r1, s2, r2, d):
-    base = process_two_branch(windows(s1, r1, s2, r2))
-    drifted = process_two_branch(windows(s1 + d, r1 + d, s2, r2))
+    base = TWO_BRANCH @ windows(s1, r1, s2, r2)
+    drifted = TWO_BRANCH @ windows(s1 + d, r1 + d, s2, r2)
     scale = max(abs(s1), abs(r1), abs(s2), abs(r2), abs(d), 1.0)
     assert abs(drifted - base) < 1e-12 * scale
 
 
 def test_window_means_and_contrast():
     rng = np.random.default_rng(0)
-    w = simulate_shot_stream(1.0, 0.0, QUIET, 1, rng)
-    assert w["s1"][0] == pytest.approx(QUIET.v0_v)          # bright branch: no dip
-    assert w["r1"][0] == pytest.approx(QUIET.v0_v)
-    assert w["s2"][0] == pytest.approx(QUIET.v0_v * (1 - QUIET.contrast))
-    assert process_two_branch(w)[0] == pytest.approx(expected_two_branch_mean(1.0, 0.0, QUIET))
+    w = shot_stream(1.0, 0.0, QUIET, 1, rng, WINDOWS)
+    assert w[0][0] == pytest.approx(QUIET.v0_v)          # bright branch: no dip
+    assert w[1][0] == pytest.approx(QUIET.v0_v)
+    assert w[2][0] == pytest.approx(QUIET.v0_v * (1 - QUIET.contrast))
+    assert (TWO_BRANCH @ w)[0] == pytest.approx(expected_two_branch_mean(1.0, 0.0, QUIET))
 
 
 def test_contrast_zero_limit_is_all_reference():
     # C -> 0: S windows equal R windows up to shot noise
     m = ReadoutModel(v0_v=0.5, contrast=1e-12, shot_noise_v=0.0)
     rng = np.random.default_rng(1)
-    w = simulate_shot_stream(0.3, 0.9, m, 1, rng)
-    assert process_two_branch(w)[0] == pytest.approx(0.0, abs=1e-11)
+    w = shot_stream(0.3, 0.9, m, 1, rng, WINDOWS)
+    assert (TWO_BRANCH @ w)[0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_equal_populations_give_zero():
     rng = np.random.default_rng(2)
-    w = simulate_shot_stream(0.5, 0.5, QUIET, 1, rng)
-    assert process_two_branch(w)[0] == pytest.approx(0.0, abs=1e-15)
+    w = shot_stream(0.5, 0.5, QUIET, 1, rng, WINDOWS)
+    assert (TWO_BRANCH @ w)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_population_bounds_validated():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
-        simulate_shot_stream(1.2, 0.5, QUIET, 1, rng)
+        shot_stream(1.2, 0.5, QUIET, 1, rng, WINDOWS)
     with pytest.raises(ValueError):
-        simulate_shot_stream(0.5, -0.1, QUIET, 1, rng)
+        shot_stream(0.5, -0.1, QUIET, 1, rng, WINDOWS)
 
 
 def test_one_percent_laser_shift_is_second_order():
@@ -88,7 +81,7 @@ def test_one_percent_laser_shift_is_second_order():
     r1 = m.v0_v * (1 + lam)
     s2 = m.v0_v * (1 + lam) * (1 - m.contrast * (1 - p_minus))
     r2 = m.v0_v * (1 + lam)
-    shifted = process_two_branch(windows(s1, r1, s2, r2))
+    shifted = TWO_BRANCH @ windows(s1, r1, s2, r2)
     assert abs(shifted - base) / m.v0_v < 1e-4
 
 
@@ -101,9 +94,9 @@ def test_common_mode_rejection_quantified_ab():
     )
     rng = np.random.default_rng(4)
     p_plus, p_minus = 0.55, 0.45
-    stream = simulate_shot_stream(p_plus, p_minus, m, 40000, rng)
-    leak_full = np.std(process_two_branch(stream) - expected_two_branch_mean(p_plus, p_minus, m))
-    no_ref = stream["s1"] - stream["s2"]  # branch subtraction only, reference windows unused
+    stream = shot_stream(p_plus, p_minus, m, 40000, rng, WINDOWS)
+    leak_full = np.std(TWO_BRANCH @ stream - expected_two_branch_mean(p_plus, p_minus, m))
+    no_ref = stream[0] - stream[2]  # branch subtraction only, reference windows unused
     leak_noref = np.std(no_ref - np.mean(no_ref))
     assert leak_full / m.v0_v < 2e-4
     assert leak_noref > 50 * leak_full
@@ -115,31 +108,31 @@ def test_branch_subtraction_rejects_mw_drift():
     m = QUIET
     p_plus, p_minus, drift = 0.6, 0.4, 0.01
     rng = np.random.default_rng(5)
-    w = simulate_shot_stream(p_plus + drift, p_minus + drift, m, 1, rng)
-    w0 = simulate_shot_stream(p_plus, p_minus, m, 1, rng)
-    assert process_two_branch(w)[0] == pytest.approx(process_two_branch(w0)[0], abs=1e-15)
-    leak_single = abs(process_single_branch(w)[0] - process_single_branch(w0)[0])
+    w = shot_stream(p_plus + drift, p_minus + drift, m, 1, rng, WINDOWS)
+    w0 = shot_stream(p_plus, p_minus, m, 1, rng, WINDOWS)
+    assert (TWO_BRANCH @ w)[0] == pytest.approx((TWO_BRANCH @ w0)[0], abs=1e-15)
+    leak_single = abs((SINGLE_BRANCH @ w)[0] - (SINGLE_BRANCH @ w0)[0])
     assert leak_single == pytest.approx(m.v0_v * m.contrast * drift, rel=1e-9)
-    assert leak_single > 50 * abs(process_two_branch(w)[0] - process_two_branch(w0)[0])
+    assert leak_single > 50 * abs((TWO_BRANCH @ w)[0] - (TWO_BRANCH @ w0)[0])
 
 
 def test_slow_shot_common_laser_cancels_at_balance():
     # per-shot common lam couples only through Delta p: zero at balance
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=0.0, laser_fluct_rel=0.01)
     rng = np.random.default_rng(6)
-    stream = simulate_shot_stream(0.5, 0.5, m, 20000, rng)
-    assert np.std(process_two_branch(stream)) < 1e-12
+    stream = shot_stream(0.5, 0.5, m, 20000, rng, WINDOWS)
+    assert np.std(TWO_BRANCH @ stream) < 1e-12
     # but a single branch sees the full offset wobble
-    assert np.std(process_single_branch(stream)) > 1e-5
+    assert np.std(SINGLE_BRANCH @ stream) > 1e-5
 
 
 def test_shot_noise_widths_scaling():
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=1e-4)
     assert m.r_noise_v == pytest.approx(1e-4 * math.sqrt(10.0 / 50.0))
     rng = np.random.default_rng(7)
-    stream = simulate_shot_stream(0.5, 0.5, m, 200000, rng)
+    stream = shot_stream(0.5, 0.5, m, 200000, rng, WINDOWS)
     expected = math.sqrt(2 * m.shot_noise_v**2 + 2 * m.r_noise_v**2)
-    assert np.std(process_two_branch(stream)) == pytest.approx(expected, rel=0.01)
+    assert np.std(TWO_BRANCH @ stream) == pytest.approx(expected, rel=0.01)
 
 
 def test_default_shot_noise_produces_reference_scale_std():
@@ -152,8 +145,8 @@ def test_averaging_scales_as_inverse_sqrt_shots():
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
     rng = np.random.default_rng(8)
     total = 2_000_000
-    stream = simulate_shot_stream(0.5, 0.5, m, total, rng)
-    s = np.asarray(process_two_branch(stream))
+    stream = shot_stream(0.5, 0.5, m, total, rng, WINDOWS)
+    s = TWO_BRANCH @ stream
     ms, stds = [], []
     for mshots in (100, 1000, 10000, 100000):
         k = total // mshots
@@ -186,12 +179,12 @@ def test_readout_model_validation():
 def test_laser_drift_random_walk_wanders_raw_windows_not_output():
     m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_drift_step_rel=1e-3)
     rng = np.random.default_rng(9)
-    stream = simulate_shot_stream(0.5, 0.5, m, 50000, rng)
+    stream = shot_stream(0.5, 0.5, m, 50000, rng, WINDOWS)
     # raw reference level wanders far beyond shot noise ...
-    assert abs(np.mean(stream["r1"][-1000:]) - np.mean(stream["r1"][:1000])) > 20 * m.shot_noise_v
+    assert abs(np.mean(stream[1][-1000:]) - np.mean(stream[1][:1000])) > 20 * m.shot_noise_v
     # ... while the processed output stays at the shot-noise floor
     expected = math.sqrt(2 * m.shot_noise_v**2 + 2 * m.r_noise_v**2)
-    assert np.std(process_two_branch(stream)) == pytest.approx(expected, rel=0.05)
+    assert np.std(TWO_BRANCH @ stream) == pytest.approx(expected, rel=0.05)
 
 # ---------------------------------------------------------------- the fold against the window formulas
 
@@ -213,9 +206,9 @@ def window_law(p0_plus, p0_minus, model):
 
 
 ROW_SETS = {
-    "windows": np.eye(4),
-    "two_branch": np.array([readout.PROCESSING_ROWS["two_branch"]]),
-    "single_branch": np.array([readout.PROCESSING_ROWS["single_branch"]]),
+    "windows": np.array(WINDOWS),
+    "two_branch": np.array([TWO_BRANCH]),
+    "single_branch": np.array([SINGLE_BRANCH]),
 }
 
 
@@ -263,12 +256,8 @@ def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
         assert np.all(err <= 1e-12 * np.outer(scale, scale)), name
         # and the stream is that law, drawn in the documented layout
         expect = documented_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), rows)
-        if name == "windows":
-            w = simulate_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed))
-            got, tol = np.array([w[k] for k in readout.WINDOWS]), 1e-13
-        else:
-            got = processed_shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), name)[None, :]
-            tol = 4e-15
+        got = shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), rows)
+        tol = 1e-13 if name == "windows" else 4e-15
         assert got.shape == expect.shape == (len(rows), n_shots)
         assert np.max(np.abs(got - expect)) <= tol * m.v0_v, name
 
@@ -279,17 +268,15 @@ def test_stream_moments_match_the_window_law():
     n = 200_000
     p_plus, p_minus = 0.8, 0.3
     mean, cov = window_law(p_plus, p_minus, m)
-    w = simulate_shot_stream(p_plus, p_minus, m, n, np.random.default_rng(13))
-    x = np.array([w[k] for k in readout.WINDOWS])
+    x = shot_stream(p_plus, p_minus, m, n, np.random.default_rng(13), WINDOWS)
     var = np.diag(cov)
     assert np.all(np.abs(x.mean(axis=1) - mean) <= 5.0 * np.sqrt(var / n))
     # a Gaussian sample covariance entry has variance (S_aa S_bb + S_ab^2) / n
     cov_se = np.sqrt((np.outer(var, var) + cov**2) / n)
     assert np.all(np.abs(np.cov(x) - cov) <= 5.0 * cov_se)
-    for seed, processing in enumerate(("two_branch", "single_branch")):
-        row = np.array(readout.PROCESSING_ROWS[processing])
+    for seed, row in enumerate((TWO_BRANCH, SINGLE_BRANCH)):
         sigma = math.sqrt(row @ cov @ row)
-        vals = processed_shot_stream(p_plus, p_minus, m, n, np.random.default_rng(seed), processing)
+        vals = shot_stream(p_plus, p_minus, m, n, np.random.default_rng(seed), [row])[0]
         assert abs(np.std(vals, ddof=1) - sigma) <= 5.0 * sigma / math.sqrt(2.0 * n)
 
 
@@ -297,38 +284,30 @@ def test_fold_advances_generator_by_k_plus_drift_normals_per_shot():
     n = 2**16 + 1000
     for drift in (0.0, 1e-4):
         m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=drift)
-        for k, stream in ((4, simulate_shot_stream), (1, processed_shot_stream)):
+        for rows in (WINDOWS, [TWO_BRANCH]):
             rng_ref, rng = np.random.default_rng(11), np.random.default_rng(11)
-            rng_ref.standard_normal((k + (drift > 0)) * n)
-            stream(0.4, 0.6, m, n, rng)
-            assert rng.standard_normal() == rng_ref.standard_normal(), (k, drift)
+            rng_ref.standard_normal((len(rows) + (drift > 0)) * n)
+            shot_stream(0.4, 0.6, m, n, rng, rows)
+            assert rng.standard_normal() == rng_ref.standard_normal(), (len(rows), drift)
 
 
 def test_zero_noise_law_is_rank_deficient_and_exact():
     # no laser, no shot noise: the factor is zero and every shot is the mean
-    mean, factor = readout.shot_law(0.2, 0.9, QUIET, np.eye(4))
+    mean, factor = readout.shot_law(0.2, 0.9, QUIET, WINDOWS)
     assert not factor.any()
-    w = simulate_shot_stream(0.2, 0.9, QUIET, 5, np.random.default_rng(14))
-    assert all(np.array_equal(w[k], np.full(5, mu)) for k, mu in zip(readout.WINDOWS, mean))
+    w = shot_stream(0.2, 0.9, QUIET, 5, np.random.default_rng(14), WINDOWS)
+    assert all(np.array_equal(row, np.full(5, mu)) for row, mu in zip(w, mean))
 
 
-def test_unknown_processing_mode_rejected():
-    with pytest.raises(ValueError, match="processing"):
-        processed_shot_stream(0.5, 0.5, QUIET, 10, np.random.default_rng(0), "three_branch")
-
-
-STREAMS = {
-    "two_branch": lambda m, n, rng: processed_shot_stream(0.3, 0.6, m, n, rng, "two_branch"),
-    "single_branch": lambda m, n, rng: processed_shot_stream(0.3, 0.6, m, n, rng, "single_branch"),
-    "windows": lambda m, n, rng: np.array(list(simulate_shot_stream(0.3, 0.6, m, n, rng).values())),
+# the rows each stream folds the four windows with
+STREAM_ROWS = {
+    "two_branch": [TWO_BRANCH],
+    "single_branch": [SINGLE_BRANCH],
+    "windows": WINDOWS,
 }
 
-
-# the rows each of STREAMS folds the four windows with
-STREAM_ROWS = {
-    "two_branch": [readout.PROCESSING_ROWS["two_branch"]],
-    "single_branch": [readout.PROCESSING_ROWS["single_branch"]],
-    "windows": np.eye(4),
+STREAMS = {
+    name: lambda m, n, rng, rows=rows: shot_stream(0.3, 0.6, m, n, rng, rows) for name, rows in STREAM_ROWS.items()
 }
 
 
@@ -350,7 +329,7 @@ def _stream_in_pieces(stream, m, n, rng, piece):
         block = out[:, lo : lo + len(w)]
         for j in range(len(mean)):
             block += factor[:, j, None] * w[:, j]
-    return out if stream == "windows" else out[0]
+    return out
 
 
 @pytest.mark.parametrize("stream", list(STREAMS))
