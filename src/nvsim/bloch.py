@@ -9,69 +9,19 @@ Conventions, locked by golden tests in tests/test_bloch.py:
   pi/2 pulse about x takes +z to -y, and free evolution takes +x
   towards +y for positive detuning.
 
-All operations are pure functions on immutable value types, except
-rotate_drive, the exact constant-drive kernel that the ensemble engine
-applies in place to (3, n) arrays of Bloch vectors.
+rotate_drive is the exact constant-drive kernel that the ensemble engine
+applies in place to (3, n) arrays of Bloch vectors, and rabi_population
+the closed-form Rabi curve.  The single-spin references the tests hold
+them to (RK4, free precession, ideal rotations) are in nvsim.oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-9
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch vector of one effective two-level spin; |v| <= 1."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"Bloch vector norm^2 = {n2} exceeds 1 + {NORM_TOL}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @staticmethod
-    def from_array(v) -> "BlochState":
-        return BlochState(float(v[0]), float(v[1]), float(v[2]))
-
-    def norm(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
-
-
-BRIGHT = BlochState(0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class DriveParams:
-    """Constant rotating-frame drive.
-
-    rabi_angular_freq : Omega, rad/s
-    phase             : rotation-axis azimuth in the equatorial plane, rad
-    detuning          : Delta, rad/s
-    duration          : pulse length, s
-    """
-
-    rabi_angular_freq: float
-    phase: float
-    detuning: float
-    duration: float
-
-    def __post_init__(self):
-        if self.rabi_angular_freq < 0:
-            raise ValueError("rabi_angular_freq must be >= 0")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
 
 
 def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> None:
@@ -148,62 +98,6 @@ def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> N
         mx, dy = ax, ay
     vx -= mx
     vy += dy
-
-
-def rotate_ideal(state: BlochState, phase: float, angle: float) -> BlochState:
-    """Instantaneous rotation by `angle` about the equatorial axis at `phase`.
-
-    Closed form: rotate_drive with omega = angle over unit time.
-    """
-    v = state.as_array()[:, None]
-    rotate_drive(v, angle, 0.0, phase, 1.0)
-    return BlochState.from_array(v[:, 0])
-
-
-def evolve_free(state: BlochState, tau: float, detuning: float) -> BlochState:
-    """Free precession about z by detuning * tau; z is unchanged."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    a = detuning * tau
-    c, s = math.cos(a), math.sin(a)
-    return BlochState(c * state.x - s * state.y, s * state.x + c * state.y, state.z)
-
-
-def evolve_driven(state: BlochState, drive: DriveParams, dt: float | None = None) -> BlochState:
-    """Fixed-step RK4 integration of dv/dt = n x v over the pulse.
-
-    dt must satisfy dt <= duration/50; the default uses duration/100.
-    The number of steps is rounded up so the pulse length is exact.
-    """
-    T = drive.duration
-    if T == 0.0:
-        return state
-    if dt is None:
-        dt = T / 100.0
-    if dt > T / 50.0 + 1e-18 * T:
-        raise ValueError(f"dt = {dt} too coarse: must be <= duration/50 = {T / 50.0}")
-    n_steps = max(1, math.ceil(T / dt - 1e-12))
-    h = T / n_steps
-    n = np.array(
-        [
-            drive.rabi_angular_freq * math.cos(drive.phase),
-            drive.rabi_angular_freq * math.sin(drive.phase),
-            drive.detuning,
-        ]
-    )
-    v = state.as_array()
-    for _ in range(n_steps):
-        k1 = np.cross(n, v)
-        k2 = np.cross(n, v + 0.5 * h * k1)
-        k3 = np.cross(n, v + 0.5 * h * k2)
-        k4 = np.cross(n, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return BlochState.from_array(v)
-
-
-def population_ms0(state: BlochState) -> float:
-    """ms=0 (bright) population, (1+z)/2 clipped to [0, 1]."""
-    return min(max((1.0 + state.z) / 2.0, 0.0), 1.0)
 
 
 def rabi_population(omega, delta, t):

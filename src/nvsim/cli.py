@@ -71,7 +71,6 @@ def build_ensemble(cfg: RunConfig):
         beam_diameter_m=cfg.beam_diameter_m,
         depth_m=cfg.depth_m,
         standoff_m=cfg.standoff_m,
-        quoted_volume_m3=cfg.volume_mm3 * 1e-9,
     )
     noise_model = NoiseModel(
         QuasiStaticSpread(sigma_from_t2star(cfg.t2_star_s)),

@@ -23,7 +23,7 @@ Two evolution paths share the noise model:
   ~7e12 NVs, so the OU scatter of a mean over the sampled spins would be
   an artifact).  The static detunings stay sampled, as the finite engine
   and the Rabi curve use them.  The oracles independent of this identity
-  are noise.sample_ou_segment_integrals and filters' chi, each against
+  are oracles.sample_ou_segment_integrals and filters' chi, each against
   ou_chi_exact.  Only phi_ac depends on the AC amplitude: it is gamma B0
   times a per-unit-amplitude integral, so an AC sweep (two_branch_ac_sweep,
   the one way an AC field enters the engine) folds its train once.
@@ -127,7 +127,6 @@ class DetectionVolume:
     beam_diameter_m: float = 30.0e-6
     depth_m: float = 0.3e-3
     standoff_m: float = 2.0e-4
-    quoted_volume_m3: float | None = None
 
     def __post_init__(self):
         if self.beam_diameter_m <= 0 or self.depth_m <= 0:
@@ -135,12 +134,6 @@ class DetectionVolume:
 
     def geometric_volume_m3(self) -> float:
         return math.pi * (self.beam_diameter_m / 2.0) ** 2 * self.depth_m
-
-    def volume_ratio_vs_quoted(self) -> float | None:
-        """Quoted / geometric volume; the mismatch is documented, not resolved."""
-        if self.quoted_volume_m3 is None:
-            return None
-        return self.quoted_volume_m3 / self.geometric_volume_m3()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COS_MISALIGNED, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
+from .constants import COS_MISALIGNED, GAMMA_E, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
 from .ensemble import EnsembleSample, ensemble_rabi_curve, run_two_branch, two_branch_ac_sweep
 from .fitting import (
     CurveFitResult,
@@ -289,8 +289,6 @@ def run_ac_magnetometry(
 
 def synchronized_phase(b0: float, total_free_time: float) -> float:
     """Ideal accumulated phase magnitude for a synchronized pi-train."""
-    from .constants import GAMMA_E
-
     return (2.0 / math.pi) * GAMMA_E * b0 * total_free_time
 
 

@@ -86,13 +86,6 @@ def peak_current_per_sqrt_watt(spec: ResonatorSpec) -> float:
     return math.sqrt(2.0 * (spec.q_factor if spec.resonant else 1.0) / LINE_IMPEDANCE_OHM)
 
 
-def field_of_wire(current: float, distance: float, wire_radius: float = 0.0) -> float:
-    """|B| of an infinite straight wire: mu0 I / (2 pi d)."""
-    if distance <= wire_radius:
-        raise ValueError("query point inside the conductor")
-    return MU_0 * current / (2.0 * math.pi * distance)
-
-
 def wire_field_2d(current: float, x, z):
     """(Bx, Bz) of a wire along y at the origin carrying +I along +y."""
     dx = np.asarray(x, dtype=float)

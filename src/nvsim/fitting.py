@@ -59,11 +59,12 @@ def _finish(res, n_pts: int, names) -> CurveFitResult:
     return CurveFitResult(res.x, stderr, cov, rms, converged, tuple(names))
 
 
-def _solve(resid, x0, names, n_pts, bounds=(-np.inf, np.inf)) -> CurveFitResult:
+def _solve(model, x, y, x0, names, bounds=(-np.inf, np.inf)) -> CurveFitResult:
+    """Least squares of model(x, *p) - y from x0."""
     res = least_squares(
-        resid, x0, bounds=bounds, xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL, max_nfev=MAX_NFEV
+        lambda p: model(x, *p) - y, x0, bounds=bounds, xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL, max_nfev=MAX_NFEV
     )
-    return _finish(res, n_pts, names)
+    return _finish(res, len(x), names)
 
 
 def lorentzian_dip(x, x0, fwhm, depth, baseline):
@@ -91,11 +92,7 @@ def fit_lorentzian(x, y) -> CurveFitResult:
     else:
         fwhm = abs(x[-1] - x[0]) / 10.0
     fwhm = max(fwhm, abs(x[1] - x[0]))
-
-    def resid(p):
-        return lorentzian_dip(x, *p) - y
-
-    return _solve(resid, [x[i0], fwhm, depth, baseline], ("x0", "fwhm", "depth", "baseline"), len(x))
+    return _solve(lorentzian_dip, x, y, [x[i0], fwhm, depth, baseline], ("x0", "fwhm", "depth", "baseline"))
 
 
 def damped_sine(t, a, tau_d, f, c):
@@ -113,15 +110,12 @@ def fit_damped_sine(t, y) -> CurveFitResult:
     a0 = float(np.max(y) - np.min(y)) / 2.0
     f0 = _fourier_peak_freq(t, y - c0)
     span = t[-1] - t[0] if t[-1] > t[0] else 1.0
-
-    def resid(p):
-        return damped_sine(t, *p) - y
-
     return _solve(
-        resid,
+        damped_sine,
+        t,
+        y,
         [a0, 2.0 * span, f0, c0],
         ("a", "tau_d", "f", "c"),
-        len(t),
         bounds=([0.0, 1e-3 * span, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf]),
     )
 
@@ -168,15 +162,12 @@ def fit_stretched_exp(t, y) -> CurveFitResult:
         # decay not resolved inside the sweep; seed at the sweep edge
         p0, t2_0 = 1.0, t[-1] if t[-1] > 0 else 1.0
     t2_0 = min(max(t2_0, t[t > 0].min() / 10.0), t[-1] * 100.0)
-
-    def resid(q):
-        return stretched_exp(t, *q) - y
-
     return _solve(
-        resid,
+        stretched_exp,
+        t,
+        y,
         [a0 if a0 > 0 else 1.0, t2_0, p0],
         ("a", "t2", "p"),
-        len(t),
         bounds=([0.0, t[t > 0].min() / 100.0, 0.5], [np.inf, t[-1] * 1e3, 3.0]),
     )
 
@@ -204,8 +195,4 @@ def fit_sine(x, y) -> CurveFitResult:
     if len(i) >= 2 and np.ptp(x[i]) > 0:
         slope = np.polyfit(x[i], y[i], 1)[0]
         a0 = math.copysign(a0, slope if slope != 0 else 1.0)
-
-    def resid(p):
-        return sine_through_origin(x, *p) - y
-
-    return _solve(resid, [a0, k0], ("a", "k"), len(x))
+    return _solve(sine_through_origin, x, y, [a0, k0], ("a", "k"))

@@ -3,14 +3,9 @@ Ornstein-Uhlenbeck bath, and pulse amplitude errors.
 
 The OU process x(t) has stationary std b (rad/s), correlation time
 tau_c (s), autocovariance C(t) = b^2 exp(-|t|/tau_c) and two-sided PSD
-S(w) = 2 b^2 tau_c / (1 + w^2 tau_c^2).
-
-Closed forms used as oracles throughout (x = t/tau_c):
-
-    chi_fid(t)  = b^2 tau_c^2 (e^-x + x - 1)
-    chi_echo(t) = b^2 tau_c^2 (x - 3 + 4 e^(-x/2) - e^-x)
-
-with coherence W = exp(-chi) and chi = Var(phase)/2 for Gaussian noise.
+S(w) = 2 b^2 tau_c / (1 + w^2 tau_c^2).  The exact trajectory sampler
+and the FID and echo closed forms that the tests hold this module to
+are in nvsim.oracles.
 """
 
 from __future__ import annotations
@@ -146,66 +141,6 @@ def ou_transition(lead: float, L: float, bath: OUBath) -> OUTransition:
     a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
     lead_mu = math.exp(-lead / tau)
     return OUTransition(g_int * lead_mu, mu * lead_mu, a11, a21, a22)
-
-
-def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
-    """One exact joint update of the OU value and its integral over L seconds.
-
-    Given the values x at the start, returns (integral over [t, t + L],
-    values at t + L), drawn from ou_transition(0.0, L, bath) with two
-    standard normals per path, z1 then z2.  L = 0 or b = 0 draws nothing.
-    """
-    if L == 0.0 or bath.b == 0.0:
-        return np.zeros_like(x), x
-    z1 = rng.standard_normal(len(x))
-    z2 = rng.standard_normal(len(x))
-    return ou_transition(0.0, L, bath).apply(x, z1, z2)
-
-
-def sample_ou_segment_integrals(
-    bath: OUBath, bounds: np.ndarray, n_paths: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exactly sample the integral of an OU path over consecutive segments.
-
-    `bounds` are the m+1 segment boundaries (s); returns an (n_paths, m)
-    array of integral values (rad), one `ou_step` per segment, so
-    arbitrarily long segments are sampled without discretization error.
-    Starts from the stationary distribution.
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    out = np.empty((n_paths, len(bounds) - 1))
-    x = rng.normal(0.0, bath.b, size=n_paths) if bath.b > 0 else np.zeros(n_paths)
-    for k, L in enumerate(np.diff(bounds)):
-        out[:, k], x = ou_step(x, float(L), bath, rng)
-    return out
-
-
-# Taylor coefficients of x - 3 + 4 e^(-x/2) - e^-x, the x^k term being
-# (-1)^k (4 / 2^k - 1) / k! for k = 3..12, highest first for np.polyval
-_ECHO_SERIES = [(-1) ** k * (4.0 / 2**k - 1.0) / math.factorial(k) for k in range(12, 2, -1)]
-
-
-def chi_fid_ou(t, bath: OUBath):
-    """Free-induction decoherence exponent under the OU bath.
-
-    x + expm1(-x) with x = t/tau_c, by its Taylor series below x = 0.01,
-    where the two terms cancel.
-    """
-    x = np.asarray(t, dtype=float) / bath.tau_c
-    series = x * x * np.polyval([1.0 / 720.0, -1.0 / 120.0, 1.0 / 24.0, -1.0 / 6.0, 0.5], x)
-    return bath.b**2 * bath.tau_c**2 * np.where(x < 0.01, series, x + np.expm1(-x))
-
-
-def chi_echo_ou(t, bath: OUBath):
-    """Hahn-echo decoherence exponent under the OU bath.
-
-    With a = expm1(-x/2), x - 3 + 4 e^(-x/2) - e^-x = x + 2a - a^2; that
-    is O(x^3) from O(x) terms, so below x = 0.25 its Taylor series is used.
-    """
-    x = np.asarray(t, dtype=float) / bath.tau_c
-    a = np.expm1(-x / 2.0)
-    series = x**3 * np.polyval(_ECHO_SERIES, x)
-    return bath.b**2 * bath.tau_c**2 * np.where(x < 0.25, series, x + 2.0 * a - a * a)
 
 
 def ou_chi_exact(pi_times: np.ndarray, total_t: float, bath: OUBath) -> float:

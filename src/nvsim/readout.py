@@ -122,11 +122,6 @@ def shot_stream(p0_plus, p0_minus, model: ReadoutModel, n_shots: int, rng: np.ra
     return out
 
 
-def expected_two_branch_mean(p0_plus: float, p0_minus: float, model: ReadoutModel) -> float:
-    """Noise-free processed output: v0 C (p0_plus - p0_minus)."""
-    return model.v0_v * model.contrast * (p0_plus - p0_minus)
-
-
 def readout_shot_std(model: ReadoutModel) -> float:
     """Analytic shot-noise std of the processed output (no laser terms)."""
     return math.sqrt(2.0 * model.shot_noise_v**2 + 2.0 * model.r_noise_v**2)

@@ -68,10 +68,6 @@ class PulseSequence:
     def n_pi_pulses(self) -> int:
         return len(pi_train(self).times)
 
-    @property
-    def total_free_time(self) -> float:
-        return sum(e.tau for e in self.elements if isinstance(e, Delay))
-
 
 def readout_angle(readout_phase: float, sign: int) -> float:
     """Phase of the final pi/2 pulse in readout branch sign (+1 or -1),

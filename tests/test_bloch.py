@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvsim.bloch import (
+from nvsim.bloch import rabi_population, rotate_drive
+from nvsim.oracles import (
     BRIGHT,
     BlochState,
     DriveParams,
     evolve_driven,
     evolve_free,
     population_ms0,
-    rabi_population,
-    rotate_drive,
     rotate_ideal,
 )
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nvsim import ensemble
-from nvsim.bloch import BRIGHT, DriveParams, evolve_driven, evolve_free, population_ms0, rotate_drive, rotate_ideal
+from nvsim.bloch import rotate_drive
 from nvsim.constants import GAMMA_E
 from nvsim.ensemble import (
     DetectionVolume,
@@ -46,9 +46,18 @@ from nvsim.sequences import (
     render_finite,
     toggling_segments,
 )
+from nvsim.oracles import (
+    BRIGHT,
+    DriveParams,
+    evolve_driven,
+    evolve_free,
+    population_ms0,
+    rotate_ideal,
+    volume_ratio_vs_quoted,
+)
 
 QUIET = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 10e-6))
-VOL = DetectionVolume(quoted_volume_m3=1.4e-12)
+VOL = DetectionVolume()
 OMEGA = math.pi / 48e-9
 
 
@@ -102,7 +111,7 @@ def compose_sequence(seq, delta, omega_scale=1.0):
 def test_detection_volume_geometry():
     # pi (15 um)^2 * 0.3 mm = 2.12e-13 m^3; quoted 1.4e-3 mm^3 is ~6.6x larger
     assert VOL.geometric_volume_m3() == pytest.approx(2.1206e-13, rel=1e-3)
-    assert VOL.volume_ratio_vs_quoted() == pytest.approx(6.602, rel=1e-2)
+    assert volume_ratio_vs_quoted(VOL, 1.4e-12) == pytest.approx(6.602, rel=1e-2)
 
 
 def test_uniform_field_gives_equal_omegas():

@@ -28,7 +28,7 @@ from nvsim.experiments import (
 )
 from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
 from nvsim.readout import ReadoutModel, readout_shot_std
-from nvsim.sequences import build_cpmg, build_xy16
+from nvsim.sequences import build_cpmg, build_xy16, pulse_times
 
 from test_ensemble import prepared_on
 
@@ -140,7 +140,7 @@ def test_coherence_builder_families():
         assert n_pi == expect
         seq = builder(16e-6)
         assert seq.n_pi_pulses == expect
-        assert seq.total_free_time == pytest.approx(16e-6)
+        assert pulse_times(seq)[1] == pytest.approx(16e-6)
     with pytest.raises(ValueError):
         make_coherence_builder("udd", 1)
 
@@ -356,7 +356,7 @@ def test_ac_magnetometry_odd_response_and_slope():
     analytic_slope = res.max_slope_v_per_t / (readout.v0_v * readout.contrast)
     assert analytic_slope == pytest.approx(abs(numeric), rel=0.02)
     # and the normalized response follows W sin((2/pi) gamma B T)
-    T = seq.total_free_time
+    T = pulse_times(seq)[1]
     expect = np.sin((2 / math.pi) * GAMMA_E * amplitudes * T)
     assert np.allclose(res.signal_norm, expect, atol=1e-9)
 
@@ -367,7 +367,7 @@ def test_ac_magnetometry_zero_crossings_equally_spaced():
     readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=1e-6)
     tau = 1.0 / (2 * 362e3)
     seq = build_xy16(1, tau, readout_phase=math.pi / 2)
-    T = seq.total_free_time
+    T = pulse_times(seq)[1]
     period = 2 * math.pi / ((2 / math.pi) * GAMMA_E * T)
     amplitudes = np.linspace(-1.2 * period, 1.2 * period, 97)
     res = run_ac_magnetometry(seq, 362e3, amplitudes, ens, bath, readout, 100, 1.47e-3, shot_seed=9)

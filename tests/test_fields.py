@@ -16,13 +16,13 @@ from nvsim.fields import (
     drive_field,
     field_of_ring,
     field_of_strip,
-    field_of_wire,
     peak_current_per_sqrt_watt,
     rabi_from_b_vectors,
     resonance_enhancement,
     wire_field_2d,
 )
 from nvsim.noise import OUBath, QuasiStaticSpread
+from nvsim.oracles import field_of_wire
 
 
 # ---------------------------------------------------------------- oracles

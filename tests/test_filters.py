@@ -19,7 +19,8 @@ from nvsim.filters import (
     filter_weight,
     toggling_moment,
 )
-from nvsim.noise import OUBath, calibrate_bath, chi_echo_ou, chi_fid_ou, ou_chi_exact
+from nvsim.noise import OUBath, calibrate_bath, ou_chi_exact
+from nvsim.oracles import chi_echo_ou, chi_fid_ou
 from nvsim.sequences import build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
 
 BATH = calibrate_bath(9e-6, 10e-6)

@@ -14,14 +14,11 @@ from nvsim.noise import (
     OUBath,
     QuasiStaticSpread,
     calibrate_bath,
-    chi_echo_ou,
-    chi_fid_ou,
     ou_chi_exact,
-    ou_step,
     ou_transition,
-    sample_ou_segment_integrals,
     sigma_from_t2star,
 )
+from nvsim.oracles import chi_echo_ou, chi_fid_ou, ou_step, sample_ou_segment_integrals
 from nvsim.sequences import build_cpmg, build_hahn_echo, build_xy16, pulse_times
 
 BATH = OUBath(4.77e5, 10e-6)

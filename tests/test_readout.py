@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim import readout
-from nvsim.readout import SINGLE_BRANCH, TWO_BRANCH, WINDOWS, ReadoutModel, expected_two_branch_mean, shot_stream
+from nvsim.oracles import expected_two_branch_mean
+from nvsim.readout import SINGLE_BRANCH, TWO_BRANCH, WINDOWS, ReadoutModel, shot_stream
 
 volts = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nvsim.bloch import BRIGHT, evolve_free, population_ms0, rotate_ideal
+from nvsim.oracles import BRIGHT, evolve_free, population_ms0, rotate_ideal
 from nvsim.sequences import (
     PH_Y,
     XY16_PHASES,
@@ -49,7 +49,7 @@ def compose_ideal(seq: PulseSequence, detuning: float, sign: int = +1) -> float:
 def test_hahn_echo_structure():
     seq = build_hahn_echo(2e-6)
     assert seq.n_pi_pulses == 1
-    assert seq.total_free_time == pytest.approx(2e-6)
+    assert pulse_times(seq)[1] == pytest.approx(2e-6)
     first, last = seq.elements[0], seq.elements[-1]
     assert abs(first.angle - math.pi / 2) < 1e-15 and abs(last.angle - math.pi / 2) < 1e-15
     # interior pulse is a pi about y
