@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Decay curves for echo and XY16-N under the calibrated bath: the ideal-pulse
-engine's signal, which averages each spin's OU phase exactly (exp(-chi) with
-noise.ou_chi_exact, no draw), next to the filter-function quadrature, one CSV
-per sequence (columns t_total_s, signal_mc for the engine, signal_analytic)."""
+engine's signal, which averages the OU phase exactly (exp(-chi) with
+noise.ou_chi_exact, no draw and no sampled spin), next to the
+filter-function quadrature, one CSV per sequence (columns t_total_s,
+signal_mc for the engine, signal_analytic)."""
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
-from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
+from nvsim.ensemble import run_two_branch
 from nvsim.experiments import make_coherence_builder, write_table
 from nvsim.filters import coherence_analytic
 from nvsim.noise import QuasiStaticSpread, calibrate_bath
@@ -20,17 +20,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t2-echo", type=float, default=9e-6)
     ap.add_argument("--tau-c", type=float, default=10e-6)
-    ap.add_argument("--n-spins", type=int, default=10000)
-    ap.add_argument("--seed", type=int, default=20260809)
     ap.add_argument("--out", default="out/coherence")
     args = ap.parse_args()
 
     bath = calibrate_bath(args.t2_echo, args.tau_c)
-    noise = NoiseModel(QuasiStaticSpread(0.0), bath)
-    ens = sample_ensemble(
-        DetectionVolume(), None, noise, args.n_spins, args.seed,
-        rabi_angular_freq=math.pi / 48e-9,
-    )
+    no_spread = QuasiStaticSpread(0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -42,7 +36,7 @@ def main():
         an = np.empty_like(sweep)
         for i, T in enumerate(sweep):
             seq = builder(float(T))
-            p_plus, p_minus = run_two_branch(seq, ens, bath)
+            p_plus, p_minus = run_two_branch(seq, no_spread, bath)
             mc[i] = p_plus - p_minus
             an[i] = coherence_analytic(seq, bath)
         label = f"{family}-{n_rep}" if family != "echo" else "echo"

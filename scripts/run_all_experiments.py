@@ -9,7 +9,11 @@ and every manifest.txt line by line without the lines that differ
 between runs of the same outputs (wall_time_s, threads, out_dir and the
 output_* paths), so a result that lives only in a manifest, such as
 resolution's loglog_slope, is compared too.  The script lists each file
-that differs or is missing on either side and exits 1 if there is any.
+that differs or is missing on either side and exits 1 if there is any;
+for a CSV that differs it also gives the largest relative difference
+over its numeric cells, |a - b| over the largest magnitude in the
+column, and the cell where it occurs, so a change in the last digits
+reads apart from a real one.
 
     python scripts/run_all_experiments.py --threads 1 --out ref
     python scripts/run_all_experiments.py --threads 2 --out new --compare ref
@@ -17,6 +21,7 @@ that differs or is missing on either side and exits 1 if there is any.
 
 import argparse
 import filecmp
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +53,43 @@ def _same(a: Path, b: Path) -> bool:
     return kept[0] == kept[1]
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """Where two CSVs of the same shape differ most: the largest difference of
+    two numeric cells relative to the largest magnitude in their column (so a
+    value near 0 that moves by a rounding error reads as one), with its line,
+    column and both cells."""
+    tables = [[line.split(",") for line in p.read_text().splitlines()] for p in (a, b)]
+    if len(tables[0]) != len(tables[1]) or tables[0][:1] != tables[1][:1]:
+        return "header or line count differs"
+    if any(len(x) != len(y) for x, y in zip(*tables)):
+        return "cell count differs"
+    header, scale = tables[0][0], {}
+    for row in tables[0][1:] + tables[1][1:]:
+        for column, cell in zip(header, row):
+            if (x := _number(cell)) is not None and math.isfinite(x):
+                scale[column] = max(scale.get(column, 0.0), abs(x))
+    worst, where = -1.0, ""
+    for line, (row_a, row_b) in enumerate(zip(tables[0][1:], tables[1][1:]), start=2):
+        for column, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None:
+                return f"non-numeric cell differs at line {line}, column {column}: {x} vs {y}"
+            top = scale.get(column, 0.0)
+            rel = abs(fx - fy) / top if math.isfinite(fx - fy) and top > 0 else math.inf
+            if rel > worst:
+                worst, where = rel, f"at line {line}, column {column}: {x} vs {y}"
+    return f"largest relative difference {worst:.3g} {where}"
+
+
 def compare_outputs(out: Path, ref: Path) -> list[str]:
     """Problems found comparing the CSVs and manifests under out with those under ref, one line each."""
     got, want = _outputs(out), _outputs(ref)
@@ -55,7 +97,10 @@ def compare_outputs(out: Path, ref: Path) -> list[str]:
         return [f"no CSV under {out} or {ref}"]
     problems = [f"missing from {out}: {p}" for p in sorted(want - got)]
     problems += [f"missing from {ref}: {p}" for p in sorted(got - want)]
-    problems += [f"differs: {p}" for p in sorted(got & want) if not _same(out / p, ref / p)]
+    for p in sorted(got & want):
+        if not _same(out / p, ref / p):
+            detail = f" ({largest_difference(out / p, ref / p)})" if p.suffix == ".csv" else ""
+            problems.append(f"differs: {p}{detail}")
     return problems
 
 

@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,22 +67,16 @@ def build_resonator_spec(cfg: RunConfig) -> ResonatorSpec:
     return _from_config(ResonatorSpec, cfg, kind="resonator")
 
 
-def build_ensemble(cfg: RunConfig):
-    volume = DetectionVolume(
-        beam_diameter_m=cfg.beam_diameter_m,
-        depth_m=cfg.depth_m,
-        standoff_m=cfg.standoff_m,
-    )
-    noise_model = NoiseModel(
-        QuasiStaticSpread(sigma_from_t2star(cfg.t2_star_s)),
-        build_bath(cfg),
-        AmplitudeErrorModel(cfg.amp_error_sigma, cfg.amp_error_systematic),
-    )
+def build_spread(cfg: RunConfig) -> QuasiStaticSpread:
+    return QuasiStaticSpread(sigma_from_t2star(cfg.t2_star_s))
+
+
+def build_ensemble(cfg: RunConfig, bath: OUBath):
+    """The cfg.n_spins spins that finite pulses and the Rabi curve evolve."""
+    amp = AmplitudeErrorModel(cfg.amp_error_sigma, cfg.amp_error_systematic)
+    volume, noise_model = _from_config(DetectionVolume, cfg), NoiseModel(build_spread(cfg), bath, amp)
     spec = None if cfg.resonator == "uniform" else build_resonator_spec(cfg)
-    ens = sample_ensemble(
-        volume, spec, noise_model, cfg.n_spins, cfg.seed, rabi_angular_freq=math.pi / cfg.pi_time_s
-    )
-    return ens, noise_model
+    return sample_ensemble(volume, spec, noise_model, cfg.n_spins, cfg.seed, rabi_angular_freq=math.pi / cfg.pi_time_s)
 
 
 class Outputs(NamedTuple):
@@ -113,7 +108,7 @@ def _run_odmr(cfg):
 
 
 def _run_rabi(cfg):
-    ens, _ = build_ensemble(cfg)
+    ens = build_ensemble(cfg, build_bath(cfg))
     durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
     res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None, shots=cfg.shots, seed=cfg.seed + 1)
     curve = ("curve.csv", ["duration_s", "population"], [res.durations_s, res.population])
@@ -121,15 +116,17 @@ def _run_rabi(cfg):
 
 
 def _run_coherence(cfg):
-    ens, noise_model = build_ensemble(cfg)
+    bath = build_bath(cfg)
+    # ideal pulses average the static spread exactly: only finite pulses evolve sampled spins
+    spins = build_ensemble(cfg, bath) if cfg.finite_pulses else build_spread(cfg)
     t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
     try:
         res = run_coherence(
             cfg.experiment,
             cfg.n_repeats,
             t_sweep,
-            ens,
-            noise_model.bath,
+            spins,
+            bath,
             pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
             noise_seed=cfg.seed + 2,
             threads=cfg.threads,
@@ -143,7 +140,6 @@ def _run_coherence(cfg):
 
 def _ac_sweep(cfg: RunConfig):
     """XY16 AC-magnetometry sweep shared by ac_sense and resolution."""
-    ens, noise_model = build_ensemble(cfg)
     tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
     seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
     amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
@@ -152,8 +148,8 @@ def _ac_sweep(cfg: RunConfig):
             seq,
             cfg.f_ac_hz,
             amplitudes,
-            ens,
-            noise_model.bath,
+            build_spread(cfg),
+            build_bath(cfg),
             build_readout(cfg),
             cfg.shots,
             cfg.t_seq_s,
@@ -259,7 +255,8 @@ def cmd_fieldmap(cfg: RunConfig, warnings: list[str]) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache  # built on the first call of a process, not at import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="simulate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,8 +275,11 @@ def main(argv=None) -> int:
     p_map.add_argument("config")
     p_map.add_argument("--out", dest="out_dir", default=None)
     p_map.set_defaults(func=cmd_fieldmap, experiment="fieldmap")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         # each flag's dest, and `fieldmap`'s experiment, is the config key it sets

@@ -2,7 +2,8 @@
 
 Spins are sampled over the optical detection volume with spatially
 varying Rabi frequency, per-spin static detuning and amplitude error;
-the OU bath is averaged exactly or drawn as one trajectory per spin.
+only the finite engine and the Rabi curve read them.  The OU bath is
+averaged exactly or drawn as one trajectory per spin.
 
 Two evolution paths share the noise model:
 
@@ -18,14 +19,16 @@ Two evolution paths share the noise model:
   detuning and in its OU path, and phi_OU = (-1)^n sum_k y_k int_k x(t) dt
   is a fixed linear functional of a Gaussian process.  It is therefore
   exactly N(0, 2 chi) with chi = noise.ou_chi_exact of the same toggling
-  function, and E cos(a + phi_OU) = exp(-chi) cos(a): the engine averages
-  each spin's OU phase exactly and draws nothing (the device averages
-  ~7e12 NVs, so the OU scatter of a mean over the sampled spins would be
-  an artifact).  The static detunings stay sampled, as the finite engine
-  and the Rabi curve use them.  The oracles independent of this identity
-  are oracles.sample_ou_segment_integrals and filters' chi, each against
+  function, and E cos(a + phi_OU) = exp(-chi) cos(a).  For a Gaussian
+  static detuning delta ~ N(0, sigma^2), E cos(a + m delta) =
+  exp(-(m sigma)^2 / 2) cos(a) with m = +-sequences.toggling_moment
+  (Cywinski et al., PRB 77, 174509 (2008)).  ideal_populations takes both
+  averages exactly, so it draws nothing and samples no spins (the device
+  averages ~7e12 NVs: a sampled mean's scatter would be an artifact).
+  The oracles independent of the OU identity are
+  oracles.sample_ou_segment_integrals and filters' chi, each against
   ou_chi_exact.  Only phi_ac depends on the AC amplitude: it is gamma B0
-  times a per-unit-amplitude integral, so an AC sweep (two_branch_ac_sweep,
+  times a per-unit-amplitude integral, so an AC sweep (ideal_populations,
   the one way an AC field enters the engine) folds its train once.
 
 * finite rectangular pulses (rendered by sequences.render_finite):
@@ -92,7 +95,7 @@ from .noise import (
     ou_chi_exact,
     ou_transition,
 )
-from .sequences import PulseSequence, pi_train, readout_angle, render_finite, toggling_segments
+from .sequences import PulseSequence, pi_train, readout_angle, render_finite, toggling_moment, toggling_segments
 
 # spins evolved as one array, with one noise substream: few, long numpy calls in bounded memory
 SPIN_BLOCK = 10240
@@ -145,6 +148,7 @@ class EnsembleSample:
     delta_static: np.ndarray   # (n,) rad/s
     epsilon: np.ndarray        # (n,) fractional amplitude error
     seed: int
+    sigma_delta: float         # rad/s, the std delta_static was drawn with
 
     @property
     def n_spins(self) -> int:
@@ -193,7 +197,7 @@ def sample_ensemble(
 
     delta = noise.spread.sigma_delta * rng_delta.standard_normal(n)
     eps = noise.amplitude_error.sample(rng_eps, n)
-    return EnsembleSample(positions, omega, delta, eps, seed)
+    return EnsembleSample(positions, omega, delta, eps, seed, noise.spread.sigma_delta)
 
 
 class _Block:
@@ -261,7 +265,7 @@ def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, threads: int, n_r
 
 def run_two_branch(
     seq: PulseSequence,
-    ensemble: EnsembleSample,
+    spins: EnsembleSample | QuasiStaticSpread,
     bath: OUBath,
     *,
     noise_seed: int = 0,
@@ -269,54 +273,47 @@ def run_two_branch(
     threads: int = 1,
 ) -> tuple[float, float]:
     """Ensemble-averaged ms=0 populations for the two readout branches,
-    without an AC field (two_branch_ac_sweep applies one).
+    without an AC field (ideal_populations applies one).
 
-    Each spin carries its own static detuning and amplitude error.
-    pulse_width = None uses ideal pulses, which average each spin's OU
-    phase exactly and draw nothing.  A finite width renders the sequence
-    with rectangular pulses, delays center-to-center, and evolves each
-    spin along a fresh OU trajectory keyed on (ensemble.seed, noise_seed,
-    block).  noise_seed and threads only reach the finite engine.
+    pulse_width = None uses ideal pulses, which read only spins.sigma_delta
+    (ideal_populations), so spins may be a QuasiStaticSpread.  A finite width
+    renders the sequence with rectangular pulses, delays center-to-center,
+    and evolves each spin of the EnsembleSample along a fresh OU trajectory
+    keyed on (spins.seed, noise_seed, block).  noise_seed and threads only
+    reach the finite engine.
     """
     if pulse_width is not None:
-        return _run_two_branch_finite(
-            seq, ensemble, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads
-        )
-    # a zero amplitude adds a zero AC phase
-    return two_branch_ac_sweep(seq, ensemble, bath, 0.0, 0.0, [0.0])[0]
+        return _run_two_branch_finite(seq, spins, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads)
+    return ideal_populations(seq, bath, spins.sigma_delta)[0]
 
 
-def two_branch_ac_sweep(
+def ideal_populations(
     seq: PulseSequence,
-    ensemble: EnsembleSample,
     bath: OUBath,
-    f_hz: float,
-    phase_rad: float,
-    amplitudes,
+    sigma_delta: float,
+    b0s=(0.0,),
+    f_hz: float = 0.0,
+    phase_rad: float = 0.0,
 ) -> list[tuple[float, float]]:
-    """The two branch populations under ideal pulses and the AC field
-    b0 sin(2 pi f_hz t + phase_rad) for each b0 in amplitudes, with seq's
-    pi train (sequences.pi_train) folded once for the whole sweep.  The OU
-    phase is averaged exactly, so the sweep draws nothing and takes no
-    seed."""
+    """The two branch populations (1 -+ exp(-chi - (m sigma_delta)^2 / 2) cos(base)) / 2
+    under ideal pulses and the AC field b0 sin(2 pi f_hz t + phase_rad), one
+    pair per b0 in b0s, with seq's pi train (sequences.pi_train) folded once.
+    Both averages are exact (see the module docstring): nothing is drawn."""
     train = pi_train(seq)
-    # Xi = pattern + static * delta_i + (GAMMA_E B0) ac_unit + phi_OU
+    # Xi = pattern + m delta + (GAMMA_E B0) ac_unit + phi_OU
     bounds, signs = toggling_segments(train.times, train.total_t)
     signs *= (-1.0) ** len(train.times)  # the sign each segment's phase ends with
     pattern = 2.0 * np.sum(train.phases * signs[1:])
-    static = float(np.sum(signs * np.diff(bounds)))
     decay = math.exp(-ou_chi_exact(train.times, train.total_t, bath))  # E cos(phi_OU), phi_OU ~ N(0, 2 chi)
+    # E cos(m delta) over delta ~ N(0, sigma^2); numpy, so that 0 * inf raises under the caller's errstate
+    spread = np.exp(-0.5 * np.square(np.multiply(toggling_moment(train.times, train.total_t), sigma_delta)))
     ac_unit = float(signs @ ac_phase_integrals(f_hz, phase_rad, bounds[:-1], bounds[1:]))  # per GAMMA_E B0
     # Xi also carries pi * (n mod 2) from the pi/2 pulses
     shift = readout_angle(seq.readout_phase, +1) - math.pi * (len(train.times) % 2)
-    out = []
-    for b0 in amplitudes:
-        base = pattern + GAMMA_E * float(b0) * ac_unit - shift
-        # the mean of cos(Xi - shift), exact in each spin's OU phase: E cos(a + phi_OU) = exp(-chi) cos(a)
-        m = decay * float(np.mean(np.cos(base + static * ensemble.delta_static)))
-        # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
-        out.append(((1.0 - m) / 2.0, (1.0 + m) / 2.0))
-    return out
+    base = pattern + GAMMA_E * np.asarray(b0s, dtype=float) * ac_unit - shift
+    m = decay * spread * np.cos(base)  # the mean of cos(Xi - shift)
+    # cos(xi - beta_minus) = -cos(xi - beta_plus) since the branches differ by pi
+    return list(zip(((1.0 - m) / 2.0).tolist(), ((1.0 + m) / 2.0).tolist()))
 
 
 def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndarray:

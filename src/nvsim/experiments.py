@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COS_MISALIGNED, GAMMA_E, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
-from .ensemble import EnsembleSample, ensemble_rabi_curve, run_two_branch, two_branch_ac_sweep
+from .ensemble import EnsembleSample, ensemble_rabi_curve, ideal_populations, run_two_branch
 from .fitting import (
     CurveFitResult,
     FitError,
@@ -30,7 +30,7 @@ from .fitting import (
     fit_sine,
     fit_stretched_exp,
 )
-from .noise import OUBath
+from .noise import OUBath, QuasiStaticSpread
 from .readout import SINGLE_BRANCH, TWO_BRANCH, ReadoutModel, readout_shot_std, shot_law, shot_stream
 from .sequences import SWEEP_FAMILIES, PulseSequence
 
@@ -154,7 +154,7 @@ def run_coherence(
     family: str,
     n_repeats: int,
     t_sweep,
-    ensemble: EnsembleSample,
+    spins: EnsembleSample | QuasiStaticSpread,
     bath: OUBath,
     *,
     pulse_width: float | None = None,
@@ -163,8 +163,9 @@ def run_coherence(
 ) -> CoherenceResult:
     """Normalized two-branch signal vs total free time, stretched-exp fit.
 
-    Finite pulses draw fresh bath trajectories per point, keyed on (ensemble
-    seed, noise_seed + 7919 i); ideal pulses average the bath exactly.  A fit
+    Finite pulses evolve the EnsembleSample spins along fresh bath
+    trajectories per point, keyed on (spins.seed, noise_seed + 7919 i);
+    ideal pulses average both exactly, from spins.sigma_delta.  A fit
     that did not converge, or whose T2 lands before the first point or
     beyond the last, is flagged censored.
     """
@@ -174,7 +175,7 @@ def run_coherence(
     for i, T in enumerate(t_sweep):
         p_plus, p_minus = run_two_branch(
             builder(T),
-            ensemble,
+            spins,
             bath,
             noise_seed=noise_seed + 7919 * i,
             pulse_width=pulse_width,
@@ -229,7 +230,7 @@ def run_ac_magnetometry(
     seq: PulseSequence,
     f_ac: float,
     amplitudes,
-    ensemble: EnsembleSample,
+    spins: EnsembleSample | QuasiStaticSpread,
     bath: OUBath,
     readout: ReadoutModel,
     shots: int,
@@ -240,11 +241,12 @@ def run_ac_magnetometry(
 ) -> AcMagnetometryResult:
     """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
 
-    The branches come from one ensemble.two_branch_ac_sweep over all
-    amplitudes, which averages the bath exactly: only the shots (shot_seed)
-    are random.  Nothing here checks that seq's spacing matches 1/(2 f_ac)
-    or that its readout is the quadrature one: config.validate_config warns
-    about an unsynchronized tau_s, and the CLI always builds seq with
+    The branches come from one ensemble.ideal_populations over all
+    amplitudes, which averages the bath and the static spread (of std
+    spins.sigma_delta) exactly: only the shots (shot_seed) are random.
+    Nothing here checks that seq's spacing matches 1/(2 f_ac) or that its
+    readout is the quadrature one: config.validate_config warns about an
+    unsynchronized tau_s, and the CLI always builds seq with
     readout_phase = pi/2.
     delta_s is the measured shot-to-shot std at the amplitude closest to
     zero; max_slope is |a k| from the sine fit of the mean curve.  FitError
@@ -261,7 +263,7 @@ def run_ac_magnetometry(
     mean_v = np.empty_like(amplitudes)
     std_v = np.empty_like(amplitudes)
     norm = np.empty_like(amplitudes)
-    branches = two_branch_ac_sweep(seq, ensemble, bath, f_ac, ac_phase, amplitudes)
+    branches = ideal_populations(seq, bath, spins.sigma_delta, amplitudes, f_ac, ac_phase)
     rng = np.random.default_rng(shot_seed)
     for i, (p_plus, p_minus) in enumerate(branches):
         vals = shot_stream(p_plus, p_minus, readout, shots, rng, [TWO_BRANCH])[0]

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .noise import OUBath
-from .sequences import PulseSequence, pulse_times, toggling_segments
+from .sequences import PulseSequence, pulse_times, toggling_moment, toggling_segments
 
 _ROWS, _COLS = 128, 8  # a block is _COLS runs of _ROWS grid nodes, one _ROWS x (n + 2) phase table
 _NODES = _ROWS * _COLS
@@ -80,16 +80,6 @@ def filter_weight(pi_times, total_t: float, omega) -> np.ndarray | float:
     w = np.asarray(omega, dtype=float)
     F = np.abs(np.exp(1j * np.multiply.outer(w, edges)) @ c) ** 2
     return float(F) if w.ndim == 0 else F
-
-
-def toggling_moment(pi_times, total_t: float) -> float:
-    """Integral of the toggling sign function over [0, T].
-
-    Zero for balanced sequences (echo, CPMG, XY*), T for free induction;
-    multiplies static detunings in the accumulated phase.
-    """
-    bounds, y = toggling_segments(pi_times, total_t)
-    return float(np.sum(np.diff(bounds) * y))
 
 
 def _pair_sums(edges: np.ndarray, c: np.ndarray) -> tuple[float, float]:

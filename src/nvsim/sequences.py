@@ -17,7 +17,8 @@ accumulated phase.
 
 Only this module reads a sequence's timing: pi_train parses it into the
 ideal-pulse view, toggling_segments gives segment bounds and toggling
-signs, and render_finite renders finite pulses by the one overlap rule.
+signs, toggling_moment their static coefficient, and render_finite
+renders finite pulses by the one overlap rule.
 """
 
 from __future__ import annotations
@@ -193,6 +194,14 @@ def toggling_segments(pi_times, total_t: float) -> tuple[np.ndarray, np.ndarray]
     if np.any(np.diff(bounds) < 0):
         raise ValueError("pulse times must lie within [0, total_t] in order")
     return bounds, (-1.0) ** np.arange(bounds.size - 1)
+
+
+def toggling_moment(pi_times, total_t: float) -> float:
+    """The static coefficient sum_k y_k L_k: the integral of the toggling sign
+    over [0, T], which multiplies a static detuning in the accumulated phase.
+    Zero for balanced sequences (echo, CPMG, XY*) up to rounding, T for the FID."""
+    bounds, y = toggling_segments(pi_times, total_t)
+    return float(np.sum(np.diff(bounds) * y))
 
 
 def render_finite(elements, pulse_width: float):

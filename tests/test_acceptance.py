@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nvsim.cli import main as cli_main
-from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble, two_branch_ac_sweep
+from nvsim.ensemble import DetectionVolume, NoiseModel, ideal_populations, run_two_branch, sample_ensemble
 from nvsim.experiments import (
     DEFAULT_AC_PHASE,
     run_ac_magnetometry,
@@ -204,7 +204,7 @@ def test_acceptance_8_common_mode_ab():
     # Without the branch pair, eta = delta_s / slope sqrt(t_seq) degrades as delta_s does:
     # the slope is set by the populations, not by lam.  delta_s is the shot-to-shot std at
     # b = 0, here of the single-branch output at the sweep's b = 0 populations.
-    [(p_plus, p_minus)] = two_branch_ac_sweep(seq, ens, bath, 362e3, DEFAULT_AC_PHASE, [0.0])
+    [(p_plus, p_minus)] = ideal_populations(seq, bath, ens.sigma_delta, [0.0], 362e3, DEFAULT_AC_PHASE)
 
     def delta_s_single(lam):
         rng = np.random.default_rng(82)

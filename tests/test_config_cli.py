@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvsim import experiments
+from nvsim import cli, experiments
 from nvsim.cli import main
 from nvsim.config import (
     ConfigError,
@@ -250,15 +250,50 @@ def test_run_reproducible_and_thread_invariant(tmp_path):
 
 
 def test_seed_override_changes_outputs(tmp_path):
-    # the FID keeps the sampled static detunings, so its curve depends on the seed
+    # the Rabi curve averages over sampled static detunings, so it depends on the seed
     path = write_cfg(
         tmp_path,
-        "experiment = fid\nseed = 9\nn_spins = 1024\nn_points = 8\n"
-        "t_min_s = 10e-9\nt_max_s = 450e-9\n",
+        "experiment = rabi\nseed = 9\nn_spins = 1024\nn_points = 41\nshots = 1\n",
     )
     assert run_cli("run", path, "--out", str(tmp_path / "a")) == 0
     assert run_cli("run", path, "--out", str(tmp_path / "b"), "--seed", "10") == 0
+    assert run_cli("run", path, "--out", str(tmp_path / "c"), "--seed", "9") == 0
     assert not filecmp.cmp(tmp_path / "a" / "curve.csv", tmp_path / "b" / "curve.csv", shallow=False)
+    assert filecmp.cmp(tmp_path / "a" / "curve.csv", tmp_path / "c" / "curve.csv", shallow=False)
+
+
+@pytest.mark.parametrize("config", ["fid.cfg", "echo.cfg", "xy16.cfg", "reference_device.cfg"])
+def test_ideal_pulse_outputs_do_not_depend_on_the_seed(tmp_path, config):
+    # ideal pulses average the OU phase and the static spread in closed form and
+    # sample no spins; ac_sense's shots stay seeded, so only its signal_norm column
+    outs = [tmp_path / seed for seed in ("1", "2")]
+    for out in outs:
+        assert run_cli("run", str(CONFIG_DIR / config), "--seed", out.name, "--out", str(out)) == 0
+    if config == "reference_device.cfg":
+        columns = [[line.split(",")[3] for line in (out / "curve.csv").read_text().splitlines()] for out in outs]
+        assert columns[0][0] == "signal_norm" and columns[0] == columns[1]
+        return
+    for name in ("curve.csv", "fit.csv"):
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+@pytest.mark.parametrize("experiment", ["xy16", "ac_sense"])
+def test_ideal_pulse_runs_sample_no_spins(tmp_path, monkeypatch, experiment):
+    # a billion spins would be 8 GB per array: an ideal-pulse run reads only their spread.
+    # Sampling fails at once rather than fill that memory
+    def sample_ensemble(*args, **kwargs):
+        raise AssertionError("an ideal-pulse run sampled spins")
+
+    monkeypatch.setattr(cli, "sample_ensemble", sample_ensemble)
+    path = write_cfg(tmp_path, f"experiment = {experiment}\nn_spins = 1000000000\nn_points = 6\nshots = 200\n")
+    tracemalloc.start()
+    try:
+        got, err, caught = _cli("run", path, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got, caught) == (0, []), err
+    assert peak < 4 * 2**20
 
 
 def test_manifest_reflects_every_config_key(tmp_path):

@@ -18,9 +18,9 @@ from nvsim.ensemble import (
     NoiseModel,
     ac_phase_integrals,
     ensemble_rabi_curve,
+    ideal_populations,
     run_two_branch,
     sample_ensemble,
-    two_branch_ac_sweep,
 )
 from nvsim.fields import ResonatorSpec
 from nvsim.filters import coherence_analytic
@@ -44,6 +44,7 @@ from nvsim.sequences import (
     build_xy16,
     pulse_times,
     render_finite,
+    toggling_moment,
     toggling_segments,
 )
 from nvsim.oracles import (
@@ -181,22 +182,18 @@ def test_zero_noise_identity_branches():
 
 
 def test_engine_matches_unitary_composition_with_static_detuning():
-    # Dual route: phase algebra vs direct rotation composition, spin by spin.
-    rng = np.random.default_rng(0)
-    deltas = rng.normal(0.0, 2 * math.pi * 1e6, 8)
+    # Dual route: the closed form against direct rotation composition, spin by spin,
+    # averaged over delta ~ N(0, sigma^2) by 60-node Gauss-Hermite quadrature
+    sigma = 2 * math.pi * 0.3e6
+    x, w = np.polynomial.hermite.hermgauss(60)
+    deltas, weights = math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
     for seq in (build_fid(0.8e-6), build_hahn_echo(1.6e-6), build_xy16(1, 0.4e-6),
                 build_cpmg(3, 0.5e-6)):
-        for d in deltas:
-            ens = EnsembleSample(
-                positions=np.zeros((1, 3)),
-                omega=np.array([OMEGA]),
-                delta_static=np.array([d]),
-                epsilon=np.zeros(1),
-                seed=0,
-            )
-            p_plus, _ = run_two_branch(seq, ens, OUBath(0.0, 1e-5))
-            want = compose_sequence(seq, d)
-            assert p_plus == pytest.approx(want, abs=1e-9)
+        want = float(weights @ [compose_sequence(seq, d) for d in deltas])
+        p_plus, _ = run_two_branch(seq, QuasiStaticSpread(sigma), OUBath(0.0, 1e-5))
+        assert p_plus == pytest.approx(want, abs=1e-9)
+    # the FID keeps a static term: p+ = (1 + exp(-(0.8 us sigma)^2 / 2)) / 2 = 0.66
+    assert run_two_branch(build_fid(0.8e-6), QuasiStaticSpread(sigma), OUBath(0.0, 1e-5))[0] < 0.7
 
 
 def test_echo_branch_difference_independent_of_static_detuning():
@@ -225,9 +222,7 @@ def test_ac_phase_closed_form():
     tau = 1e-6
     seq = build_xy16(1, tau, readout_phase=math.pi / 2)
     b0 = 4e-9
-    [(p_plus, p_minus)] = two_branch_ac_sweep(
-        seq, ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0]
-    )
+    [(p_plus, p_minus)] = ideal_populations(seq, QUIET.bath, ens.sigma_delta, [b0], 1.0 / (2 * tau), math.pi / 2)
     phi = (2 / math.pi) * GAMMA_E * b0 * 16 * tau
     assert p_plus == pytest.approx((1 + math.sin(phi)) / 2, abs=1e-9)
     assert p_minus == pytest.approx((1 - math.sin(phi)) / 2, abs=1e-9)
@@ -259,9 +254,7 @@ def test_ac_simulated_phase_matches_oracle_within_1pc():
     ens = quiet_ensemble()
     for n_rep, tau, b0 in ((1, 1e-6, 2e-9), (2, 1.5e-6, 1e-9)):
         seq = build_xy16(n_rep, tau, readout_phase=math.pi / 2)
-        [(p_plus, p_minus)] = two_branch_ac_sweep(
-            seq, ens, QUIET.bath, 1.0 / (2 * tau), math.pi / 2, [b0]
-        )
+        [(p_plus, p_minus)] = ideal_populations(seq, QUIET.bath, ens.sigma_delta, [b0], 1.0 / (2 * tau), math.pi / 2)
         phi_sim = math.asin(p_plus - p_minus)
         phi_expect = (2 / math.pi) * GAMMA_E * b0 * (16 * n_rep * tau)
         assert phi_sim == pytest.approx(phi_expect, rel=0.01)
@@ -289,13 +282,13 @@ def test_thread_count_invariance(monkeypatch):
     assert workers == []
 
 
-# recorded when the ideal engine began to average each spin's OU phase exactly
+# recorded when the ideal engine began to average the static spread in closed form
 AC_SWEEP_PINNED = [
     (0.4075740164199455, 0.5924259835800545),
     (0.4535591957908367, 0.5464408042091633),
     (0.5000000000000001, 0.4999999999999999),
     (0.5464408042091635, 0.45355919579083653),
-    (0.5924259835800547, 0.4075740164199453),
+    (0.5924259835800547, 0.40757401641994534),
 ]
 
 
@@ -303,15 +296,21 @@ AC_SWEEP_PINNED = [
 def test_ac_sweep_outputs_pinned(calls):
     # The sweep is split over `calls` calls: each point depends only on its
     # own amplitude, not on the others folded with it.
-    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
-    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
+    bath = OUBath(3e5, 10e-6)
     f, phase = 362e3, math.pi / 2
     seq = build_xy16(2, 1 / (2 * f), readout_phase=math.pi / 2)
     amplitudes = np.linspace(-4e-8, 4e-8, 5)
     swept = []
     for part in np.array_split(amplitudes, calls):
-        swept += two_branch_ac_sweep(seq, ens, nm.bath, f, phase, part)
+        swept += ideal_populations(seq, bath, 1e6, part, f, phase)
     assert swept == AC_SWEEP_PINNED  # bit-identical
+    # the synchronized train's closed form: p+ - p- = W sin((2/pi) gamma B T), and
+    # XY16's static coefficient (~1e-21 s) leaves exp(-(m sigma)^2 / 2) = 1
+    times, total = pulse_times(seq)
+    w = math.exp(-ou_chi_exact(times, total, bath))
+    for b0, (p_plus, p_minus) in zip(amplitudes, AC_SWEEP_PINNED):
+        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-15)
+        assert p_plus - p_minus == pytest.approx(w * math.sin((2 / math.pi) * GAMMA_E * b0 * total), abs=1e-14)
 
 
 def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
@@ -436,7 +435,7 @@ def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threa
     # 3 near-equal blocks; 19 rows is no multiple of 3, 8 or 12
     monkeypatch.setattr(ensemble, "ROW_CHUNK", chunk)
     n, n_rows, seed, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 5
-    ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed)
+    ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed, 0.0)
 
     def take(block):
         got, prev = [], None
@@ -509,18 +508,22 @@ def test_ideal_engine_equals_its_closed_form(build):
             assert p_plus - p_minus == pytest.approx(want, rel=1e-12)
 
 
-def test_ideal_fid_averages_the_ou_phase_and_keeps_the_sampled_detunings():
-    # the FID does not refocus the static term: p+ - p- = exp(-chi) mean_i cos(T delta_i)
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_ideal_fid_equals_its_closed_form(seed):
+    # the FID does not refocus the static term: p+ - p- = exp(-chi - sigma^2 T^2 / 2) whatever
+    # the spins drawn, from a sampled ensemble or from the spread alone
     bath = OUBath(5e6, 1e-6)
-    nm = NoiseModel(QuasiStaticSpread(sigma_from_t2star(150e-9)), bath)
-    ens = sample_ensemble(VOL, None, nm, 1000, 5, rabi_angular_freq=OMEGA)
+    sigma = sigma_from_t2star(150e-9)
+    ens = sample_ensemble(VOL, None, NoiseModel(QuasiStaticSpread(sigma), bath), 1000, seed, rabi_angular_freq=OMEGA)
+    assert ens.sigma_delta == sigma
     for T in (50e-9, 100e-9, 150e-9):
         seq = build_fid(T)
         chi = ou_chi_exact(*pulse_times(seq), bath)
-        assert chi > 0.01
-        want = math.exp(-chi) * float(np.mean(np.cos(T * ens.delta_static)))
-        p_plus, p_minus = run_two_branch(seq, ens, bath)
-        assert p_plus - p_minus == pytest.approx(want, rel=1e-12)
+        assert chi > 0.01 and toggling_moment(*pulse_times(seq)) == T
+        want = math.exp(-chi - (sigma * T) ** 2 / 2)
+        for spins in (ens, QuasiStaticSpread(sigma)):
+            p_plus, p_minus = run_two_branch(seq, spins, bath)
+            assert p_plus - p_minus == pytest.approx(want, rel=1e-12)
 
 
 def test_finite_pulses_match_ideal_on_resonance():
@@ -563,7 +566,7 @@ def test_finite_engine_matches_rk4_composition_with_static_detuning():
     for seq in (build_fid(0.8e-6), build_hahn_echo(1.6e-6), build_xy16(1, 0.4e-6), build_cpmg(3, 0.5e-6),
                 *MISREAD.values()):
         for d, eps in ((2 * math.pi * 1.3e6, 0.0), (-2 * math.pi * 0.7e6, 0.03)):
-            ens = EnsembleSample(np.zeros((1, 3)), np.array([OMEGA]), np.array([d]), np.array([eps]), 0)
+            ens = EnsembleSample(np.zeros((1, 3)), np.array([OMEGA]), np.array([d]), np.array([eps]), 0, 0.0)
             got, _ = run_two_branch(seq, ens, OUBath(0.0, 1e-5), pulse_width=width)
             s, pending, prev_half = BRIGHT, 0.0, 0.0
             for e in seq.elements:

@@ -17,11 +17,10 @@ from nvsim.filters import (
     chi_from_spectrum,
     coherence_analytic,
     filter_weight,
-    toggling_moment,
 )
 from nvsim.noise import OUBath, calibrate_bath, ou_chi_exact
 from nvsim.oracles import chi_echo_ou, chi_fid_ou
-from nvsim.sequences import build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times
+from nvsim.sequences import build_cpmg, build_fid, build_hahn_echo, build_xy16, pulse_times, toggling_moment
 
 BATH = calibrate_bath(9e-6, 10e-6)
 
