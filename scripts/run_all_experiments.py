@@ -15,8 +15,10 @@ over its numeric cells, |a - b| over the largest magnitude in the
 column, and the cell where it occurs, so a change in the last digits
 reads apart from a real one.
 
-    python scripts/run_all_experiments.py --threads 1 --out ref
-    python scripts/run_all_experiments.py --threads 2 --out new --compare ref
+    python scripts/run_all_experiments.py --out ref
+    python scripts/run_all_experiments.py --out new --compare ref
+
+--threads is passed on to `simulate run`, which only records it in the manifest.
 """
 
 import argparse

@@ -129,7 +129,6 @@ def _run_coherence(cfg):
             bath,
             pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
             noise_seed=cfg.seed + 2,
-            threads=cfg.threads,
         )
     except FitError as exc:
         raise NumericalFailure(f"coherence fit: {exc}") from exc
@@ -264,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", dest="out_dir", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None, help="recorded in the manifest; has no effect")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="schema and physics sanity report, no run")

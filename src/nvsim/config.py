@@ -33,7 +33,7 @@ class RunConfig:
     # run
     experiment: str = "echo"
     seed: int = 20260809
-    threads: int = 1
+    threads: int = 1  # checked and recorded in the manifest; nothing reads it
     shots: int = 2000
     out_dir: str = "out"
     dump_shots: bool = False

@@ -62,24 +62,19 @@ last pulse, and the -1 branch's differs from it by pi.
 
 The finite engine cuts the spins into near-equal blocks of at most
 SPIN_BLOCK.  Each block is evolved as one array on the calling thread
-and draws its noise from its own counter-based substream keyed on
-(seed, NOISE_KEY, noise_seed, block) (Salmon et al., SC'11), as rows of one
-standard normal per spin, ROW_CHUNK rows per call; the blocks' partial
-sums are added in block order.  With threads > 1, one worker thread
-fills a block's next chunk of rows while the caller evolves the spins
-through the current one: the Philox fills run without the GIL, while
-the many short numpy calls of the evolution would only trade it back
-and forth if the spins were split between threads.  A substream's draws
-do not depend on how its rows are chunked or filled, so results are
-bit-identical for any thread count.  The ideal engine draws nothing, so
-it has no noise seed and no thread count.
+and draws its noise from its own PCG64 substream (O'Neill, HMC-CS-2014-0905)
+keyed on (seed, NOISE_KEY, noise_seed, block), as rows of one standard
+normal per spin; the blocks' partial sums are added in block order.  The
+caller makes each pair of rows from one (2, n) fill of uniforms by Box &
+Muller (Ann. Math. Stat. 29, 610 (1958)), with the angle's cosine and sine
+taken from the tangent of its half, as the free precession does; numpy's
+tan is cheaper than its sin and cos.  The engine starts no thread.  The
+ideal engine draws nothing, so it has no noise seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +94,6 @@ from .sequences import PulseSequence, pi_train, readout_angle, render_finite, to
 
 # spins evolved as one array, with one noise substream: few, long numpy calls in bounded memory
 SPIN_BLOCK = 10240
-# noise rows per fill: the unit a prefetch worker hands over
-ROW_CHUNK = 12
 # the finite engine's substreams: (seed, NOISE_KEY, noise_seed, block)
 NOISE_KEY = 0xB0
 
@@ -202,65 +195,61 @@ def sample_ensemble(
 
 class _Block:
     """The spins [lo, hi), evolved as one array, and their supply of n_rows
-    noise rows of one standard normal per spin: the row-major order of the
-    block's one substream, so a spin's draws do not depend on how rows are
-    chunked.  With a pool, its one worker fills the next chunk while the
-    caller uses the current one.
+    noise rows of one standard normal per spin from the block's substream.
     """
 
-    def __init__(self, lo: int, hi: int, rng: np.random.Generator, n_rows: int, pool):
+    def __init__(self, lo: int, hi: int, rng: np.random.Generator, n_rows: int):
         self.lo, self.hi = lo, hi
         self.n_rows = n_rows
         self._rng = rng
-        self._pool = pool
 
     def rows(self):
-        """Yield the block's n_rows noise rows in order, as (n,) views of two
-        alternating chunk buffers.  A row stays valid until the caller takes
-        the second row after it."""
-        chunk = min(ROW_CHUNK, self.n_rows)
-        n_chunks = -(-self.n_rows // ROW_CHUNK)
-        # one array per buffer: freeing a single twice-as-large block raised glibc's
-        # dynamic mmap threshold and with it the peak RSS of a 10k-spin run by ~2 MB
-        bufs = [np.empty((chunk, self.hi - self.lo)) for _ in range(min(2, n_chunks))]
+        """Yield the block's n_rows noise rows in order, as (n,) arrays that
+        stay valid until the caller takes the next row.
 
-        def start(c):
-            """Start chunk c on the worker, if any, and return a callable giving it.
-            The caller fills chunk 0 itself: it has nothing to do meanwhile."""
-            if c == n_chunks:
-                return None
-            # the leading rows of a C-contiguous buffer, filled by one draw
-            out = bufs[c % 2][: min(ROW_CHUNK, self.n_rows - c * ROW_CHUNK)]
-            if self._pool is None or c == 0:
-                return lambda: self._rng.standard_normal(out=out)
-            return self._pool.submit(self._rng.standard_normal, out=out).result
+        Rows 2k and 2k + 1 are one Box-Muller pair from the k-th (2, n) fill
+        of uniforms (u1, u2): with r = sqrt(-2 log(1 - u1)), t = tan(pi u2)
+        and c = 2 / (1 + t^2), row 2k is (c - 1) r and row 2k + 1 is (t c) r,
+        r times the cosine and sine of 2 pi u2.  An odd n_rows drops the
+        last sine row, so a block's first rows do not depend on n_rows.
+        """
+        u = np.empty((2, self.hi - self.lo))
+        r, t = u
+        c = np.empty_like(r)
+        for k in range(0, self.n_rows, 2):
+            self._rng.random(out=u)
+            np.subtract(1.0, r, out=r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            t *= math.pi
+            np.tan(t, out=t)
+            np.multiply(t, t, out=c)
+            c += 1.0
+            np.divide(2.0, c, out=c)
+            t *= c
+            t *= r
+            c -= 1.0
+            c *= r
+            yield c
+            if k + 1 < self.n_rows:
+                yield t
 
-        get = start(0)
-        for c in range(n_chunks):
-            rows = get()
-            yield rows[0]
-            # the caller has now let go of the last row of chunk c - 1, whose buffer chunk c + 1 reuses
-            get = start(c + 1)
-            yield from rows[1:]
 
-
-def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, threads: int, n_rows: int) -> list:
+def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, n_rows: int) -> list:
     """Run fn(block) on k = ceil(n / SPIN_BLOCK) near-equal spin blocks
     [b n // k, (b + 1) n // k), in block order on the calling thread; block
-    b supplies n_rows noise rows from its (seed, NOISE_KEY, noise_seed, b)
-    substream.  Returns each block's result in block order.  With threads
-    > 1 and more than one chunk of rows, one worker thread fills each
-    block's chunks ahead of use; the draws and their order are the same
-    for any thread count.
+    b supplies n_rows noise rows from its PCG64 substream
+    default_rng([seed, NOISE_KEY, noise_seed, b]).  Returns each block's
+    result in block order.
     """
     n = ensemble.n_spins
     k = -(-n // SPIN_BLOCK)
-    prefetch = threads > 1 and n_rows > ROW_CHUNK
-    with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as pool:
-        return [
-            fn(_Block(b * n // k, (b + 1) * n // k, _rng_for(ensemble.seed, NOISE_KEY, noise_seed, b), n_rows, pool))
-            for b in range(k)
-        ]
+    blocks = (
+        _Block(b * n // k, (b + 1) * n // k, np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), n_rows)
+        for b in range(k)
+    )
+    return [fn(block) for block in blocks]
 
 
 def run_two_branch(
@@ -270,7 +259,6 @@ def run_two_branch(
     *,
     noise_seed: int = 0,
     pulse_width: float | None = None,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Ensemble-averaged ms=0 populations for the two readout branches,
     without an AC field (ideal_populations applies one).
@@ -279,11 +267,11 @@ def run_two_branch(
     (ideal_populations), so spins may be a QuasiStaticSpread.  A finite width
     renders the sequence with rectangular pulses, delays center-to-center,
     and evolves each spin of the EnsembleSample along a fresh OU trajectory
-    keyed on (spins.seed, noise_seed, block).  noise_seed and threads only
-    reach the finite engine.
+    keyed on (spins.seed, noise_seed, block).  noise_seed only reaches the
+    finite engine.
     """
     if pulse_width is not None:
-        return _run_two_branch_finite(seq, spins, bath, noise_seed=noise_seed, pulse_width=pulse_width, threads=threads)
+        return _run_two_branch_finite(seq, spins, bath, noise_seed=noise_seed, pulse_width=pulse_width)
     return ideal_populations(seq, bath, spins.sigma_delta)[0]
 
 
@@ -381,7 +369,7 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndar
     return x
 
 
-def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, threads):
+def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
     steps, final = render_finite(seq.elements, pulse_width)
 
     def run(block: _Block):
@@ -399,7 +387,7 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width, thre
         return sums
 
     # the noise rows _evolve_finite takes: the start value, then one per step
-    parts = _map_blocks(run, ensemble, noise_seed, threads, 1 + len(steps) if bath.b > 0 else 0)
+    parts = _map_blocks(run, ensemble, noise_seed, 1 + len(steps) if bath.b > 0 else 0)
     n = ensemble.n_spins
     return sum(p for p, _ in parts) / n, sum(m for _, m in parts) / n
 

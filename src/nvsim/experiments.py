@@ -159,7 +159,6 @@ def run_coherence(
     *,
     pulse_width: float | None = None,
     noise_seed: int = 0,
-    threads: int = 1,
 ) -> CoherenceResult:
     """Normalized two-branch signal vs total free time, stretched-exp fit.
 
@@ -179,7 +178,6 @@ def run_coherence(
             bath,
             noise_seed=noise_seed + 7919 * i,
             pulse_width=pulse_width,
-            threads=threads,
         )
         signal[i] = p_plus - p_minus
     fit = fit_stretched_exp(t_sweep, signal)
@@ -401,16 +399,25 @@ def _cell(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
+def _column_cells(column) -> list[str]:
+    """A column's cells, converted once: a column of Python floats (a float
+    array's tolist()) by repr alone, any other cell by _cell."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if all(type(v) is float for v in values):
+        return list(map(repr, values))
+    return list(map(_cell, values))
+
+
 def write_table(path, header: list[str], columns) -> None:
     """One CSV: the header line, then one row per index of the equal-length columns.
 
     A float cell is written as repr(float(v)), which round-trips; any
     other cell (an int, a name) as str(v).
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    cells = [_column_cells(c) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*columns, strict=True))
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def fit_table(fit: CurveFitResult, extra: dict[str, float]):

@@ -302,8 +302,8 @@ def test_acceptance_10_robustness():
     # p+ - p- of the train turned by prepared_on(seq, a) is the coherence left on
     # axis a, read through the finite pi/2 pulses.  Seed scan of these calls
     # (ensemble seeds 0-199, noise seeds 1000-1199), SE = the spread over seeds:
-    # XY16 minus CPMG is 0.576 +- 0.009 at the worst phase and 0.577 +- 0.009 on
-    # the x axis, 68 and 67 SE above 0 (128 spins take 0.01 s a call).
+    # XY16 minus CPMG is 0.576 +- 0.008 at the worst phase and 0.578 +- 0.008 on
+    # the x axis, 68 and 70 SE above 0 (128 spins take 0.01 s a call).
     # False-failure rate 0 of 200 seeds.  With the finite engine ignoring each
     # pulse's phase, both trains are all-x and both checks fail on 200 of 200.
     assert survival["xy16"].min() > survival["cpmg"].min()

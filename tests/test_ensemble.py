@@ -1,6 +1,7 @@
 """Ensemble sampling determinism and the two-branch evolution engine,
 cross-checked against direct single-spin unitary composition."""
 
+import filecmp
 import math
 import threading
 from dataclasses import replace
@@ -8,9 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import kstest
 
 from nvsim import ensemble
 from nvsim.bloch import rotate_drive
+from nvsim.cli import main as cli_main
 from nvsim.constants import GAMMA_E
 from nvsim.ensemble import (
     DetectionVolume,
@@ -260,26 +263,14 @@ def test_ac_simulated_phase_matches_oracle_within_1pc():
         assert phi_sim == pytest.approx(phi_expect, rel=0.01)
 
 
-def _record_pools(monkeypatch) -> list:
-    """The max_workers of every ThreadPoolExecutor the engine starts from now on."""
-    workers = []
-
-    class RecordingPool(ensemble.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-    return workers
-
-
-def test_thread_count_invariance(monkeypatch):
-    # the ideal engine draws nothing, so threads = 4 starts no worker
+def test_thread_count_invariance():
+    # neither engine starts a thread, so no thread count can reach its results
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
-    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
-    workers = _record_pools(monkeypatch)
-    run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, threads=4)
-    assert workers == []
+    ens = sample_ensemble(VOL, None, nm, 3000, 4, rabi_angular_freq=OMEGA)
+    before = threading.active_count()
+    run_two_branch(build_xy16(1, 1e-6), ens, nm.bath)
+    run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9)
+    assert threading.active_count() == before
 
 
 # recorded when the ideal engine began to average the static spread in closed form
@@ -313,24 +304,26 @@ def test_ac_sweep_outputs_pinned(calls):
         assert p_plus - p_minus == pytest.approx(w * math.sin((2 / math.pi) * GAMMA_E * b0 * total), abs=1e-14)
 
 
-def test_finite_run_two_branch_thread_count_invariance(monkeypatch):
-    # 6000 spins, one block: test_finite_engine_outputs_pinned_over_three_blocks covers three
-    nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6), AmplitudeErrorModel(sigma=0.02))
-    ens = sample_ensemble(VOL, None, nm, 6000, 4, rabi_angular_freq=OMEGA)
-    seq = build_xy16(1, 1e-6)
-    workers = _record_pools(monkeypatch)
+def test_finite_run_two_branch_thread_count_invariance(tmp_path):
+    # the threads key is checked and recorded, but a finite-pulse run starts no
+    # thread and writes the same bytes at any thread count
+    cfg = tmp_path / "finite.cfg"
+    cfg.write_text(
+        "experiment = xy16\nseed = 4\nfinite_pulses = true\nn_repeats = 1\nn_spins = 1000\n"
+        "n_points = 6\nt_min_s = 2e-6\nt_max_s = 30e-6\n"
+    )
     before = threading.active_count()
-    runs = [
-        run_two_branch(seq, ens, nm.bath, noise_seed=5, pulse_width=48e-9, threads=t)
-        for t in (1, 2, 3, 4)
-    ]
-    assert all(r == runs[0] for r in runs)  # bit-identical
-    assert workers == [1, 1, 1]  # no pool at threads = 1, one prefetch worker otherwise
+    for t in (1, 2, 3):
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / str(t)), "--threads", str(t)]) == 0
+        assert f"threads={t}\n" in (tmp_path / str(t) / "manifest.txt").read_text()
     assert threading.active_count() == before
+    for t in (2, 3):
+        for name in ("curve.csv", "fit.csv"):
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / str(t) / name, shallow=False)
 
 
-# the reference's own stream layout, that of its two-normal pins; at up to this many
-# spins its draws are the engine's (one block, the same substream)
+# the reference's own stream layout, that of its two-normal pins: Philox substreams of
+# this many spins, independent of the engine's PCG64 Box-Muller rows
 REFERENCE_BLOCK = 2048
 
 
@@ -370,11 +363,14 @@ def _pinned_case(n=6000):
     return nm.bath, sample_ensemble(VOL, None, nm, n, 4, rabi_angular_freq=OMEGA), build_xy16(1, 1e-6)
 
 
-# recorded with the bridge noise a22 z2 of every gap averaged out, one normal per step,
-# and one substream per block of at most SPIN_BLOCK spins: 6000 spins are one block
-FINITE_PINNED = (0.9940301552927737, 0.006960784898610452)
-# the same at 2 SPIN_BLOCK + 300 spins: three near-equal blocks
-FINITE_PINNED_3_BLOCKS = (0.994021924991372, 0.006956961620261242)
+# recorded when the noise rows became Box-Muller pairs from one PCG64 substream per
+# block of at most SPIN_BLOCK spins (the bridge noise a22 z2 of every gap averaged
+# out, one normal per step): 6000 spins are one block
+FINITE_PINNED = (0.9940281971967567, 0.0069575575723584415)
+# recorded at the same time, at SPIN_BLOCK + 300 and 2 SPIN_BLOCK + 300 spins: two and
+# three near-equal blocks
+FINITE_PINNED_2_BLOCKS = (0.9940296267801455, 0.006963923757116604)
+FINITE_PINNED_3_BLOCKS = (0.9940187731623563, 0.006963897436929988)
 
 
 def test_reference_engine_reproduces_the_two_normal_pins():
@@ -405,77 +401,103 @@ def test_finite_engine_agrees_with_the_two_normal_reference():
     # noise seeds.  Off resonance, because a turn into the wrong frame mirrors the
     # train, which an ensemble symmetric in detuning cannot tell apart.  Over
     # ensemble seeds 1000-1039 (noise seeds disjoint) the means differed by at most
-    # 3.0 SE and the spread ratio was at most 0.50; the test failed on 40 of 40
-    # with d = 1 (9.2-19 SE), with the frame turn's sign flipped (7.6-16 SE), without
-    # a21 z1 (9.7-20 SE) or with the engine ignoring each pulse's phase.
+    # 2.0 SE and the spread ratio was at most 0.52; the test failed on 40 of 40
+    # with d = 1 (9.6-21 SE), with the frame turn's sign flipped (6.6-16 SE), without
+    # a21 z1 (10-19 SE) or with the engine ignoring each pulse's phase (12-26 SE).
     new, ref = _reference_comparison(12, range(16), range(100, 116))
     se = np.sqrt((new.var(axis=0, ddof=1) + ref.var(axis=0, ddof=1)) / 16)
     assert np.all(np.abs(new.mean(axis=0) - ref.mean(axis=0)) < 5 * se)
     assert np.all(new.std(axis=0, ddof=1) <= ref.std(axis=0, ddof=1))
 
 
-def _finite_outputs(n, threads):
+def _finite_outputs(n):
     bath, ens, seq = _pinned_case(n)
-    return run_two_branch(seq, ens, bath, noise_seed=5, pulse_width=48e-9, threads=threads)
+    return run_two_branch(seq, ens, bath, noise_seed=5, pulse_width=48e-9)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_finite_engine_outputs_pinned(threads):
-    assert _finite_outputs(6000, threads) == FINITE_PINNED
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_finite_engine_outputs_pinned(blocks):
+    n = {1: 6000, 2: ensemble.SPIN_BLOCK + 300, 3: 2 * ensemble.SPIN_BLOCK + 300}[blocks]
+    pinned = {1: FINITE_PINNED, 2: FINITE_PINNED_2_BLOCKS, 3: FINITE_PINNED_3_BLOCKS}[blocks]
+    assert _finite_outputs(n) == pinned
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_finite_engine_outputs_pinned_over_three_blocks(threads):
-    assert _finite_outputs(2 * ensemble.SPIN_BLOCK + 300, threads) == FINITE_PINNED_3_BLOCKS
+@pytest.mark.parametrize("calls", [1, 2, 3])
+def test_finite_engine_outputs_pinned_over_three_blocks(calls):
+    # each of `calls` consecutive runs in one process meets the pin: no generator,
+    # buffer or block state carries over from one run to the next
+    for _ in range(calls):
+        assert _finite_outputs(2 * ensemble.SPIN_BLOCK + 300) == FINITE_PINNED_3_BLOCKS
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("chunk", [1, 3, 8, 12])
-def test_row_supply_matches_row_by_row_substream_draws(monkeypatch, chunk, threads):
-    # 3 near-equal blocks; 19 rows is no multiple of 3, 8 or 12
-    monkeypatch.setattr(ensemble, "ROW_CHUNK", chunk)
-    n, n_rows, seed, noise_seed = 2 * ensemble.SPIN_BLOCK + 300, 19, 4, 5
-    ens = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed, 0.0)
+def _block_rows(n, n_rows, seed=4, noise_seed=5):
+    """Each block's (lo, hi) and its noise rows, as one (n_rows, hi - lo) array."""
+    spins = EnsembleSample(np.zeros((n, 3)), np.ones(n), np.zeros(n), np.zeros(n), seed, 0.0)
+    return ensemble._map_blocks(
+        lambda block: (block.lo, block.hi, np.array([row.copy() for row in block.rows()])),
+        spins, noise_seed, n_rows,
+    )
 
-    def take(block):
-        got, prev = [], None
-        for row in block.rows():
-            if prev is not None:
-                assert np.array_equal(prev, got[-1])  # a row outlives the next one's arrival
-            got.append(row.copy())
-            prev = row
-        return block.lo, block.hi, np.array(got)
 
-    blocks = ensemble._map_blocks(take, ens, noise_seed, threads, n_rows)
+@pytest.mark.parametrize("noise_seed", [1, 2])
+@pytest.mark.parametrize("n_rows", [1, 3, 8, 12, 19])
+def test_row_supply_matches_row_by_row_substream_draws(n_rows, noise_seed):
+    # each block's rows are Box-Muller pairs of its own substream, recomputed pair by
+    # pair; 3 near-equal blocks, and an odd row count ends on a pair's cosine row
+    n, seed = 2 * ensemble.SPIN_BLOCK + 300, 4
+    blocks = _block_rows(n, n_rows, seed, noise_seed)
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]
     for b, (lo, hi, got) in enumerate(blocks):
-        rng = ensemble._rng_for(seed, ensemble.NOISE_KEY, noise_seed, b)
-        want = [rng.standard_normal(hi - lo) for _ in range(n_rows)]
-        assert np.array_equal(got, np.array(want))
+        rng = np.random.default_rng([seed, 0xB0, noise_seed, b])
+        want = []
+        for _ in range(-(-n_rows // 2)):
+            u1, u2 = rng.random((2, hi - lo))
+            r = np.sqrt(-2.0 * np.log(1.0 - u1))
+            t = np.tan(math.pi * u2)
+            c = 2.0 / (1.0 + t * t)  # cos(2 pi u2) = c - 1, sin(2 pi u2) = t c
+            want += [(c - 1.0) * r, t * c * r]
+        assert np.array_equal(got, np.array(want[:n_rows]))
 
 
-def test_prefetch_fill_error_reaches_the_caller(monkeypatch):
-    rng_for = ensemble._rng_for
-    failed = []
+def test_row_supply_prefix_does_not_depend_on_the_row_count():
+    full = _block_rows(3000, 7)[0][2]
+    for n_rows in range(1, 7):
+        assert np.array_equal(_block_rows(3000, n_rows)[0][2], full[:n_rows])
 
-    class FailingOffTheCaller:
-        def __init__(self, rng):
-            self.rng = rng
 
-        def standard_normal(self, *args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                failed.append(True)
-                raise RuntimeError("prefetch fill failed")
-            return self.rng.standard_normal(*args, **kwargs)
+def test_row_supply_is_standard_normal():
+    # 10^6 draws at one seed: 20 rows of 50000 spins in 5 blocks.  Each bound is
+    # 5 standard errors of a true standard normal's statistic over m draws: the
+    # mean 1 / sqrt(m), the variance sqrt(2 / m) and a correlation 1 / sqrt(m);
+    # KS at sqrt(m) D < 2.5, exceeded with probability ~1e-5.  The cosine and
+    # sine rows are checked apart, since each is normal only with its own factor.
+    rows = [r for _, _, r in _block_rows(50000, 20)]
+    x = np.concatenate([r.ravel() for r in rows])
+    assert x.size == 10**6
+    assert abs(x.mean()) < 5 / math.sqrt(x.size)
+    assert math.sqrt(x.size) * kstest(x, "norm").statistic < 2.5
+    cos_rows, sin_rows = (np.concatenate([r[k::2].ravel() for r in rows]) for k in (0, 1))
+    for half in (cos_rows, sin_rows):
+        assert abs(half.var() - 1.0) < 5 * math.sqrt(2.0 / half.size)
+    # the two rows of a pair, and a pair's sine row with the next pair's cosine row
+    for a, b in ((cos_rows, sin_rows), (np.concatenate([r[1:-1:2].ravel() for r in rows]),
+                                        np.concatenate([r[2::2].ravel() for r in rows]))):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(a.size)
+
+
+def test_failing_fill_raises_from_run_two_branch(monkeypatch):
+    class FailingFill:
+        def __init__(self, key):
+            pass
+
+        def random(self, *args, **kwargs):
+            raise RuntimeError("noise fill failed")
 
     nm = NoiseModel(QuasiStaticSpread(1e6), OUBath(3e5, 10e-6))
     ens = sample_ensemble(VOL, None, nm, 3000, 4, rabi_angular_freq=OMEGA)
-    monkeypatch.setattr(ensemble, "_rng_for", lambda *key: FailingOffTheCaller(rng_for(*key)))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="prefetch fill failed"):
-        run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9, threads=2)
-    assert failed
-    assert threading.active_count() == before  # the worker was joined
+    monkeypatch.setattr(ensemble.np.random, "default_rng", FailingFill)
+    with pytest.raises(RuntimeError, match="noise fill failed"):
+        run_two_branch(build_xy16(1, 1e-6), ens, nm.bath, pulse_width=48e-9)
 
 
 def test_noise_seed_changes_trajectories():
@@ -552,7 +574,7 @@ def test_finite_pulses_match_ideal_under_ou_noise():
     var = ((1.0 + math.exp(-4.0 * chi)) / 2.0 - math.exp(-2.0 * chi)) / 4.0
     se = math.sqrt(var / n)  # of the finite mean: the ideal one draws nothing
     # rerun over ensemble and noise seeds 0-199: no seed failed, the largest deviation was
-    # 0.041 of this SE (median 0.0062), since the finite engine averages each gap's a22 z2
+    # 0.032 of this SE (median 0.0066), since the finite engine averages each gap's a22 z2
     # term and spreads far less than the per-spin law above; n stays at 20000
     for got, want in zip(finite, ideal):
         assert abs(got - want) < 5 * se

@@ -25,6 +25,7 @@ from nvsim.experiments import (
     run_resolution,
     sensitivity_from_slope,
     synchronized_phase,
+    write_table,
 )
 from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
 from nvsim.readout import ReadoutModel, readout_shot_std
@@ -423,3 +424,26 @@ def test_phase_robustness_xy16_beats_cpmg_smoke():
     # 0.993844 and CPMG 0.232726 on every seed.  With the finite engine ignoring
     # each pulse's phase, both are 0.381504 and the check fails.
     assert worst["xy16"] > worst["cpmg"]
+
+@pytest.mark.parametrize("column", [
+    np.array([0.1, -2.5e-300, 1e16, np.nan, -0.0, np.inf]),
+    np.arange(6),
+    np.arange(6) > 2,
+    [0.1, 1.0 / 3.0, 5e-324, 2.0, 1e22, -7.25],
+    ["a", 0.5, np.float64(1.0 / 3.0), np.float32(0.1), 1, np.int64(-3)],  # fit.csv's mix
+], ids=["float-array", "int-array", "bool-array", "float-list", "mixed-list"])
+def test_write_table_writes_each_cell_by_the_per_cell_rule(tmp_path, column):
+    # the per-cell rule: repr(float(v)) for a float, str(v) for anything else
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    names = [f"r{i}" for i in range(len(values))]
+    write_table(tmp_path / "t.csv", ["name", "value"], [names, column])
+    want = "name,value\n" + "".join(f"{n},{cell(v)}\n" for n, v in zip(names, values))
+    assert (tmp_path / "t.csv").read_text() == want
+
+
+def test_write_table_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), [1.0, 2.0]])
