@@ -1,5 +1,11 @@
 #!/usr/bin/env python3
-"""Run every shipped experiment config through the CLI.
+"""Run every shipped experiment config through the CLI, in one process.
+
+The script imports nvsim.cli once and calls cli.main(["run", config,
+...]) for each config in turn, so the package is imported once rather
+than once per config.  A run that returns non-zero prints "exited N";
+an exception that cli.main does not map to an exit code is printed with
+its traceback and counted as "exited 1", and the next config still runs.
 
 Outputs go where each config's out_dir says, or with --out DIR into
 DIR/<config name>/ (DIR/resolution/ for resolution.cfg).  With
@@ -24,9 +30,11 @@ reads apart from a real one.
 import argparse
 import filecmp
 import math
-import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+from nvsim import cli
 
 CONFIGS = [
     "odmr.cfg",
@@ -106,29 +114,33 @@ def compare_outputs(out: Path, ref: Path) -> list[str]:
     return problems
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--configs", default=None, help="configs directory (default: repo configs/)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None, help="write each config's outputs into OUT/<config name>/")
     ap.add_argument("--compare", default=None, metavar="REF_DIR", help="then compare the CSVs and manifests under OUT with REF_DIR")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     if args.compare is not None and args.out is None:
         ap.error("--compare needs --out")
 
     cfg_dir = Path(args.configs) if args.configs else Path(__file__).resolve().parent.parent / "configs"
     failures = 0
     for name in CONFIGS:
-        cmd = [sys.executable, "-m", "nvsim.cli", "run", str(cfg_dir / name)]
+        run_argv = ["run", str(cfg_dir / name)]
         if args.seed is not None:
-            cmd += ["--seed", str(args.seed)]
+            run_argv += ["--seed", str(args.seed)]
         if args.threads is not None:
-            cmd += ["--threads", str(args.threads)]
+            run_argv += ["--threads", str(args.threads)]
         if args.out is not None:
-            cmd += ["--out", str(Path(args.out) / Path(name).stem)]
-        print(f">>> {name}")
-        rc = subprocess.call(cmd)
+            run_argv += ["--out", str(Path(args.out) / Path(name).stem)]
+        print(f">>> {name}", flush=True)
+        try:
+            rc = cli.main(run_argv)
+        except Exception:  # a crash of one run, as a fresh process would exit 1 on it
+            traceback.print_exc()
+            rc = 1
         if rc != 0:
             print(f"    exited {rc}")
             failures += 1

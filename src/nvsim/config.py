@@ -18,8 +18,18 @@ from .sequences import SWEEP_FAMILIES, render_finite
 
 EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "fieldmap")
 RESONATORS = ("uniform", "cwr", "ring", "wire")
-# the most blocks of the smallest averaging count a resolution run may take (32 MiB of block means)
-MAX_RESOLUTION_BLOCKS = 2**22
+# the most bytes one array that a count sets may take: each count's cap is this budget
+# over the bytes per unit of the largest array the count sets
+MAX_ARRAY_BYTES = 2**25  # 32 MiB
+# the most blocks of the smallest averaging count a resolution run may take, one float64 mean each
+MAX_RESOLUTION_BLOCKS = MAX_ARRAY_BYTES // 8
+# bytes per unit of the largest array each count sets during a run
+_COUNT_BYTES = {
+    "n_spins": 24,  # ensemble.sample_ensemble's (n_spins, 3) float64 positions
+    "shots": 8,  # readout.shot_stream's (1, shots) float64 row at each point
+    "n_points": 8,  # the float64 sweep of durations or total times
+    "n_amplitudes": 8,  # the float64 AC amplitudes and the curve columns over them
+}
 # the most ODMR frequencies (n_freq) or averaging counts (m_points): validate_config builds either array
 MAX_SWEEP_POINTS = 2**20
 
@@ -185,6 +195,20 @@ def validate_config(cfg: RunConfig) -> list[str]:
     for key in ("n_freq", "m_points"):
         if getattr(cfg, key) > MAX_SWEEP_POINTS:
             raise ConfigError(f"key '{key}': must be <= 2**20, got {getattr(cfg, key)}")
+    for key, size in _COUNT_BYTES.items():
+        # ideal pulses read only the spins' spread: only rabi and finite pulses sample spins
+        if key == "n_spins" and not (cfg.experiment == "rabi" or cfg.finite_pulses):
+            continue
+        if getattr(cfg, key) > MAX_ARRAY_BYTES // size:
+            raise ConfigError(
+                f"key '{key}': must be <= {MAX_ARRAY_BYTES // size} ({size} bytes each in one array "
+                f"of at most 32 MiB), got {getattr(cfg, key)}"
+            )
+    # the Rabi curve is one (n_points, n_spins) float64 array
+    if cfg.experiment == "rabi" and cfg.n_points * cfg.n_spins > MAX_ARRAY_BYTES // 8:
+        raise ConfigError(
+            f"key 'n_points': the Rabi curve's n_points * n_spins = {cfg.n_points * cfg.n_spins} values, over 2**22"
+        )
     if not (0.0 < cfg.contrast < 1.0):
         raise ConfigError(f"key 'contrast': must be in (0, 1), got {cfg.contrast}")
     if 1.0 + cfg.amp_error_systematic <= 0.0:

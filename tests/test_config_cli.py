@@ -8,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -673,8 +674,8 @@ BASES = {
     "fieldmap": "resonator = wire\n",
 }
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
-# an int beyond int64 exits 2 when parsed; otherwise counts stay small: a huge n_spins
-# or shots is a valid config that only exhausts memory
+# an int beyond int64 exits 2 when parsed; otherwise counts stay small: a huge n_repeats
+# is a valid config that only exhausts memory
 BEYOND_INT64 = [str(2**63), str(10**30)]
 INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)]}
 EDGES = {
@@ -682,9 +683,32 @@ EDGES = {
     for f in fields(RunConfig)
     if f.type in ("int", "float")
 }
+# the scale of an in-range value for the float keys whose default is 0: the calibrated
+# bath's b, a synchronized tau_s, and small laser and amplitude errors
+ZERO_DEFAULT_SCALES = {
+    "bath_b_rad_s": 4.8e5,
+    "tau_s": 1.0 / (2.0 * RunConfig.f_ac_hz),
+    "laser_fluct_fast_rel": 0.01,
+    "laser_drift_step_rel": 1e-4,
+    "amp_error_sigma": 0.05,
+    "amp_error_systematic": 0.05,
+}
+# each key drawn with an edge value, and with log2 of the factor on its in-range value
 PERTURBATIONS = st.lists(st.sampled_from(sorted(EDGES)), max_size=3, unique=True).flatmap(
-    lambda keys: st.tuples(*(st.tuples(st.just(key), st.sampled_from(EDGES[key])) for key in keys))
+    lambda keys: st.tuples(*(
+        st.tuples(st.just(key), st.sampled_from(EDGES[key]), st.floats(-1.0, 1.0)) for key in keys
+    ))
 )
+
+
+def _in_range(base: RunConfig, key: str, log2_factor: float) -> str:
+    """key's value in base, or its scale if that is 0, times 2**log2_factor; a count only grows,
+    as the fits need their base's points.  That is in the key's own valid range, though not
+    always in the range its pairing with another key allows (t_min_s < t_max_s)."""
+    value = getattr(base, key) or ZERO_DEFAULT_SCALES[key]
+    if isinstance(value, int):
+        return str(round(value * 2.0 ** abs(log2_factor)))
+    return repr(value * 2.0**log2_factor)
 
 
 def _cli(*argv):
@@ -703,37 +727,53 @@ def _non_finite_cells(out: Path, cfg: RunConfig) -> list[str]:
     bad = []
     for csv in sorted(out.glob("*.csv")):
         header, *rows = csv.read_text().splitlines()
-        for line, row in enumerate(rows, start=2):
-            cells = row.split(",")
-            if csv.name == "fieldmap.csv" and cfg.resonator == "wire" and \
-                    np.hypot(float(cells[0]), float(cells[2])) <= cfg.wire_diameter_m / 2.0:
+        table = np.array([row.split(",") for row in rows])
+        for j, name in enumerate(header.split(",")):
+            try:
+                column = table[:, j].astype(float)
+            except ValueError:  # fit parameter names
                 continue
-            for name, cell in zip(header.split(","), cells):
-                with contextlib.suppress(ValueError):  # a fit parameter's name
-                    if not math.isfinite(float(cell)):
-                        bad.append(f"{csv.name}:{line}:{name}={cell}")
+            rows_bad = np.flatnonzero(~np.isfinite(column))
+            if csv.name == "fieldmap.csv" and cfg.resonator == "wire":
+                x, z = table[rows_bad][:, [0, 2]].astype(float).T
+                rows_bad = rows_bad[np.hypot(x, z) > cfg.wire_diameter_m / 2.0]
+            bad += [f"{csv.name}:{i + 2}:{name}={table[i, j]}" for i in rows_bad]
     return bad
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(BASES)), PERTURBATIONS)
-def test_every_config_exits_0_2_or_3(experiment, edges):
-    # up to 3 keys of a small valid config set to 0, tiny, huge, negative or non-finite values;
-    # an exit 0 writes only finite CSV values, but for the wire field map inside the conductor
-    with tempfile.TemporaryDirectory() as tmp:
-        text = f"experiment = {experiment}\n{BASES[experiment]}out_dir = {tmp}/out\n"
-        path = Path(tmp) / "fuzz.cfg"
-        path.write_text(text + "".join(f"{key} = {value}\n" for key, value in edges))
-        ran = {command: _cli(command, str(path)) for command in ("validate", "run")}
-        if ran["run"][0] == 0:
-            assert not _non_finite_cells(Path(tmp) / "out", parse_config_text(path.read_text()))
-    for command, (rc, err, caught) in ran.items():
-        assert rc in (0, 2, 3), (command, rc)
-        assert not caught, (command, caught)
-        if rc == 2:
-            named = re.findall(r"key '(\w+)'", err)
-            assert named and set(named) <= {f.name for f in fields(RunConfig)}, err
-    assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
+def test_every_config_exits_0_2_or_3():
+    # up to 3 keys of a small valid config set within their valid ranges, or, in about one
+    # example in three, to 0, tiny, huge, negative or non-finite values; an exit 0 writes only
+    # finite CSV values, but for the wire field map inside the conductor
+    tally = Counter()  # examples per (edge values, exit 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(BASES)), st.sampled_from((True, False, False)), PERTURBATIONS)
+    def check(experiment, edge, perturbed):
+        base = f"experiment = {experiment}\n{BASES[experiment]}"
+        if edge:
+            values = [(key, value) for key, value, _ in perturbed]
+        else:
+            values = [(key, _in_range(parse_config_text(base), key, u)) for key, _, u in perturbed]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(f"{base}out_dir = {tmp}/out\n" + "".join(f"{key} = {value}\n" for key, value in values))
+            ran = {command: _cli(command, str(path)) for command in ("validate", "run")}
+            if ran["run"][0] == 0:
+                assert not _non_finite_cells(Path(tmp) / "out", parse_config_text(path.read_text()))
+        tally[edge, ran["run"][0] == 0] += 1
+        for command, (rc, err, caught) in ran.items():
+            assert rc in (0, 2, 3), (command, rc)
+            assert not caught, (command, caught)
+            if rc == 2:
+                named = re.findall(r"key '(\w+)'", err)
+                assert named and set(named) <= {f.name for f in fields(RunConfig)}, err
+        assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
+
+    check()
+    # so that the check cannot go quiet: 131 of the 200 examples exit 0, and 71 take edge values
+    assert tally[True, True] + tally[False, True] >= 100, tally
+    assert tally[True, True] + tally[True, False] >= 30, tally
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -762,11 +802,19 @@ def test_count_beyond_float64_integers_names_its_key(tmp_path, command, m_max):
 def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     # 2**53 * 20 // 100 smallest-M block means are 14 PB: validate printed ok, and run sampled
     # the ensemble, swept the AC field and then asked numpy for them.  10**9 frequencies or
-    # averaging counts are 7.45 GiB, which validate itself asked numpy for
+    # averaging counts are 7.45 GiB, which validate itself asked numpy for.  Spins, shots, points
+    # and amplitudes are capped one past the largest array each sets, within 32 MiB: sample_ensemble's
+    # (n_spins, 3) positions, a point's shot row, the sweep, and the Rabi curve's (n_points, n_spins)
     cases = [
         (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max", "2**22"),
         ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", "2**20"),
         ("experiment = resolution\nm_points = 1000000000\n", "m_points", "2**20"),
+        ("experiment = echo\nfinite_pulses = true\nn_spins = 1398102\n", "n_spins", "<= 1398101"),
+        ("experiment = rabi\nn_spins = 1398102\n", "n_spins", "<= 1398101"),
+        ("experiment = ac_sense\nshots = 4194305\n", "shots", "<= 4194304"),
+        ("experiment = xy16\nn_points = 4194305\n", "n_points", "<= 4194304"),
+        ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", "<= 4194304"),
+        ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", "2**22"),
     ]
     for text, key, cap in cases:
         path = write_cfg(tmp_path, text)

@@ -1,9 +1,15 @@
-"""Repository scripts: the output comparison of run_all_experiments."""
+"""Repository scripts: run_all_experiments' in-process runs and its output comparison."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
+import nvsim
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_all_experiments.py"
 spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
 run_all = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run_all)
@@ -68,3 +74,41 @@ def test_compare_reports_the_largest_relative_difference_and_its_cell(tmp_path):
     )
     write(ref, "fid/curve.csv", "t,s,name\n1.0,0.5,a\n")
     assert run_all.largest_difference(out / "fid/curve.csv", ref / "fid/curve.csv") == "header or line count differs"
+
+
+def test_configs_run_in_one_process_write_what_fresh_processes_write(tmp_path, monkeypatch):
+    # both configs draw readout shots; run one after the other in one process, in either
+    # order, each writes what one fresh `python -m nvsim.cli run` of it writes, so no
+    # state of one run reaches the next
+    pair = ["reference_device.cfg", "resolution.cfg"]
+    src = str(Path(nvsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [
+        subprocess.Popen([sys.executable, "-m", "nvsim.cli", "run", str(ROOT / "configs" / name),
+                          "--out", str(tmp_path / "fresh" / Path(name).stem)], env=env, stdout=subprocess.DEVNULL)
+        for name in pair
+    ]
+    assert [p.wait(timeout=120) for p in fresh] == [0, 0]
+    for order in (pair, pair[::-1]):
+        monkeypatch.setattr(run_all, "CONFIGS", order)
+        out = tmp_path / "-".join(Path(name).stem for name in order)
+        assert run_all.main(["--out", str(out)]) == 0
+        assert run_all.compare_outputs(out, tmp_path / "fresh") == []
+
+
+def test_an_unmapped_exception_is_exit_1_and_the_next_config_still_runs(monkeypatch, capsys):
+    ran = []
+
+    def main(argv):
+        ran.append(Path(argv[1]).name)
+        if ran[-1] == "rabi.cfg":
+            raise RuntimeError("a crash cli.main does not map")
+        return 3 if ran[-1] == "xy16.cfg" else 0
+
+    monkeypatch.setattr(run_all.cli, "main", main)
+    assert run_all.main([]) == 1
+    out, err = capsys.readouterr()
+    assert ran == run_all.CONFIGS
+    assert ">>> rabi.cfg\n    exited 1\n>>> fid.cfg\n" in out
+    assert ">>> xy16.cfg\n    exited 3\n" in out and out.count("exited") == 2
+    assert "Traceback" in err and "RuntimeError: a crash cli.main does not map" in err
