@@ -29,6 +29,9 @@ _COUNT_BYTES = {
     "shots": 8,  # readout.shot_stream's (1, shots) float64 row at each point
     "n_points": 8,  # the float64 sweep of durations or total times
     "n_amplitudes": 8,  # the float64 AC amplitudes and the curve columns over them
+    # render_finite's 16 steps per XY16 repeat, 168 bytes each: two tuples, two floats and a
+    # list slot (tracemalloc: 2,699 bytes per repeat at 1000 repeats, spare list slots included)
+    "n_repeats": 16 * 168,
 }
 # the most ODMR frequencies (n_freq) or averaging counts (m_points): validate_config builds either array
 MAX_SWEEP_POINTS = 2**20

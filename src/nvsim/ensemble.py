@@ -60,16 +60,18 @@ Both paths read each branch out at the final pulse phase that
 sequences.readout_angle gives it: the +1 branch's is the sequence's own
 last pulse, and the -1 branch's differs from it by pi.
 
-The finite engine cuts the spins into near-equal blocks of at most
-SPIN_BLOCK.  Each block is evolved as one array on the calling thread
-and draws its noise from its own PCG64 substream (O'Neill, HMC-CS-2014-0905)
-keyed on (seed, NOISE_KEY, noise_seed, block), as rows of one standard
-normal per spin; the blocks' partial sums are added in block order.  The
-caller makes each pair of rows from one (2, n) fill of uniforms by Box &
-Muller (Ann. Math. Stat. 29, 610 (1958)), with the angle's cosine and sine
-taken from the tangent of its half, as the free precession does; numpy's
-tan is cheaper than its sin and cos.  The engine starts no thread.  The
-ideal engine draws nothing, so it has no noise seed.
+The finite engine builds its step schedule (each gap's OU law, the
+frames and the turns) once per run, then loops over the spins cut into
+near-equal blocks of at most SPIN_BLOCK.  Each block is evolved as one
+array on the calling thread and draws its noise from its own PCG64
+substream (O'Neill, HMC-CS-2014-0905) keyed on (seed, NOISE_KEY,
+noise_seed, block), as rows of one standard normal per spin; the blocks'
+partial sums are added in block order.  _normal_rows makes each pair of
+rows from one (2, n) fill of uniforms by Box & Muller (Ann. Math. Stat.
+29, 610 (1958)), with the angle's cosine and sine taken from the tangent
+of its half, as the free precession does; numpy's tan is cheaper than its
+sin and cos.  The engine starts no thread.  The ideal engine draws
+nothing, so it has no noise seed.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class DetectionVolume:
     def __post_init__(self):
         if self.beam_diameter_m <= 0 or self.depth_m <= 0:
             raise ValueError("beam_diameter_m and depth_m must be > 0")
-
-    def geometric_volume_m3(self) -> float:
-        return math.pi * (self.beam_diameter_m / 2.0) ** 2 * self.depth_m
 
 
 @dataclass(frozen=True)
@@ -193,63 +192,37 @@ def sample_ensemble(
     return EnsembleSample(positions, omega, delta, eps, seed, noise.spread.sigma_delta)
 
 
-class _Block:
-    """The spins [lo, hi), evolved as one array, and their supply of n_rows
-    noise rows of one standard normal per spin from the block's substream.
+def _normal_rows(rng: np.random.Generator, n: int, n_rows: int):
+    """Yield n_rows rows of n standard normals from rng, as (n,) arrays that
+    stay valid until the caller takes the next row.
+
+    Rows 2k and 2k + 1 are one Box-Muller pair from the k-th (2, n) fill
+    of uniforms (u1, u2): with r = sqrt(-2 log(1 - u1)), t = tan(pi u2)
+    and c = 2 / (1 + t^2), row 2k is (c - 1) r and row 2k + 1 is (t c) r,
+    r times the cosine and sine of 2 pi u2.  An odd n_rows drops the
+    last sine row, so the first rows do not depend on n_rows.
     """
-
-    def __init__(self, lo: int, hi: int, rng: np.random.Generator, n_rows: int):
-        self.lo, self.hi = lo, hi
-        self.n_rows = n_rows
-        self._rng = rng
-
-    def rows(self):
-        """Yield the block's n_rows noise rows in order, as (n,) arrays that
-        stay valid until the caller takes the next row.
-
-        Rows 2k and 2k + 1 are one Box-Muller pair from the k-th (2, n) fill
-        of uniforms (u1, u2): with r = sqrt(-2 log(1 - u1)), t = tan(pi u2)
-        and c = 2 / (1 + t^2), row 2k is (c - 1) r and row 2k + 1 is (t c) r,
-        r times the cosine and sine of 2 pi u2.  An odd n_rows drops the
-        last sine row, so a block's first rows do not depend on n_rows.
-        """
-        u = np.empty((2, self.hi - self.lo))
-        r, t = u
-        c = np.empty_like(r)
-        for k in range(0, self.n_rows, 2):
-            self._rng.random(out=u)
-            np.subtract(1.0, r, out=r)
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            t *= math.pi
-            np.tan(t, out=t)
-            np.multiply(t, t, out=c)
-            c += 1.0
-            np.divide(2.0, c, out=c)
-            t *= c
-            t *= r
-            c -= 1.0
-            c *= r
-            yield c
-            if k + 1 < self.n_rows:
-                yield t
-
-
-def _map_blocks(fn, ensemble: EnsembleSample, noise_seed: int, n_rows: int) -> list:
-    """Run fn(block) on k = ceil(n / SPIN_BLOCK) near-equal spin blocks
-    [b n // k, (b + 1) n // k), in block order on the calling thread; block
-    b supplies n_rows noise rows from its PCG64 substream
-    default_rng([seed, NOISE_KEY, noise_seed, b]).  Returns each block's
-    result in block order.
-    """
-    n = ensemble.n_spins
-    k = -(-n // SPIN_BLOCK)
-    blocks = (
-        _Block(b * n // k, (b + 1) * n // k, np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), n_rows)
-        for b in range(k)
-    )
-    return [fn(block) for block in blocks]
+    u = np.empty((2, n))
+    r, t = u
+    c = np.empty_like(r)
+    for k in range(0, n_rows, 2):
+        rng.random(out=u)
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        t *= math.pi
+        np.tan(t, out=t)
+        np.multiply(t, t, out=c)
+        c += 1.0
+        np.divide(2.0, c, out=c)
+        t *= c
+        t *= r
+        c -= 1.0
+        c *= r
+        yield c
+        if k + 1 < n_rows:
+            yield t
 
 
 def run_two_branch(
@@ -304,9 +277,29 @@ def ideal_populations(
     return list(zip(((1.0 - m) / 2.0).tolist(), ((1.0 + m) / 2.0).tolist()))
 
 
-def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndarray:
-    """Apply the pulse+gap steps to the (3, n) Bloch vectors v in place,
-    along one fresh OU trajectory per spin; returns the OU values at the end.
+def _schedule(steps, bath: OUBath) -> list:
+    """Per pulse+gap step: the step, v's frame in it, its gap's OU transition
+    with the factor d = exp(-a22^2 / 2) its averaged a22 z2 leaves on (x, y),
+    and the turn into the next step's frame, halved."""
+    # each gap's transition, computed once per distinct (width, L)
+    laws, gaps = {}, []
+    for (_, width), L in steps:
+        if (width, L) not in laws:
+            law = ou_transition(width, L, bath)
+            laws[width, L] = law, math.exp(-0.5 * law.a22 * law.a22)
+        gaps.append(laws[width, L])
+    # v's frame in each step: the lab's in the first, then its pulse's
+    frames = [0.0] + [pulse[0] for pulse, _ in steps[1:]]
+    # each gap angle's common part, halved: the turn into the next step's frame
+    # (the lab's after the last step)
+    turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
+    return list(zip(steps, frames, gaps, turns))
+
+
+def _evolve_finite(v, schedule, omega_eff, delta_s, bath, rows) -> np.ndarray:
+    """Apply the scheduled pulse+gap steps to the (3, n) Bloch vectors v in
+    place, along one fresh OU trajectory per spin drawn from the noise rows;
+    returns the OU values at the end.
 
     A pulse rotates with the detuning frozen at its start; one normal z1
     per step then gives the OU value at the gap's end and the gap's OU
@@ -322,22 +315,8 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndar
     x = np.zeros(n)
     noisy = bath.b > 0
     if noisy:
-        rows = block.rows()
         x = next(rows) * bath.b
-    # each gap's transition, computed once per distinct (width, L), and the
-    # factor its averaged a22 z2 leaves on (x, y)
-    laws, gaps = {}, []
-    for (_, width), L in steps:
-        if (width, L) not in laws:
-            law = ou_transition(width, L, bath)
-            laws[width, L] = law, math.exp(-0.5 * law.a22 * law.a22)
-        gaps.append(laws[width, L])
-    # v's frame in each step: the lab's in the first, then its pulse's
-    frames = [0.0] + [pulse[0] for pulse, _ in steps[1:]]
-    # each gap angle's common part, halved: the turn into the next step's frame
-    # (the lab's after the last step)
-    turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
-    for ((phase, width), L), frame, (law, d), turn in zip(steps, frames, gaps, turns):
+    for ((phase, width), L), frame, (law, d), turn in schedule:
         np.add(delta_s, x, out=delta)
         rotate_drive(v, omega_eff, delta, phase - frame, width, work)
         # free precession about z by phi = delta_s L + OU integral + the common part;
@@ -371,25 +350,27 @@ def _evolve_finite(v, steps, omega_eff, delta_s, bath, block: _Block) -> np.ndar
 
 def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
     steps, final = render_finite(seq.elements, pulse_width)
-
-    def run(block: _Block):
-        lo, hi = block.lo, block.hi
+    schedule = _schedule(steps, bath)
+    # the noise rows _evolve_finite takes: the start value, then one per step
+    n_rows = 1 + len(steps) if bath.b > 0 else 0
+    # k = ceil(n / SPIN_BLOCK) near-equal blocks [b n // k, (b + 1) n // k), each
+    # with its own substream; each block's sums are added in block order
+    n = ensemble.n_spins
+    k = -(-n // SPIN_BLOCK)
+    plus, minus = [], []
+    for b in range(k):
+        lo, hi = b * n // k, (b + 1) * n // k
+        rows = _normal_rows(np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), hi - lo, n_rows)
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
         v = np.zeros((3, hi - lo))
         v[2] = 1.0
-        delta = delta_s + _evolve_finite(v, steps, omega_eff, delta_s, bath, block)
-        sums = []
-        for sign in (+1, -1):  # the final readout pulse, per branch
+        delta = delta_s + _evolve_finite(v, schedule, omega_eff, delta_s, bath, rows)
+        for sign, sums in ((+1, plus), (-1, minus)):  # the final readout pulse, per branch
             vb = v.copy()
             rotate_drive(vb, omega_eff, delta, readout_angle(seq.readout_phase, sign), final[1])
             sums.append(float(np.sum((1.0 + vb[2]) / 2.0)))
-        return sums
-
-    # the noise rows _evolve_finite takes: the start value, then one per step
-    parts = _map_blocks(run, ensemble, noise_seed, 1 + len(steps) if bath.b > 0 else 0)
-    n = ensemble.n_spins
-    return sum(p for p, _ in parts) / n, sum(m for _, m in parts) / n
+    return sum(plus) / n, sum(minus) / n
 
 
 def ensemble_rabi_curve(ensemble: EnsembleSample, durations) -> np.ndarray:

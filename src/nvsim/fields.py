@@ -65,23 +65,12 @@ class ResonatorSpec:
         return self.kind in ("cwr", "ring")
 
 
-def resonance_enhancement(f: float, f0: float, q: float):
-    """Normalized Lorentzian power response, 1 at f0, FWHM = f0/q."""
-    if f0 <= 0 or q <= 0:
-        raise ValueError("f0 and q must be > 0")
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("f must be > 0")
-    x = 2.0 * q * (f - f0) / f0
-    out = 1.0 / (1.0 + x * x)
-    return float(out) if out.ndim == 0 else out
-
-
 def peak_current_per_sqrt_watt(spec: ResonatorSpec) -> float:
     """Peak drive current per sqrt(W) on resonance: I = sqrt(2 P E / Z0) / sqrt(P).
 
-    E is the resonant power enhancement, Q (times resonance_enhancement,
-    which is 1 at f0) for resonant structures and unity for the wire.
+    E is the resonant power enhancement, Q (times the Lorentzian response
+    oracles.resonance_enhancement, which is 1 at f0) for resonant
+    structures and unity for the wire.
     """
     return math.sqrt(2.0 * (spec.q_factor if spec.resonant else 1.0) / LINE_IMPEDANCE_OHM)
 

@@ -104,12 +104,6 @@ class OUTransition(NamedTuple):
     a21: float
     a22: float
 
-    def apply(self, x, z1, z2):
-        """(integrals, end values) for start values x and normals z1, z2;
-        the arguments are left alone."""
-        x, z1, z2 = (np.asarray(a, dtype=float) for a in (x, z1, z2))
-        return self.int_x * x + self.a21 * z1 + self.a22 * z2, self.end_x * x + self.a11 * z1
-
 
 def ou_transition(lead: float, L: float, bath: OUBath) -> OUTransition:
     """Exact joint law of the OU integral over L seconds and the value at

@@ -12,7 +12,7 @@ import numpy as np
 from .bloch import rotate_drive
 from .constants import MU_0
 from .ensemble import DetectionVolume
-from .noise import OUBath, ou_transition
+from .noise import OUBath, OUTransition, ou_transition
 from .readout import ReadoutModel
 
 NORM_TOL = 1e-9
@@ -134,7 +134,14 @@ def ou_step(x: np.ndarray, L: float, bath: OUBath, rng: np.random.Generator):
         return np.zeros_like(x), x
     z1 = rng.standard_normal(len(x))
     z2 = rng.standard_normal(len(x))
-    return ou_transition(0.0, L, bath).apply(x, z1, z2)
+    return apply_ou_transition(ou_transition(0.0, L, bath), x, z1, z2)
+
+
+def apply_ou_transition(law: OUTransition, x, z1, z2):
+    """(integrals, end values) under law for start values x and normals z1, z2;
+    the arguments are left alone."""
+    x, z1, z2 = (np.asarray(a, dtype=float) for a in (x, z1, z2))
+    return law.int_x * x + law.a21 * z1 + law.a22 * z2, law.end_x * x + law.a11 * z1
 
 
 def sample_ou_segment_integrals(
@@ -197,4 +204,21 @@ def field_of_wire(current: float, distance: float, wire_radius: float = 0.0) -> 
 
 def volume_ratio_vs_quoted(volume: DetectionVolume, quoted_volume_m3: float) -> float:
     """Quoted / geometric volume; the mismatch is documented, not resolved."""
-    return quoted_volume_m3 / volume.geometric_volume_m3()
+    return quoted_volume_m3 / geometric_volume_m3(volume)
+
+
+def geometric_volume_m3(volume: DetectionVolume) -> float:
+    """The detection cylinder's volume, pi (beam_diameter_m / 2)^2 depth_m."""
+    return math.pi * (volume.beam_diameter_m / 2.0) ** 2 * volume.depth_m
+
+
+def resonance_enhancement(f: float, f0: float, q: float):
+    """Normalized Lorentzian power response, 1 at f0, FWHM = f0/q."""
+    if f0 <= 0 or q <= 0:
+        raise ValueError("f0 and q must be > 0")
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0):
+        raise ValueError("f must be > 0")
+    x = 2.0 * q * (f - f0) / f0
+    out = 1.0 / (1.0 + x * x)
+    return float(out) if out.ndim == 0 else out

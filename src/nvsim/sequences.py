@@ -15,10 +15,10 @@ the bright state (p0 = 1); readout_phase = pi/2 selects the quadrature
 used for AC sensing, where the branch difference is odd in the
 accumulated phase.
 
-Only this module reads a sequence's timing: pi_train parses it into the
-ideal-pulse view, toggling_segments gives segment bounds and toggling
-signs, toggling_moment their static coefficient, and render_finite
-renders finite pulses by the one overlap rule.
+Only this module reads a sequence's timing, by one walk of its elements:
+pi_train takes the ideal-pulse view from it and render_finite the finite
+pulses, by the one overlap rule; toggling_segments gives segment bounds
+and toggling signs, and toggling_moment their static coefficient.
 """
 
 from __future__ import annotations
@@ -152,6 +152,27 @@ class PiTrain(NamedTuple):
     total_t: float
 
 
+def _walk(elements):
+    """The one walk of a sequence's elements: its pulses in order, the
+    instant each later pulse sits at (the delays added one by one), and the
+    delay summed between each consecutive pair.  Raises ValueError unless
+    the train starts and ends with a pulse."""
+    if not elements or isinstance(elements[0], Delay) or isinstance(elements[-1], Delay):
+        raise ValueError("the sequence must start with a pulse and must end with its readout pulse, not a delay")
+    pulses, instants, gaps = [elements[0]], [], []
+    t = pending = 0.0
+    for e in elements[1:]:
+        if isinstance(e, Delay):
+            t += e.tau
+            pending += e.tau
+        else:
+            pulses.append(e)
+            instants.append(t)
+            gaps.append(pending)
+            pending = 0.0
+    return pulses, instants, gaps
+
+
 def pi_train(seq: PulseSequence) -> PiTrain:
     """Parse seq into its pi pulses, each at the instant the delays reach.
 
@@ -164,19 +185,15 @@ def pi_train(seq: PulseSequence) -> PiTrain:
     ends = (Pulse(PH_X, math.pi / 2.0), _final_pulse(seq.readout_phase))
     if len(elems) < 2 or (elems[0], elems[-1]) != ends:
         raise ValueError(f"{seq.label}: the ideal-pulse view needs (pi/2)_x first and the readout pulse last")
-    t = 0.0
-    times, phases = [], []
-    for e in elems[1:-1]:
-        if isinstance(e, Delay):
-            t += e.tau
-        elif abs(e.angle - math.pi) < 1e-12:
-            times.append(t)
-            phases.append(e.phase)
-        else:
-            raise ValueError(f"{seq.label}: interior pulse {e} is not a pi pulse")
+    pulses, instants, _ = _walk(elems)
+    inner = pulses[1:-1]
+    for p in inner:
+        if not abs(p.angle - math.pi) < 1e-12:
+            raise ValueError(f"{seq.label}: interior pulse {p} is not a pi pulse")
+    times = np.array(instants[:-1])
     if np.any(np.diff(times) <= 0):
         raise ValueError("pi-pulse times are not strictly increasing")
-    return PiTrain(np.array(times), np.array(phases), t)
+    return PiTrain(times, np.array([p.phase for p in inner]), instants[-1])
 
 
 def pulse_times(seq: PulseSequence):
@@ -217,21 +234,12 @@ def render_finite(elements, pulse_width: float):
     config validation.  Raises ValueError too unless the train starts and
     ends with a pulse, since a leading delay has no pulse to pair with.
     """
-    if not elements or isinstance(elements[0], Delay) or isinstance(elements[-1], Delay):
-        raise ValueError("the sequence must start with a pulse and must end with its readout pulse, not a delay")
+    pulses, _, gaps = _walk(elements)
+    widths = [p.angle / math.pi * pulse_width for p in pulses]
     steps = []
-    pending_gap = 0.0
-    pulse = None
-    for e in elements:
-        if isinstance(e, Delay):
-            pending_gap += e.tau
-            continue
-        width = e.angle / math.pi * pulse_width
-        if pulse is not None:
-            gap = pending_gap - pulse[1] / 2.0 - width / 2.0
-            if gap < -1e-15:
-                raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-            steps.append((pulse, max(gap, 0.0)))
-        pending_gap = 0.0
-        pulse = (e.phase, width)
-    return steps, pulse
+    for p, w, w_next, pending in zip(pulses, widths, widths[1:], gaps):
+        gap = pending - w / 2.0 - w_next / 2.0
+        if gap < -1e-15:
+            raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
+        steps.append(((p.phase, w), max(gap, 0.0)))
+    return steps, (pulses[-1].phase, widths[-1])

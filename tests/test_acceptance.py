@@ -28,7 +28,6 @@ from nvsim.fields import (
     compute_field_map,
     field_of_ring,
     field_of_strip,
-    resonance_enhancement,
     wire_field_2d,
 )
 from nvsim.filters import coherence_analytic
@@ -40,7 +39,7 @@ from nvsim.noise import (
     ou_chi_exact,
     sigma_from_t2star,
 )
-from nvsim.oracles import field_of_wire
+from nvsim.oracles import field_of_wire, resonance_enhancement
 from nvsim.readout import SINGLE_BRANCH, ReadoutModel, shot_stream
 from nvsim.sequences import build_cpmg, build_xy16
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvsim import cli, experiments
@@ -674,10 +674,9 @@ BASES = {
     "fieldmap": "resonator = wire\n",
 }
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
-# an int beyond int64 exits 2 when parsed; otherwise counts stay small: a huge n_repeats
-# is a valid config that only exhausts memory
+# an int beyond int64 exits 2 when parsed, and n_repeats one past its cap when validated
 BEYOND_INT64 = [str(2**63), str(10**30)]
-INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)]}
+INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "12484"]}
 EDGES = {
     f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"]) + BEYOND_INT64
     for f in fields(RunConfig)
@@ -749,6 +748,7 @@ def test_every_config_exits_0_2_or_3():
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(BASES)), st.sampled_from((True, False, False)), PERTURBATIONS)
+    @example("xy16", True, (("n_repeats", "12484", 0.0),))  # past the cap, which no drawn example reaches
     def check(experiment, edge, perturbed):
         base = f"experiment = {experiment}\n{BASES[experiment]}"
         if edge:
@@ -771,7 +771,7 @@ def test_every_config_exits_0_2_or_3():
         assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
 
     check()
-    # so that the check cannot go quiet: 131 of the 200 examples exit 0, and 71 take edge values
+    # so that the check cannot go quiet: 149 of the 201 examples exit 0, and 73 take edge values
     assert tally[True, True] + tally[False, True] >= 100, tally
     assert tally[True, True] + tally[True, False] >= 30, tally
 
@@ -802,9 +802,11 @@ def test_count_beyond_float64_integers_names_its_key(tmp_path, command, m_max):
 def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     # 2**53 * 20 // 100 smallest-M block means are 14 PB: validate printed ok, and run sampled
     # the ensemble, swept the AC field and then asked numpy for them.  10**9 frequencies or
-    # averaging counts are 7.45 GiB, which validate itself asked numpy for.  Spins, shots, points
-    # and amplitudes are capped one past the largest array each sets, within 32 MiB: sample_ensemble's
-    # (n_spins, 3) positions, a point's shot row, the sweep, and the Rabi curve's (n_points, n_spins)
+    # averaging counts are 7.45 GiB, which validate itself asked numpy for.  Spins, shots, points,
+    # amplitudes and repeats are capped one past the largest array each sets, within 32 MiB:
+    # sample_ensemble's (n_spins, 3) positions, a point's shot row, the sweep, the Rabi curve's
+    # (n_points, n_spins) and render_finite's steps.  10**8 XY16 repeats were a MemoryError
+    # from validate under a 2 GB address-space limit
     cases = [
         (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max", "2**22"),
         ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", "2**20"),
@@ -815,6 +817,8 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
         ("experiment = xy16\nn_points = 4194305\n", "n_points", "<= 4194304"),
         ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", "<= 4194304"),
         ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", "2**22"),
+        ("experiment = xy16\nn_repeats = 12484\n", "n_repeats", "<= 12483"),
+        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", "<= 12483"),
     ]
     for text, key, cap in cases:
         path = write_cfg(tmp_path, text)
@@ -826,7 +830,7 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
             tracemalloc.stop()
         assert (got, caught) == (2, []), key
         assert f"key '{key}'" in err and cap in err, err
-        assert peak < 2**20, key  # no ensemble, no sweep, no block means, no frequencies
+        assert peak < 2**20, key  # no ensemble, no sweep, no block means, no frequencies, no train
         assert not (tmp_path / "out").exists()
 
 

@@ -18,11 +18,10 @@ from nvsim.fields import (
     field_of_strip,
     peak_current_per_sqrt_watt,
     rabi_from_b_vectors,
-    resonance_enhancement,
     wire_field_2d,
 )
 from nvsim.noise import OUBath, QuasiStaticSpread
-from nvsim.oracles import field_of_wire
+from nvsim.oracles import field_of_wire, resonance_enhancement
 
 
 # ---------------------------------------------------------------- oracles

@@ -18,7 +18,7 @@ from nvsim.noise import (
     ou_transition,
     sigma_from_t2star,
 )
-from nvsim.oracles import chi_echo_ou, chi_fid_ou, ou_step, sample_ou_segment_integrals
+from nvsim.oracles import apply_ou_transition, chi_echo_ou, chi_fid_ou, ou_step, sample_ou_segment_integrals
 from nvsim.sequences import build_cpmg, build_hahn_echo, build_xy16, pulse_times
 
 BATH = OUBath(4.77e5, 10e-6)
@@ -170,7 +170,7 @@ def test_ou_transition_apply_follows_its_formula():
     law = ou_transition(0.2 * BATH.tau_c, 0.7 * BATH.tau_c, BATH)
     x, z1, z2 = np.random.default_rng(3).standard_normal((3, 1000)) * [[BATH.b], [1.0], [1.0]]
     inputs = (x.copy(), z1.copy(), z2.copy())
-    integral, end = law.apply(x, z1, z2)
+    integral, end = apply_ou_transition(law, x, z1, z2)
     # the formula of the OUTransition docstring, term by term
     assert np.array_equal(integral, law.int_x * x + law.a21 * z1 + law.a22 * z2)
     assert np.array_equal(end, law.end_x * x + law.a11 * z1)

@@ -15,9 +15,10 @@ MOVED = {
     bloch: ("NORM_TOL", "BlochState", "BRIGHT", "DriveParams", "rotate_ideal", "evolve_free",
             "evolve_driven", "population_ms0"),
     noise: ("ou_step", "sample_ou_segment_integrals", "_ECHO_SERIES", "chi_fid_ou", "chi_echo_ou"),
+    noise.OUTransition: ("apply",),
     readout: ("expected_two_branch_mean",),
-    fields: ("field_of_wire",),
-    ensemble.DetectionVolume: ("volume_ratio_vs_quoted", "quoted_volume_m3"),
+    fields: ("field_of_wire", "resonance_enhancement"),
+    ensemble.DetectionVolume: ("volume_ratio_vs_quoted", "quoted_volume_m3", "geometric_volume_m3"),
 }
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim.oracles import BRIGHT, evolve_free, population_ms0, rotate_ideal
@@ -25,6 +25,7 @@ from nvsim.sequences import (
     pi_train,
     pulse_times,
     readout_angle,
+    render_finite,
 )
 
 taus = st.floats(1e-8, 1e-4)
@@ -166,6 +167,52 @@ def test_pi_train_equals_the_element_walk_bit_for_bit():
         train = pi_train(seq)
         assert train.times.tolist() == times and train.phases.tolist() == phases, seq.label
         assert train.total_t == total, seq.label
+
+
+# one to three delays, zero-length ones included, then a pulse: a pi pulse, or one time in eight a pi/2
+_DELAYS = st.lists(st.one_of(st.just(0.0), st.sampled_from((0.1e-6 / 3, 0.7e-6, 1e-7)), taus), min_size=1, max_size=3)
+_GAPS_AND_PULSES = st.lists(
+    st.tuples(_DELAYS, st.sampled_from(XY16_PHASES), st.sampled_from((math.pi,) * 7 + (math.pi / 2,))), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_GAPS_AND_PULSES, _DELAYS, st.sampled_from((0.0, PH_Y)))
+def test_both_views_read_one_walk(inner, last_delays, readout_phase):
+    # a train from (pi/2)_x to the readout pulse; whenever pi_train accepts it, the
+    # cumulative sum of render_finite's gaps at zero width is its pi times and total
+    # free time, bit for bit where no gap holds two nonzero delays (else a few ulps
+    # apart, as pi_train adds the delays one by one and render_finite per gap)
+    first, last = Pulse(0.0, math.pi / 2), Pulse(readout_angle(readout_phase, +1) % (2 * math.pi), math.pi / 2)
+    gaps = [(delays, Pulse(phase, angle)) for delays, phase, angle in inner] + [(last_delays, last)]
+    elements = [first]
+    for delays, pulse in gaps:
+        elements += [Delay(d) for d in delays] + [pulse]
+    seq = PulseSequence(tuple(elements), "walk", readout_phase)
+    steps, final = render_finite(seq.elements, 0.0)
+    assert [pulse for pulse, _ in steps] + [final] == [(e.phase, 0.0) for e in elements if isinstance(e, Pulse)]
+    for (_, gap), (delays, _) in zip(steps, gaps):
+        pending = 0.0
+        for d in delays:
+            pending += d
+        assert gap == pending
+    # a leading or a trailing delay: each view rejects it with its own message
+    for bad in ((Delay(1e-6), *elements), (*elements, Delay(1e-6))):
+        with pytest.raises(ValueError, match="the ideal-pulse view needs"):
+            pi_train(replace(seq, elements=bad))
+        with pytest.raises(ValueError, match="must start with a pulse"):
+            render_finite(bad, 0.0)
+    try:
+        train = pi_train(seq)
+    except ValueError:
+        return
+    times, _, total = _element_walk(seq)
+    assert train.times.tolist() == times and train.total_t == total
+    reached = np.cumsum([gap for _, gap in steps])
+    if all(sum(d > 0 for d in delays) <= 1 for delays, _ in gaps):
+        assert reached[:-1].tolist() == times and reached[-1] == total
+    else:
+        np.testing.assert_allclose(reached, [*times, total], rtol=1e-14, atol=0.0)  # 27 delays regrouped
 
 
 def test_pi_train_rejects_pulses_the_ideal_view_would_drop_or_misread():
