@@ -10,28 +10,29 @@ Conventions, locked by golden tests in tests/test_bloch.py:
   towards +y for positive detuning.
 
 rotate_drive is the exact constant-drive kernel that the ensemble engine
-applies in place to (3, n) arrays of Bloch vectors, and rabi_population
-the closed-form Rabi curve.  The single-spin references the tests hold
-them to (RK4, free precession, ideal rotations) are in nvsim.oracles.
+applies in place to (3, n) arrays of Bloch vectors.  Every pulse
+rotates about (Omega, 0, Delta) in its caller's frame: a pulse at phase
+phi is applied to v turned by phi about z, so the kernel turns no frame.
+rabi_population is the closed-form Rabi curve.  The single-spin
+references the tests hold them to (RK4, free precession, ideal
+rotations) are in nvsim.oracles.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 _TINY = np.finfo(float).tiny
 
 
-def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> None:
+def rotate_drive(v, omega, delta, duration: float, work) -> None:
     """Exact constant-drive rotation of Bloch vectors, in place.
 
     v is a (3, n) array, or three (n,) component arrays, updated in place.
-    The rotation is about n = (omega cos(phase), omega sin(phase), delta)
-    by |n| duration, the solution of dv/dt = n x v.  It is applied in the
-    pulse's own frame, turned by phase about z, where the axis is
-    (omega, 0, delta), in Cayley form with the Gibbs vector
+    The rotation is about n = (omega, 0, delta) in v's own frame, by
+    |n| duration, the solution of dv/dt = n x v; a caller whose pulse has
+    a phase holds v in the frame turned by that phase about z.  It is
+    taken in Cayley form with the Gibbs vector
     g = tan(|n| duration / 2) n / |n|:
 
         v <- v + f g x (v + g x v),    f = 2 / (1 + |g|^2),
@@ -39,18 +40,14 @@ def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> N
     so one np.tan takes the place of np.sin and np.cos (about 2 ns per
     element against 20 for the pair, numpy 2.4 on an AVX-512 Xeon, where
     only tan is vectorized).  With g_y = 0 the step is 16 array passes,
-    after 15 that build g and f g from omega and delta: 31 in all.  At
-    phase = 0 the frame is the lab frame; otherwise (x, y) is turned into
-    the pulse's frame and the increment turned back, 12 passes more, so a
-    caller that rotates many times keeps v in the frame of its pulses.
+    after 15 that build g and f g from omega and delta: 31 in all.
     omega and delta are scalars or per-vector (n,) arrays; a zero axis
-    leaves v unchanged, bit for bit.  work is an optional (9, n) scratch
-    array, reused by callers that rotate the same vectors many times.
+    leaves v unchanged, bit for bit.  work is an (8, n) scratch array,
+    reused by callers that rotate the same vectors many times; the
+    kernel allocates nothing.
     """
     vx, vy, vz = v
-    if work is None:
-        work = np.empty((9,) + np.shape(vx))
-    r, f, gx, gz, wx, wy, wz, p, q = work
+    r, f, gx, gz, wx, wy, wz, p = work
     np.square(omega, out=r)
     np.square(delta, out=p)
     r += p
@@ -65,21 +62,14 @@ def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> N
     np.square(f, out=f)
     f += 1.0
     np.divide(2.0, f, out=f)
-    ux, uy = vx, vy
-    if phase:  # (x, y) in the pulse's frame: the components along its axis and across it
-        c, s = math.cos(phase), math.sin(phase)
-        ux = np.multiply(vx, c, out=q)
-        ux += np.multiply(vy, s, out=r)
-        uy = np.multiply(vy, c, out=p)
-        uy -= np.multiply(vx, s, out=r)
-    # w = u + g x u
-    np.multiply(gz, uy, out=wx)
-    np.subtract(ux, wx, out=wx)
-    np.multiply(gz, ux, out=wy)
-    wy += uy
+    # w = v + g x v
+    np.multiply(gz, vy, out=wx)
+    np.subtract(vx, wx, out=wx)
+    np.multiply(gz, vx, out=wy)
+    wy += vy
     np.multiply(gx, vz, out=wz)
     wy -= wz
-    np.multiply(gx, uy, out=wz)
+    np.multiply(gx, vy, out=wz)
     wz += vz
     # the increment f g x w = (-mx, dy, dz), with f g in g's place
     gx *= f
@@ -90,12 +80,6 @@ def rotate_drive(v, omega, delta, phase: float, duration: float, work=None) -> N
     dy = np.multiply(gz, wx, out=wx)
     np.multiply(gx, wz, out=wz)
     dy -= wz
-    if phase:  # the increment turned back to the lab frame
-        ax = np.multiply(mx, c, out=q)
-        ax += np.multiply(dy, s, out=r)
-        ay = np.multiply(dy, c, out=p)
-        ay -= np.multiply(mx, s, out=r)
-        mx, dy = ax, ay
     vx -= mx
     vy += dy
 

@@ -71,10 +71,10 @@ def build_spread(cfg: RunConfig) -> QuasiStaticSpread:
     return QuasiStaticSpread(sigma_from_t2star(cfg.t2_star_s))
 
 
-def build_ensemble(cfg: RunConfig, bath: OUBath):
+def build_ensemble(cfg: RunConfig):
     """The cfg.n_spins spins that finite pulses and the Rabi curve evolve."""
     amp = AmplitudeErrorModel(cfg.amp_error_sigma, cfg.amp_error_systematic)
-    volume, noise_model = _from_config(DetectionVolume, cfg), NoiseModel(build_spread(cfg), bath, amp)
+    volume, noise_model = _from_config(DetectionVolume, cfg), NoiseModel(build_spread(cfg), amplitude_error=amp)
     spec = None if cfg.resonator == "uniform" else build_resonator_spec(cfg)
     return sample_ensemble(volume, spec, noise_model, cfg.n_spins, cfg.seed, rabi_angular_freq=math.pi / cfg.pi_time_s)
 
@@ -108,7 +108,7 @@ def _run_odmr(cfg):
 
 
 def _run_rabi(cfg):
-    ens = build_ensemble(cfg, build_bath(cfg))
+    ens = build_ensemble(cfg)
     durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
     res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None, shots=cfg.shots, seed=cfg.seed + 1)
     curve = ("curve.csv", ["duration_s", "population"], [res.durations_s, res.population])
@@ -118,7 +118,7 @@ def _run_rabi(cfg):
 def _run_coherence(cfg):
     bath = build_bath(cfg)
     # ideal pulses average the static spread exactly: only finite pulses evolve sampled spins
-    spins = build_ensemble(cfg, bath) if cfg.finite_pulses else build_spread(cfg)
+    spins = build_ensemble(cfg) if cfg.finite_pulses else build_spread(cfg)
     t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
     try:
         res = run_coherence(

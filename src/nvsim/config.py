@@ -29,9 +29,10 @@ _COUNT_BYTES = {
     "shots": 8,  # readout.shot_stream's (1, shots) float64 row at each point
     "n_points": 8,  # the float64 sweep of durations or total times
     "n_amplitudes": 8,  # the float64 AC amplitudes and the curve columns over them
-    # render_finite's 16 steps per XY16 repeat, 168 bytes each: two tuples, two floats and a
-    # list slot (tracemalloc: 2,699 bytes per repeat at 1000 repeats, spare list slots included)
-    "n_repeats": 16 * 168,
+    # a finite run's 16 pulse+gap steps per XY16 repeat, 308 bytes each at its peak: the element
+    # tuple, sequences._walk's lists, render_finite's steps and ensemble._schedule (tracemalloc:
+    # 4,629-5,043 bytes per repeat between 250, 1,000, 2,000 and 4,000 repeats; 33.1 MB at the cap)
+    "n_repeats": 16 * 308,
 }
 # the most ODMR frequencies (n_freq) or averaging counts (m_points): validate_config builds either array
 MAX_SWEEP_POINTS = 2**20
@@ -92,7 +93,7 @@ class RunConfig:
     ground_width_m: float = 1.0e-3
     ring_radius_m: float = 2.0e-3
     wire_diameter_m: float = 20e-6
-    f0_hz: float = 2.832e9
+    f0_hz: float = 2.832e9  # checked and recorded in the manifest; nothing reads it
     q_factor: float = 27.0
     drive_power_w: float = 50.0
     # odmr

@@ -50,21 +50,24 @@ Two evolution paths share the noise model:
   mean: E[R_z(a22 z2)] scales (x, y) by d = exp(-a22^2 / 2).  Only the
   spread over noise seeds shrinks.
   The state is a (3, n) array, one contiguous row per Bloch component,
-  held in the frame of the next pulse's phase, so every pulse but the
-  first rotates about an axis (Omega, 0, delta) in the x-z plane; the
-  change of frame is a scalar added to the gap's z angle.  The free
-  precession turns and scales the x and y rows in place.  This path
-  runs without an AC field.
+  held in the frame of the next pulse's phase, so every pulse rotates
+  about an axis (Omega, 0, delta) in the x-z plane; the change of frame
+  is a scalar added to the gap's z angle.  The state starts at +z, which
+  no turn about z moves, so it starts in its first pulse's frame.  The
+  free precession turns and scales the x and y rows in place.  The last
+  gap turns the state back to the lab frame, and each readout branch
+  turns a copy into its own pulse's frame.  This path runs without an
+  AC field.
 
 Both paths read each branch out at the final pulse phase that
 sequences.readout_angle gives it: the +1 branch's is the sequence's own
 last pulse, and the -1 branch's differs from it by pi.
 
-The finite engine builds its step schedule (each gap's OU law, the
-frames and the turns) once per run, then loops over the spins cut into
-near-equal blocks of at most SPIN_BLOCK.  Each block is evolved as one
-array on the calling thread and draws its noise from its own PCG64
-substream (O'Neill, HMC-CS-2014-0905) keyed on (seed, NOISE_KEY,
+The finite engine builds its step schedule (each gap's OU law and the
+turns between the pulses' frames) once per run, then loops over the
+spins cut into near-equal blocks of at most SPIN_BLOCK.  Each block is
+evolved as one array on the calling thread and draws its noise from its
+own PCG64 substream (O'Neill, HMC-CS-2014-0905) keyed on (seed, NOISE_KEY,
 noise_seed, block), as rows of one standard normal per spin; the blocks'
 partial sums are added in block order.  _normal_rows makes each pair of
 rows from one (2, n) fill of uniforms by Box & Muller (Ann. Math. Stat.
@@ -105,7 +108,7 @@ class NoiseModel:
     """Per-spin noise: static spread, OU bath, amplitude-error model."""
 
     spread: QuasiStaticSpread
-    bath: OUBath
+    bath: OUBath | None = None  # nothing reads it: the bath is passed to each run
     amplitude_error: AmplitudeErrorModel = NO_AMPLITUDE_ERROR
 
 
@@ -278,9 +281,9 @@ def ideal_populations(
 
 
 def _schedule(steps, bath: OUBath) -> list:
-    """Per pulse+gap step: the step, v's frame in it, its gap's OU transition
-    with the factor d = exp(-a22^2 / 2) its averaged a22 z2 leaves on (x, y),
-    and the turn into the next step's frame, halved."""
+    """Per pulse+gap step: the step, its gap's OU transition with the factor
+    d = exp(-a22^2 / 2) its averaged a22 z2 leaves on (x, y), and the turn
+    from the step's frame into the next's, halved."""
     # each gap's transition, computed once per distinct (width, L)
     laws, gaps = {}, []
     for (_, width), L in steps:
@@ -288,49 +291,49 @@ def _schedule(steps, bath: OUBath) -> list:
             law = ou_transition(width, L, bath)
             laws[width, L] = law, math.exp(-0.5 * law.a22 * law.a22)
         gaps.append(laws[width, L])
-    # v's frame in each step: the lab's in the first, then its pulse's
-    frames = [0.0] + [pulse[0] for pulse, _ in steps[1:]]
-    # each gap angle's common part, halved: the turn into the next step's frame
-    # (the lab's after the last step)
+    # each step's frame is its pulse's phase; each gap angle's common part, halved,
+    # turns v into the next step's frame (the lab's after the last step)
+    frames = [pulse[0] for pulse, _ in steps]
     turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
-    return list(zip(steps, frames, gaps, turns))
+    return list(zip(steps, gaps, turns))
 
 
-def _evolve_finite(v, schedule, omega_eff, delta_s, bath, rows) -> np.ndarray:
-    """Apply the scheduled pulse+gap steps to the (3, n) Bloch vectors v in
-    place, along one fresh OU trajectory per spin drawn from the noise rows;
-    returns the OU values at the end.
+def _evolve_finite(schedule, omega_eff, delta_s, bath, rows):
+    """Evolve one Bloch vector per spin from +z through the scheduled
+    pulse+gap steps, along one fresh OU trajectory per spin drawn from the
+    noise rows.  Returns the (3, n) vectors, in the lab frame, the OU
+    values at the end, and rotate_drive's (8, n) scratch, for the readout.
 
     A pulse rotates with the detuning frozen at its start; one normal z1
     per step then gives the OU value at the gap's end and the gap's OU
     integral up to its a22 z2 term, which is averaged out (see the module
-    docstring).  v is taken and left in the lab frame.
+    docstring).  At b = 0 the rows are drawn too, and the law's zero a11
+    and a21 leave x and every angle unchanged.  +z is in every frame, so
+    the vectors start in the first pulse's.
     """
-    n = v.shape[1]
+    n = len(delta_s)
+    v = np.zeros((3, n))
+    v[2] = 1.0
+    work = np.empty((8, n))
     vx, vy, _ = v
-    # rotate_drive scratch, reused by the free precession (rows 0-2)
-    work = np.empty((9, n))
+    # the free precession reuses rotate_drive's scratch rows 0-2
     t, f, p = work[:3]
     delta = np.empty(n)
-    x = np.zeros(n)
-    noisy = bath.b > 0
-    if noisy:
-        x = next(rows) * bath.b
-    for ((phase, width), L), frame, (law, d), turn in schedule:
+    x = next(rows) * bath.b
+    for ((_, width), L), (law, d), turn in schedule:
         np.add(delta_s, x, out=delta)
-        rotate_drive(v, omega_eff, delta, phase - frame, width, work)
+        rotate_drive(v, omega_eff, delta, width, work)
         # free precession about z by phi = delta_s L + OU integral + the common part;
         # with t = tan(phi / 2) and f = 2 d / (1 + t^2), d cos = f - d, d sin = f t
         np.multiply(delta_s, 0.5 * L, out=t)
-        if noisy:
-            z1 = next(rows)
-            np.multiply(x, 0.5 * law.int_x, out=p)
-            t += p
-            np.multiply(z1, 0.5 * law.a21, out=p)
-            t += p
-            x *= law.end_x
-            np.multiply(z1, law.a11, out=p)
-            x += p
+        z1 = next(rows)
+        np.multiply(x, 0.5 * law.int_x, out=p)
+        t += p
+        np.multiply(z1, 0.5 * law.a21, out=p)
+        t += p
+        x *= law.end_x
+        np.multiply(z1, law.a11, out=p)
+        x += p
         if turn:
             t += turn
         np.tan(t, out=t)
@@ -345,14 +348,12 @@ def _evolve_finite(v, schedule, omega_eff, delta_s, bath, rows) -> np.ndarray:
         vx -= p
         vy *= f
         vy += t
-    return x
+    return v, x, work
 
 
 def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
     steps, final = render_finite(seq.elements, pulse_width)
     schedule = _schedule(steps, bath)
-    # the noise rows _evolve_finite takes: the start value, then one per step
-    n_rows = 1 + len(steps) if bath.b > 0 else 0
     # k = ceil(n / SPIN_BLOCK) near-equal blocks [b n // k, (b + 1) n // k), each
     # with its own substream; each block's sums are added in block order
     n = ensemble.n_spins
@@ -360,16 +361,25 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
     plus, minus = [], []
     for b in range(k):
         lo, hi = b * n // k, (b + 1) * n // k
-        rows = _normal_rows(np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), hi - lo, n_rows)
+        # the noise rows _evolve_finite takes: the start value, then one per step
+        rows = _normal_rows(np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), hi - lo, 1 + len(steps))
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
-        v = np.zeros((3, hi - lo))
-        v[2] = 1.0
-        delta = delta_s + _evolve_finite(v, schedule, omega_eff, delta_s, bath, rows)
+        v, x, work = _evolve_finite(schedule, omega_eff, delta_s, bath, rows)
+        delta = delta_s + x
+        vx, vy, vz = v
+        u = np.empty_like(v)
         for sign, sums in ((+1, plus), (-1, minus)):  # the final readout pulse, per branch
-            vb = v.copy()
-            rotate_drive(vb, omega_eff, delta, readout_angle(seq.readout_phase, sign), final[1])
-            sums.append(float(np.sum((1.0 + vb[2]) / 2.0)))
+            # v turned into this branch's pulse frame; only z is read, so it is not turned back
+            a = readout_angle(seq.readout_phase, sign)
+            c, s = math.cos(a), math.sin(a)
+            np.multiply(vx, c, out=u[0])
+            u[0] += np.multiply(vy, s, out=work[0])
+            np.multiply(vy, c, out=u[1])
+            u[1] -= np.multiply(vx, s, out=work[0])
+            u[2] = vz
+            rotate_drive(u, omega_eff, delta, final[1], work)
+            sums.append(float(np.sum((1.0 + u[2]) / 2.0)))
     return sum(plus) / n, sum(minus) / n
 
 

@@ -32,7 +32,6 @@ class ResonatorSpec:
     """Driver geometry, resonance parameters, and drive power."""
 
     kind: str
-    f0_hz: float = 2.832e9
     q_factor: float = 27.0
     drive_power_w: float = 50.0
     strip_width_m: float = 1.0e-3
@@ -46,7 +45,6 @@ class ResonatorSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         for name in (
-            "f0_hz",
             "q_factor",
             "drive_power_w",
             "strip_width_m",

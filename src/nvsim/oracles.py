@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import rotate_drive
 from .constants import MU_0
 from .ensemble import DetectionVolume
 from .noise import OUBath, OUTransition, ou_transition
@@ -70,11 +69,14 @@ class DriveParams:
 def rotate_ideal(state: BlochState, phase: float, angle: float) -> BlochState:
     """Instantaneous rotation by `angle` about the equatorial axis at `phase`.
 
-    Closed form: rotate_drive with omega = angle over unit time.
+    Rodrigues' formula about k = (cos phase, sin phase, 0), right-handed as
+    dv/dt = n x v:  v cos(angle) + (k x v) sin(angle) + k (k . v) (1 - cos(angle)).
     """
-    v = state.as_array()[:, None]
-    rotate_drive(v, angle, 0.0, phase, 1.0)
-    return BlochState.from_array(v[:, 0])
+    kx, ky = math.cos(phase), math.sin(phase)
+    c, s = math.cos(angle), math.sin(angle)
+    x, y, z = state.x, state.y, state.z
+    kv = (kx * x + ky * y) * (1.0 - c)
+    return BlochState(x * c + ky * z * s + kx * kv, y * c - kx * z * s + ky * kv, z * c + (kx * y - ky * x) * s)
 
 
 def evolve_free(state: BlochState, tau: float, detuning: float) -> BlochState:

@@ -112,6 +112,25 @@ def test_driven_agrees_with_ideal_rotation():
         assert np.linalg.norm(got - want) < 1e-6
 
 
+def test_rotate_drive_golden_quarter_turns():
+    # the kernel's own conventions: a pi/2 drive takes +z to -y, and positive
+    # detuning precesses +x towards +y
+    v = np.array([[0.0], [0.0], [1.0]])
+    rotate_drive(v, math.pi / 2.0, 0.0, 1.0, np.empty((8, 1)))
+    assert v[1, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(v[0, 0]) < 1e-12 and abs(v[2, 0]) < 1e-12
+    v = np.array([[1.0], [0.0], [0.0]])
+    rotate_drive(v, 0.0, math.pi / 2.0, 1.0, np.empty((8, 1)))
+    assert v[1, 0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(v[0, 0]) < 1e-12 and abs(v[2, 0]) < 1e-12
+
+
+def turn_z(v, phase):
+    """(x, y) of the (3, n) array v turned by -phase about z, in place: into the frame of a pulse at phase."""
+    c, s = math.cos(phase), math.sin(phase)
+    v[:2] = c * v[0] + s * v[1], c * v[1] - s * v[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     unit_states(),
@@ -121,9 +140,12 @@ def test_driven_agrees_with_ideal_rotation():
     st.floats(1e-9, 2e-7),
 )
 def test_rotate_drive_matches_rk4(s, omega, phase, delta, duration):
-    # the engine's exact constant-drive kernel against the RK4 integrator
+    # the engine's exact constant-drive kernel against the RK4 integrator, in the
+    # pulse's frame: v turned into it, rotated about (omega, 0, delta), turned back
     v = s.as_array()[:, None]
-    rotate_drive(v, omega, delta, phase, duration)
+    turn_z(v, phase)
+    rotate_drive(v, omega, delta, duration, np.empty((8, 1)))
+    turn_z(v, -phase)
     drv = DriveParams(omega, phase, delta, duration)
     want = evolve_driven(s, drv, dt=duration / 400).as_array()
     assert np.linalg.norm(v[:, 0] - want) < 1e-6
@@ -140,13 +162,13 @@ def test_rotate_drive_per_vector_parameters():
     want = v.copy()
     for i in range(5):
         col = want[:, i : i + 1]
-        rotate_drive(col, omega[i], delta[i], 0.7, 48e-9)
-    rotate_drive(v, omega, delta, 0.7, 48e-9)
+        rotate_drive(col, omega[i], delta[i], 48e-9, np.empty((8, 1)))
+    rotate_drive(v, omega, delta, 48e-9, np.empty((8, 5)))
     assert np.array_equal(v, want)
     assert np.array_equal(v[:, 3], v0[:, 3])
-    # three separate component arrays, through a caller's scratch array
+    # three separate component arrays
     comps = tuple(v0.copy())
-    rotate_drive(comps, omega, delta, 0.7, 48e-9, work=np.empty((9, 5)))
+    rotate_drive(comps, omega, delta, 48e-9, np.empty((8, 5)))
     assert np.array_equal(np.array(comps), want)
 
 

@@ -448,6 +448,22 @@ def test_calibration_failure_is_numerical_exit(tmp_path, capsys):
     assert "bath calibration" in capsys.readouterr().err
 
 
+def test_rabi_builds_no_bath(tmp_path, monkeypatch):
+    # the Rabi curve reads no bath, so a tau_c that no calibration takes changes nothing
+    text = (CONFIG_DIR / "rabi.cfg").read_text()
+    plain = write_cfg(tmp_path, text, "plain.cfg")
+    assert run_cli("run", plain, "--out", str(tmp_path / "plain")) == 0
+    assert run_cli("run", write_cfg(tmp_path, text + "bath_tau_c_s = 1e-300\n"), "--out", str(tmp_path / "tau")) == 0
+    for name in ("curve.csv", "fit.csv"):
+        assert filecmp.cmp(tmp_path / "plain" / name, tmp_path / "tau" / name, shallow=False), name
+
+    def calibrate_bath(*args):
+        raise ValueError("a rabi run calibrated a bath")
+
+    monkeypatch.setattr(cli, "calibrate_bath", calibrate_bath)
+    assert run_cli("run", plain, "--out", str(tmp_path / "patched")) == 0
+
+
 def test_coherence_curve_with_no_positive_value_is_numerical_exit(tmp_path, capsys):
     # at this seed every point of the 50-spin FID curve is <= 0: nothing to fit a decay to
     path = write_cfg(tmp_path, "experiment = fid\nt_min_s = 5e-6\nt_max_s = 20e-6\nn_points = 6\nn_spins = 50\n")
@@ -676,7 +692,7 @@ BASES = {
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
 # an int beyond int64 exits 2 when parsed, and n_repeats one past its cap when validated
 BEYOND_INT64 = [str(2**63), str(10**30)]
-INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "12484"]}
+INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "6809"]}
 EDGES = {
     f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"]) + BEYOND_INT64
     for f in fields(RunConfig)
@@ -748,7 +764,7 @@ def test_every_config_exits_0_2_or_3():
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(BASES)), st.sampled_from((True, False, False)), PERTURBATIONS)
-    @example("xy16", True, (("n_repeats", "12484", 0.0),))  # past the cap, which no drawn example reaches
+    @example("xy16", True, (("n_repeats", "6809", 0.0),))  # past the cap, which no drawn example reaches
     def check(experiment, edge, perturbed):
         base = f"experiment = {experiment}\n{BASES[experiment]}"
         if edge:
@@ -771,7 +787,7 @@ def test_every_config_exits_0_2_or_3():
         assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
 
     check()
-    # so that the check cannot go quiet: 149 of the 201 examples exit 0, and 73 take edge values
+    # so that the check cannot go quiet: 117 of the 201 examples exit 0, and 96 take edge values
     assert tally[True, True] + tally[False, True] >= 100, tally
     assert tally[True, True] + tally[True, False] >= 30, tally
 
@@ -805,7 +821,7 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     # averaging counts are 7.45 GiB, which validate itself asked numpy for.  Spins, shots, points,
     # amplitudes and repeats are capped one past the largest array each sets, within 32 MiB:
     # sample_ensemble's (n_spins, 3) positions, a point's shot row, the sweep, the Rabi curve's
-    # (n_points, n_spins) and render_finite's steps.  10**8 XY16 repeats were a MemoryError
+    # (n_points, n_spins) and a finite run's per-pulse structures.  10**8 XY16 repeats were a MemoryError
     # from validate under a 2 GB address-space limit
     cases = [
         (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max", "2**22"),
@@ -817,8 +833,8 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
         ("experiment = xy16\nn_points = 4194305\n", "n_points", "<= 4194304"),
         ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", "<= 4194304"),
         ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", "2**22"),
-        ("experiment = xy16\nn_repeats = 12484\n", "n_repeats", "<= 12483"),
-        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", "<= 12483"),
+        ("experiment = xy16\nn_repeats = 6809\n", "n_repeats", "<= 6808"),
+        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", "<= 6808"),
     ]
     for text, key, cap in cases:
         path = write_cfg(tmp_path, text)

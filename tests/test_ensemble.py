@@ -61,6 +61,7 @@ from nvsim.oracles import (
     rotate_ideal,
     volume_ratio_vs_quoted,
 )
+from test_bloch import turn_z
 
 QUIET = NoiseModel(QuasiStaticSpread(0.0), OUBath(0.0, 10e-6))
 VOL = DetectionVolume()
@@ -333,8 +334,8 @@ def _reference_finite(seq, ens, bath, pulse_width, noise_seed):
     """The finite engine with both normals of every gap drawn: the start
     value, then z1 and z2 of noise.ou_transition per pulse+gap step, row by
     row from (seed, 0xB0, noise_seed, block) substreams of REFERENCE_BLOCK
-    spins, with every rotation in the lab frame.  Returns run_two_branch's
-    (p+, p-)."""
+    spins, with v in the lab frame, turned into each pulse's frame and back
+    around its rotation.  Returns run_two_branch's (p+, p-)."""
     n = ens.n_spins
     edges = [(lo, min(lo + REFERENCE_BLOCK, n)) for lo in range(0, n, REFERENCE_BLOCK)]
     rngs = [ensemble._rng_for(ens.seed, 0xB0, noise_seed, b) for b in range(len(edges))]
@@ -345,17 +346,21 @@ def _reference_finite(seq, ens, bath, pulse_width, noise_seed):
     omega = ens.omega * (1.0 + ens.epsilon)
     v = np.zeros((3, n))
     v[2] = 1.0
+    work = np.empty((8, n))
     steps, final = render_finite(seq.elements, pulse_width)
     x = bath.b * row()
     for (phase, width), L in steps:
-        rotate_drive(v, omega, ens.delta_static + x, phase, width)
+        turn_z(v, phase)
+        rotate_drive(v, omega, ens.delta_static + x, width, work)
+        turn_z(v, -phase)
         integral, x = apply_ou_transition(ou_transition(width, L, bath), x, row(), row())
         phi = ens.delta_static * L + integral
         v[:2] = np.cos(phi) * v[:2] + np.sin(phi) * np.array([-v[1], v[0]])
     pops = []
     for readout in (seq.readout_phase + math.pi, seq.readout_phase):  # the + then the - branch
         vb = v.copy()
-        rotate_drive(vb, omega, ens.delta_static + x, readout, final[1])
+        turn_z(vb, readout)
+        rotate_drive(vb, omega, ens.delta_static + x, final[1], work)
         pops.append(float(np.mean((1.0 + vb[2]) / 2.0)))
     return tuple(pops)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvsim import readout
@@ -222,6 +222,7 @@ def documented_stream(p_plus, p_minus, m, n_shots, rng, rows):
 
 
 unit = st.floats(0.0, 1.0)
+SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -245,6 +246,7 @@ def readout_models(draw):
     st.sampled_from([1, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 7]),
     st.integers(0, 2**32 - 1),
 )
+@example(0.0, 0.0, ReadoutModel(v0_v=0.1, contrast=0.02, shot_noise_v=0.0, laser_fluct_fast_rel=8.05e-160), 1, 0)
 def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
     win_mean, win_cov = window_law(p_plus, p_minus, m)
     abs_cov = np.abs(win_cov)
@@ -254,7 +256,11 @@ def test_fold_matches_window_formulas(p_plus, p_minus, m, n_shots, seed):
         assert np.all(np.abs(mean - rows @ win_mean) <= 1e-12 * (np.abs(rows) @ win_mean)), name
         scale = np.sqrt(np.diag(np.abs(rows) @ abs_cov @ np.abs(rows).T))
         err = np.abs(factor @ factor.T - rows @ win_cov @ rows.T)
-        assert np.all(err <= 1e-12 * np.outer(scale, scale)), name
+        # window_law squares fl and ff before the means scale them: a square that underflows
+        # is rounded on the subnormal grid, and that error, times a mean squared, has no
+        # relative bound.  The floor is under 4e-321 (means below 10 V): no check at normal scale changes
+        floor = 8.0 * SUBNORMAL * (1.0 + np.max(win_mean) ** 2)
+        assert np.all(err <= 1e-12 * np.outer(scale, scale) + floor), name
         # and the stream is that law, drawn in the documented layout
         expect = documented_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), rows)
         got = shot_stream(p_plus, p_minus, m, n_shots, np.random.default_rng(seed), rows)
