@@ -10,32 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .noise import MAX_TAU_C_RATIO
 from .sequences import SWEEP_FAMILIES, render_finite
 
-EXPERIMENTS = ("odmr", "rabi", *SWEEP_FAMILIES, "ac_sense", "resolution", "fieldmap")
 RESONATORS = ("uniform", "cwr", "ring", "wire")
-# the most bytes one array that a count sets may take: each count's cap is this budget
-# over the bytes per unit of the largest array the count sets
-MAX_ARRAY_BYTES = 2**25  # 32 MiB
-# the most blocks of the smallest averaging count a resolution run may take, one float64 mean each
-MAX_RESOLUTION_BLOCKS = MAX_ARRAY_BYTES // 8
-# bytes per unit of the largest array each count sets during a run
-_COUNT_BYTES = {
-    "n_spins": 24,  # ensemble.sample_ensemble's (n_spins, 3) float64 positions
-    "shots": 8,  # readout.shot_stream's (1, shots) float64 row at each point
-    "n_points": 8,  # the float64 sweep of durations or total times
-    "n_amplitudes": 8,  # the float64 AC amplitudes and the curve columns over them
-    # a finite run's 16 pulse+gap steps per XY16 repeat, 308 bytes each at its peak: the element
-    # tuple, sequences._walk's lists, render_finite's steps and ensemble._schedule (tracemalloc:
-    # 4,629-5,043 bytes per repeat between 250, 1,000, 2,000 and 4,000 repeats; 33.1 MB at the cap)
-    "n_repeats": 16 * 308,
-}
-# the most ODMR frequencies (n_freq) or averaging counts (m_points): validate_config builds either array
-MAX_SWEEP_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -130,12 +112,52 @@ _NONNEGATIVE = {
 _MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
             "n_freq", "m_min", "m_max", "m_points", "blocks_per_point"}
 
-# the experiments that run the XY16 AC-magnetometry sweep (cli._ac_sweep)
-_AC_SWEEPS = ("ac_sense", "resolution")
-# (key, minimum) for the number of points each experiment's fit needs
-_FIT_POINTS = {"rabi": ("n_points", 8)}
-_FIT_POINTS.update({experiment: ("n_amplitudes", 6) for experiment in _AC_SWEEPS})
-_FIT_POINTS.update({family: ("n_points", 6) for family in SWEEP_FAMILIES})
+
+class Builds(NamedTuple):
+    """What an experiment's cli runner builds: validate_config applies a rule only where it builds what it guards."""
+
+    least: dict[str, int]  # each count its fit or a noise estimate reads, with the fewest it needs (2 for a std)
+    bounds: tuple[str, str] | None = None  # the keys its sweep runs between, which must increase
+    bath: bool = False  # an OU bath, calibrated from t2_echo_target_s when bath_b_rad_s = 0
+    spins: Callable[[RunConfig], bool] = lambda cfg: False  # whether it samples n_spins spins
+    train: bool = False  # a pulse train of n_repeats repeats
+    shots: Callable[[RunConfig], bool] = lambda cfg: False  # whether it draws `shots` shots at each point
+    curve_per_spin: bool = False  # its curve holds every spin at every point
+    counts: bool = False  # the averaging counts, m_points from m_min to m_max
+    field_map: bool = False  # the resonator's field map
+
+
+_AC_SWEEP = dict(bath=True, train=True, shots=lambda cfg: True)
+BUILDS = {
+    "odmr": Builds({"n_freq": 2}, ("f_min_hz", "f_max_hz")),
+    "rabi": Builds({"n_points": 8}, spins=lambda cfg: True, shots=lambda cfg: cfg.shots > 1, curve_per_spin=True),
+    **{family: Builds({"n_points": 6}, ("t_min_s", "t_max_s"), bath=True, spins=lambda cfg: cfg.finite_pulses,
+                      train=family not in ("fid", "echo")) for family in SWEEP_FAMILIES},  # fid, echo: no n_repeats
+    "ac_sense": Builds({"n_amplitudes": 6, "shots": 2}, **_AC_SWEEP),
+    "resolution": Builds({"n_amplitudes": 6, "shots": 2, "blocks_per_point": 2}, **_AC_SWEEP, counts=True),
+    "fieldmap": Builds({}, field_map=True),
+}
+EXPERIMENTS = tuple(BUILDS)
+# each count's bytes in the largest array it sets under an experiment, 0 where the experiment builds none:
+# validate_config rejects more than MAX_ARRAY_BYTES
+MAX_ARRAY_BYTES = 2**25  # 32 MiB
+_ARRAY_BYTES = {
+    "n_spins": lambda cfg, b: 24 * cfg.n_spins * b.spins(cfg),  # sample_ensemble's (n_spins, 3) float64 positions
+    "shots": lambda cfg, b: 8 * cfg.shots * b.shots(cfg),  # readout.shot_stream's (1, shots) float64 row at a point
+    # the float64 sweep, or the Rabi curve's (n_points, n_spins) float64 populations
+    "n_points": lambda cfg, b: 8 * cfg.n_points * (cfg.n_spins if b.curve_per_spin else 1) * ("n_points" in b.least),
+    "n_amplitudes": lambda cfg, b: 8 * cfg.n_amplitudes * ("n_amplitudes" in b.least),  # the float64 amplitudes
+    # not one array but a finite run's per-pulse structures at their peak, 16 pulse+gap steps of 308 bytes per XY16
+    # repeat (tracemalloc of the element tuple, sequences._walk's lists, render_finite's steps and
+    # ensemble._schedule: 4,629-5,043 bytes per repeat between 250 and 4,000 repeats; 33.1 MB at the cap)
+    "n_repeats": lambda cfg, b: 16 * 308 * cfg.n_repeats * b.train,
+    # 32 bytes each caps the ODMR frequencies and the averaging counts, both built by validate_config, at
+    # 2**20 (tracemalloc peaks: 92 bytes per frequency in run_odmr, 22 per count in averaging_counts)
+    "n_freq": lambda cfg, b: 32 * cfg.n_freq * ("n_freq" in b.least),
+    "m_points": lambda cfg, b: 32 * cfg.m_points * b.counts,
+    # the smallest averaging count's block means, one float64 each
+    "m_max": lambda cfg, b: 8 * (cfg.m_max * cfg.blocks_per_point // cfg.m_min) * b.counts,
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -196,63 +218,40 @@ def validate_config(cfg: RunConfig) -> list[str]:
     for key in _MIN_ONE:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"key '{key}': must be >= 1, got {getattr(cfg, key)}")
-    for key in ("n_freq", "m_points"):
-        if getattr(cfg, key) > MAX_SWEEP_POINTS:
-            raise ConfigError(f"key '{key}': must be <= 2**20, got {getattr(cfg, key)}")
-    for key, size in _COUNT_BYTES.items():
-        # ideal pulses read only the spins' spread: only rabi and finite pulses sample spins
-        if key == "n_spins" and not (cfg.experiment == "rabi" or cfg.finite_pulses):
-            continue
-        if getattr(cfg, key) > MAX_ARRAY_BYTES // size:
-            raise ConfigError(
-                f"key '{key}': must be <= {MAX_ARRAY_BYTES // size} ({size} bytes each in one array "
-                f"of at most 32 MiB), got {getattr(cfg, key)}"
-            )
-    # the Rabi curve is one (n_points, n_spins) float64 array
-    if cfg.experiment == "rabi" and cfg.n_points * cfg.n_spins > MAX_ARRAY_BYTES // 8:
-        raise ConfigError(
-            f"key 'n_points': the Rabi curve's n_points * n_spins = {cfg.n_points * cfg.n_spins} values, over 2**22"
-        )
+    built = BUILDS[cfg.experiment]
+    # averaging_counts spaces the counts in float64, which holds every integer only up to 2**53
+    if built.counts and cfg.m_max > 2**53:
+        raise ConfigError(f"key 'm_max': must be <= 2**53, got {cfg.m_max}")
+    for key, size in _ARRAY_BYTES.items():
+        if size(cfg, built) > MAX_ARRAY_BYTES:
+            raise ConfigError(f"key '{key}': {getattr(cfg, key)} sets {size(cfg, built)} bytes under "
+                              f"{cfg.experiment}, over the limit of 2**25 (32 MiB)")
     if not (0.0 < cfg.contrast < 1.0):
         raise ConfigError(f"key 'contrast': must be in (0, 1), got {cfg.contrast}")
     if 1.0 + cfg.amp_error_systematic <= 0.0:
         raise ConfigError("key 'amp_error_systematic': 1 + value must be > 0")
     if cfg.s_window_s + cfg.r_window_s > cfg.laser_pulse_s:
         raise ConfigError("key 's_window_s': S and R windows exceed laser_pulse_s")
-    if cfg.t_min_s >= cfg.t_max_s:
-        raise ConfigError("key 't_min_s': must be < t_max_s")
-    if cfg.f_min_hz >= cfg.f_max_hz:
-        raise ConfigError("key 'f_max_hz': must be > f_min_hz")
-    if cfg.m_min > cfg.m_max:
-        raise ConfigError("key 'm_min': must be <= m_max")
-    if cfg.experiment == "resolution":
-        # a block-mean std needs two blocks, and the log-log slope two points
-        if cfg.blocks_per_point < 2:
-            raise ConfigError(f"key 'blocks_per_point': resolution needs >= 2, got {cfg.blocks_per_point}")
-        # averaging_counts spaces the counts in float64, which holds every integer only up to 2**53
-        if cfg.m_max > 2**53:
-            raise ConfigError(f"key 'm_max': must be <= 2**53, got {cfg.m_max}")
-        blocks = cfg.m_max * cfg.blocks_per_point // cfg.m_min  # the smallest M's, each mean held in memory
-        if blocks > MAX_RESOLUTION_BLOCKS:
-            raise ConfigError(f"key 'm_max': m_max * blocks_per_point // m_min = {blocks} blocks, over 2**22")
+    if built.bounds and getattr(cfg, built.bounds[0]) >= getattr(cfg, built.bounds[1]):
+        raise ConfigError("key '{}': must be < key '{}'".format(*built.bounds))
+    for key, least in built.least.items():
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"key '{key}': {cfg.experiment} needs >= {least}, got {getattr(cfg, key)}")
+    if built.counts:
+        if cfg.m_min > cfg.m_max:
+            raise ConfigError("key 'm_min': must be <= m_max")
+        # the log-log slope needs two points
         m_list = averaging_counts(cfg)
         if len(m_list) < 2:
-            raise ConfigError(
-                f"key 'm_points': resolution needs >= 2 distinct averaging counts, "
-                f"m_min..m_max gives {m_list.tolist()}"
-            )
-    key, least = _FIT_POINTS.get(cfg.experiment, (None, 0))
-    if key and getattr(cfg, key) < least:
-        raise ConfigError(f"key '{key}': the {cfg.experiment} fit needs >= {least} points")
-    if cfg.experiment in _AC_SWEEPS and cfg.shots < 2:
-        raise ConfigError(f"key 'shots': {cfg.experiment} needs >= 2 shots to estimate delta_s")
+            raise ConfigError(f"key 'm_points': resolution needs >= 2 distinct averaging counts, "
+                              f"m_min..m_max gives {m_list.tolist()}")
     if cfg.resonator == "wire" and cfg.standoff_m <= cfg.wire_diameter_m / 2.0:
         raise ConfigError("key 'standoff_m': must exceed wire_diameter_m / 2, or spins sit inside the wire")
-    if cfg.experiment == "odmr" and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
+    if "n_freq" in built.least and (cfg.f_max_hz - cfg.f_min_hz) > (cfg.n_freq - 1) * cfg.odmr_linewidth_hz / 2:
         raise ConfigError("key 'n_freq': step exceeds odmr_linewidth_hz / 2, too few points to fit the dip")
-    if cfg.experiment == "odmr" and not np.all(np.diff(frequency_sweep(cfg)) > 0):
+    if "n_freq" in built.least and not np.all(np.diff(frequency_sweep(cfg)) > 0):
         raise ConfigError("key 'f_max_hz': f_min_hz..f_max_hz is too narrow for n_freq distinct frequencies")
-    if cfg.experiment == "fieldmap" and cfg.resonator == "uniform":
+    if built.field_map and cfg.resonator == "uniform":
         raise ConfigError("key 'resonator': fieldmap requires cwr, ring, or wire")
     if cfg.finite_pulses and cfg.experiment not in SWEEP_FAMILIES:
         raise ConfigError(
@@ -276,14 +275,14 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 ) from None
 
     warnings = []
-    if cfg.experiment in _AC_SWEEPS and cfg.tau_s > 0:
+    if "n_amplitudes" in built.least and cfg.tau_s > 0:
         ideal = 1.0 / (2.0 * cfg.f_ac_hz)
         if abs(cfg.tau_s - ideal) > 0.01 * ideal:
             warnings.append(
                 f"tau_s = {cfg.tau_s:g} s does not match 1/(2 f_ac_hz) = {ideal:g} s; "
                 "the AC field is not synchronized"
             )
-    if cfg.bath_tau_c_s > MAX_TAU_C_RATIO * cfg.t2_echo_target_s and cfg.bath_b_rad_s == 0.0:
+    if built.bath and cfg.bath_tau_c_s > MAX_TAU_C_RATIO * cfg.t2_echo_target_s and cfg.bath_b_rad_s == 0.0:
         raise ConfigError(
             f"key 'bath_tau_c_s': exceeds {MAX_TAU_C_RATIO:g} * t2_echo_target_s; "
             "echo calibration rejected (quasi-static bath)"

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nvsim import cli, experiments
+from nvsim import cli, config, experiments, sequences
 from nvsim.cli import main
 from nvsim.config import (
+    BUILDS,
     ConfigError,
     RunConfig,
     averaging_counts,
@@ -690,7 +691,7 @@ BASES = {
     "fieldmap": "resonator = wire\n",
 }
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
-# an int beyond int64 exits 2 when parsed, and n_repeats one past its cap when validated
+# an int beyond int64 exits 2 when parsed, and n_repeats one past its cap where a train is built
 BEYOND_INT64 = [str(2**63), str(10**30)]
 INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "6809"]}
 EDGES = {
@@ -762,9 +763,10 @@ def test_every_config_exits_0_2_or_3():
     # finite CSV values, but for the wire field map inside the conductor
     tally = Counter()  # examples per (edge values, exit 0)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    # a fixed seed: derandomize seeds from check's source, so that editing a comment here drew other examples
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(BASES)), st.sampled_from((True, False, False)), PERTURBATIONS)
-    @example("xy16", True, (("n_repeats", "6809", 0.0),))  # past the cap, which no drawn example reaches
     def check(experiment, edge, perturbed):
         base = f"experiment = {experiment}\n{BASES[experiment]}"
         if edge:
@@ -787,9 +789,97 @@ def test_every_config_exits_0_2_or_3():
         assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
 
     check()
-    # so that the check cannot go quiet: 117 of the 201 examples exit 0, and 96 take edge values
+    # so that the check cannot go quiet: 142 of the 200 examples exit 0, and 80 take edge values
     assert tally[True, True] + tally[False, True] >= 100, tally
     assert tally[True, True] + tally[True, False] >= 30, tally
+
+
+@pytest.mark.parametrize("experiment", sorted(BASES))
+def test_every_edge_value_of_every_key_validates_to_0_or_2(tmp_path, experiment):
+    # the property above reaches a (key, edge value) pair only by chance; here every pair is set
+    # alone on each experiment's base
+    path = tmp_path / "edge.cfg"
+    for key, values in EDGES.items():
+        for value in values:
+            path.write_text(f"experiment = {experiment}\n{BASES[experiment]}{key} = {value}\n")
+            rc, err, caught = _cli("validate", str(path))
+            assert rc in (0, 2) and not caught, (key, value, rc, err, caught)
+            if rc == 2:
+                named = re.findall(r"key '(\w+)'", err)
+                assert named and set(named) <= {f.name for f in fields(RunConfig)}, (key, value, err)
+
+
+# the table's entries, each with the builders that make what it names: a run of each experiment
+# calls exactly the builders its entry names
+RECORDED = {
+    "bath": [(cli, "build_bath")],
+    "spins": [(cli, "build_ensemble")],
+    "train": [(cli, "build_xy16"), *((sequences, f"build_{name}") for name in ("cpmg", "xy4", "xy8", "xy16"))],
+    "shots": [(cli, "build_readout")],
+    "frequencies": [(config, "frequency_sweep"), (cli, "frequency_sweep")],
+    "counts": [(config, "averaging_counts"), (cli, "averaging_counts")],
+    "field_map": [(cli, "build_resonator_spec")],
+}
+# finite pulses over a sweep with room for XY16-1's 16 pulses of 48 ns, and a FID that has not
+# decayed to noise
+FINITE = {family: "finite_pulses = true\nt_min_s = 2e-6\n" for family in ("echo", "cpmg", "xy4", "xy8", "xy16")}
+FINITE["fid"] = "finite_pulses = true\nt_min_s = 100e-9\nt_max_s = 450e-9\n"
+
+
+def _table_entry(cfg: RunConfig) -> set[str]:
+    built = BUILDS[cfg.experiment]
+    entry = {"bath": built.bath, "spins": built.spins(cfg), "train": built.train, "shots": built.shots(cfg),
+             "frequencies": "n_freq" in built.least, "counts": built.counts, "field_map": built.field_map}
+    return {name for name, on in entry.items() if on}
+
+
+@pytest.mark.parametrize(
+    "experiment, extra",
+    [*((experiment, "") for experiment in sorted(BASES)), ("rabi", "shots = 20\n"),
+     *FINITE.items()],
+)
+def test_builds_table_names_what_each_run_builds(tmp_path, monkeypatch, experiment, extra):
+    called = set()
+    for name, builders in RECORDED.items():
+        for module, attr in builders:
+            def record(*args, _real=getattr(module, attr), _name=name, **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, record)
+    text = f"experiment = {experiment}\n{BASES[experiment]}{extra}out_dir = {tmp_path / 'out'}\n"
+    path = write_cfg(tmp_path, text)
+    for command in ("validate", "run"):
+        assert _cli(command, path)[0] == 0, command
+    assert called == _table_entry(parse_config_text(text))
+
+
+# each exited 2 at validate, though its experiment never builds from the key it sets
+UNREAD = [
+    ("odmr", "shots = 4194305"),
+    ("odmr", "n_repeats = 6809"),
+    ("odmr", "t_min_s = 1e-3"),
+    ("odmr", "n_points = 4194305"),
+    ("rabi", "bath_tau_c_s = 1.0"),
+    ("echo", "n_repeats = 6809"),
+    ("echo", "m_min = 1000\nm_max = 100"),
+    ("echo", "f_min_hz = 3e9"),
+    ("xy16", "shots = 4194305"),
+    ("fieldmap_cwr", "n_freq = 2000000"),
+]
+
+
+@pytest.mark.parametrize("config, lines", UNREAD)
+def test_a_key_the_experiment_never_builds_from_passes(tmp_path, config, lines):
+    shipped = str(CONFIG_DIR / f"{config}.cfg")
+    path = write_cfg(tmp_path, Path(shipped).read_text() + lines + "\n")
+    assert _cli("validate", path) == (0, "", [])
+    for name, cfg in (("shipped", shipped), ("set", path)):
+        assert _cli("run", cfg, "--out", str(tmp_path / name)) == (0, "", []), name
+    csvs = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in (tmp_path / "set").glob("*.csv"))
+    for name in csvs:
+        assert filecmp.cmp(tmp_path / "shipped" / name, tmp_path / "set" / name, shallow=False), name
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -819,24 +909,25 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     # 2**53 * 20 // 100 smallest-M block means are 14 PB: validate printed ok, and run sampled
     # the ensemble, swept the AC field and then asked numpy for them.  10**9 frequencies or
     # averaging counts are 7.45 GiB, which validate itself asked numpy for.  Spins, shots, points,
-    # amplitudes and repeats are capped one past the largest array each sets, within 32 MiB:
+    # amplitudes and repeats are capped by the bytes each sets where its experiment builds from it:
     # sample_ensemble's (n_spins, 3) positions, a point's shot row, the sweep, the Rabi curve's
     # (n_points, n_spins) and a finite run's per-pulse structures.  10**8 XY16 repeats were a MemoryError
     # from validate under a 2 GB address-space limit
     cases = [
-        (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max", "2**22"),
-        ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", "2**20"),
-        ("experiment = resolution\nm_points = 1000000000\n", "m_points", "2**20"),
-        ("experiment = echo\nfinite_pulses = true\nn_spins = 1398102\n", "n_spins", "<= 1398101"),
-        ("experiment = rabi\nn_spins = 1398102\n", "n_spins", "<= 1398101"),
-        ("experiment = ac_sense\nshots = 4194305\n", "shots", "<= 4194304"),
-        ("experiment = xy16\nn_points = 4194305\n", "n_points", "<= 4194304"),
-        ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", "<= 4194304"),
-        ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", "2**22"),
-        ("experiment = xy16\nn_repeats = 6809\n", "n_repeats", "<= 6808"),
-        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", "<= 6808"),
+        (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max",
+         8 * (2**53 * 20 // 100)),
+        ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", 32 * 10**9),
+        ("experiment = resolution\nm_points = 1000000000\n", "m_points", 32 * 10**9),
+        ("experiment = echo\nfinite_pulses = true\nn_spins = 1398102\n", "n_spins", 24 * 1398102),
+        ("experiment = rabi\nn_spins = 1398102\n", "n_spins", 24 * 1398102),
+        ("experiment = ac_sense\nshots = 4194305\n", "shots", 8 * 4194305),
+        ("experiment = xy16\nn_points = 4194305\n", "n_points", 8 * 4194305),
+        ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", 8 * 4194305),
+        ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", 8 * 4096 * 1025),
+        ("experiment = xy16\nn_repeats = 6809\n", "n_repeats", 16 * 308 * 6809),
+        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", 16 * 308 * 10**8),
     ]
-    for text, key, cap in cases:
+    for text, key, size in cases:
         path = write_cfg(tmp_path, text)
         tracemalloc.start()
         try:
@@ -845,7 +936,7 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
         finally:
             tracemalloc.stop()
         assert (got, caught) == (2, []), key
-        assert f"key '{key}'" in err and cap in err, err
+        assert f"key '{key}': " in err and f" sets {size} bytes " in err and "2**25 (32 MiB)" in err, err
         assert peak < 2**20, key  # no ensemble, no sweep, no block means, no frequencies, no train
         assert not (tmp_path / "out").exists()
 
