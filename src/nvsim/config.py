@@ -96,21 +96,21 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
-# keys that must be strictly positive / non-negative
-_POSITIVE = {
-    "t2_star_s", "t2_echo_target_s", "bath_tau_c_s", "pi_time_s", "contrast",
-    "v0_v", "s_window_s", "r_window_s", "laser_pulse_s", "f_ac_hz", "t_seq_s",
-    "beam_diameter_m", "depth_m", "standoff_m", "volume_mm3", "nv_density_cm3",
-    "strip_width_m", "gap_m", "ground_width_m", "ring_radius_m", "wire_diameter_m",
-    "f0_hz", "q_factor", "drive_power_w", "bias_field_t", "odmr_linewidth_hz",
-    "rabi_max_s", "t_min_s", "t_max_s", "b_ac_max_t",
-}
-_NONNEGATIVE = {
+# keys that must be strictly positive / non-negative / at least 1, in declaration order, so that
+# a config with several out of range names the same key in every process
+_POSITIVE = (
+    "t2_star_s", "t2_echo_target_s", "bath_tau_c_s", "pi_time_s", "contrast", "v0_v", "s_window_s",
+    "r_window_s", "laser_pulse_s", "t_min_s", "t_max_s", "f_ac_hz", "b_ac_max_t", "t_seq_s",
+    "beam_diameter_m", "depth_m", "standoff_m", "volume_mm3", "nv_density_cm3", "strip_width_m", "gap_m",
+    "ground_width_m", "ring_radius_m", "wire_diameter_m", "f0_hz", "q_factor", "drive_power_w",
+    "bias_field_t", "odmr_linewidth_hz", "rabi_max_s",
+)
+_NONNEGATIVE = (
     "seed", "bath_b_rad_s", "shot_noise_v", "laser_fluct_rel", "laser_fluct_fast_rel",
     "laser_drift_step_rel", "amp_error_sigma", "tau_s",
-}
-_MIN_ONE = {"threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
-            "n_freq", "m_min", "m_max", "m_points", "blocks_per_point"}
+)
+_MIN_ONE = ("threads", "shots", "n_repeats", "n_points", "n_amplitudes", "n_spins",
+            "n_freq", "m_min", "m_max", "m_points", "blocks_per_point")
 
 
 class Builds(NamedTuple):
@@ -129,7 +129,7 @@ class Builds(NamedTuple):
 
 _AC_SWEEP = dict(bath=True, train=True, shots=lambda cfg: True)
 BUILDS = {
-    "odmr": Builds({"n_freq": 2}, ("f_min_hz", "f_max_hz")),
+    "odmr": Builds({"n_freq": 8}, ("f_min_hz", "f_max_hz")),
     "rabi": Builds({"n_points": 8}, spins=lambda cfg: True, shots=lambda cfg: cfg.shots > 1, curve_per_spin=True),
     **{family: Builds({"n_points": 6}, ("t_min_s", "t_max_s"), bath=True, spins=lambda cfg: cfg.finite_pulses,
                       train=family not in ("fid", "echo")) for family in SWEEP_FAMILIES},  # fid, echo: no n_repeats
@@ -147,13 +147,13 @@ _ARRAY_BYTES = {
     # the float64 sweep, or the Rabi curve's (n_points, n_spins) float64 populations
     "n_points": lambda cfg, b: 8 * cfg.n_points * (cfg.n_spins if b.curve_per_spin else 1) * ("n_points" in b.least),
     "n_amplitudes": lambda cfg, b: 8 * cfg.n_amplitudes * ("n_amplitudes" in b.least),  # the float64 amplitudes
-    # not one array but a finite run's per-pulse structures at their peak, 16 pulse+gap steps of 308 bytes per XY16
-    # repeat (tracemalloc of the element tuple, sequences._walk's lists, render_finite's steps and
-    # ensemble._schedule: 4,629-5,043 bytes per repeat between 250 and 4,000 repeats; 33.1 MB at the cap)
-    "n_repeats": lambda cfg, b: 16 * 308 * cfg.n_repeats * b.train,
-    # 32 bytes each caps the ODMR frequencies and the averaging counts, both built by validate_config, at
-    # 2**20 (tracemalloc peaks: 92 bytes per frequency in run_odmr, 22 per count in averaging_counts)
-    "n_freq": lambda cfg, b: 32 * cfg.n_freq * ("n_freq" in b.least),
+    # not one array but a run's per-pulse arrays at their peak, 16 pulses of 129 bytes per XY16 repeat
+    # (tracemalloc of an in-process xy16 run: 2,048-2,052 bytes per repeat with ideal pulses, whose
+    # ou_chi_exact lists peak, and 1,808-1,814 with finite pulses, at 500 and 2,000 repeats)
+    "n_repeats": lambda cfg, b: 16 * 129 * cfg.n_repeats * b.train,
+    # run_odmr's peak: 92.2-92.6 bytes per frequency (tracemalloc at 2**16 and 2**18 frequencies)
+    "n_freq": lambda cfg, b: 93 * cfg.n_freq * ("n_freq" in b.least),
+    # 32 bytes each caps the averaging counts, which validate_config builds, at 2**20 (tracemalloc: 22 per count)
     "m_points": lambda cfg, b: 32 * cfg.m_points * b.counts,
     # the smallest averaging count's block means, one float64 each
     "m_max": lambda cfg, b: 8 * (cfg.m_max * cfg.blocks_per_point // cfg.m_min) * b.counts,
@@ -267,7 +267,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
             raise ConfigError(f"key 't_min_s': {cfg.t_min_s:g} s: {exc}") from None
         if cfg.finite_pulses:
             try:
-                render_finite(seq.elements, cfg.pi_time_s)
+                render_finite(seq, cfg.pi_time_s)
             except ValueError as exc:
                 raise ConfigError(
                     f"key 'pi_time_s': {cfg.pi_time_s:g} s pulses at t_min_s = {cfg.t_min_s:g} s "

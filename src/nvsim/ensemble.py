@@ -280,22 +280,19 @@ def ideal_populations(
     return list(zip(((1.0 - m) / 2.0).tolist(), ((1.0 + m) / 2.0).tolist()))
 
 
-def _schedule(steps, bath: OUBath) -> list:
-    """Per pulse+gap step: the step, its gap's OU transition with the factor
-    d = exp(-a22^2 / 2) its averaged a22 z2 leaves on (x, y), and the turn
-    from the step's frame into the next's, halved."""
-    # each gap's transition, computed once per distinct (width, L)
-    laws, gaps = {}, []
-    for (_, width), L in steps:
-        if (width, L) not in laws:
-            law = ou_transition(width, L, bath)
-            laws[width, L] = law, math.exp(-0.5 * law.a22 * law.a22)
-        gaps.append(laws[width, L])
+def _schedule(phases, widths, free, bath: OUBath):
+    """render_finite's train as pulse+gap steps, one per gap, in arrays the step loop reads by
+    index: step k's pulse width, free length L, index into laws of its gap's OU transition and
+    halved turn into the next step's frame.  laws holds one (transition, d) per distinct (width, L),
+    with the factor d = exp(-a22^2 / 2) that the averaged a22 z2 leaves on (x, y)."""
+    widths = widths[:-1]
+    pairs, index = np.unique(np.column_stack((widths, free)), axis=0, return_inverse=True)
+    laws = [ou_transition(width, L, bath) for width, L in pairs.tolist()]
     # each step's frame is its pulse's phase; each gap angle's common part, halved,
     # turns v into the next step's frame (the lab's after the last step)
-    frames = [pulse[0] for pulse, _ in steps]
-    turns = 0.5 * np.subtract(frames, frames[1:] + [0.0])
-    return list(zip(steps, gaps, turns))
+    turns = 0.5 * np.subtract(phases[:-1], np.append(phases[1:-1], 0.0))
+    # index.reshape: numpy 2.0.0 returns the inverse 2-D when an axis is given
+    return widths, free, index.reshape(-1), turns, [(law, math.exp(-0.5 * law.a22 * law.a22)) for law in laws]
 
 
 def _evolve_finite(schedule, omega_eff, delta_s, bath, rows):
@@ -320,7 +317,9 @@ def _evolve_finite(schedule, omega_eff, delta_s, bath, rows):
     t, f, p = work[:3]
     delta = np.empty(n)
     x = next(rows) * bath.b
-    for ((_, width), L), (law, d), turn in schedule:
+    widths, free, index, turns, laws = schedule
+    for width, L, k, turn in zip(widths, free, index, turns):
+        law, d = laws[k]
         np.add(delta_s, x, out=delta)
         rotate_drive(v, omega_eff, delta, width, work)
         # free precession about z by phi = delta_s L + OU integral + the common part;
@@ -352,8 +351,8 @@ def _evolve_finite(schedule, omega_eff, delta_s, bath, rows):
 
 
 def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
-    steps, final = render_finite(seq.elements, pulse_width)
-    schedule = _schedule(steps, bath)
+    phases, widths, free = render_finite(seq, pulse_width)
+    schedule = _schedule(phases, widths, free, bath)
     # k = ceil(n / SPIN_BLOCK) near-equal blocks [b n // k, (b + 1) n // k), each
     # with its own substream; each block's sums are added in block order
     n = ensemble.n_spins
@@ -362,7 +361,7 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
     for b in range(k):
         lo, hi = b * n // k, (b + 1) * n // k
         # the noise rows _evolve_finite takes: the start value, then one per step
-        rows = _normal_rows(np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), hi - lo, 1 + len(steps))
+        rows = _normal_rows(np.random.default_rng([ensemble.seed, NOISE_KEY, noise_seed, b]), hi - lo, 1 + len(free))
         omega_eff = ensemble.omega[lo:hi] * (1.0 + ensemble.epsilon[lo:hi])
         delta_s = ensemble.delta_static[lo:hi]
         v, x, work = _evolve_finite(schedule, omega_eff, delta_s, bath, rows)
@@ -378,7 +377,7 @@ def _run_two_branch_finite(seq, ensemble, bath, *, noise_seed, pulse_width):
             np.multiply(vy, c, out=u[1])
             u[1] -= np.multiply(vx, s, out=work[0])
             u[2] = vz
-            rotate_drive(u, omega_eff, delta, final[1], work)
+            rotate_drive(u, omega_eff, delta, widths[-1], work)
             sums.append(float(np.sum((1.0 + u[2]) / 2.0)))
     return sum(plus) / n, sum(minus) / n
 

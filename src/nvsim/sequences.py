@@ -1,9 +1,11 @@
 """Pulse-sequence representation and decoupling-sequence builders.
 
-A sequence is an ordered list of pulses (phase, angle) and free-evolution
-delays.  Builders produce Hahn echo, CPMG-n, XY4/XY8/XY16-N and free
-induction decay with symmetric timing: tau/2 before the first pi pulse,
-tau between pi pulses, tau/2 after the last one.
+A sequence is a train of pulses (phase, angle) with a free-evolution gap
+between each consecutive pair, held as three arrays; its `elements` render
+them as Pulse and Delay objects, one Delay per gap.  Builders produce Hahn
+echo, CPMG-n, XY4/XY8/XY16-N and free induction decay with symmetric
+timing: tau/2 before the first pi pulse, tau between pi pulses, tau/2
+after the last one.
 
 Readout convention (locked by golden tests): the first pulse is
 (pi/2, phase 0).  The final pulse has angle pi/2, and readout_angle is
@@ -15,10 +17,11 @@ the bright state (p0 = 1); readout_phase = pi/2 selects the quadrature
 used for AC sensing, where the branch difference is odd in the
 accumulated phase.
 
-Only this module reads a sequence's timing, by one walk of its elements:
-pi_train takes the ideal-pulse view from it and render_finite the finite
-pulses, by the one overlap rule; toggling_segments gives segment bounds
-and toggling signs, and toggling_moment their static coefficient.
+Only this module reads a sequence's timing: pi_train takes the
+ideal-pulse view, its pi times the running sum of the gaps, and
+render_finite the finite pulses, by the one overlap rule;
+toggling_segments gives segment bounds and toggling signs, and
+toggling_moment their static coefficient.
 """
 
 from __future__ import annotations
@@ -57,17 +60,42 @@ class Delay:
             raise ValueError("delay must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSequence:
-    """Immutable pulse/delay program ending with its +1 readout branch's pulse."""
+    """Immutable pulse train ending with its +1 readout branch's pulse: pulse k has phase phases[k]
+    and nominal angle angles[k], and gaps[k] is the free time before pulse k + 1, in read-only float64
+    copies.  ValueError unless there is one gap per pair, each angle is in (0, 2 pi] and no gap < 0."""
 
-    elements: tuple
+    phases: np.ndarray
+    angles: np.ndarray
+    gaps: np.ndarray
     label: str
     readout_phase: float = 0.0
+
+    def __post_init__(self):
+        phases, angles, gaps = arrays = [np.array(a, dtype=float) for a in (self.phases, self.angles, self.gaps)]
+        if not (phases.ndim == angles.ndim == gaps.ndim == 1 and phases.size == angles.size == gaps.size + 1):
+            raise ValueError("the sequence must start with a pulse and must end with its readout pulse, not a delay")
+        outside = ~((angles > 0.0) & (angles <= 2.0 * math.pi))
+        if outside.any():
+            raise ValueError(f"pulse angle {angles[outside][0]} outside (0, 2*pi]")
+        if np.any(gaps < 0):
+            raise ValueError("delay must be >= 0")
+        for name, a in zip(("phases", "angles", "gaps"), arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_pi_pulses(self) -> int:
         return len(pi_train(self).times)
+
+    @property
+    def elements(self) -> tuple:
+        """The train as Pulse and Delay objects, one Delay per gap, rendered from the arrays."""
+        out = [None] * (2 * self.phases.size - 1)
+        out[::2] = map(Pulse, self.phases.tolist(), self.angles.tolist())
+        out[1::2] = map(Delay, self.gaps.tolist())
+        return tuple(out)
 
 
 def readout_angle(readout_phase: float, sign: int) -> float:
@@ -76,28 +104,25 @@ def readout_angle(readout_phase: float, sign: int) -> float:
     return readout_phase + (math.pi if sign > 0 else 0.0)
 
 
-def _final_pulse(readout_phase: float) -> Pulse:
-    return Pulse(readout_angle(readout_phase, +1) % (2.0 * math.pi), math.pi / 2.0)
+def _final_phase(readout_phase: float) -> float:
+    return readout_angle(readout_phase, +1) % (2.0 * math.pi)
 
 
 def _assemble(pi_phases, tau, label, readout_phase) -> PulseSequence:
-    # frozen elements: one Pulse per phase and one Delay per length (which rejects tau < 0)
-    pulses = {ph: Pulse(ph, math.pi) for ph in set(pi_phases)}
-    half, full = Delay(tau / 2.0), Delay(tau)
-    elems = [Pulse(PH_X, math.pi / 2.0), half]
-    for ph in pi_phases:
-        elems += (pulses[ph], full)
-    elems[-1] = half
-    elems.append(_final_pulse(readout_phase))
-    return PulseSequence(tuple(elems), label, readout_phase)
+    # (pi/2)_x, tau/2, the pi pulses tau apart, tau/2, the readout pulse
+    phases = np.concatenate(([PH_X], pi_phases, [_final_phase(readout_phase)]))
+    angles = np.full(phases.size, math.pi)
+    angles[[0, -1]] = math.pi / 2.0
+    gaps = np.full(phases.size - 1, tau, dtype=float)
+    gaps[[0, -1]] = tau / 2.0
+    return PulseSequence(phases, angles, gaps, label, readout_phase)
 
 
 def build_fid(tau_total: float, *, readout_phase: float = 0.0) -> PulseSequence:
     """Free induction decay: (pi/2) - tau - (pi/2), no refocusing pulses."""
     if tau_total < 0:
         raise ValueError("tau_total must be >= 0")
-    elems = (Pulse(PH_X, math.pi / 2.0), Delay(tau_total), _final_pulse(readout_phase))
-    return PulseSequence(elems, "fid", readout_phase)
+    return PulseSequence((PH_X, _final_phase(readout_phase)), (math.pi / 2.0,) * 2, (tau_total,), "fid", readout_phase)
 
 
 def build_hahn_echo(tau_total: float, *, readout_phase: float = 0.0) -> PulseSequence:
@@ -111,13 +136,13 @@ def build_cpmg(n: int, tau: float, *, readout_phase: float = 0.0) -> PulseSequen
     """CPMG-n: n pi pulses, all phase y, symmetric timing with spacing tau."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _assemble((PH_Y,) * n, tau, f"cpmg-{n}", readout_phase)
+    return _assemble(np.full(n, PH_Y), tau, f"cpmg-{n}", readout_phase)
 
 
 def _build_xy(phases, n_repeats, tau, label, readout_phase):
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    return _assemble(phases * n_repeats, tau, label, readout_phase)
+    return _assemble(np.tile(phases, n_repeats), tau, label, readout_phase)
 
 
 def build_xy4(n_repeats: int, tau: float, *, readout_phase: float = 0.0):
@@ -152,48 +177,28 @@ class PiTrain(NamedTuple):
     total_t: float
 
 
-def _walk(elements):
-    """The one walk of a sequence's elements: its pulses in order, the
-    instant each later pulse sits at (the delays added one by one), and the
-    delay summed between each consecutive pair.  Raises ValueError unless
-    the train starts and ends with a pulse."""
-    if not elements or isinstance(elements[0], Delay) or isinstance(elements[-1], Delay):
-        raise ValueError("the sequence must start with a pulse and must end with its readout pulse, not a delay")
-    pulses, instants, gaps = [elements[0]], [], []
-    t = pending = 0.0
-    for e in elements[1:]:
-        if isinstance(e, Delay):
-            t += e.tau
-            pending += e.tau
-        else:
-            pulses.append(e)
-            instants.append(t)
-            gaps.append(pending)
-            pending = 0.0
-    return pulses, instants, gaps
-
-
 def pi_train(seq: PulseSequence) -> PiTrain:
-    """Parse seq into its pi pulses, each at the instant the delays reach.
+    """Parse seq into its pi pulses, each at the instant the gaps reach.
 
     The ideal view reads the first pulse as the (pi/2)_x preparation, the
     last as the +1 branch's readout pulse, and every pulse in
     between as an instantaneous pi toggle.  Raises ValueError for any pulse
     it would drop or misread, and for pi times not strictly increasing.
+    The instants are np.cumsum of the gaps, a running sum in order.
     """
-    elems = seq.elements
-    ends = (Pulse(PH_X, math.pi / 2.0), _final_pulse(seq.readout_phase))
-    if len(elems) < 2 or (elems[0], elems[-1]) != ends:
+    phases, angles = seq.phases, seq.angles
+    first, last = (phases[0], angles[0]), (phases[-1], angles[-1])
+    if phases.size < 2 or first != (PH_X, math.pi / 2.0) or last != (_final_phase(seq.readout_phase), math.pi / 2.0):
         raise ValueError(f"{seq.label}: the ideal-pulse view needs (pi/2)_x first and the readout pulse last")
-    pulses, instants, _ = _walk(elems)
-    inner = pulses[1:-1]
-    for p in inner:
-        if not abs(p.angle - math.pi) < 1e-12:
-            raise ValueError(f"{seq.label}: interior pulse {p} is not a pi pulse")
-    times = np.array(instants[:-1])
+    misread = np.flatnonzero(~(np.abs(angles[1:-1] - math.pi) < 1e-12))
+    if misread.size:
+        k = misread[0] + 1
+        raise ValueError(f"{seq.label}: interior pulse {Pulse(phases[k].item(), angles[k].item())} is not a pi pulse")
+    instants = np.cumsum(seq.gaps)
+    times = instants[:-1]
     if np.any(np.diff(times) <= 0):
         raise ValueError("pi-pulse times are not strictly increasing")
-    return PiTrain(times, np.array([p.phase for p in inner]), instants[-1])
+    return PiTrain(times, phases[1:-1], instants[-1].item())
 
 
 def pulse_times(seq: PulseSequence):
@@ -221,25 +226,20 @@ def toggling_moment(pi_times, total_t: float) -> float:
     return float(np.sum(np.diff(bounds) * y))
 
 
-def render_finite(elements, pulse_width: float):
-    """Pulse+gap steps of the train rendered with rectangular pulses
-    centered on their ideal instants.
+def render_finite(seq: PulseSequence, pulse_width: float):
+    """The train rendered with rectangular pulses centered on their ideal
+    instants.
 
-    Returns (steps, last): each step is (pulse, L), a pulse (phase, width)
-    followed by a free interval of length L, and last is the final pulse.
+    Returns (phases, widths, free): pulse k has phase phases[k] and lasts
+    widths[k], and free[k] is the free interval between pulses k and k + 1.
     A pulse of nominal angle theta lasts theta/pi * pulse_width, so the
-    pi/2 pulses are half-width.  Delays are shortened by the half-widths
-    of the adjacent pulses (center-to-center timing); raises ValueError if
+    pi/2 pulses are half-width.  Gaps are shortened by the half-widths of
+    the adjacent pulses (center-to-center timing); raises ValueError if
     neighboring pulses would overlap: the one overlap rule, also for
-    config validation.  Raises ValueError too unless the train starts and
-    ends with a pulse, since a leading delay has no pulse to pair with.
+    config validation.
     """
-    pulses, _, gaps = _walk(elements)
-    widths = [p.angle / math.pi * pulse_width for p in pulses]
-    steps = []
-    for p, w, w_next, pending in zip(pulses, widths, widths[1:], gaps):
-        gap = pending - w / 2.0 - w_next / 2.0
-        if gap < -1e-15:
-            raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
-        steps.append(((p.phase, w), max(gap, 0.0)))
-    return steps, (pulses[-1].phase, widths[-1])
+    widths = seq.angles / math.pi * pulse_width
+    free = seq.gaps - widths[:-1] / 2.0 - widths[1:] / 2.0
+    if np.any(free < -1e-15):
+        raise ValueError("finite pulses overlap: reduce pulse width or increase tau")
+    return seq.phases, widths, np.maximum(free, 0.0)

@@ -4,7 +4,10 @@ import contextlib
 import filecmp
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from nvsim import cli, config, experiments, sequences
@@ -693,7 +696,7 @@ BASES = {
 FLOAT_EDGES = ["0", "-1", "5e-324", "1e-300", "1e300", "nan", "inf", "-inf", "1e400"]
 # an int beyond int64 exits 2 when parsed, and n_repeats one past its cap where a train is built
 BEYOND_INT64 = [str(2**63), str(10**30)]
-INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "6809"]}
+INT_EDGES = {"seed": ["-1", "0", str(2**63 - 1)], "n_repeats": ["-1", "0", "1", "2", "16257"]}
 EDGES = {
     f.name: FLOAT_EDGES if f.type == "float" else INT_EDGES.get(f.name, ["-1", "0", "1", "2"]) + BEYOND_INT64
     for f in fields(RunConfig)
@@ -767,6 +770,8 @@ def test_every_config_exits_0_2_or_3():
     @seed(1)
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(BASES)), st.sampled_from((True, False, False)), PERTURBATIONS)
+    # 7 frequencies in a span fine enough for them: an exit 1 from the Lorentzian fit, which needs 8
+    @example("odmr", True, (("n_freq", "7", 0.0), ("f_min_hz", "2.81e9", 0.0), ("f_max_hz", "2.8125e9", 0.0)))
     def check(experiment, edge, perturbed):
         base = f"experiment = {experiment}\n{BASES[experiment]}"
         if edge:
@@ -789,7 +794,8 @@ def test_every_config_exits_0_2_or_3():
         assert not (ran["validate"][0] == 0 and ran["run"][0] == 2), ran["run"][1]
 
     check()
-    # so that the check cannot go quiet: 142 of the 200 examples exit 0, and 80 take edge values
+    # so that the check cannot go quiet: 142 of the 201 examples (200 drawn, 1 explicit) exit 0, and 81 take
+    # edge values
     assert tally[True, True] + tally[False, True] >= 100, tally
     assert tally[True, True] + tally[True, False] >= 30, tally
 
@@ -857,11 +863,11 @@ def test_builds_table_names_what_each_run_builds(tmp_path, monkeypatch, experime
 # each exited 2 at validate, though its experiment never builds from the key it sets
 UNREAD = [
     ("odmr", "shots = 4194305"),
-    ("odmr", "n_repeats = 6809"),
+    ("odmr", "n_repeats = 16257"),
     ("odmr", "t_min_s = 1e-3"),
     ("odmr", "n_points = 4194305"),
     ("rabi", "bath_tau_c_s = 1.0"),
-    ("echo", "n_repeats = 6809"),
+    ("echo", "n_repeats = 16257"),
     ("echo", "m_min = 1000\nm_max = 100"),
     ("echo", "f_min_hz = 3e9"),
     ("xy16", "shots = 4194305"),
@@ -916,7 +922,7 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
     cases = [
         (f"experiment = resolution\nm_max = {2**53}\nm_min = 100\nblocks_per_point = 20\n", "m_max",
          8 * (2**53 * 20 // 100)),
-        ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", 32 * 10**9),
+        ("experiment = odmr\nn_freq = 1000000000\n", "n_freq", 93 * 10**9),
         ("experiment = resolution\nm_points = 1000000000\n", "m_points", 32 * 10**9),
         ("experiment = echo\nfinite_pulses = true\nn_spins = 1398102\n", "n_spins", 24 * 1398102),
         ("experiment = rabi\nn_spins = 1398102\n", "n_spins", 24 * 1398102),
@@ -924,8 +930,8 @@ def test_resolution_block_count_over_the_cap_names_m_max(tmp_path, command):
         ("experiment = xy16\nn_points = 4194305\n", "n_points", 8 * 4194305),
         ("experiment = ac_sense\nn_amplitudes = 4194305\n", "n_amplitudes", 8 * 4194305),
         ("experiment = rabi\nn_points = 4096\nn_spins = 1025\n", "n_points", 8 * 4096 * 1025),
-        ("experiment = xy16\nn_repeats = 6809\n", "n_repeats", 16 * 308 * 6809),
-        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", 16 * 308 * 10**8),
+        ("experiment = xy16\nn_repeats = 16257\n", "n_repeats", 16 * 129 * 16257),
+        ("experiment = xy16\nn_repeats = 100000000\n", "n_repeats", 16 * 129 * 10**8),
     ]
     for text, key, size in cases:
         path = write_cfg(tmp_path, text)
@@ -961,3 +967,25 @@ def test_extreme_values_keep_the_exit_code_contract(tmp_path, experiment, text, 
     got, err, caught = _cli("run", path, "--out", str(tmp_path / "out"))
     assert (got, caught) == (rc, [])
     assert said in err
+
+
+def test_counts_at_their_caps_validate(tmp_path):
+    # one past each cap exits 2 (test_resolution_block_count_over_the_cap_names_m_max)
+    for text in ("experiment = xy16\nn_repeats = 16256\n", "experiment = odmr\nn_freq = 360800\n"):
+        assert _cli("validate", write_cfg(tmp_path, text)) == (0, "", []), text
+
+
+def test_the_key_a_config_error_names_does_not_depend_on_the_hash_seed(tmp_path):
+    # four keys out of range; when the range checks iterated sets of key names, validate named
+    # contrast, t2_star_s, contrast and depth_m under PYTHONHASHSEED 1-4
+    path = write_cfg(tmp_path, (CONFIG_DIR / "echo.cfg").read_text()
+                     + "t2_star_s = -1\ncontrast = -1\ndepth_m = -1\nq_factor = -1\n")
+    src = str(Path(config.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.Popen([sys.executable, "-m", "nvsim.cli", "validate", path], env=dict(env, PYTHONHASHSEED=h),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for h in ("1", "4")
+    ]
+    outs = [(p.communicate(timeout=120)[1], p.returncode) for p in runs]
+    assert outs == [("config error: key 't2_star_s': must be > 0, got -1.0\n", 2)] * 2

@@ -39,7 +39,6 @@ from nvsim.noise import (
 from nvsim.sequences import (
     PH_Y,
     Delay,
-    Pulse,
     PulseSequence,
     build_cpmg,
     build_fid,
@@ -70,15 +69,12 @@ OMEGA = math.pi / 48e-9
 
 def _echo_y():
     echo = build_hahn_echo(2e-6)
-    return replace(echo, elements=(Pulse(PH_Y, math.pi / 2),) + echo.elements[1:])
+    return replace(echo, phases=(PH_Y, *echo.phases[1:]))
 
 
 # sequences the ideal view would misread: an interior pi/2 pulse, a (pi/2)_y preparation
 MISREAD = {
-    "pi2-pair": PulseSequence(
-        (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(0.0, math.pi / 2), Delay(1e-6), build_fid(0.0).elements[-1]),
-        "pi2-pair",
-    ),
+    "pi2-pair": PulseSequence((0.0, 0.0, math.pi), (math.pi / 2,) * 3, (1e-6, 1e-6), "pi2-pair"),
     "echo-y": _echo_y(),
 }
 
@@ -92,10 +88,9 @@ def prepared_on(seq, a):
     is the projection on axis a that a state prepared there keeps under
     seq's pi train: its survival.
     """
-    turn = -(a + math.pi / 2)
-    first, *inner, last = seq.elements
-    inner = [Pulse(e.phase + turn, e.angle) if isinstance(e, Pulse) else e for e in inner]
-    return replace(seq, elements=(first, *inner, last))
+    phases = seq.phases.copy()
+    phases[1:-1] += -(a + math.pi / 2)
+    return replace(seq, phases=phases)
 
 
 def quiet_ensemble(n=512, seed=1):
@@ -347,9 +342,9 @@ def _reference_finite(seq, ens, bath, pulse_width, noise_seed):
     v = np.zeros((3, n))
     v[2] = 1.0
     work = np.empty((8, n))
-    steps, final = render_finite(seq.elements, pulse_width)
+    phases, widths, free = render_finite(seq, pulse_width)
     x = bath.b * row()
-    for (phase, width), L in steps:
+    for phase, width, L in zip(phases, widths, free):
         turn_z(v, phase)
         rotate_drive(v, omega, ens.delta_static + x, width, work)
         turn_z(v, -phase)
@@ -360,7 +355,7 @@ def _reference_finite(seq, ens, bath, pulse_width, noise_seed):
     for readout in (seq.readout_phase + math.pi, seq.readout_phase):  # the + then the - branch
         vb = v.copy()
         turn_z(vb, readout)
-        rotate_drive(vb, omega, ens.delta_static + x, final[1], work)
+        rotate_drive(vb, omega, ens.delta_static + x, widths[-1], work)
         pops.append(float(np.mean((1.0 + vb[2]) / 2.0)))
     return tuple(pops)
 
@@ -619,12 +614,13 @@ def test_finite_pulse_overlap_rejected():
 
 
 def test_finite_engine_rejects_a_trailing_delay():
-    # (pi/2)_x - 1 us - pi_y - 1 us - (pi/2)_-x, with 1 us after it (nothing after the delay
-    # to read out) or before it (a delay no pulse precedes, which would be dropped)
-    echo = (Pulse(0.0, math.pi / 2), Delay(1e-6), Pulse(PH_Y, math.pi), Delay(1e-6), Pulse(math.pi, math.pi / 2))
-    for elements in (echo + (Delay(1e-6),), (Delay(1e-6),) + echo):
+    # (pi/2)_x - 1 us - pi_y - 1 us - (pi/2)_-x with a third gap: a delay after the readout
+    # pulse (nothing to read out) or before the first (no pulse precedes it), or with one gap
+    phases, angles = (0.0, PH_Y, math.pi), (math.pi / 2, math.pi, math.pi / 2)
+    for gaps in ((1e-6, 1e-6, 1e-6), (1e-6,)):
         with pytest.raises(ValueError, match="must end with its readout pulse"):
-            run_two_branch(PulseSequence(elements, "stray-delay"), quiet_ensemble(16), QUIET.bath, pulse_width=48e-9)
+            seq = PulseSequence(phases, angles, gaps, "stray-delay")
+            run_two_branch(seq, quiet_ensemble(16), QUIET.bath, pulse_width=48e-9)
 
 
 def test_finite_pulses_with_amplitude_error_leave_population_behind():

@@ -151,16 +151,14 @@ def _element_walk(seq):
 
 
 def test_pi_train_equals_the_element_walk_bit_for_bit():
-    # every builder at a tau whose running sums round, and adjacent delays that a
+    # every builder at a tau whose running sums round, and irregular gaps that a
     # pairwise or regrouped sum would add in another order
     tau = 0.1e-6 / 3
-    first, *_, last = build_hahn_echo(1e-6).elements
-    adjacent = PulseSequence(
-        (first, Delay(0.1e-6), Delay(0.2e-6), Pulse(PH_Y, math.pi), Delay(0.3e-6), Delay(0.7e-6), Delay(1e-7),
-         Pulse(0.0, math.pi), Delay(0.3e-6), last),
-        "adjacent-delays",
+    irregular = PulseSequence(
+        (0.0, PH_Y, 0.0, PH_Y, 0.0, math.pi), (math.pi / 2,) + (math.pi,) * 4 + (math.pi / 2,),
+        (0.1e-6, 0.2e-6, 0.3e-6, 0.7e-6, 1e-7), "irregular-gaps",
     )
-    seqs = [build_fid(7 * tau), build_hahn_echo(7 * tau), build_cpmg(5, tau), adjacent]
+    seqs = [build_fid(7 * tau), build_hahn_echo(7 * tau), build_cpmg(5, tau), irregular]
     seqs += [build(n, tau) for build in (build_xy4, build_xy8, build_xy16) for n in (1, 3, 16)]
     for seq in seqs:
         times, phases, total = _element_walk(seq)
@@ -169,70 +167,56 @@ def test_pi_train_equals_the_element_walk_bit_for_bit():
         assert train.total_t == total, seq.label
 
 
-# one to three delays, zero-length ones included, then a pulse: a pi pulse, or one time in eight a pi/2
-_DELAYS = st.lists(st.one_of(st.just(0.0), st.sampled_from((0.1e-6 / 3, 0.7e-6, 1e-7)), taus), min_size=1, max_size=3)
+# a gap, zero-length ones included, then a pulse: a pi pulse, or one time in eight a pi/2
+_GAP = st.one_of(st.just(0.0), st.sampled_from((0.1e-6 / 3, 0.7e-6, 1e-7)), taus)
 _GAPS_AND_PULSES = st.lists(
-    st.tuples(_DELAYS, st.sampled_from(XY16_PHASES), st.sampled_from((math.pi,) * 7 + (math.pi / 2,))), max_size=8
+    st.tuples(_GAP, st.sampled_from(XY16_PHASES), st.sampled_from((math.pi,) * 7 + (math.pi / 2,))), max_size=8
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_GAPS_AND_PULSES, _DELAYS, st.sampled_from((0.0, PH_Y)))
-def test_both_views_read_one_walk(inner, last_delays, readout_phase):
-    # a train from (pi/2)_x to the readout pulse; whenever pi_train accepts it, the
-    # cumulative sum of render_finite's gaps at zero width is its pi times and total
-    # free time, bit for bit where no gap holds two nonzero delays (else a few ulps
-    # apart, as pi_train adds the delays one by one and render_finite per gap)
-    first, last = Pulse(0.0, math.pi / 2), Pulse(readout_angle(readout_phase, +1) % (2 * math.pi), math.pi / 2)
-    gaps = [(delays, Pulse(phase, angle)) for delays, phase, angle in inner] + [(last_delays, last)]
-    elements = [first]
-    for delays, pulse in gaps:
-        elements += [Delay(d) for d in delays] + [pulse]
-    seq = PulseSequence(tuple(elements), "walk", readout_phase)
-    steps, final = render_finite(seq.elements, 0.0)
-    assert [pulse for pulse, _ in steps] + [final] == [(e.phase, 0.0) for e in elements if isinstance(e, Pulse)]
-    for (_, gap), (delays, _) in zip(steps, gaps):
-        pending = 0.0
-        for d in delays:
-            pending += d
-        assert gap == pending
-    # a leading or a trailing delay: each view rejects it with its own message
-    for bad in ((Delay(1e-6), *elements), (*elements, Delay(1e-6))):
-        with pytest.raises(ValueError, match="the ideal-pulse view needs"):
-            pi_train(replace(seq, elements=bad))
-        with pytest.raises(ValueError, match="must start with a pulse"):
-            render_finite(bad, 0.0)
+@given(_GAPS_AND_PULSES, _GAP, st.sampled_from((0.0, PH_Y)))
+def test_both_views_read_one_walk(inner, last_gap, readout_phase):
+    # a train from (pi/2)_x to the readout pulse: its elements are its pulses with one
+    # delay per gap, render_finite at zero width returns its gaps, and whenever pi_train
+    # accepts it, the cumulative sum of those gaps is its pi times and total free time,
+    # bit for bit, as is the running sum over its elements
+    last = readout_angle(readout_phase, +1) % (2 * math.pi)
+    phases = [0.0] + [phase for _, phase, _ in inner] + [last]
+    angles = [math.pi / 2] + [angle for *_, angle in inner] + [math.pi / 2]
+    gaps = [gap for gap, *_ in inner] + [last_gap]
+    seq = PulseSequence(phases, angles, gaps, "walk", readout_phase)
+    pulses = [Pulse(phase, angle) for phase, angle in zip(phases, angles)]
+    assert seq.elements[::2] == tuple(pulses) and seq.elements[1::2] == tuple(map(Delay, gaps))
+    rendered, widths, free = render_finite(seq, 0.0)
+    assert rendered.tolist() == phases and not widths.any() and free.tolist() == gaps
+    # a delay after the readout pulse or before the first: the train rejects it
+    with pytest.raises(ValueError, match="must start with a pulse"):
+        replace(seq, gaps=gaps + [1e-6])
     try:
         train = pi_train(seq)
     except ValueError:
         return
     times, _, total = _element_walk(seq)
     assert train.times.tolist() == times and train.total_t == total
-    reached = np.cumsum([gap for _, gap in steps])
-    if all(sum(d > 0 for d in delays) <= 1 for delays, _ in gaps):
-        assert reached[:-1].tolist() == times and reached[-1] == total
-    else:
-        np.testing.assert_allclose(reached, [*times, total], rtol=1e-14, atol=0.0)  # 27 delays regrouped
+    reached = np.cumsum(free)
+    assert reached[:-1].tolist() == times and reached[-1] == total
 
 
 def test_pi_train_rejects_pulses_the_ideal_view_would_drop_or_misread():
     echo = build_hahn_echo(2e-6)
-    first, *middle, last = echo.elements
     bad = {
-        "interior pi/2": (first, Delay(1e-6), Pulse(0.0, math.pi / 2), Delay(1e-6), last),
-        "(pi/2)_y preparation": (Pulse(PH_Y, math.pi / 2), *middle, last),
-        "leading delay": (Delay(1e-6), first, *middle, last),
-        "trailing delay": (first, *middle, last, Delay(1e-6)),
-        "no readout pulse": (first, Delay(1e-6)),
+        "interior pi/2": lambda: PulseSequence((0.0, 0.0, math.pi), (math.pi / 2,) * 3, (1e-6, 1e-6), "pi2"),
+        "(pi/2)_y preparation": lambda: replace(echo, phases=(PH_Y, *echo.phases[1:])),
+        "a delay after the readout pulse or before the first": lambda: replace(echo, gaps=(*echo.gaps, 1e-6)),
+        "no readout pulse": lambda: PulseSequence((0.0,), (math.pi / 2,), (), "pi2"),
+        # the last pulse must be the +1 branch's pulse for the sequence's readout phase
+        "another readout phase": lambda: replace(echo, readout_phase=PH_Y),
+        "the -1 branch's pulse": lambda: replace(echo, phases=(*echo.phases[:-1], 0.0)),
     }
-    for name, elements in bad.items():
+    for name, make in bad.items():
         with pytest.raises(ValueError):
-            pi_train(replace(echo, elements=elements))
-    # the last pulse must be the +1 branch's pulse for the sequence's readout phase
-    with pytest.raises(ValueError):
-        pi_train(replace(echo, readout_phase=PH_Y))
-    with pytest.raises(ValueError):
-        pi_train(replace(echo, elements=(*echo.elements[:-1], Pulse(0.0, math.pi / 2))))
+            pi_train(make())
 
 
 def test_pulse_times_echo():
@@ -331,3 +315,12 @@ def test_element_validation():
         Pulse(0.0, 2 * math.pi + 0.1)
     with pytest.raises(ValueError):
         Delay(-1e-9)
+    # the train's arrays take the same checks, with the same messages, and are read-only
+    echo = build_hahn_echo(2e-6)
+    for angle in (0.0, 2 * math.pi + 0.1, math.nan):
+        with pytest.raises(ValueError, match=r"pulse angle .* outside \(0, 2\*pi\]"):
+            replace(echo, angles=(math.pi / 2, angle, math.pi / 2))
+    with pytest.raises(ValueError, match="delay must be >= 0"):
+        replace(echo, gaps=(1e-6, -1e-9))
+    with pytest.raises(ValueError):
+        echo.gaps[0] = 2e-6
