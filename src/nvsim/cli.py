@@ -22,22 +22,14 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, averaging_counts, config_items, format_manifest, frequency_sweep,
                      parse_config, validate_config)
-from .ensemble import DetectionVolume, NoiseModel, sample_ensemble
-from .experiments import (
-    fit_table,
-    report_table,
-    run_ac_magnetometry,
-    run_coherence,
-    run_odmr,
-    run_rabi,
-    run_resolution,
-    shots_table,
-    write_table,
-)
+from .ensemble import (DetectionVolume, NoiseModel, ensemble_rabi_curve, ideal_populations, run_two_branch,
+                       sample_ensemble)
+from .experiments import (PIECE_BLOCKS, _cut_block_means, fit_table, odmr_dip_frequencies, report_table,
+                          resolution_vs_time, sensitivity_from_slope, shots_table, write_table)
 from .fields import ResonatorSpec, compute_field_map
-from .fitting import CurveFitResult, FitError
+from .fitting import CurveFitResult, FitError, fit_damped_sine, fit_lorentzian, fit_sine, fit_stretched_exp
 from .noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath, sigma_from_t2star
-from .readout import WINDOWS, ReadoutModel, shot_stream
+from .readout import SINGLE_BRANCH, TWO_BRANCH, WINDOWS, ReadoutModel, readout_shot_std, shot_law, shot_stream
 from .sequences import SWEEP_FAMILIES, build_xy16
 
 
@@ -94,104 +86,172 @@ def _run_fieldmap(cfg):
 
 
 def _run_odmr(cfg):
-    freqs = frequency_sweep(cfg)
-    res = run_odmr(
-        freqs,
-        cfg.bias_field_t,
-        cfg.odmr_linewidth_hz,
-        contrast_aligned=cfg.contrast,
-        contrast_misaligned=cfg.odmr_contrast_misaligned,
-        v0_v=cfg.v0_v,
-    )
-    curve = ("curve.csv", ["freq_hz", "signal_v"], [res.freqs_hz, res.signal])
-    return Outputs([curve, fit_table(res.fit, {"fitted_dip_hz": res.fitted_dip_hz})], res.fit, "ODMR dip fit")
+    """Steady-state CW spectrum with Lorentzian dips; fits the deepest dip.
+
+    The three misaligned orientation classes are degenerate for a [111]
+    field, so their per-orientation contrast adds threefold.
+    """
+    f = frequency_sweep(cfg)
+    v0, c, c_mis = cfg.v0_v, cfg.contrast, cfg.odmr_contrast_misaligned
+    signal = np.full_like(f, v0)
+    hw = cfg.odmr_linewidth_hz / 2.0
+    for f0, w in zip(odmr_dip_frequencies(cfg.bias_field_t), [c, c, 3 * c_mis, 3 * c_mis]):
+        signal -= v0 * w * hw * hw / ((f - f0) ** 2 + hw * hw)
+    # fit a window around the global minimum
+    i0 = int(np.argmin(signal))
+    mask = np.abs(f - f[i0]) <= 4.0 * cfg.odmr_linewidth_hz
+    fit = fit_lorentzian(f[mask], signal[mask])
+    curve = ("curve.csv", ["freq_hz", "signal_v"], [f, signal])
+    return Outputs([curve, fit_table(fit, {"fitted_dip_hz": fit.params[0]})], fit, "ODMR dip fit")
 
 
 def _run_rabi(cfg):
-    ens = build_ensemble(cfg)
+    """Ensemble-averaged drive curve plus damped-sine fit; t_pi = 1/(2 f).
+
+    With shots > 1 each point is instead the mean of `shots` single-branch
+    shots of the readout model (seed + 1), which adds detector noise.
+    """
     durations = np.linspace(0.0, cfg.rabi_max_s, cfg.n_points)
-    res = run_rabi(durations, ens, build_readout(cfg) if cfg.shots > 1 else None, shots=cfg.shots, seed=cfg.seed + 1)
-    curve = ("curve.csv", ["duration_s", "population"], [res.durations_s, res.population])
-    return Outputs([curve, fit_table(res.fit, {"t_pi_s": res.t_pi_s})], res.fit, "Rabi damped-sine fit")
+    pop = ensemble_rabi_curve(build_ensemble(cfg), durations)
+    if cfg.shots > 1:
+        readout = build_readout(cfg)
+        rng = np.random.default_rng(cfg.seed + 1)
+        for i, p in enumerate(pop):
+            vals = shot_stream(p, p, readout, cfg.shots, rng, [SINGLE_BRANCH])[0]
+            pop[i] = 1.0 + float(np.mean(vals)) / (readout.v0_v * readout.contrast)
+    fit = fit_damped_sine(durations, pop)
+    f = float(fit.params[2])
+    curve = ("curve.csv", ["duration_s", "population"], [durations, pop])
+    return Outputs([curve, fit_table(fit, {"t_pi_s": 1.0 / (2.0 * f) if f > 0 else math.inf})], fit,
+                   "Rabi damped-sine fit")
 
 
 def _run_coherence(cfg):
+    """Normalized two-branch signal vs total free time, stretched-exp fit.
+
+    Finite pulses evolve n_spins sampled spins along fresh bath
+    trajectories per point, keyed on (seed, seed + 2 + 7919 i); ideal
+    pulses average the bath and the static spread exactly, from the
+    spread's sigma_delta, and sample no spins.  A fit that did not converge, or
+    whose T2 lands before the first point or beyond the last, is flagged
+    censored.
+    """
     bath = build_bath(cfg)
-    # ideal pulses average the static spread exactly: only finite pulses evolve sampled spins
     spins = build_ensemble(cfg) if cfg.finite_pulses else build_spread(cfg)
+    pulse_width = cfg.pi_time_s if cfg.finite_pulses else None
     t_sweep = np.linspace(cfg.t_min_s, cfg.t_max_s, cfg.n_points)
+    signal = np.empty_like(t_sweep)
+    for i, T in enumerate(t_sweep):
+        seq = SWEEP_FAMILIES[cfg.experiment](cfg.n_repeats, T)
+        p_plus, p_minus = run_two_branch(seq, spins, bath, noise_seed=cfg.seed + 2 + 7919 * i, pulse_width=pulse_width)
+        signal[i] = p_plus - p_minus
     try:
-        res = run_coherence(
-            cfg.experiment,
-            cfg.n_repeats,
-            t_sweep,
-            spins,
-            bath,
-            pulse_width=cfg.pi_time_s if cfg.finite_pulses else None,
-            noise_seed=cfg.seed + 2,
-        )
+        fit = fit_stretched_exp(t_sweep, signal)
     except FitError as exc:
         raise NumericalFailure(f"coherence fit: {exc}") from exc
-    curve = ("curve.csv", ["t_total_s", "signal_norm"], [res.t_totals_s, res.signal_norm])
-    extra = {"t2_s": res.t2_s, "stretch_p": res.stretch_p, "censored": float(res.censored)}
-    return Outputs([curve, fit_table(res.fit, extra)], res.fit, "coherence fit")
+    t2 = float(fit.params[1])
+    censored = (not fit.converged) or not float(t_sweep[0]) <= t2 <= float(t_sweep[-1])
+    curve = ("curve.csv", ["t_total_s", "signal_norm"], [t_sweep, signal])
+    extra = {"t2_s": t2, "stretch_p": fit.params[2], "censored": float(censored)}
+    return Outputs([curve, fit_table(fit, extra)], fit, "coherence fit")
 
 
 def _ac_sweep(cfg: RunConfig):
-    """XY16 AC-magnetometry sweep shared by ac_sense and resolution."""
+    """Two-branch signal vs AC amplitude over an XY16 train, shared by
+    ac_sense and resolution: its curve table, sine fit and sensitivity report.
+
+    The train's spacing is tau_s, or 1/(2 f_ac_hz) when tau_s = 0, and its
+    readout is the quadrature one (readout_phase = pi/2); validate_config
+    warns about an unsynchronized tau_s.  The branches come from one
+    ensemble.ideal_populations over all amplitudes, which averages the bath
+    and the static spread exactly: only the shots (seed + 4) are random.
+    They are drawn as readout.TWO_BRANCH, the two-branch difference, which
+    rejects the common-mode laser noise; readout.SINGLE_BRANCH is the arm
+    without the branch pair.
+    delta_s is the measured shot-to-shot std at the amplitude closest to
+    zero; max_slope is |a k| from the sine fit of the mean curve.  A
+    NumericalFailure if either is not positive (delta_s is 0 without shot
+    noise and laser noise), or if the slope is within 5 of its std errors
+    (from fit.cov) of 0: the sweep shows no signal.  A fit without a
+    covariance is not converged.
+    """
     tau = cfg.tau_s if cfg.tau_s > 0 else 1.0 / (2.0 * cfg.f_ac_hz)
     seq = build_xy16(cfg.n_repeats, tau, readout_phase=math.pi / 2.0)
     amplitudes = np.linspace(-cfg.b_ac_max_t, cfg.b_ac_max_t, cfg.n_amplitudes)
-    try:
-        return run_ac_magnetometry(
-            seq,
-            cfg.f_ac_hz,
-            amplitudes,
-            build_spread(cfg),
-            build_bath(cfg),
-            build_readout(cfg),
-            cfg.shots,
-            cfg.t_seq_s,
-            ac_phase=cfg.ac_phase_rad,
-            shot_seed=cfg.seed + 4,
+    bath, readout = build_bath(cfg), build_readout(cfg)
+    branches = ideal_populations(seq, bath, build_spread(cfg).sigma_delta, amplitudes, cfg.f_ac_hz, cfg.ac_phase_rad)
+    mean_v, std_v, norm = (np.empty_like(amplitudes) for _ in range(3))
+    rng = np.random.default_rng(cfg.seed + 4)
+    for i, (p_plus, p_minus) in enumerate(branches):
+        vals = shot_stream(p_plus, p_minus, readout, cfg.shots, rng, [TWO_BRANCH])[0]
+        mean_v[i], std_v[i] = np.mean(vals), np.std(vals, ddof=1)
+        norm[i] = p_plus - p_minus
+    fit = fit_sine(amplitudes, mean_v)
+    max_slope = abs(float(fit.params[0] * fit.params[1]))
+    delta_s = float(std_v[int(np.argmin(np.abs(amplitudes)))])  # the shot-to-shot std
+    if not (max_slope > 0 and delta_s > 0):
+        raise NumericalFailure(
+            f"AC sweep: the sine fit's slope |a k| = {max_slope!r} and delta_s = {delta_s!r}: no sensitivity"
         )
-    except FitError as exc:
-        raise NumericalFailure(f"AC sweep: {exc}") from exc
+    # the slope's std error by the delta method: a and k alone are ill-determined
+    # (anti-correlated) when the sweep sees only the linear part of the sine
+    grad = np.array([fit.params[1], fit.params[0]])
+    var_slope = float(grad @ fit.cov[:2, :2] @ grad)
+    if var_slope >= 0.0 and max_slope <= 5.0 * math.sqrt(var_slope):
+        raise NumericalFailure(
+            f"AC sweep: the sine fit's slope |a k| = {max_slope!r} is within 5 std errors "
+            f"({math.sqrt(var_slope)!r}) of 0: no signal"
+        )
+    curve = ("curve.csv", ["b_ac_t", "signal_v", "signal_std_v", "signal_norm"], [amplitudes, mean_v, std_v, norm])
+    return curve, fit, sensitivity_from_slope(delta_s, max_slope, cfg.t_seq_s)
 
 
 def _run_ac_sense(cfg):
-    res = _ac_sweep(cfg)
-    curve = (
-        "curve.csv",
-        ["b_ac_t", "signal_v", "signal_std_v", "signal_norm"],
-        [res.amplitudes_t, res.signal_mean_v, res.signal_std_v, res.signal_norm],
-    )
-    tables = [curve, fit_table(res.fit, {"max_slope_v_per_t": res.max_slope_v_per_t}), report_table(res.report)]
+    curve, fit, report = _ac_sweep(cfg)
+    tables = [curve, fit_table(fit, {"max_slope_v_per_t": report.max_slope_v_per_t}), report_table(report)]
     if cfg.dump_shots:
         rng = np.random.default_rng(cfg.seed + 5)
         tables.append(shots_table(shot_stream(0.5, 0.5, build_readout(cfg), min(cfg.shots, 10000), rng, WINDOWS)))
-    return Outputs(tables, res.fit, "AC sine fit")
+    return Outputs(tables, fit, "AC sine fit")
 
 
 def _run_resolution(cfg):
-    ac = _ac_sweep(cfg)
-    try:
-        res = run_resolution(
-            build_readout(cfg),
-            ac.max_slope_v_per_t,
-            cfg.t_seq_s,
-            averaging_counts(cfg),
-            blocks_per_point=cfg.blocks_per_point,
-            seed=cfg.seed + 6,
+    """Measured field resolution vs averaging from a simulated shot stream
+    at zero signal (p0 = 0.5 in both branches), over the AC sweep's slope.
+
+    For each averaging count M the std of non-overlapping M-shot block
+    means estimates the averaged-signal noise; at least blocks_per_point
+    blocks are simulated for the largest M.  A std from k Gaussian block
+    means has relative standard error 1/sqrt(2 (k - 1)), the
+    min_field_stderr_t column.  At zero signal the processed shots are
+    i.i.d. N(0, sigma^2) and the drift walk adds nothing (shot_law's mean
+    is exactly 0.0), so the block means are drawn (seed + 6) from their
+    exact law by _cut_block_means, one normal per block-edge cut instead
+    of one per shot, in pieces of PIECE_BLOCKS smallest-M blocks (at least
+    the largest M).  A NumericalFailure before any draw if sigma is 0 (no
+    shot noise, and the slow laser term cancels at zero signal): no std to
+    take a log of.
+    """
+    _curve, _fit, report = _ac_sweep(cfg)
+    readout, max_slope = build_readout(cfg), report.max_slope_v_per_t
+    n_avg = averaging_counts(cfg)
+    m_max = int(n_avg[-1])
+    k = m_max * cfg.blocks_per_point // n_avg
+    sigma = abs(float(shot_law(0.5, 0.5, readout, [TWO_BRANCH])[1][0, 0]))
+    if not sigma > 0:
+        raise NumericalFailure(
+            f"resolution: the zero-signal shot std sigma = {sigma!r}: every block-mean std is 0, no log-log slope"
         )
-    except FitError as exc:
-        raise NumericalFailure(f"resolution: {exc}") from exc
-    table = (
-        "resolution.csv",
-        ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t", "min_field_stderr_t"],
-        [res.n_avg.astype(float), res.elapsed_s, res.min_field_t, res.ideal_min_field_t, res.min_field_stderr_t],
-    )
-    return Outputs([table, report_table(ac.report)], manifest={"loglog_slope": repr(res.loglog_slope)})
+    rng = np.random.default_rng(cfg.seed + 6)
+    piece = max(m_max, PIECE_BLOCKS * int(n_avg[0]))
+    means = _cut_block_means(sigma, n_avg.tolist(), k.tolist(), rng, piece)
+    min_field = np.array([np.std(x, ddof=1) / max_slope for x in means])
+    elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, cfg.t_seq_s, n_avg)
+    slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
+    columns = [n_avg.astype(float), elapsed, min_field, ideal, min_field / np.sqrt(2.0 * (k - 1.0))]
+    header = ["n_avg", "elapsed_s", "min_field_t", "ideal_min_field_t", "min_field_stderr_t"]
+    table = ("resolution.csv", header, columns)
+    return Outputs([table, report_table(report)], manifest={"loglog_slope": repr(slope)})
 
 
 _RUNNERS = {

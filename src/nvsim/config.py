@@ -151,7 +151,7 @@ _ARRAY_BYTES = {
     # (tracemalloc of an in-process xy16 run: 2,048-2,052 bytes per repeat with ideal pulses, whose
     # ou_chi_exact lists peak, and 1,808-1,814 with finite pulses, at 500 and 2,000 repeats)
     "n_repeats": lambda cfg, b: 16 * 129 * cfg.n_repeats * b.train,
-    # run_odmr's peak: 92.2-92.6 bytes per frequency (tracemalloc at 2**16 and 2**18 frequencies)
+    # the odmr runner's peak: 92.2-92.6 bytes per frequency (tracemalloc at 2**16 and 2**18 frequencies)
     "n_freq": lambda cfg, b: 93 * cfg.n_freq * ("n_freq" in b.least),
     # 32 bytes each caps the averaging counts, which validate_config builds, at 2**20 (tracemalloc: 22 per count)
     "m_points": lambda cfg, b: 32 * cfg.m_points * b.counts,

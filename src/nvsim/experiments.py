@@ -1,10 +1,11 @@
-"""Experiment drivers: ODMR, Rabi, coherence sweeps, AC magnetometry,
-resolution-vs-time, and the sensitivity arithmetic.
+"""The experiments' physics and tables: the coherence sweeps' builders,
+the ODMR dip positions, the sensitivity and resolution arithmetic, the
+resolution's block-mean draw, and the output tables.
 
-Each driver returns a small result object carrying the raw curve, the
-fit, and derived quantities; every output file is a table
-`(name, header, columns)` written by `write_table`, so the CLI and the
-scripts share one format.
+The experiments themselves are the runners of `nvsim.cli`, one function
+from the validated config to its tables each.  Every output file is a
+table `(name, header, columns)` written by `write_table`, so the CLI and
+the scripts share one format.
 
 AC synchronization: for symmetric pi-train timing (pulses at the
 half-integer multiples of the spacing tau) the test field must have its
@@ -21,18 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COS_MISALIGNED, GAMMA_E, GAMMA_E_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
-from .ensemble import EnsembleSample, ensemble_rabi_curve, ideal_populations, run_two_branch
-from .fitting import (
-    CurveFitResult,
-    FitError,
-    fit_damped_sine,
-    fit_lorentzian,
-    fit_sine,
-    fit_stretched_exp,
-)
-from .noise import OUBath, QuasiStaticSpread
-from .readout import SINGLE_BRANCH, TWO_BRANCH, ReadoutModel, readout_shot_std, shot_law, shot_stream
-from .sequences import SWEEP_FAMILIES, PulseSequence
+from .fitting import CurveFitResult
+from .sequences import SWEEP_FAMILIES
 
 DEFAULT_AC_PHASE = math.pi / 2.0
 
@@ -48,14 +39,6 @@ def make_coherence_builder(family: str, n_repeats: int = 1):
 
 # ---------------------------------------------------------------- ODMR
 
-@dataclass(frozen=True)
-class OdmrResult:
-    freqs_hz: np.ndarray
-    signal: np.ndarray
-    fit: CurveFitResult
-    fitted_dip_hz: float
-
-
 def odmr_dip_frequencies(bias_field_t: float) -> np.ndarray:
     """Resonances of the four <111> classes under a field along [111].
 
@@ -69,125 +52,7 @@ def odmr_dip_frequencies(bias_field_t: float) -> np.ndarray:
     )
 
 
-def run_odmr(
-    freq_sweep,
-    bias_field_t: float,
-    linewidth_hz: float,
-    contrast_aligned: float = 0.02,
-    contrast_misaligned: float = 0.005,
-    v0_v: float = 1.0,
-) -> OdmrResult:
-    """Steady-state CW spectrum with Lorentzian dips; fits the deepest dip.
-
-    The three misaligned orientation classes are degenerate for a [111]
-    field, so their per-orientation contrast adds threefold.
-    """
-    f = np.asarray(freq_sweep, dtype=float)
-    if np.any(np.diff(f) <= 0):
-        raise ValueError("freq_sweep must be sorted increasing")
-    dips = odmr_dip_frequencies(bias_field_t)
-    weights = [contrast_aligned, contrast_aligned, 3 * contrast_misaligned, 3 * contrast_misaligned]
-    signal = np.full_like(f, v0_v)
-    hw = linewidth_hz / 2.0
-    for f0, c in zip(dips, weights):
-        signal -= v0_v * c * hw * hw / ((f - f0) ** 2 + hw * hw)
-    # fit a window around the global minimum
-    i0 = int(np.argmin(signal))
-    mask = np.abs(f - f[i0]) <= 4.0 * linewidth_hz
-    fit = fit_lorentzian(f[mask], signal[mask])
-    return OdmrResult(f, signal, fit, float(fit.params[0]))
-
-
-# ---------------------------------------------------------------- Rabi
-
-@dataclass(frozen=True)
-class RabiResult:
-    durations_s: np.ndarray
-    population: np.ndarray
-    fit: CurveFitResult
-    t_pi_s: float
-
-
-def run_rabi(
-    durations,
-    ensemble: EnsembleSample,
-    readout: ReadoutModel | None = None,
-    shots: int = 0,
-    seed: int = 0,
-) -> RabiResult:
-    """Ensemble-averaged drive curve plus damped-sine fit; t_pi = 1/(2 f).
-
-    With a readout model each point is the mean of `shots` single-branch
-    shots instead, which adds detector noise.
-    """
-    durations = np.asarray(durations, dtype=float)
-    if np.any(np.diff(durations) < 0):
-        raise ValueError("durations must be sorted")
-    pop = ensemble_rabi_curve(ensemble, durations)
-    if readout is not None:
-        if shots < 1:
-            raise ValueError("shots must be >= 1 with a readout model")
-        rng = np.random.default_rng(seed)
-        meas = np.empty_like(pop)
-        for i, p in enumerate(pop):
-            vals = shot_stream(p, p, readout, shots, rng, [SINGLE_BRANCH])[0]
-            meas[i] = 1.0 + float(np.mean(vals)) / (readout.v0_v * readout.contrast)
-        pop = meas
-    fit = fit_damped_sine(durations, pop)
-    f = float(fit.params[2])
-    return RabiResult(durations, pop, fit, 1.0 / (2.0 * f) if f > 0 else math.inf)
-
-
-# ---------------------------------------------------------------- coherence
-
-@dataclass(frozen=True)
-class CoherenceResult:
-    t_totals_s: np.ndarray
-    signal_norm: np.ndarray
-    fit: CurveFitResult
-    t2_s: float
-    stretch_p: float
-    censored: bool
-
-
-def run_coherence(
-    family: str,
-    n_repeats: int,
-    t_sweep,
-    spins: EnsembleSample | QuasiStaticSpread,
-    bath: OUBath,
-    *,
-    pulse_width: float | None = None,
-    noise_seed: int = 0,
-) -> CoherenceResult:
-    """Normalized two-branch signal vs total free time, stretched-exp fit.
-
-    Finite pulses evolve the EnsembleSample spins along fresh bath
-    trajectories per point, keyed on (spins.seed, noise_seed + 7919 i);
-    ideal pulses average both exactly, from spins.sigma_delta.  A fit
-    that did not converge, or whose T2 lands before the first point or
-    beyond the last, is flagged censored.
-    """
-    t_sweep = np.asarray(t_sweep, dtype=float)
-    builder, _n_pi = make_coherence_builder(family, n_repeats)
-    signal = np.empty_like(t_sweep)
-    for i, T in enumerate(t_sweep):
-        p_plus, p_minus = run_two_branch(
-            builder(T),
-            spins,
-            bath,
-            noise_seed=noise_seed + 7919 * i,
-            pulse_width=pulse_width,
-        )
-        signal[i] = p_plus - p_minus
-    fit = fit_stretched_exp(t_sweep, signal)
-    t2 = float(fit.params[1])
-    p = float(fit.params[2])
-    censored = (not fit.converged) or not float(t_sweep[0]) <= t2 <= float(t_sweep[-1])
-    return CoherenceResult(t_sweep, signal, fit, t2, p, censored)
-
-
-# ---------------------------------------------------------------- AC sensing
+# ---------------------------------------------------------------- sensitivity
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -212,97 +77,12 @@ def sensitivity_from_slope(delta_s: float, max_slope: float, t_seq: float) -> Se
     return SensitivityReport(eta, delta_s, max_slope, t_seq)
 
 
-@dataclass(frozen=True)
-class AcMagnetometryResult:
-    amplitudes_t: np.ndarray
-    signal_mean_v: np.ndarray
-    signal_std_v: np.ndarray
-    fit: CurveFitResult
-    max_slope_v_per_t: float
-    delta_s_v: float
-    report: SensitivityReport
-    signal_norm: np.ndarray
-
-
-def run_ac_magnetometry(
-    seq: PulseSequence,
-    f_ac: float,
-    amplitudes,
-    spins: EnsembleSample | QuasiStaticSpread,
-    bath: OUBath,
-    readout: ReadoutModel,
-    shots: int,
-    t_seq: float,
-    *,
-    ac_phase: float = DEFAULT_AC_PHASE,
-    shot_seed: int = 1,
-) -> AcMagnetometryResult:
-    """Two-branch signal vs AC amplitude, sine fit, and sensitivity report.
-
-    The branches come from one ensemble.ideal_populations over all
-    amplitudes, which averages the bath and the static spread (of std
-    spins.sigma_delta) exactly: only the shots (shot_seed) are random.
-    Nothing here checks that seq's spacing matches 1/(2 f_ac) or that its
-    readout is the quadrature one: config.validate_config warns about an
-    unsynchronized tau_s, and the CLI always builds seq with
-    readout_phase = pi/2.
-    delta_s is the measured shot-to-shot std at the amplitude closest to
-    zero; max_slope is |a k| from the sine fit of the mean curve.  FitError
-    if either is not positive (delta_s is 0 without shot noise and laser noise),
-    or if the slope is within 5 of its std errors (from fit.cov) of 0: the
-    sweep shows no signal.  A fit without a covariance is not converged.
-    The shots are drawn as readout.TWO_BRANCH, the two-branch difference,
-    which rejects the common-mode laser noise; readout.SINGLE_BRANCH is
-    the arm without the branch pair.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if shots < 2:
-        raise ValueError("shots must be >= 2 to estimate delta_s")
-    mean_v = np.empty_like(amplitudes)
-    std_v = np.empty_like(amplitudes)
-    norm = np.empty_like(amplitudes)
-    branches = ideal_populations(seq, bath, spins.sigma_delta, amplitudes, f_ac, ac_phase)
-    rng = np.random.default_rng(shot_seed)
-    for i, (p_plus, p_minus) in enumerate(branches):
-        vals = shot_stream(p_plus, p_minus, readout, shots, rng, [TWO_BRANCH])[0]
-        mean_v[i] = float(np.mean(vals))
-        std_v[i] = float(np.std(vals, ddof=1))
-        norm[i] = p_plus - p_minus
-    fit = fit_sine(amplitudes, mean_v)
-    max_slope = abs(float(fit.params[0] * fit.params[1]))
-    i0 = int(np.argmin(np.abs(amplitudes)))
-    delta_s = float(std_v[i0])  # the shot-to-shot std
-    if not (max_slope > 0 and delta_s > 0):
-        raise FitError(f"the sine fit's slope |a k| = {max_slope!r} and delta_s = {delta_s!r}: no sensitivity")
-    # the slope's std error by the delta method: a and k alone are ill-determined
-    # (anti-correlated) when the sweep sees only the linear part of the sine
-    grad = np.array([fit.params[1], fit.params[0]])
-    var_slope = float(grad @ fit.cov[:2, :2] @ grad)
-    if var_slope >= 0.0 and max_slope <= 5.0 * math.sqrt(var_slope):
-        raise FitError(
-            f"the sine fit's slope |a k| = {max_slope!r} is within 5 std errors "
-            f"({math.sqrt(var_slope)!r}) of 0: no signal"
-        )
-    report = sensitivity_from_slope(delta_s, max_slope, t_seq)
-    return AcMagnetometryResult(amplitudes, mean_v, std_v, fit, max_slope, delta_s, report, norm)
-
-
 def synchronized_phase(b0: float, total_free_time: float) -> float:
     """Ideal accumulated phase magnitude for a synchronized pi-train."""
     return (2.0 / math.pi) * GAMMA_E * b0 * total_free_time
 
 
 # ---------------------------------------------------------------- resolution
-
-@dataclass(frozen=True)
-class ResolutionResult:
-    n_avg: np.ndarray
-    elapsed_s: np.ndarray
-    min_field_t: np.ndarray
-    ideal_min_field_t: np.ndarray
-    loglog_slope: float
-    min_field_stderr_t: np.ndarray  # standard error of min_field_t from its k block means
-
 
 def resolution_vs_time(single_shot_std: float, max_slope: float, t_seq: float, n_avg) -> tuple[np.ndarray, np.ndarray]:
     """Ideal averaging curve: min-field(M) = (std/sqrt(M))/slope at M t_seq."""
@@ -352,45 +132,6 @@ def _cut_block_means(sigma: float, sizes, counts, rng, piece: int) -> list[np.nd
                 last[i] = at[-1]
         cut, prefix = cuts[-1], sums[-1]
     return means
-
-
-def run_resolution(
-    readout: ReadoutModel,
-    max_slope: float,
-    t_seq: float,
-    n_avg_list,
-    *,
-    blocks_per_point: int = 20,
-    seed: int = 0,
-) -> ResolutionResult:
-    """Measured field resolution vs averaging from a simulated shot stream
-    at zero signal (p0 = 0.5 in both branches).
-
-    For each averaging count M the std of non-overlapping M-shot block
-    means estimates the averaged-signal noise; at least blocks_per_point
-    blocks are simulated for the largest M.  A std from k Gaussian block
-    means has relative standard error 1/sqrt(2 (k - 1)).  At zero signal
-    the processed shots are i.i.d. N(0, sigma^2) and the drift walk adds
-    nothing (shot_law's mean is exactly 0.0), so the block means are drawn
-    from their exact law by _cut_block_means, one normal per block-edge
-    cut instead of one per shot, in pieces of PIECE_BLOCKS smallest-M
-    blocks (at least the largest M).  FitError before any draw if sigma is 0
-    (no shot noise, and the slow laser term cancels at zero signal): no std to take a log of.
-    """
-    n_avg = np.asarray(sorted(int(m) for m in n_avg_list))
-    m_max = int(n_avg[-1])
-    k = m_max * blocks_per_point // n_avg
-    _mean, factor = shot_law(0.5, 0.5, readout, [TWO_BRANCH])
-    sigma = abs(float(factor[0, 0]))
-    if not sigma > 0:
-        raise FitError(f"the zero-signal shot std sigma = {sigma!r}: every block-mean std is 0, no log-log slope")
-    rng = np.random.default_rng(seed)
-    piece = max(m_max, PIECE_BLOCKS * int(n_avg[0]))
-    means = _cut_block_means(sigma, n_avg.tolist(), k.tolist(), rng, piece)
-    min_field = np.array([np.std(x, ddof=1) / max_slope for x in means])
-    elapsed, ideal = resolution_vs_time(readout_shot_std(readout), max_slope, t_seq, n_avg)
-    slope = float(np.polyfit(np.log(elapsed), np.log(min_field), 1)[0])
-    return ResolutionResult(n_avg, elapsed, min_field, ideal, slope, min_field / np.sqrt(2.0 * (k - 1.0)))
 
 
 # ---------------------------------------------------------------- CSV output

@@ -33,7 +33,7 @@ shot, shot after shot, in one more call.
 At zero signal (p0 = 0.5 in both branches) the two-branch output's mean
 is exactly 0.0, so the drift walk adds nothing and the processed shots
 are i.i.d. N(0, sigma^2) with sigma = |R[0, 0]|.  A sum of L of them is
-then one N(0, L sigma^2) draw; experiments.run_resolution uses this to
+then one N(0, L sigma^2) draw; the resolution runner in cli uses this to
 draw block sums, one normal per cut of the stream, instead of shots.
 """
 

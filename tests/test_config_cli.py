@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from nvsim import cli, config, experiments, sequences
+from nvsim import cli, config, sequences
 from nvsim.cli import main
 from nvsim.config import (
     BUILDS,
@@ -511,13 +511,13 @@ def test_zero_ac_slope_is_numerical_exit(tmp_path, capsys, monkeypatch, experime
     # No curve makes the least-squares sine fit land on exactly |a k| = 0.0: on a
     # curve of zeros it stops near a = 1e-10.  So the fit's amplitude is set to 0.0
     # here, and with shot noise keeping delta_s > 0 the zero slope alone must exit 3.
-    fit_sine = experiments.fit_sine
+    fit_sine = cli.fit_sine
 
     def flat_fit(x, y):
         fit = fit_sine(x, y)
         return replace(fit, params=np.concatenate(([0.0], fit.params[1:])))
 
-    monkeypatch.setattr(experiments, "fit_sine", flat_fit)
+    monkeypatch.setattr(cli, "fit_sine", flat_fit)
     path = write_cfg(
         tmp_path,
         f"experiment = {experiment}\nn_spins = 16\nshots = 2\nn_amplitudes = 6\nn_repeats = 2\n"

@@ -3,6 +3,7 @@ AC response, sensitivity arithmetic, resolution curves."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,24 +11,19 @@ import pytest
 
 from nvsim.constants import GAMMA_E, ZERO_FIELD_SPLITTING_HZ
 from nvsim.ensemble import DetectionVolume, NoiseModel, run_two_branch, sample_ensemble
-from nvsim import readout
-from nvsim.config import averaging_counts, parse_config
+from nvsim import cli, readout
+from nvsim.config import RunConfig, averaging_counts, parse_config, validate_config
 from nvsim.experiments import (
     PIECE_BLOCKS,
     _cut_block_means,
     make_coherence_builder,
     odmr_dip_frequencies,
     resolution_vs_time,
-    run_ac_magnetometry,
-    run_coherence,
-    run_odmr,
-    run_rabi,
-    run_resolution,
     sensitivity_from_slope,
     synchronized_phase,
     write_table,
 )
-from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread, calibrate_bath
+from nvsim.noise import AmplitudeErrorModel, OUBath, QuasiStaticSpread
 from nvsim.readout import ReadoutModel, readout_shot_std
 from nvsim.sequences import build_cpmg, build_xy16, pulse_times
 
@@ -37,9 +33,19 @@ VOL = DetectionVolume()
 OMEGA = math.pi / 48e-9
 
 
-def make_ensemble(n=4000, seed=1, sigma=0.0, bath=OUBath(0.0, 1e-5), amp=AmplitudeErrorModel()):
-    nm = NoiseModel(QuasiStaticSpread(sigma), bath, amp)
-    return sample_ensemble(VOL, None, nm, n, seed, rabi_angular_freq=OMEGA), nm
+
+def run_config(**keys):
+    """Run the experiment of RunConfig() with keys as `simulate run` does, validate_config first and under
+    its np.errstate, but write nothing: the runner's Outputs, and its tables' columns by file and column
+    name, with fit.csv's values also by row name under "fit"."""
+    cfg = replace(RunConfig(), **keys)
+    validate_config(cfg)
+    with np.errstate(all="raise", under="ignore"):
+        out = cli._RUNNERS[cfg.experiment](cfg)
+    tables = {name: dict(zip(header, columns)) for name, header, columns in out.tables}
+    if "fit.csv" in tables:
+        tables["fit"] = dict(zip(tables["fit.csv"]["parameter"], tables["fit.csv"]["value"]))
+    return out, tables
 
 
 # ---------------------------------------------------------------- ODMR
@@ -67,71 +73,65 @@ def test_odmr_zero_field_degenerate():
 
 
 def test_odmr_fit_recovers_aligned_dip():
-    freqs = np.linspace(2.77e9, 2.97e9, 1601)
-    res = run_odmr(freqs, 2e-3, 6e6, contrast_aligned=0.02, contrast_misaligned=0.005)
-    assert res.fit.converged
-    assert res.fitted_dip_hz == pytest.approx(2.813952e9, abs=0.5e6)
-
-
-def test_odmr_requires_sorted_sweep():
-    with pytest.raises(ValueError):
-        run_odmr(np.array([2.9e9, 2.8e9]), 2e-3, 6e6)
+    # 2.77-2.97 GHz, 2 mT, 6 MHz lines and contrasts 0.02 and 0.005 are the defaults
+    out, t = run_config(experiment="odmr", n_freq=1601, v0_v=1.0)
+    assert out.fit.converged
+    assert t["fit"]["fitted_dip_hz"] == pytest.approx(2.813952e9, abs=0.5e6)
 
 
 # ---------------------------------------------------------------- Rabi
 
+# no config sets a static spread of 0: T2* = 1 s is a detuning spread of 1.4 rad/s, 2e-8 of the drive
+NO_SPREAD = dict(t2_star_s=1.0)
+
+
 def test_rabi_pi_time_homogeneous_no_noise():
-    ens, _ = make_ensemble(n=256)
-    durations = np.linspace(0.0, 400e-9, 81)
-    res = run_rabi(durations, ens)
-    assert res.fit.converged
-    assert res.t_pi_s == pytest.approx(48e-9, abs=0.5e-9)
-    assert res.population[0] == pytest.approx(1.0, abs=1e-12)
-    # a readout model adds detector noise, and its points need shots to average
-    with pytest.raises(ValueError, match="shots"):
-        run_rabi(durations, ens, ReadoutModel())
+    # 48 ns pulses and 400 ns of drive are the defaults
+    out, t = run_config(experiment="rabi", n_spins=256, seed=1, n_points=81, shots=1, **NO_SPREAD)
+    assert out.fit.converged
+    assert t["fit"]["t_pi_s"] == pytest.approx(48e-9, abs=0.5e-9)
+    assert t["curve.csv"]["population"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rabi_decay_time_decreases_with_spread():
+    # 201 points, not 301: 301 points of 20000 spins pass the 32 MiB cap on the per-spin curve
     taus = []
     for spread in (0.02, 0.05):
-        ens, _ = make_ensemble(n=20000, seed=2, amp=AmplitudeErrorModel(sigma=spread))
-        res = run_rabi(np.linspace(0.0, 2e-6, 301), ens)
-        taus.append(res.fit.params[1])
-        assert np.isfinite(res.fit.params[1])
+        keys = dict(n_spins=20000, seed=2, amp_error_sigma=spread, rabi_max_s=2e-6, n_points=201, shots=1)
+        out, _ = run_config(experiment="rabi", **keys, **NO_SPREAD)
+        taus.append(out.fit.params[1])
+        assert np.isfinite(out.fit.params[1])
     assert taus[1] < taus[0]
 
 
 # ---------------------------------------------------------------- coherence
 
+# no config sets a bath coupling of 0: a bath calibrated to T2 = 1 s has chi <= 1.4e-7 over
+# an XY16-4 or a 20 us echo
+NO_BATH = dict(t2_echo_target_s=1.0)
+
+
 def test_coherence_echo_round_trip_small():
-    bath = calibrate_bath(9e-6, 10e-6)
-    ens, _ = make_ensemble(n=3000, seed=3, bath=bath)
-    t_sweep = np.linspace(0.5e-6, 20e-6, 18)
-    res = run_coherence("echo", 1, t_sweep, ens, bath)
-    assert res.fit.converged and not res.censored
-    assert res.t2_s == pytest.approx(9e-6, rel=0.08)
+    # the default bath is calibrated to an echo T2 of 9 us at tau_c = 10 us; 0.5-20 us
+    out, t = run_config(experiment="echo", n_points=18)
+    assert out.fit.converged and t["fit"]["censored"] == 0.0
+    assert t["fit"]["t2_s"] == pytest.approx(9e-6, rel=0.08)
 
 
 def test_coherence_censored_when_no_decay():
-    bath = OUBath(0.0, 1e-5)
-    ens, _ = make_ensemble(n=512, seed=4, bath=bath)
-    res = run_coherence("echo", 1, np.linspace(1e-6, 20e-6, 10), ens, bath)
-    assert res.censored
-    assert np.all(res.signal_norm > 0.999)
+    _, t = run_config(experiment="echo", t_min_s=1e-6, n_points=10, **NO_BATH)
+    assert t["fit"]["censored"] == 1.0
+    assert np.all(t["curve.csv"]["signal_norm"] > 0.999)
 
 
 def test_converged_t2_before_the_first_point_is_censored():
     # the round-trip echo, swept from 10 us on: the fit converges on the true
     # T2 of 9 us, which lies before the first point, so the curve is censored
-    bath = calibrate_bath(9e-6, 10e-6)
-    ens, _ = make_ensemble(n=3000, seed=3, bath=bath)
-    t_sweep = np.linspace(10e-6, 24e-6, 15)
-    res = run_coherence("echo", 1, t_sweep, ens, bath)
-    assert res.fit.converged
-    assert res.t2_s < t_sweep[0]
-    assert res.t2_s == pytest.approx(9e-6, rel=0.05)
-    assert res.censored
+    out, t = run_config(experiment="echo", t_min_s=10e-6, t_max_s=24e-6, n_points=15)
+    assert out.fit.converged
+    assert t["fit"]["t2_s"] < 10e-6
+    assert t["fit"]["t2_s"] == pytest.approx(9e-6, rel=0.05)
+    assert t["fit"]["censored"] == 1.0
 
 
 def test_coherence_builder_families():
@@ -190,32 +190,32 @@ def test_resolution_loglog_slope_is_exactly_minus_half():
 
 
 def test_run_resolution_measured_slope():
-    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
+    # M = 100, 1000 and 10000; the default readout is 57.7 uV shot noise and 1% slow laser noise
     # 160 blocks: seeds 0-199 fail 0 times (at 40 blocks the slope check failed 6 times before the
     # cut-sum draw, 12 after); the slope's spread over seeds is 0.0117 (0.05 = 4.3 SE).  An endpoint
     # min_field x 1.5 fails on all 200 seeds.
-    res = run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000], blocks_per_point=160, seed=5)
-    assert res.loglog_slope == pytest.approx(-0.5, abs=0.05)
+    out, t = run_config(experiment="resolution", m_max=10000, m_points=3, blocks_per_point=160, seed=0)
+    res = t["resolution.csv"]
+    assert float(out.manifest["loglog_slope"]) == pytest.approx(-0.5, abs=0.05)
     # measured matches the analytic shot-noise prediction, point by point within 5 SE
-    assert np.all(np.abs(res.min_field_t - res.ideal_min_field_t) <= 5.0 * res.min_field_stderr_t)
+    assert np.all(np.abs(res["min_field_t"] - res["ideal_min_field_t"]) <= 5.0 * res["min_field_stderr_t"])
 
 
 def test_run_resolution_stderr_column():
-    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
-    res = run_resolution(m, 110000.0, 1.47e-3, [10, 100, 1000], blocks_per_point=20, seed=3)
+    keys = dict(m_min=10, m_max=1000, m_points=3, blocks_per_point=20)
+    res = run_config(experiment="resolution", **keys)[1]["resolution.csv"]
     k = np.array([2000, 200, 20])
-    assert res.min_field_stderr_t == pytest.approx(res.min_field_t / np.sqrt(2.0 * (k - 1)), rel=1e-15)
+    assert res["min_field_stderr_t"] == pytest.approx(res["min_field_t"] / np.sqrt(2.0 * (k - 1)), rel=1e-15)
 
 
 def test_run_resolution_memory_is_bounded():
-    # acceptance-7 arguments: the stream is reduced as it is drawn, so 4x the
+    # acceptance-7's config: the stream is reduced as it is drawn, so 4x the
     # blocks (8 M shots) holds no more than the block means it adds
-    m = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6, laser_fluct_rel=0.01)
     peaks = []
     for blocks in (20, 80):
         tracemalloc.start()
         try:
-            run_resolution(m, 110000.0, 1.47e-3, [100, 1000, 10000, 100000], blocks_per_point=blocks, seed=71)
+            run_config(experiment="resolution", blocks_per_point=blocks, seed=65)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -264,7 +264,7 @@ def test_streamed_block_means_equal_whole_stream_means(sizes, drift, chunk):
 
 @pytest.mark.parametrize("blocks", [20, 80])
 def test_resolution_cfg_pieces_give_the_whole_stream_means(blocks):
-    # run_resolution's piece, PIECE_BLOCKS blocks of the smallest M, splits resolution.cfg's
+    # the resolution runner's piece, PIECE_BLOCKS blocks of the smallest M, splits resolution.cfg's
     # stream (2 pieces at 20 blocks, 5 at 80) and moves no bit
     sizes = M_SETS["decades"]
     piece = max(sizes[-1], PIECE_BLOCKS * sizes[0])
@@ -279,15 +279,17 @@ def test_resolution_cfg_pieces_give_the_whole_stream_means(blocks):
 
 
 def test_run_resolution_equals_the_whole_stream_reduction():
-    sizes = M_SETS["geomspace"]
-    runs = []
-    for drift in (1e-4, 0.0):
-        m = ReadoutModel(laser_fluct_rel=0.01, laser_drift_step_rel=drift)
-        runs.append(run_resolution(m, 110000.0, 1.47e-3, sizes, blocks_per_point=4, seed=23))
-    means = _whole_stream_block_means(_zero_signal_sigma(m), sizes, 4, np.random.default_rng(23))
-    expect = np.array([float(np.std(x, ddof=1)) / 110000.0 for x in means])
-    assert np.array_equal(runs[0].min_field_t, expect)
-    assert np.array_equal(runs[1].min_field_t, expect)  # the drift walk adds nothing at zero signal
+    sizes = M_SETS["geomspace"]  # the averaging counts of m_points = 5 from the default 100 to 100000
+    means = _whole_stream_block_means(_zero_signal_sigma(ReadoutModel(laser_fluct_rel=0.01)), sizes, 4,
+                                      np.random.default_rng(23))
+    for drift in (1e-4, 0.0):  # the drift walk adds nothing at zero signal
+        keys = dict(m_points=5, blocks_per_point=4, seed=17, laser_drift_step_rel=drift)
+        _, t = run_config(experiment="resolution", **keys)
+        assert t["resolution.csv"]["n_avg"].tolist() == sizes
+        # each run divides by the slope of its own AC sweep, whose shots the drift walk moves
+        [slope] = t["report.csv"]["max_slope_V_per_T"]
+        expect = np.array([float(np.std(x, ddof=1)) / slope for x in means])
+        assert np.array_equal(t["resolution.csv"]["min_field_t"], expect), drift
 
 
 class _RecordingNormals:
@@ -338,42 +340,37 @@ def test_readout_shot_std_matches_quadrature_sum():
 
 # ---------------------------------------------------------------- AC sensing
 
+# an XY16-1 at the default 362 kHz, synchronized (tau_s = 0), read by 0.5 V, contrast 0.02, and no laser noise
+XY16_1 = dict(experiment="ac_sense", n_repeats=1, laser_fluct_rel=0.0, **NO_BATH)
+
+
 def test_ac_magnetometry_odd_response_and_slope():
-    bath = OUBath(0.0, 1e-5)
-    ens, _ = make_ensemble(n=512, seed=6, bath=bath)
-    readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6)
-    tau = 1.0 / (2 * 362e3)
-    seq = build_xy16(1, tau, readout_phase=math.pi / 2)
-    amplitudes = np.linspace(-2e-7, 2e-7, 17)
-    res = run_ac_magnetometry(seq, 362e3, amplitudes, ens, bath, readout, 4000, 1.47e-3, shot_seed=7)
-    assert res.fit.converged
+    out, t = run_config(b_ac_max_t=2e-7, n_amplitudes=17, shots=4000, seed=3, **XY16_1)
+    curve = t["curve.csv"]
+    amplitudes, norm = curve["b_ac_t"], curve["signal_norm"]
+    assert out.fit.converged
     # odd response: zero crossing at the origin
     i0 = int(np.argmin(np.abs(amplitudes)))
-    assert abs(res.signal_norm[i0]) < 1e-12
-    assert np.allclose(res.signal_norm, -res.signal_norm[::-1], atol=1e-9)
+    assert abs(norm[i0]) < 1e-12
+    assert np.allclose(norm, -norm[::-1], atol=1e-9)
     # slope at origin from the fit matches a central difference within 2%
     db = amplitudes[1] - amplitudes[0]
-    numeric = (res.signal_norm[i0 + 1] - res.signal_norm[i0 - 1]) / (2 * db)
-    analytic_slope = res.max_slope_v_per_t / (readout.v0_v * readout.contrast)
+    numeric = (norm[i0 + 1] - norm[i0 - 1]) / (2 * db)
+    analytic_slope = t["fit"]["max_slope_v_per_t"] / (0.5 * 0.02)
     assert analytic_slope == pytest.approx(abs(numeric), rel=0.02)
     # and the normalized response follows W sin((2/pi) gamma B T)
-    T = pulse_times(seq)[1]
+    T = pulse_times(build_xy16(1, 1.0 / (2 * 362e3), readout_phase=math.pi / 2))[1]
     expect = np.sin((2 / math.pi) * GAMMA_E * amplitudes * T)
-    assert np.allclose(res.signal_norm, expect, atol=1e-9)
+    assert np.allclose(norm, expect, atol=1e-9)
 
 
 def test_ac_magnetometry_zero_crossings_equally_spaced():
-    bath = OUBath(0.0, 1e-5)
-    ens, _ = make_ensemble(n=256, seed=8, bath=bath)
-    readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=1e-6)
-    tau = 1.0 / (2 * 362e3)
-    seq = build_xy16(1, tau, readout_phase=math.pi / 2)
-    T = pulse_times(seq)[1]
+    T = pulse_times(build_xy16(1, 1.0 / (2 * 362e3), readout_phase=math.pi / 2))[1]
     period = 2 * math.pi / ((2 / math.pi) * GAMMA_E * T)
-    amplitudes = np.linspace(-1.2 * period, 1.2 * period, 97)
-    res = run_ac_magnetometry(seq, 362e3, amplitudes, ens, bath, readout, 100, 1.47e-3, shot_seed=9)
-    sgn = np.sign(res.signal_norm)
-    crossings = amplitudes[:-1][np.diff(sgn) != 0]
+    keys = dict(b_ac_max_t=1.2 * period, n_amplitudes=97, shots=100, shot_noise_v=1e-6, seed=5)
+    curve = run_config(**keys, **XY16_1)[1]["curve.csv"]
+    sgn = np.sign(curve["signal_norm"])
+    crossings = curve["b_ac_t"][:-1][np.diff(sgn) != 0]
     gaps = np.diff(crossings)
     assert np.allclose(gaps, period / 2, rtol=0.05)
 
@@ -382,19 +379,11 @@ def test_ac_report_self_consistency_and_noise_prediction():
     # the report's eta must equal (delta_s/slope)*sqrt(t_seq) exactly, and
     # the measured delta_s must match the analytic shot-noise prediction
     # within 5% at 1e4 shots.
-    bath = OUBath(0.0, 1e-5)
-    ens, _ = make_ensemble(n=512, seed=12, bath=bath)
+    rep = run_config(b_ac_max_t=2e-7, n_amplitudes=9, shots=10000, seed=9, **XY16_1)[1]["report.csv"]
+    [delta_s], [slope], [t_seq], [eta] = rep.values()  # delta_s_V, max_slope_V_per_T, t_seq_s, eta_T_per_sqrtHz
+    assert eta == pytest.approx(delta_s / slope * math.sqrt(t_seq), rel=1e-12)
     readout = ReadoutModel(v0_v=0.5, contrast=0.02, shot_noise_v=57.7e-6)
-    tau = 1.0 / (2 * 362e3)
-    seq = build_xy16(1, tau, readout_phase=math.pi / 2)
-    res = run_ac_magnetometry(
-        seq, 362e3, np.linspace(-2e-7, 2e-7, 9), ens, bath, readout, 10000, 1.47e-3, shot_seed=13
-    )
-    rep = res.report
-    assert rep.eta_t_per_sqrt_hz == pytest.approx(
-        rep.delta_s_v / rep.max_slope_v_per_t * math.sqrt(rep.t_seq_s), rel=1e-12
-    )
-    assert rep.delta_s_v == pytest.approx(readout_shot_std(readout), rel=0.05)
+    assert delta_s == pytest.approx(readout_shot_std(readout), rel=0.05)
 
 
 def test_synchronized_phase_helper():
